@@ -6,14 +6,6 @@
 // statement overhead charged identically to all systems (see DESIGN.md);
 // raw measured engine time follows in parentheses. ProbKB-p times are the
 // shared-nothing simulator's simulated elapsed time (32 segments).
-
-//
-// `--oracle` runs a correctness cross-check instead of the benchmark: the
-// MPP grounding is executed twice, once on the in-process simulator and
-// once on the forked-worker process runtime, and the gathered TPi / TPhi
-// tables must be bit-identical (exit 1 otherwise). CI's smoke job uses it
-// to certify that the process runtime is a transport change, not a
-// semantics change.
 //
 // Out-of-core flags:
 //   --scale-facts N    extend the generated KB to N facts (ScaleKbFacts;
@@ -37,7 +29,6 @@
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "obs/stats_registry.h"
-#include "runtime/process_runtime.h"
 #include "tuffy/tuffy_grounder.h"
 #include "util/mem_budget.h"
 #include "util/timer.h"
@@ -70,51 +61,6 @@ bool TablesIdentical(const Table& a, const Table& b) {
     if (!a.row(i).Equals(b.row(i))) return false;
   }
   return true;
-}
-
-/// Sim-vs-process bit-identity oracle: grounds the KB on both segment
-/// runtimes and compares the gathered outputs row for row.
-int RunOracle(const KnowledgeBase& kb, const GroundingOptions& options) {
-  int failures = 0;
-  for (int segments : {2, 4}) {
-    RelationalKB rkb_sim = BuildRelationalModel(kb);
-    MppGrounder sim(rkb_sim, segments, MppMode::kViews, options);
-    if (!sim.GroundAtoms().ok()) return 1;
-    auto phi_sim = sim.GroundFactors();
-    if (!phi_sim.ok()) return 1;
-    TablePtr tpi_sim = sim.GatherTPi();
-
-    ProcessRuntimeOptions runtime_options;
-    runtime_options.num_segments = segments;
-    ProcessRuntime runtime(runtime_options);
-    if (auto st = runtime.Spawn(); !st.ok()) {
-      std::fprintf(stderr, "oracle: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    RelationalKB rkb_proc = BuildRelationalModel(kb);
-    MppGrounder proc(rkb_proc, segments, MppMode::kViews, options);
-    proc.AttachRuntime(&runtime);
-    if (!proc.GroundAtoms().ok()) return 1;
-    auto phi_proc = proc.GroundFactors();
-    if (!phi_proc.ok()) return 1;
-    TablePtr tpi_proc = proc.GatherTPi();
-    runtime.Shutdown();
-
-    const bool tpi_ok = TablesIdentical(*tpi_sim, *tpi_proc);
-    const bool phi_ok = TablesIdentical(**phi_sim, **phi_proc);
-    if (!tpi_ok || !phi_ok) ++failures;
-    std::printf(
-        "oracle segments=%d: %lld atoms, %lld factors, %lld frames "
-        "shipped -> TPi %s, TPhi %s\n",
-        segments, static_cast<long long>(tpi_sim->NumRows()),
-        static_cast<long long>((*phi_sim)->NumRows()),
-        static_cast<long long>(runtime.stats().frames_shipped),
-        tpi_ok ? "identical" : "DIVERGED", phi_ok ? "identical" : "DIVERGED");
-  }
-  if (failures == 0) {
-    std::printf("oracle: process runtime is bit-identical to the simulator\n");
-  }
-  return failures == 0 ? 0 : 1;
 }
 
 /// Out-of-core bit-identity oracle: grounds the KB once fully in memory,
@@ -216,12 +162,6 @@ int main(int argc, char** argv) {
     mem_budget = *bytes;
   }
   const std::string spill_dir = bench::ArgValue(argc, argv, "--spill-dir");
-
-  if (bench::HasFlag(argc, argv, "--oracle")) {
-    GroundingOptions oracle_options;
-    oracle_options.max_iterations = kIterations;
-    return RunOracle(skb->kb, oracle_options);
-  }
 
   if (bench::HasFlag(argc, argv, "--oocore-check")) {
     GroundingOptions check_options;

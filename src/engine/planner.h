@@ -92,13 +92,6 @@ class AdaptivePlanner {
   /// the decision (retrievable via ExplainDecisions / decisions()).
   MotionDecision DecideJoinMotion(const JoinMotionQuery& q);
 
-  /// True when building the hash index on the left input is cheaper:
-  /// hash joins build on the right, so a much smaller left wants its sides
-  /// swapped. Only sound for inner joins without residual predicates.
-  bool ChooseBuildSideSwap(int64_t left_rows, int64_t right_rows) const {
-    return left_rows < right_rows;
-  }
-
   const MotionCostModel& model() const { return model_; }
   const std::vector<std::pair<JoinMotionQuery, MotionDecision>>& decisions()
       const {

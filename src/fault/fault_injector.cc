@@ -19,10 +19,6 @@ const char* FaultKindToString(FaultKind kind) {
       return "memory exhausted";
     case FaultKind::kDeadlineTrip:
       return "deadline trip";
-    case FaultKind::kWorkerKill:
-      return "worker kill";
-    case FaultKind::kCorruptFrame:
-      return "corrupt frame";
   }
   return "unknown";
 }
@@ -44,8 +40,7 @@ double RetryPolicy::BackoffSeconds(int attempt) const {
 std::string FaultStats::ToString() const {
   return StrFormat(
       "faults: %lld segment failures, %lld dropped, %lld duplicated, "
-      "%lld memory trips, %lld deadline trips, %lld worker kills, "
-      "%lld corrupted frames; recovery: %lld retries, "
+      "%lld memory trips, %lld deadline trips; recovery: %lld retries, "
       "%lld recovered, %lld unrecovered, %lld tuples reshipped, "
       "%.3fs backoff",
       static_cast<long long>(segment_failures),
@@ -53,8 +48,6 @@ std::string FaultStats::ToString() const {
       static_cast<long long>(batches_duplicated),
       static_cast<long long>(memory_trips),
       static_cast<long long>(deadline_trips),
-      static_cast<long long>(worker_kills),
-      static_cast<long long>(frames_corrupted),
       static_cast<long long>(retries),
       static_cast<long long>(recovered_faults),
       static_cast<long long>(unrecovered_motions),
@@ -106,8 +99,6 @@ std::vector<FaultEvent> FaultInjector::MotionFaults(int64_t motion_index,
     roll(options_.segment_failure_prob, FaultKind::kSegmentFailure);
     roll(options_.drop_batch_prob, FaultKind::kDropBatch);
     roll(options_.duplicate_batch_prob, FaultKind::kDuplicateBatch);
-    roll(options_.worker_kill_prob, FaultKind::kWorkerKill);
-    roll(options_.corrupt_frame_prob, FaultKind::kCorruptFrame);
   }
 
   for (const FaultEvent& f : fired) {
@@ -120,12 +111,6 @@ std::vector<FaultEvent> FaultInjector::MotionFaults(int64_t motion_index,
         break;
       case FaultKind::kDuplicateBatch:
         ++stats_.batches_duplicated;
-        break;
-      case FaultKind::kWorkerKill:
-        ++stats_.worker_kills;
-        break;
-      case FaultKind::kCorruptFrame:
-        ++stats_.frames_corrupted;
         break;
       default:
         break;

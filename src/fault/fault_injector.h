@@ -28,22 +28,9 @@ enum class FaultKind {
   kMemoryExhausted,
   /// An operator exceeds the simulated deadline.
   kDeadlineTrip,
-  /// A worker process is SIGKILLed mid-motion (process runtime; in the
-  /// simulator it degrades to a segment failure). Everything the victim
-  /// contributed to the motion is lost, like kSegmentFailure.
-  kWorkerKill,
-  /// One shipped frame is damaged in flight; the receiver's checksum
-  /// detects it and the frame is resent (recoverable, like kDropBatch).
-  kCorruptFrame,
 };
 
 const char* FaultKindToString(FaultKind kind);
-
-/// \brief True for fault kinds that lose a whole segment's contribution to
-/// a motion (the victim's partitions must be re-shipped in full).
-inline bool IsSegmentLoss(FaultKind kind) {
-  return kind == FaultKind::kSegmentFailure || kind == FaultKind::kWorkerKill;
-}
 
 /// \brief One scheduled fault. Motions are numbered 0, 1, ... in issue
 /// order across a simulation (MppContext assigns the index); `attempt` 0 is
@@ -79,11 +66,6 @@ struct FaultInjectionOptions {
   double drop_batch_prob = 0.0;
   /// Per-motion probability that one redistribute batch is duplicated.
   double duplicate_batch_prob = 0.0;
-  /// Per-motion probability that one worker process is killed (process
-  /// runtime; the simulator treats it as a segment failure).
-  double worker_kill_prob = 0.0;
-  /// Per-motion probability that one shipped frame is corrupted in flight.
-  double corrupt_frame_prob = 0.0;
   /// Cap on randomly injected faults (scheduled faults always fire).
   int64_t max_random_faults = 1'000'000;
   std::vector<FaultEvent> schedule;
@@ -108,8 +90,6 @@ struct FaultStats {
   int64_t batches_duplicated = 0;
   int64_t memory_trips = 0;
   int64_t deadline_trips = 0;
-  int64_t worker_kills = 0;
-  int64_t frames_corrupted = 0;
   int64_t retries = 0;
   int64_t recovered_faults = 0;
   int64_t unrecovered_motions = 0;
@@ -118,7 +98,7 @@ struct FaultStats {
 
   int64_t InjectedTotal() const {
     return segment_failures + batches_dropped + batches_duplicated +
-           memory_trips + deadline_trips + worker_kills + frames_corrupted;
+           memory_trips + deadline_trips;
   }
   std::string ToString() const;
 };

@@ -237,12 +237,15 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
       std::vector<std::vector<int64_t>> sent(
           static_cast<size_t>(n),
           std::vector<int64_t>(static_cast<size_t>(n)));
+      std::vector<int64_t> received(static_cast<size_t>(n), 0);
       for (int64_t r = 0; r < delta.NumRows(); ++r) {
+        const int target = targets[static_cast<size_t>(r)];
         ++sent[static_cast<size_t>(origin[static_cast<size_t>(r)])]
-              [static_cast<size_t>(targets[static_cast<size_t>(r)])];
+              [static_cast<size_t>(target)];
+        ++received[static_cast<size_t>(target)];
       }
       auto resend = [&](const FaultEvent& f) -> int64_t {
-        if (IsSegmentLoss(f.kind)) {
+        if (f.kind == FaultKind::kSegmentFailure) {
           int64_t t = 0;
           for (int64_t batch : sent[static_cast<size_t>(f.segment)]) {
             t += batch;
@@ -254,26 +257,13 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
       };
       // The refresh is a real motion: it consumes a motion index, can be
       // struck by injected faults, and only mutates the view once the
-      // (possibly recovered) shipment succeeded. Under a process runtime
-      // the delta physically ships through the target workers and the
-      // views append the echoed copies instead of the local rows.
-      std::vector<TablePtr> delivered;
-      PROBKB_RETURN_NOT_OK(
-          ctx_.AccountMotion(MppStep::Kind::kRedistribute,
-                             "refresh " + view->name(), delta.NumRows(),
-                             resend, &delta, targets, &delivered));
-      if (!delivered.empty()) {
-        for (int t = 0; t < n; ++t) {
-          if (delivered[static_cast<size_t>(t)] != nullptr) {
-            view->mutable_segment(t)->AppendTable(
-                *delivered[static_cast<size_t>(t)]);
-          }
-        }
-      } else {
-        for (int64_t r = 0; r < delta.NumRows(); ++r) {
-          view->mutable_segment(targets[static_cast<size_t>(r)])
-              ->AppendRows(delta, r, r + 1);
-        }
+      // (possibly recovered) shipment succeeded.
+      PROBKB_RETURN_NOT_OK(ctx_.AccountMotion(
+          MppStep::Kind::kRedistribute, "refresh " + view->name(),
+          delta.NumRows(), delta.schema().num_fields(), received, resend));
+      for (int64_t r = 0; r < delta.NumRows(); ++r) {
+        view->mutable_segment(targets[static_cast<size_t>(r)])
+            ->AppendRows(delta, r, r + 1);
       }
     }
   }
@@ -283,8 +273,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
 Result<int64_t> MppGrounder::GroundAtomsIteration() {
   const double start_cost = ctx_.cost().simulated_seconds();
   const int iteration = stats_.iterations + 1;
-  // Root span of the iteration's trace: every motion span (and, in process
-  // mode, every harvested worker span) nests under it.
+  // Root span of the iteration's trace: every motion span nests under it.
   TraceSpan span(Tracer::Global(), "iteration", "grounding", iteration);
   // Fresh explain/decision log per iteration: ExplainPlans() reports the
   // plans the *latest* deltas produced. The observation history persists —

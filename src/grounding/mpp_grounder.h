@@ -91,17 +91,6 @@ class MppGrounder {
     ctx_.set_stats_registry(registry);
   }
 
-  /// \brief Attaches a spawned process runtime (not owned; may be
-  /// nullptr): motions then ship partitions through real worker processes
-  /// (see MppContext::set_runtime). Drops the thread pool — forking from a
-  /// multi-threaded orchestrator is unsafe, and in process mode the
-  /// parallelism lives in the workers, not the supervisor.
-  void AttachRuntime(ProcessRuntime* runtime) {
-    ctx_.set_thread_pool(nullptr);
-    pool_.reset();
-    ctx_.set_runtime(runtime);
-  }
-
  private:
   /// Runs Query 1-p distributed; returns inferred atoms (distribution
   /// Random).
@@ -133,7 +122,7 @@ class MppGrounder {
   /// Cost-based motion planner fed by per-statement observations; attached
   /// to ctx_ so every MotionPolicy::kAuto join consults it. Decisions are
   /// pure functions of the actual input sizes and placements (logical row
-  /// counts — identical across thread counts and runtimes), so plan choice
+  /// counts — identical across thread counts), so plan choice
   /// never breaks bit-identity.
   AdaptivePlanner planner_;
   /// Per-statement est/obs lines since the last iteration boundary (see

@@ -44,31 +44,10 @@ Status MppContext::BeginMotion(const std::string& label,
   *motion_index = next_motion_index_++;
   FlightRecorder::Global()->Record(FrEvent::kMotionBegin, label,
                                    *motion_index);
-  // Supervisor upkeep rides the motion clock (not wall time), so heartbeat
-  // events land at deterministic points of the motion sequence.
-  if (runtime_ != nullptr) runtime_->HeartbeatTick(*motion_index);
   if (injector_ != nullptr) {
     PROBKB_RETURN_NOT_OK(injector_->OperatorFault(*motion_index, label));
   }
   return CheckDeadline();
-}
-
-std::vector<int> MppContext::ApplyPhysicalFaults(
-    const std::vector<FaultEvent>& faults) {
-  std::vector<int> corrupt(static_cast<size_t>(num_segments_), 0);
-  if (runtime_ == nullptr) return corrupt;
-  for (const FaultEvent& f : faults) {
-    if (IsSegmentLoss(f.kind)) {
-      // The victim's worker really dies; the exchange loop detects the
-      // broken channel, harvests the journal, and respawns it.
-      runtime_->KillWorker(f.segment);
-    } else if (f.kind == FaultKind::kCorruptFrame) {
-      if (f.target >= 0 && f.target < num_segments_) {
-        ++corrupt[static_cast<size_t>(f.target)];
-      }
-    }
-  }
-  return corrupt;
 }
 
 Status MppContext::RecoverMotion(
@@ -91,9 +70,6 @@ Status MppContext::RecoverMotion(
   auto absorb_batch_fault = [&](const FaultEvent& f) {
     switch (f.kind) {
       case FaultKind::kDropBatch:
-      case FaultKind::kCorruptFrame:
-        // A corrupted frame is detected by the receiver's checksum and
-        // NACKed, costing the same one-batch retransmission as a drop.
         backoff_seconds += retry_.BackoffSeconds(1);
         reshipped += resend_tuples(f);
         ++stats->retries;
@@ -113,7 +89,7 @@ Status MppContext::RecoverMotion(
 
   std::vector<FaultEvent> pending;  // segment-loss faults, retried below
   for (const FaultEvent& f : faults) {
-    if (!absorb_batch_fault(f) && IsSegmentLoss(f.kind)) {
+    if (!absorb_batch_fault(f) && f.kind == FaultKind::kSegmentFailure) {
       pending.push_back(f);
     }
   }
@@ -151,7 +127,7 @@ Status MppContext::RecoverMotion(
     std::map<int, FaultEvent> failed_again;
     for (const FaultEvent& f :
          injector_->MotionFaults(motion_index, attempt, num_segments_)) {
-      if (!absorb_batch_fault(f) && IsSegmentLoss(f.kind)) {
+      if (!absorb_batch_fault(f) && f.kind == FaultKind::kSegmentFailure) {
         failed_again.emplace(f.segment, f);
       }
     }
@@ -190,68 +166,18 @@ Status MppContext::RecoverMotion(
 
 Status MppContext::AccountMotion(
     MppStep::Kind kind, const std::string& label, int64_t tuples_shipped,
-    const std::function<int64_t(const FaultEvent&)>& resend_tuples,
-    const Table* payload, std::span<const int> payload_targets,
-    std::vector<TablePtr>* delivered) {
+    int num_fields, const std::vector<int64_t>& per_segment_rows,
+    const std::function<int64_t(const FaultEvent&)>& resend_tuples) {
   int64_t motion_index = 0;
   PROBKB_RETURN_NOT_OK(BeginMotion(label, &motion_index));
   TraceSpan motion_span(Tracer::Global(), label.c_str(), KindName(kind),
                         motion_index, tuples_shipped, 0);
 
-  // Per-target slice sizes, computed up front so the sim and process
-  // branches emit byte-identical ship spans (one per target, same counts).
-  std::vector<int64_t> target_rows;
-  if (payload != nullptr && tuples_shipped > 0 &&
-      payload_targets.size() == static_cast<size_t>(payload->NumRows())) {
-    target_rows.assign(static_cast<size_t>(num_segments_), 0);
-    for (int t : payload_targets) {
-      if (t >= 0 && t < num_segments_) ++target_rows[static_cast<size_t>(t)];
-    }
-  }
-
-  // One consultation per (motion, attempt 0): the list drives both the
-  // physical faults below and the modelled recovery accounting, so the
-  // injector's random stream is identical in sim and process mode.
-  std::vector<FaultEvent> faults;
   if (injector_ != nullptr && tuples_shipped > 0) {
-    faults = injector_->MotionFaults(motion_index, 0, num_segments_);
-  }
-
-  if (runtime_ != nullptr && payload != nullptr && tuples_shipped > 0) {
-    std::vector<int> corrupt = ApplyPhysicalFaults(faults);
-    PROBKB_DCHECK(payload_targets.size() ==
-                  static_cast<size_t>(payload->NumRows()));
-    delivered->assign(static_cast<size_t>(num_segments_), nullptr);
-    for (int t = 0; t < num_segments_; ++t) {
-      // Each target's slice keeps the payload's row order, so appending
-      // the echoed slice reproduces the caller's local append order.
-      Table slice(payload->schema());
-      for (int64_t r = 0; r < payload->NumRows(); ++r) {
-        if (payload_targets[static_cast<size_t>(r)] == t) {
-          slice.AppendRows(*payload, r, r + 1);
-        }
-      }
-      // The ship span is the parent the worker's journaled span stitches
-      // under (its ids ride the exchange frames).
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, t,
-                     slice.NumRows());
-      Result<TablePtr> echoed = runtime_->Exchange(
-          t, motion_index, slice, label, corrupt[static_cast<size_t>(t)]);
-      PROBKB_RETURN_NOT_OK(echoed.status());
-      (*delivered)[static_cast<size_t>(t)] = echoed.MoveValueOrDie();
-    }
-  } else if (runtime_ == nullptr && !target_rows.empty()) {
-    // Simulator counterpart of the physical exchange loop above: same
-    // spans, same deterministic payloads, zero wire traffic.
-    for (int t = 0; t < num_segments_; ++t) {
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, t,
-                     target_rows[static_cast<size_t>(t)]);
-    }
-  }
-
-  if (injector_ != nullptr && tuples_shipped > 0) {
-    PROBKB_RETURN_NOT_OK(
-        RecoverMotion(motion_index, label, faults, resend_tuples));
+    PROBKB_RETURN_NOT_OK(RecoverMotion(
+        motion_index, label,
+        injector_->MotionFaults(motion_index, 0, num_segments_),
+        resend_tuples));
   }
 
   MppStep step;
@@ -264,9 +190,9 @@ Status MppContext::AccountMotion(
   const double seconds = step.seconds;
   cost_.Add(std::move(step));
   if (obs_ != nullptr) {
-    // Caller-performed movement: the context never sees the schema or the
-    // per-segment placement, so bytes and skew stay unreported here.
-    obs_->RecordMotion(label, KindName(kind), tuples_shipped, 0, seconds, {});
+    obs_->RecordMotion(label, KindName(kind), tuples_shipped,
+                       tuples_shipped * num_fields * 8, seconds,
+                       per_segment_rows);
   }
   return Status::OK();
 }
@@ -349,8 +275,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
         }
       }
     };
-    const bool physical = runtime_ != nullptr;
-    if (!physical && pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
+    if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
         input.PhysicalRows() >= SerialFanoutRowCutoff()) {
       pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) {
@@ -362,92 +287,19 @@ Result<DistributedTablePtr> MppContext::Redistribute(
           fill_target(static_cast<int>(t));
         }
       });
-    } else if (!physical) {
+    } else {
       for (int s = 0; s < n; ++s) route_sender(s);
       for (int t = 0; t < n; ++t) fill_target(t);
-    } else {
-      // Process mode: route on the (single-threaded) supervisor, assemble
-      // from echoed frames below.
-      for (int s = 0; s < n; ++s) route_sender(s);
     }
     for (int s = 0; s < n; ++s) {
       for (int64_t batch : sent[static_cast<size_t>(s)]) shipped += batch;
     }
-    // Simulated ship spans mirror the physical exchange loop below: one
-    // per target, c = the cross-segment rows bound for it, so the
-    // canonical span dump is identical across runtimes.
-    if (!physical && shipped > 0) {
-      for (int t = 0; t < n; ++t) {
-        int64_t cross = 0;
-        for (int s = 0; s < n; ++s) {
-          if (s != t) cross += sent[static_cast<size_t>(s)][
-              static_cast<size_t>(t)];
-        }
-        TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, t,
-                       cross);
-      }
-    }
     // Like Broadcast/Gather, only a redistribute that actually touched the
     // interconnect can fault: when every row hashed to its home segment
-    // there is no traffic to strike. One fault consultation drives both
-    // the physical actions and the modelled recovery.
-    std::vector<FaultEvent> faults;
-    if (injector_ != nullptr && shipped > 0) {
-      faults = injector_->MotionFaults(motion_index, 0, n);
-    }
-    if (physical) {
-      if (shipped > 0) {
-        std::vector<int> corrupt = ApplyPhysicalFaults(faults);
-        for (int t = 0; t < n; ++t) {
-          // Every cross-segment row bound for t, sender-major — the same
-          // order fill_target scans, so the echoed copy slices back into
-          // canonical positions.
-          Table inbound(input.schema());
-          for (int s = 0; s < n; ++s) {
-            if (s == t) continue;
-            const Table& src = *input.segment(s);
-            const std::vector<int>& tgt = targets[static_cast<size_t>(s)];
-            for (int64_t r = 0; r < src.NumRows(); ++r) {
-              if (tgt[static_cast<size_t>(r)] == t) {
-                inbound.AppendRows(src, r, r + 1);
-              }
-            }
-          }
-          TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index,
-                         t, inbound.NumRows());
-          Result<TablePtr> echoed = runtime_->Exchange(
-              t, motion_index, inbound, label,
-              corrupt[static_cast<size_t>(t)]);
-          if (!echoed.ok()) return echoed.status();
-          // Rebuild segment t in fill_target's sender-major order: local
-          // rows come from this address space, cross rows from the frames
-          // that round-tripped through worker t.
-          Table* dst = segments[static_cast<size_t>(t)].get();
-          int64_t offset = 0;
-          for (int s = 0; s < n; ++s) {
-            if (s == t) {
-              const Table& src = *input.segment(s);
-              const std::vector<int>& tgt = targets[static_cast<size_t>(s)];
-              for (int64_t r = 0; r < src.NumRows(); ++r) {
-                if (tgt[static_cast<size_t>(r)] == t) {
-                  dst->AppendRows(src, r, r + 1);
-                }
-              }
-            } else {
-              const int64_t batch =
-                  sent[static_cast<size_t>(s)][static_cast<size_t>(t)];
-              dst->AppendRows(**echoed, offset, offset + batch);
-              offset += batch;
-            }
-          }
-        }
-      } else {
-        for (int t = 0; t < n; ++t) fill_target(t);
-      }
-    }
+    // there is no traffic to strike.
     if (injector_ != nullptr && shipped > 0) {
       auto resend = [&](const FaultEvent& f) -> int64_t {
-        if (IsSegmentLoss(f.kind)) {
+        if (f.kind == FaultKind::kSegmentFailure) {
           // Everything the victim shipped anywhere must be replayed.
           int64_t t = 0;
           for (int64_t batch : sent[static_cast<size_t>(f.segment)]) {
@@ -458,8 +310,9 @@ Result<DistributedTablePtr> MppContext::Redistribute(
         return sent[static_cast<size_t>(f.segment)][
             static_cast<size_t>(f.target)];
       };
-      PROBKB_RETURN_NOT_OK(
-          RecoverMotion(motion_index, label, faults, resend));
+      PROBKB_RETURN_NOT_OK(RecoverMotion(
+          motion_index, label, injector_->MotionFaults(motion_index, 0, n),
+          resend));
     }
   }
 
@@ -500,38 +353,13 @@ Result<DistributedTablePtr> MppContext::Broadcast(
                         : full->NumRows() * (num_segments_ - 1);
   motion_span.set_values(motion_index, shipped, 0);
 
-  std::vector<FaultEvent> faults;
-  if (injector_ != nullptr && shipped > 0) {
-    faults = injector_->MotionFaults(motion_index, 0, num_segments_);
-  }
-
-  // Process mode: every segment's copy physically round-trips through its
-  // worker; segment t holds the tuples exactly as they came off the wire.
-  std::vector<TablePtr> echoed_copies;
-  if (runtime_ != nullptr && shipped > 0) {
-    std::vector<int> corrupt = ApplyPhysicalFaults(faults);
-    echoed_copies.resize(static_cast<size_t>(num_segments_));
-    for (int t = 0; t < num_segments_; ++t) {
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, t,
-                     full->NumRows());
-      Result<TablePtr> echoed = runtime_->Exchange(
-          t, motion_index, *full, label, corrupt[static_cast<size_t>(t)]);
-      if (!echoed.ok()) return echoed.status();
-      echoed_copies[static_cast<size_t>(t)] = echoed.MoveValueOrDie();
-    }
-  } else if (runtime_ == nullptr && shipped > 0) {
-    // Simulator counterpart of the physical loop: same ship spans.
-    for (int t = 0; t < num_segments_; ++t) {
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, t,
-                     full->NumRows());
-    }
-  }
-
   if (injector_ != nullptr && shipped > 0) {
     // Any fault on a broadcast costs one full copy re-sent to the victim
     // (the source table survives on its home segments).
     auto resend = [&](const FaultEvent&) { return full->NumRows(); };
-    PROBKB_RETURN_NOT_OK(RecoverMotion(motion_index, label, faults, resend));
+    PROBKB_RETURN_NOT_OK(RecoverMotion(
+        motion_index, label,
+        injector_->MotionFaults(motion_index, 0, num_segments_), resend));
   }
 
   MppStep step;
@@ -549,12 +377,10 @@ Result<DistributedTablePtr> MppContext::Broadcast(
                        BroadcastSeconds(shipped), per_segment);
   }
 
-  std::vector<TablePtr> segments =
-      echoed_copies.empty()
-          ? std::vector<TablePtr>(static_cast<size_t>(num_segments_), full)
-          : std::move(echoed_copies);
   return std::make_shared<DistributedTable>(
-      input.schema(), std::move(segments), Distribution::Replicated(),
+      input.schema(),
+      std::vector<TablePtr>(static_cast<size_t>(num_segments_), full),
+      Distribution::Replicated(),
       name.empty() ? input.name() + "_bcast" : std::move(name));
 }
 
@@ -569,38 +395,6 @@ Result<TablePtr> MppContext::Gather(const DistributedTable& input) {
   int64_t shipped = out->NumRows();
   motion_span.set_values(motion_index, shipped, 0);
 
-  std::vector<FaultEvent> faults;
-  if (injector_ != nullptr && shipped > 0) {
-    faults = injector_->MotionFaults(motion_index, 0, num_segments_);
-  }
-
-  if (runtime_ != nullptr && shipped > 0 &&
-      !input.distribution().is_replicated()) {
-    // Process mode: pull every partition off its worker and assemble the
-    // coordinator copy from the echoed frames, in canonical segment order
-    // (the exact order ToLocal concatenates).
-    std::vector<int> corrupt = ApplyPhysicalFaults(faults);
-    TablePtr wired = Table::Make(input.schema());
-    wired->ReserveRows(shipped);
-    for (int s = 0; s < input.num_segments(); ++s) {
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, s,
-                     input.segment(s)->NumRows());
-      Result<TablePtr> echoed = runtime_->Exchange(
-          s, motion_index, *input.segment(s), label,
-          corrupt[static_cast<size_t>(s)]);
-      if (!echoed.ok()) return echoed.status();
-      wired->AppendTable(**echoed);
-    }
-    out = std::move(wired);
-  } else if (runtime_ == nullptr && shipped > 0 &&
-             !input.distribution().is_replicated()) {
-    // Simulator counterpart of the physical pull loop: same ship spans.
-    for (int s = 0; s < input.num_segments(); ++s) {
-      TraceSpan ship(Tracer::Global(), "ship", "exchange", motion_index, s,
-                     input.segment(s)->NumRows());
-    }
-  }
-
   if (injector_ != nullptr && shipped > 0) {
     // A victim's rows are re-pulled from its (restarted) segment; a batch
     // fault costs the same single-segment replay.
@@ -609,7 +403,9 @@ Result<TablePtr> MppContext::Gather(const DistributedTable& input) {
                  ? input.segment(f.segment)->NumRows()
                  : 0;
     };
-    PROBKB_RETURN_NOT_OK(RecoverMotion(motion_index, label, faults, resend));
+    PROBKB_RETURN_NOT_OK(RecoverMotion(
+        motion_index, label,
+        injector_->MotionFaults(motion_index, 0, num_segments_), resend));
   }
 
   MppStep step;

@@ -2,7 +2,6 @@
 #define PROBKB_MPP_MPP_CONTEXT_H_
 
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "mpp/distributed_table.h"
 #include "relational/spill.h"
 #include "obs/stats_registry.h"
-#include "runtime/process_runtime.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -83,19 +81,6 @@ class MppContext {
   void set_spill(SpillContext* spill) { spill_ = spill; }
   SpillContext* spill() const { return spill_; }
 
-  /// \brief Attaches a spawned process runtime (not owned; may be nullptr).
-  /// Motions then physically ship every cross-segment partition through
-  /// the target's worker process and rebuild segments from the echoed
-  /// frames; injected segment-loss faults become real SIGKILLs and
-  /// kCorruptFrame faults damage real frames. The orchestrator must be
-  /// single-threaded while a runtime is attached (fork safety), so
-  /// attaching also expects the thread pool to be detached. Costs, motion
-  /// indices, and outputs stay bit-identical to the simulator: the same
-  /// fault list drives both the physical actions and the modelled
-  /// RecoverMotion accounting.
-  void set_runtime(ProcessRuntime* runtime) { runtime_ = runtime; }
-  ProcessRuntime* runtime() const { return runtime_; }
-
   /// \brief Attaches an execution-stats registry (not owned; may be
   /// nullptr). Motions then report their shipped tuple/byte volume and
   /// post-motion per-segment row distribution, and compute phases their
@@ -141,22 +126,15 @@ class MppContext {
   /// itself (e.g. the grounder's incremental view refresh, which appends
   /// delta rows straight into view segments). Consumes a motion index and
   /// runs the same fault gate and recovery loop as the built-in motions,
-  /// then charges `tuples_shipped` as a step of `kind`. `resend_tuples`
-  /// follows the RecoverMotion contract.
-  ///
-  /// With a process runtime attached, callers that pass the moved rows
-  /// (`payload`, one target per row in `payload_targets`) get them shipped
-  /// for real: each target's slice round-trips through its worker and
-  /// `delivered` receives the echoed per-target tables (row order
-  /// preserved), which the caller must use in place of its local slices.
-  /// Without a runtime (or a payload) `delivered` stays empty.
+  /// then charges `tuples_shipped` as a step of `kind`. Like the built-in
+  /// motions it reports `tuples_shipped * num_fields * 8` bytes and the
+  /// rows each segment received (`per_segment_rows`) to an attached stats
+  /// registry. `resend_tuples` follows the RecoverMotion contract.
   Status AccountMotion(MppStep::Kind kind, const std::string& label,
-                       int64_t tuples_shipped,
+                       int64_t tuples_shipped, int num_fields,
+                       const std::vector<int64_t>& per_segment_rows,
                        const std::function<int64_t(const FaultEvent&)>&
-                           resend_tuples,
-                       const Table* payload = nullptr,
-                       std::span<const int> payload_targets = {},
-                       std::vector<TablePtr>* delivered = nullptr);
+                           resend_tuples);
 
   /// \brief Accounts a per-segment compute phase: `seg_seconds[i]` is the
   /// measured wall-clock of segment i's plan. Simulated elapsed takes the
@@ -192,12 +170,6 @@ class MppContext {
                        const std::function<int64_t(const FaultEvent&)>&
                            resend_tuples);
 
-  /// Applies the physical half of this motion's fault list to the process
-  /// runtime — segment-loss faults SIGKILL the victim's worker, frame
-  /// corruption schedules damaged frames — and returns the per-target
-  /// corrupt-frame counts for the exchange loop. No-op without a runtime.
-  std::vector<int> ApplyPhysicalFaults(const std::vector<FaultEvent>& faults);
-
   int num_segments_;
   CostParams params_;
   MppCost cost_;
@@ -206,7 +178,6 @@ class MppContext {
   AdaptivePlanner* planner_ = nullptr;
   ThreadPool* pool_ = nullptr;
   SpillContext* spill_ = nullptr;
-  ProcessRuntime* runtime_ = nullptr;
   RetryPolicy retry_;
   double deadline_seconds_ = 0.0;
   int64_t next_motion_index_ = 0;

@@ -26,18 +26,6 @@ const char* FrEventName(FrEvent event) {
       return "iteration_boundary";
     case FrEvent::kGibbsMilestone:
       return "gibbs_milestone";
-    case FrEvent::kWorkerSpawn:
-      return "worker_spawn";
-    case FrEvent::kWorkerHeartbeat:
-      return "worker_heartbeat";
-    case FrEvent::kWorkerKilled:
-      return "worker_killed";
-    case FrEvent::kWorkerRespawn:
-      return "worker_respawn";
-    case FrEvent::kFrameRetry:
-      return "frame_retry";
-    case FrEvent::kWorkerPostMortem:
-      return "worker_post_mortem";
   }
   return "?";
 }

@@ -28,12 +28,6 @@ enum class FrEvent : uint8_t {
                        //                                 detail=grounder
   kGibbsMilestone,     // a=chain b=sweeps done c=1 when the schedule is
                        //   complete
-  kWorkerSpawn,        // a=segment b=generation (0 first spawn)
-  kWorkerHeartbeat,    // a=motions ticked b=workers alive
-  kWorkerKilled,       // a=segment b=motion c=signal   detail=cause
-  kWorkerRespawn,      // a=segment b=motion c=generation
-  kFrameRetry,         // a=segment b=motion c=attempt  detail=reason
-  kWorkerPostMortem,   // a=segment b=journaled events c=last motion
 };
 
 const char* FrEventName(FrEvent event);

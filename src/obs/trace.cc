@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/strings.h"
 
@@ -17,21 +15,12 @@ namespace {
 std::atomic<uint64_t> g_next_tracer_id{1};
 
 /// splitmix64 finalizer: the bijective mixer all trace/span identity is
-/// derived through. Deterministic, seedable, and collision-resistant
-/// enough that derived worker span ids do not land on supervisor ids.
+/// derived through. Deterministic and seedable.
 uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-uint64_t HashKind(const char* kind) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over the kind tag
-  for (const char* p = kind; *p != '\0'; ++p) {
-    h = (h ^ static_cast<uint64_t>(*p)) * 0x100000001B3ULL;
-  }
-  return h;
 }
 
 void CopyTag(char* dst, size_t dst_size, const char* src) {
@@ -93,12 +82,6 @@ Tracer::Ring* Tracer::LocalRing() {
   return cache.ring;
 }
 
-Tracer::Context Tracer::current_context() const {
-  const ThreadStack& ts = LocalStack();
-  if (ts.owner_id != id_ || ts.stack.empty()) return {};
-  return {ts.stack.back().trace_id, ts.stack.back().span_id};
-}
-
 Tracer::OpenSpan Tracer::PushSpan() {
   ThreadStack& ts = LocalStack();
   if (ts.owner_id != id_) {
@@ -145,7 +128,6 @@ void Tracer::PopSpan(const OpenSpan& span, const char* name,
   record.a = a;
   record.b = b;
   record.c = c;
-  record.segment = -1;
   record.start_us = start_us < 0 ? 0 : start_us;
   record.dur_us = dur_us < 0 ? 0 : dur_us;
   CopyTag(record.name, sizeof(record.name), name);
@@ -162,34 +144,6 @@ void Tracer::Emit(const SpanRecord& record) {
   slot.seq = seq;
   // Publish the slot: pairs with the acquire in CollectSpans.
   ring->head.store(head + 1, std::memory_order_release);
-}
-
-void Tracer::RecordWorkerSpan(uint64_t trace_id, uint64_t parent_id,
-                              int64_t motion, int32_t segment,
-                              const char* kind, int64_t bytes,
-                              int64_t start_abs_us, int64_t dur_us) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  if (trace_id == 0) return;  // untraced frame (heartbeat ping)
-  SpanRecord record;
-  record.trace_id = trace_id;
-  record.parent_id = parent_id;
-  // Identity from the work's coordinates, not from when it was harvested:
-  // a respawned worker re-handling the same (motion, segment) exchange
-  // reproduces the same span id, which CollectSpans() dedupes.
-  uint64_t key = Mix64(trace_id ^ Mix64(parent_id));
-  key = Mix64(key ^ Mix64(static_cast<uint64_t>(motion + 1)));
-  key = Mix64(key ^ Mix64(static_cast<uint64_t>(segment + 1)));
-  key = Mix64(key ^ HashKind(kind));
-  record.span_id = key == 0 ? 1 : key;
-  record.a = motion;
-  record.b = segment;
-  record.c = bytes;
-  record.segment = segment;
-  record.start_us = start_abs_us - base_us_;
-  record.dur_us = dur_us < 0 ? 0 : dur_us;
-  CopyTag(record.name, sizeof(record.name), kind);
-  CopyTag(record.category, sizeof(record.category), "worker");
-  Emit(record);
 }
 
 void Tracer::Reset() {
@@ -218,42 +172,7 @@ std::vector<SpanRecord> Tracer::CollectSpans() const {
             [](const SpanRecord& x, const SpanRecord& y) {
               return x.seq < y.seq;
             });
-  // Dedup by (trace, span): first occurrence wins. Only derived worker
-  // span ids can repeat (respawn re-handling), and their payloads match.
-  std::unordered_set<uint64_t> seen;
-  std::vector<SpanRecord> unique;
-  unique.reserve(merged.size());
-  for (const SpanRecord& record : merged) {
-    const uint64_t key = Mix64(record.trace_id) ^ record.span_id;
-    if (!seen.insert(key).second) continue;
-    unique.push_back(record);
-  }
-  // Stitch: clamp worker span intervals into their parent's interval.
-  // Worker clocks are the same CLOCK_MONOTONIC, but the parent's End()
-  // runs after the ack is read, and scheduling skew can leave a worker
-  // stamp a hair outside; the tree must still nest.
-  std::unordered_map<uint64_t, std::pair<int64_t, int64_t>> interval;
-  for (const SpanRecord& record : unique) {
-    if (std::strcmp(record.category, "worker") != 0) {
-      interval.emplace(record.span_id,
-                       std::make_pair(record.start_us,
-                                      record.start_us + record.dur_us));
-    }
-  }
-  for (SpanRecord& record : unique) {
-    if (std::strcmp(record.category, "worker") != 0) continue;
-    const auto it = interval.find(record.parent_id);
-    if (it == interval.end()) continue;  // orphan; the validator flags it
-    const int64_t lo = it->second.first;
-    const int64_t hi = it->second.second;
-    int64_t start = std::max(record.start_us, lo);
-    int64_t end = std::min(record.start_us + record.dur_us, hi);
-    start = std::min(start, hi);
-    if (end < start) end = start;
-    record.start_us = start;
-    record.dur_us = end - start;
-  }
-  return unique;
+  return merged;
 }
 
 int64_t Tracer::dropped_spans() const {
@@ -269,12 +188,8 @@ int64_t Tracer::dropped_spans() const {
 std::string Tracer::CanonicalText() const {
   const std::vector<SpanRecord> spans = CollectSpans();
   std::string out;
-  // Lines are renumbered after filtering: worker spans consume global
-  // sequence numbers in process mode, so raw seqs would differ from the
-  // simulator run even when the supervisor spans are identical.
   size_t line = 0;
   for (const SpanRecord& record : spans) {
-    if (std::strcmp(record.category, "worker") == 0) continue;
     out += StrFormat(
         "#%06zu trace=%016llx span=%016llx parent=%016llx %-20s cat=%-10s "
         "a=%lld b=%lld c=%lld\n",
@@ -295,14 +210,14 @@ std::string Tracer::DumpJsonl() const {
         "{\"seq\": %llu, \"trace_id\": \"%016llx\", \"span_id\": "
         "\"%016llx\", \"parent_id\": \"%016llx\", \"name\": \"%s\", "
         "\"category\": \"%s\", \"a\": %lld, \"b\": %lld, \"c\": %lld, "
-        "\"segment\": %d, \"start_us\": %lld, \"dur_us\": %lld}\n",
+        "\"start_us\": %lld, \"dur_us\": %lld}\n",
         static_cast<unsigned long long>(record.seq),
         static_cast<unsigned long long>(record.trace_id),
         static_cast<unsigned long long>(record.span_id),
         static_cast<unsigned long long>(record.parent_id), record.name,
         record.category, static_cast<long long>(record.a),
         static_cast<long long>(record.b), static_cast<long long>(record.c),
-        record.segment, static_cast<long long>(record.start_us),
+        static_cast<long long>(record.start_us),
         static_cast<long long>(record.dur_us));
   }
   return out;
@@ -318,13 +233,12 @@ std::string Tracer::DumpChromeJson() const {
     const int64_t ts = record.start_us < 0 ? 0 : record.start_us;
     out += StrFormat(
         "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": "
-        "%lld, \"dur\": %lld, \"pid\": 0, \"tid\": %d, \"args\": "
+        "%lld, \"dur\": %lld, \"pid\": 0, \"tid\": 0, \"args\": "
         "{\"trace_id\": \"%016llx\", \"span_id\": \"%016llx\", "
         "\"parent_id\": \"%016llx\", \"a\": %lld, \"b\": %lld, \"c\": "
         "%lld}}",
         record.name, record.category, static_cast<long long>(ts),
         static_cast<long long>(record.dur_us),
-        record.segment >= 0 ? record.segment + 1 : 0,
         static_cast<unsigned long long>(record.trace_id),
         static_cast<unsigned long long>(record.span_id),
         static_cast<unsigned long long>(record.parent_id),

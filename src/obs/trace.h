@@ -15,10 +15,10 @@ namespace probkb {
 /// \brief One completed span. Identity and payload fields are exclusively
 /// *deterministic* quantities (seeded ids, motion indices, row counts —
 /// never wall-clock or thread ids), so the canonical dump of a
-/// deterministic run is byte-identical at any thread count and across the
-/// simulator/process runtimes. Timing lives in `start_us`/`dur_us`
-/// (CLOCK_MONOTONIC microseconds relative to the tracer's base) and is
-/// exported to Chrome trace / JSONL but excluded from CanonicalText().
+/// deterministic run is byte-identical at any thread count. Timing lives
+/// in `start_us`/`dur_us` (CLOCK_MONOTONIC microseconds relative to the
+/// tracer's base) and is exported to Chrome trace / JSONL but excluded
+/// from CanonicalText().
 struct SpanRecord {
   uint64_t seq = 0;        // global issue order; the merge key
   uint64_t trace_id = 0;   // one per root span (query / iteration)
@@ -27,31 +27,23 @@ struct SpanRecord {
   int64_t a = 0;           // span-specific deterministic payloads
   int64_t b = 0;
   int64_t c = 0;
-  int32_t segment = -1;    // owning segment; -1 = supervisor/reader thread
   int64_t start_us = 0;
   int64_t dur_us = 0;
   char name[32] = {0};
   char category[16] = {0};
 };
 
-/// \brief Distributed tracer: per-thread lock-free span rings (same
+/// \brief Tracer: per-thread lock-free span rings (same
 /// registration/publication discipline as the flight recorder) plus
 /// deterministic trace/span identity.
 ///
 /// Identity is derived, never drawn from clocks or PIDs: a trace id mixes
-/// the tracer seed with a global trace ordinal, a span id mixes the trace
-/// id with the span's ordinal within its trace, and a worker span id mixes
-/// the parent supervisor span with (motion, segment, kind). The worker
-/// derivation is what makes harvest idempotent — a killed-and-respawned
-/// worker that re-handles the same exchange journals a span with the SAME
-/// id, and CollectSpans() deduplicates by (trace_id, span_id), so chaos
-/// reruns cannot double-count work in the stitched tree.
+/// the tracer seed with a global trace ordinal, and a span id mixes the
+/// trace id with the span's ordinal within its trace.
 ///
 /// Span nesting is tracked with a thread-local stack: a TraceSpan opened
 /// while another is active becomes its child; opened on an empty stack it
-/// starts a new trace and becomes the root. Worker spans arrive by journal
-/// harvest (ProcessRuntime) already carrying the parent id the supervisor
-/// stamped into the wire frame.
+/// starts a new trace and becomes the root.
 ///
 /// Disabled by default (unlike the flight recorder): tracing is opt-in via
 /// `--trace`/`--trace_chrome`, and a disabled tracer costs one relaxed
@@ -73,9 +65,8 @@ class Tracer {
   /// \brief The process-wide tracer instrumentation sites report into.
   static Tracer* Global();
 
-  /// \brief CLOCK_MONOTONIC now, in microseconds. Monotonic is system-wide
-  /// on Linux, so timestamps taken inside forked workers are directly
-  /// comparable with the supervisor's when spans are stitched.
+  /// \brief CLOCK_MONOTONIC now, in microseconds: immune to wall-clock
+  /// steps, so span intervals never go negative.
   static int64_t NowUs();
 
   void set_enabled(bool enabled) {
@@ -86,47 +77,26 @@ class Tracer {
   /// \brief The monotonic instant span timestamps are relative to.
   int64_t base_us() const { return base_us_; }
 
-  /// \brief The calling thread's innermost open span, for propagation into
-  /// wire frames. {0, 0} when no span is open (or tracing is off).
-  struct Context {
-    uint64_t trace_id = 0;
-    uint64_t span_id = 0;
-  };
-  Context current_context() const;
-
-  /// \brief Records a span harvested from a worker journal, parented to
-  /// the supervisor span whose ids rode the wire frame. `start_abs_us` is
-  /// the worker's CLOCK_MONOTONIC stamp; it is rebased against base_us().
-  /// The span id is derived from (trace, parent, motion, segment, kind),
-  /// so re-harvest after a respawn dedupes instead of duplicating.
-  void RecordWorkerSpan(uint64_t trace_id, uint64_t parent_id, int64_t motion,
-                        int32_t segment, const char* kind, int64_t bytes,
-                        int64_t start_abs_us, int64_t dur_us);
-
   /// \brief Drops all spans and restarts sequence/trace numbering. Call
   /// only while no span is open on any thread (between runs).
   void Reset();
 
-  /// \brief All surviving spans, sorted by issue order, deduplicated by
-  /// (trace_id, span_id), with worker span intervals clamped into their
-  /// parent's interval so the stitched tree nests properly.
+  /// \brief All surviving spans, sorted by issue order.
   std::vector<SpanRecord> CollectSpans() const;
 
   /// \brief Spans overwritten by ring wrap-around (lost to the dump).
   int64_t dropped_spans() const;
 
   /// \brief Deterministic-fields-only dump: ids, names, payloads — no
-  /// timing, no worker spans (those are process-runtime physical evidence
-  /// with no simulator counterpart). Byte-identical across thread counts
-  /// and sim-vs-process for a deterministic run.
+  /// timing. Byte-identical across thread counts for a deterministic run.
   std::string CanonicalText() const;
 
-  /// \brief Every span (workers and timing included), one JSON object per
-  /// line. Input format of the check_stats_json.py span-tree validator.
+  /// \brief Every span (timing included), one JSON object per line. Input
+  /// format of the check_stats_json.py span-tree validator.
   std::string DumpJsonl() const;
 
-  /// \brief Chrome trace ("X" complete events): supervisor spans on tid 0,
-  /// worker spans on tid segment+1; ids and payloads in args.
+  /// \brief Chrome trace ("X" complete events) on one track; ids and
+  /// payloads in args.
   std::string DumpChromeJson() const;
 
   Status WriteJsonl(const std::string& path) const;

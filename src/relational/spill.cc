@@ -21,7 +21,7 @@ constexpr uint32_t kPageMagic = 0x53504C50;  // "SPLP"
 // near this cap is a torn or foreign file, not a real page.
 constexpr uint64_t kMaxPageBytes = uint64_t{1} << 31;
 
-/// On-disk page header; the payload that follows is the wire encoding
+/// On-disk page header; the payload that follows is the columnar encoding
 /// (EncodeTableColumnar) of one partition slice.
 struct PageHeader {
   uint32_t magic = kPageMagic;

@@ -19,7 +19,7 @@ namespace probkb {
 /// Out-of-core storage tier: columnar Table partitions serialized to disk
 /// as checksummed fixed-size pages and paged back on demand, so grounding
 /// joins can run on KBs far larger than the memory budget (DESIGN.md
-/// "Out-of-core execution"). The page payload is the lossless wire
+/// "Out-of-core execution"). The page payload is the lossless columnar
 /// encoding (table_io.h EncodeTableColumnar), so a paged-in partition is
 /// byte-identical to the table that was spilled.
 ///
@@ -77,7 +77,7 @@ class SpillContext {
   void RemoveOwnedFiles();
 
   /// \brief Test hook: damage the next `n` page reads (one flipped byte
-  /// after the checksum was recorded — the kCorruptFrame fault class).
+  /// after the checksum was recorded).
   /// Each damaged read fails its checksum; the reader's one retry then
   /// sees clean bytes unless more tokens remain.
   void set_corrupt_page_reads_for_test(int64_t n) {
@@ -105,7 +105,7 @@ class SpillContext {
 Result<int> SweepSpillDirectory(const std::string& dir);
 
 /// \brief One spill file: a sequence of checksummed pages, each holding
-/// the wire encoding of a Table slice. Writes stream into
+/// the columnar encoding of a Table slice. Writes stream into
 /// `<path>.staging`; Commit() fsyncs and renames into place. An
 /// uncommitted file is removed by the destructor (error paths), or left
 /// as debris by SimulateCrashForTest() for the sweep to collect.
@@ -150,7 +150,7 @@ class SpillFile {
 
 /// \brief Reads every page of a committed spill file back into one table.
 /// Each page's checksum is verified; a mismatch (torn write, bit rot, an
-/// injected kCorruptFrame-style fault) is retried once with a fresh read
+/// injected corrupt read) is retried once with a fresh read
 /// before surfacing kDataLoss. Counts a page fault and the bytes read
 /// into `ctx->stats()`.
 Result<TablePtr> ReadSpillFile(SpillContext* ctx, const Schema& schema,

@@ -156,7 +156,7 @@ class Table {
   };
 
   /// \brief Appends `rows` rows from raw columnar words, one ColumnWords
-  /// per schema column. The page-decode fast path of the wire/spill codec:
+  /// per schema column. The page-decode fast path of the spill codec:
   /// straight vector inserts instead of per-cell Value materialization,
   /// byte-identical to the AppendRow route (the encoder dumped these words
   /// straight from the typed vectors).

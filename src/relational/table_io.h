@@ -26,13 +26,10 @@ Result<TablePtr> ReadTableTsv(const Schema& schema, std::istream* in);
 Result<TablePtr> ReadTableTsvFile(const Schema& schema,
                                   const std::string& path);
 
-/// \brief Lossless columnar table encoding shared by the MPP wire (PR 6's
-/// frame payloads — wire::SerializeTable delegates here) and the spill
-/// layer's page files: rows, width, then per column a type tag, the raw
-/// 8-byte cell words straight from the typed vectors (doubles round-trip
-/// bit for bit, NULL cells keep their zero sentinel), and an optional null
-/// bitmap. Hoisted into relational so spill.cc can reuse one byte format
-/// without depending on the runtime layer.
+/// \brief Lossless columnar table encoding of the spill layer's page
+/// files: rows, width, then per column a type tag, the raw 8-byte cell
+/// words straight from the typed vectors (doubles round-trip bit for bit,
+/// NULL cells keep their zero sentinel), and an optional null bitmap.
 void EncodeTableColumnar(const Table& table, std::string* out);
 
 /// \brief Inverse of EncodeTableColumnar; validates the encoded shape
@@ -43,7 +40,8 @@ Result<TablePtr> DecodeTableColumnar(const Schema& schema,
 
 /// \brief Order-sensitive checksum over `len` bytes: value_hash::Mix of
 /// each 8-byte word (tail zero-padded) folded with CombineRowHash, plus
-/// the length. The wire's FrameChecksum and the spill page checksum.
+/// the length. The spill page checksum and the metrics socket's
+/// FrameChecksum (serve/wire.h).
 uint64_t ColumnarChecksum(const void* data, size_t len);
 
 }  // namespace probkb

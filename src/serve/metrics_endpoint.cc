@@ -7,7 +7,7 @@
 
 #include <cstring>
 
-#include "runtime/wire.h"
+#include "serve/wire.h"
 #include "util/logging.h"
 
 namespace probkb {
@@ -102,15 +102,15 @@ void MetricsEndpoint::ServeConnection(int fd) {
     }
     if (frame->type != wire::FrameType::kMetricsRequest) {
       PROBKB_SLOG(Obs, Warning)
-          << "metrics endpoint: unexpected frame "
-          << wire::FrameTypeName(frame->type) << ", dropping connection";
+          << "metrics endpoint: unexpected frame type "
+          << static_cast<int>(frame->type) << ", dropping connection";
       return;
     }
     const std::string snapshot = server_->PrometheusText();
     // Counted before the reply leaves: a client that has read the reply
     // must observe the poll as served (tests poll-then-check).
     polls_served_.fetch_add(1, std::memory_order_relaxed);
-    if (!wire::WriteFrame(fd, wire::FrameType::kMetricsReply, -1, snapshot)
+    if (!wire::WriteFrame(fd, wire::FrameType::kMetricsReply, snapshot)
              .ok()) {
       return;
     }

@@ -12,16 +12,14 @@ namespace probkb {
 
 /// \brief Live telemetry endpoint: a Unix-domain socket serving
 /// Prometheus-text-format snapshots of a QueryServer's StatsRegistry over
-/// the runtime's length-prefixed wire framing.
+/// length-prefixed, checksummed frames (serve/wire.h).
 ///
 /// Protocol: a client connects, sends any number of kMetricsRequest frames
 /// (empty payload), and receives one kMetricsReply per request whose
-/// payload is QueryServer::PrometheusText() captured at reply time. The
-/// framing (checksummed FrameHeader + payload) is exactly the supervisor
-/// <-> worker wire format, so `tools/probkb_top` and the workers share one
-/// codec. One connection is served at a time — telemetry polls are rare
-/// and cheap, so a backlog queue suffices and the endpoint never spawns
-/// per-connection threads.
+/// payload is QueryServer::PrometheusText() captured at reply time.
+/// `tools/probkb_top` is the bundled client. One connection is served at a
+/// time — telemetry polls are rare and cheap, so a backlog queue suffices
+/// and the endpoint never spawns per-connection threads.
 ///
 /// The accept loop runs on a background thread with a short poll timeout,
 /// so Stop() (or destruction) joins promptly without needing to poke the

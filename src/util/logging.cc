@@ -152,8 +152,6 @@ const char* LogSubsystemName(LogSubsystem subsystem) {
       return "infer";
     case LogSubsystem::kObs:
       return "obs";
-    case LogSubsystem::kRuntime:
-      return "runtime";
     case LogSubsystem::kSpill:
       return "spill";
   }

@@ -23,7 +23,6 @@ enum class LogSubsystem : int {
   kFault,
   kInfer,
   kObs,
-  kRuntime,
   kSpill,
 };
 

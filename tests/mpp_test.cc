@@ -460,6 +460,39 @@ TEST(MppGrounderStatsTest, StatementsCountedPerPartition) {
   EXPECT_NE(rendered.find("2 iterations"), std::string::npos);
 }
 
+TEST(MppGrounderStatsTest, EveryMotionReportsBytesAndSkew) {
+  // View refreshes move rows the grounder appends itself; they must report
+  // bytes and per-segment rows like the built-in motions do.
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  RelationalKB rkb = BuildRelationalModel(kb);
+  MppGrounder grounder(rkb, 4, MppMode::kViews, GroundingOptions{});
+  StatsRegistry registry;
+  grounder.set_stats_registry(&registry);
+  ASSERT_TRUE(grounder.GroundAtoms().ok());
+  ASSERT_TRUE(grounder.GroundFactors().ok());
+
+  int refreshes = 0;
+  for (const MotionTotals& m : registry.motion_totals()) {
+    SCOPED_TRACE(m.kind + "/" + m.label);
+    if (m.tuples_shipped == 0) {
+      EXPECT_EQ(m.bytes_shipped, 0);
+      continue;
+    }
+    // Every label ships one schema, so its bytes are a whole number of
+    // 8-byte cells per tuple.
+    ASSERT_EQ(m.bytes_shipped % (m.tuples_shipped * 8), 0);
+    const int64_t num_fields = m.bytes_shipped / (m.tuples_shipped * 8);
+    EXPECT_GE(num_fields, 1);
+    EXPECT_GT(m.max_skew, 0.0);
+    if (m.label.rfind("refresh ", 0) == 0) {
+      ++refreshes;
+      EXPECT_EQ(m.bytes_shipped,
+                m.tuples_shipped * TPiSchema().num_fields() * 8);
+    }
+  }
+  EXPECT_EQ(refreshes, 3);  // Tx, Ty, Txy
+}
+
 
 TEST(MppOpsErrorTest, BroadcastLeftInvalidForSemiJoin) {
   auto t = MakeTable(AB(), {{1, 2}});

@@ -146,12 +146,6 @@ TEST(PlannerFeedbackTest, ObservationsOverrideColdStartEstimates) {
   EXPECT_EQ(planner.ObservedRows("stmt", 42), 9);
 }
 
-TEST(PlannerFeedbackTest, BuildSideSwapPrefersSmallerBuild) {
-  AdaptivePlanner planner(ModelWithSegments(4));
-  EXPECT_TRUE(planner.ChooseBuildSideSwap(10, 1000));
-  EXPECT_FALSE(planner.ChooseBuildSideSwap(1000, 10));
-}
-
 TEST(AnnotateEstimatesTest, HeuristicsPerNodeKind) {
   Schema ab({{"a", ColumnType::kInt64}, {"b", ColumnType::kInt64}});
   auto small = MakeTable(ab, {{1, 1}, {2, 2}});

@@ -173,5 +173,51 @@ TEST(TableIoTest, GroundingCheckpointRoundTripsThroughColumnarTable) {
   }
 }
 
+// --- Columnar encoding (spill pages) ---------------------------------------------
+
+Schema MixedSchema() {
+  return Schema({{"k", ColumnType::kInt64}, {"w", ColumnType::kFloat64}});
+}
+
+TablePtr MixedTable(int rows) {
+  auto t = Table::Make(MixedSchema());
+  for (int i = 0; i < rows; ++i) {
+    // Exercise NULLs on both column types and a non-trivial double.
+    t->AppendRow({i % 5 == 3 ? Value::Null() : Value::Int64(i * 7 - 3),
+                  i % 4 == 1 ? Value::Null() : Value::Float64(0.1 * i - 2.5)});
+  }
+  return t;
+}
+
+TEST(ColumnarEncodingTest, RoundTripsBitIdentically) {
+  TablePtr t = MixedTable(37);
+  std::string bytes;
+  EncodeTableColumnar(*t, &bytes);
+  auto back = DecodeTableColumnar(t->schema(), bytes);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(TablesEqualExact(**back, *t));
+  // NULLs survive as NULLs, not as zero values.
+  EXPECT_TRUE((*back)->IsNull(3, 0));
+  EXPECT_TRUE((*back)->IsNull(1, 1));
+  EXPECT_FALSE((*back)->IsNull(0, 0));
+}
+
+TEST(ColumnarEncodingTest, EmptyTableRoundTrips) {
+  TablePtr t = Table::Make(MixedSchema());
+  std::string bytes;
+  EncodeTableColumnar(*t, &bytes);
+  auto back = DecodeTableColumnar(t->schema(), bytes);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ((*back)->NumRows(), 0);
+}
+
+TEST(ColumnarEncodingTest, DecodeRejectsGarbage) {
+  EXPECT_FALSE(DecodeTableColumnar(MixedSchema(), "short").ok());
+  std::string bytes;
+  EncodeTableColumnar(*MixedTable(4), &bytes);
+  bytes.push_back('x');  // trailing junk
+  EXPECT_FALSE(DecodeTableColumnar(MixedSchema(), bytes).ok());
+}
+
 }  // namespace
 }  // namespace probkb

@@ -13,20 +13,15 @@
 #include "obs/histogram.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
-#include "runtime/process_runtime.h"
-#include "runtime/wire.h"
 #include "serve/metrics_endpoint.h"
 #include "serve/query_server.h"
+#include "serve/wire.h"
 #include "tests/test_util.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
 namespace probkb {
 namespace {
-
-bool IsWorker(const SpanRecord& record) {
-  return std::strcmp(record.category, "worker") == 0;
-}
 
 // --- Deterministic identity ----------------------------------------------------
 
@@ -87,29 +82,9 @@ TEST(TracerTest, DisabledTracerEmitsNothingAndSpansAreInactive) {
   EXPECT_TRUE(tracer.CollectSpans().empty());
 }
 
-TEST(TracerTest, WorkerSpanIdentityIsDerivedFromWorkCoordinates) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  // The same (trace, parent, motion, segment, kind) — e.g. a respawned
-  // worker re-handling an exchange — must reproduce the same span id and
-  // collapse to one record.
-  tracer.RecordWorkerSpan(7, 9, /*motion=*/3, /*segment=*/1, "exchange",
-                          100, Tracer::NowUs(), 5);
-  tracer.RecordWorkerSpan(7, 9, /*motion=*/3, /*segment=*/1, "exchange",
-                          100, Tracer::NowUs(), 6);
-  tracer.RecordWorkerSpan(7, 9, /*motion=*/4, /*segment=*/1, "exchange",
-                          100, Tracer::NowUs(), 5);
-  const std::vector<SpanRecord> spans = tracer.CollectSpans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_NE(spans[0].span_id, spans[1].span_id);
-  // Untraced frames (heartbeats ride trace 0) never become spans.
-  tracer.RecordWorkerSpan(0, 0, 1, 0, "ping", 0, Tracer::NowUs(), 1);
-  EXPECT_EQ(tracer.CollectSpans().size(), 2u);
-}
+// --- Byte-identity across thread counts -----------------------------------------
 
-// --- Byte-identity across thread counts and runtimes ---------------------------
-
-std::string GroundAndDumpCanonical(int num_threads, bool use_process) {
+std::string GroundAndDumpCanonical(int num_threads) {
   Tracer* tracer = Tracer::Global();
   tracer->Reset();
   tracer->set_enabled(true);
@@ -118,129 +93,20 @@ std::string GroundAndDumpCanonical(int num_threads, bool use_process) {
   GroundingOptions grounding;
   grounding.num_threads = num_threads;
   MppGrounder mpp(rkb, /*segments=*/2, MppMode::kViews, grounding);
-  std::unique_ptr<ProcessRuntime> runtime;
-  if (use_process) {
-    ProcessRuntimeOptions options;
-    options.num_segments = 2;
-    options.frame_deadline_seconds = 10.0;
-    runtime = std::make_unique<ProcessRuntime>(options);
-    EXPECT_TRUE(runtime->Spawn().ok());
-    mpp.AttachRuntime(runtime.get());
-  }
   EXPECT_TRUE(mpp.GroundAtoms().ok());
-  if (runtime != nullptr) runtime->Shutdown();
   std::string canonical = tracer->CanonicalText();
   tracer->set_enabled(false);
   return canonical;
 }
 
 TEST(TraceDeterminismTest, CanonicalDumpIsByteIdenticalAcrossThreadCounts) {
-  const std::string base = GroundAndDumpCanonical(1, false);
+  const std::string base = GroundAndDumpCanonical(1);
   ASSERT_FALSE(base.empty());
   EXPECT_NE(base.find("iteration"), std::string::npos);
   for (int threads : {2, 4, 8}) {
-    EXPECT_EQ(GroundAndDumpCanonical(threads, false), base)
+    EXPECT_EQ(GroundAndDumpCanonical(threads), base)
         << "canonical trace diverged at " << threads << " threads";
   }
-}
-
-TEST(TraceDeterminismTest, CanonicalDumpIsByteIdenticalSimVsProcess) {
-  const std::string sim = GroundAndDumpCanonical(2, false);
-
-  Tracer* tracer = Tracer::Global();
-  tracer->Reset();
-  tracer->set_enabled(true);
-  KnowledgeBase kb = testutil::BuildPaperExampleKB();
-  RelationalKB rkb = BuildRelationalModel(kb);
-  GroundingOptions grounding;
-  grounding.num_threads = 2;
-  MppGrounder mpp(rkb, /*segments=*/2, MppMode::kViews, grounding);
-  ProcessRuntimeOptions options;
-  options.num_segments = 2;
-  options.frame_deadline_seconds = 10.0;
-  ProcessRuntime runtime(options);
-  ASSERT_TRUE(runtime.Spawn().ok());
-  mpp.AttachRuntime(&runtime);
-  ASSERT_TRUE(mpp.GroundAtoms().ok());
-  runtime.Shutdown();
-
-  // The canonical (deterministic-fields-only) dump matches the simulator
-  // byte for byte; the full span set additionally carries worker spans
-  // stitched under supervisor ship spans.
-  EXPECT_EQ(tracer->CanonicalText(), sim);
-  const std::vector<SpanRecord> spans = tracer->CollectSpans();
-  int workers = 0;
-  int orphans = 0;
-  for (const SpanRecord& record : spans) {
-    if (!IsWorker(record)) continue;
-    ++workers;
-    EXPECT_NE(record.trace_id, 0u);
-    bool parent_found = false;
-    for (const SpanRecord& other : spans) {
-      if (!IsWorker(other) && other.span_id == record.parent_id &&
-          other.trace_id == record.trace_id) {
-        parent_found = true;
-        // Stitching clamps the worker interval into the parent's.
-        EXPECT_GE(record.start_us, other.start_us);
-        EXPECT_LE(record.start_us + record.dur_us,
-                  other.start_us + other.dur_us);
-        break;
-      }
-    }
-    if (!parent_found) ++orphans;
-  }
-  EXPECT_GT(workers, 0) << "process run produced no worker spans";
-  EXPECT_EQ(orphans, 0);
-  tracer->set_enabled(false);
-}
-
-// --- Chaos: exactly-once worker spans across kill + respawn --------------------
-
-TEST(TraceChaosTest, RespawnedWorkerSpansAppearExactlyOnce) {
-  Tracer* tracer = Tracer::Global();
-  tracer->Reset();
-  tracer->set_enabled(true);
-
-  ProcessRuntimeOptions options;
-  options.num_segments = 2;
-  options.frame_deadline_seconds = 10.0;
-  ProcessRuntime runtime(options);
-  ASSERT_TRUE(runtime.Spawn().ok());
-
-  auto t = Table::Make(Schema({{"k", ColumnType::kInt64}}));
-  for (int i = 0; i < 16; ++i) t->AppendRow({Value::Int64(i)});
-
-  {
-    TraceSpan root(tracer, "chaos_root", "test");
-    ASSERT_TRUE(runtime.Exchange(1, /*motion=*/0, *t, "warmup").ok());
-    runtime.KillWorker(1);
-    // Detected on the next exchange; the retry re-handles motion 1 in the
-    // respawned worker — same derived span id, deduplicated at collect.
-    ASSERT_TRUE(runtime.Exchange(1, /*motion=*/1, *t, "after_kill").ok());
-  }
-  EXPECT_EQ(runtime.stats().respawns, 1);
-  runtime.Shutdown();
-
-  const std::vector<SpanRecord> spans = tracer->CollectSpans();
-  int motion0 = 0;
-  int motion1 = 0;
-  for (const SpanRecord& record : spans) {
-    if (!IsWorker(record)) continue;
-    EXPECT_STREQ(record.name, "exchange");
-    if (record.a == 0 && record.b == 1) ++motion0;
-    if (record.a == 1 && record.b == 1) ++motion1;
-  }
-  EXPECT_EQ(motion0, 1) << "pre-kill exchange span duplicated or lost";
-  EXPECT_EQ(motion1, 1) << "retried exchange span duplicated or lost";
-  // Every (trace, span) pair is unique in the stitched output.
-  for (size_t i = 0; i < spans.size(); ++i) {
-    for (size_t j = i + 1; j < spans.size(); ++j) {
-      EXPECT_FALSE(spans[i].trace_id == spans[j].trace_id &&
-                   spans[i].span_id == spans[j].span_id)
-          << "duplicate span id in stitched tree";
-    }
-  }
-  tracer->set_enabled(false);
 }
 
 // --- Serve instrumentation -----------------------------------------------------
@@ -315,9 +181,8 @@ TEST(MetricsEndpointTest, ServesPrometheusSnapshotsOverWireFrames) {
             0);
 
   for (int poll = 0; poll < 2; ++poll) {
-    ASSERT_TRUE(wire::WriteFrame(fd, wire::FrameType::kMetricsRequest, -1,
-                                 std::string_view())
-                    .ok());
+    ASSERT_TRUE(
+        wire::WriteFrame(fd, wire::FrameType::kMetricsRequest, {}).ok());
     auto reply = wire::ReadFrame(fd, 10.0);
     ASSERT_TRUE(reply.ok()) << reply.status();
     ASSERT_EQ(reply->type, wire::FrameType::kMetricsReply);
@@ -336,6 +201,81 @@ TEST(MetricsEndpointTest, ServesPrometheusSnapshotsOverWireFrames) {
   // The socket file is gone; a second Stop() is harmless.
   EXPECT_NE(access(path.c_str(), F_OK), 0);
   endpoint.Stop();
+}
+
+// --- Metrics-socket framing ----------------------------------------------------
+
+TEST(MetricsFrameTest, FrameRoundTripsOverSocketpair) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string payload = "probkb_serve_queries_total 7\n";
+  ASSERT_TRUE(
+      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
+  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/5.0);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, wire::FrameType::kMetricsReply);
+  EXPECT_EQ(frame->payload, payload);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(MetricsFrameTest, CorruptedFrameIsDetectedAsDataLoss) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string payload(64, 'm');
+  ASSERT_TRUE(
+      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
+  // Capture the frame's bytes, flip one payload bit after the checksum was
+  // computed, and send the damaged frame back the other way.
+  std::string bytes(sizeof(wire::FrameHeader) + payload.size(), '\0');
+  ASSERT_EQ(recv(fds[1], bytes.data(), bytes.size(), MSG_WAITALL),
+            static_cast<ssize_t>(bytes.size()));
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x40);
+  ASSERT_EQ(send(fds[1], bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  auto frame = wire::ReadFrame(fds[0], /*deadline_seconds=*/5.0);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
+  // The damaged frame was fully consumed: the channel stays usable.
+  ASSERT_TRUE(
+      wire::WriteFrame(fds[1], wire::FrameType::kMetricsRequest, {}).ok());
+  auto request = wire::ReadFrame(fds[0], /*deadline_seconds=*/5.0);
+  ASSERT_TRUE(request.ok()) << request.status();
+  EXPECT_EQ(request->type, wire::FrameType::kMetricsRequest);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(MetricsFrameTest, ReadDeadlineTripsOnSilentPeer) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/0.05);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(MetricsFrameTest, AbsurdDeadlineDoesNotOverflowPollTimeout) {
+  // A deadline decades out converts to more milliseconds than int holds;
+  // the cast used to overflow (UB — in practice a negative poll timeout,
+  // i.e. block forever). The timeout is now clamped to INT_MAX, so a
+  // frame that is already on the wire must come back promptly.
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string payload = "probkb_serve_epoch 3\n";
+  ASSERT_TRUE(
+      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
+  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/1e9);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->payload, payload);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(MetricsFrameTest, ChecksumCoversLength) {
+  const char data[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_NE(wire::FrameChecksum(data, 4), wire::FrameChecksum(data, 8));
 }
 
 // --- Satellite: monotonic timers -----------------------------------------------

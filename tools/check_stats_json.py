@@ -26,10 +26,10 @@ counter list reports ``spill_bytes_written > 0`` — the out-of-core CI
 smoke uses it to prove a budgeted run really exercised the grace-hash
 spill path instead of silently fitting in memory.
 
-``--spans`` instead validates a distributed-trace JSONL dump (the probkb
-CLI's ``--trace`` output): every non-root parent id must exist within the
-span's trace, child intervals must nest inside their parents', worker
-spans must not be orphans, and no (trace_id, span_id) pair may repeat.
+``--spans`` instead validates a trace JSONL dump (the probkb CLI's
+``--trace`` output): every non-root parent id must exist within the
+span's trace, child intervals must nest inside their parents', and no
+(trace_id, span_id) pair may repeat.
 Exits non-zero on the first violation.
 """
 
@@ -143,7 +143,7 @@ def check_spans(path):
             except json.JSONDecodeError as e:
                 fail(f"spans '{path}' line {lineno} is not JSON: {e}")
             for key in ("trace_id", "span_id", "parent_id", "name",
-                        "category", "segment", "start_us", "dur_us"):
+                        "category", "start_us", "dur_us"):
                 if key not in span:
                     fail(f"spans '{path}' line {lineno} is missing '{key}'")
             spans.append(span)
@@ -163,17 +163,9 @@ def check_spans(path):
                  f"dur_us={span['dur_us']}")
 
     root_id = "0" * 16
-    workers = supervisor = checked_edges = 0
+    checked_edges = 0
     for span in spans:
-        if span["category"] == "worker":
-            workers += 1
-        else:
-            supervisor += 1
         if span["parent_id"] == root_id:
-            if span["category"] == "worker":
-                fail(f"worker span '{span['name']}' "
-                     f"({span['span_id']}) is an orphan: worker spans "
-                     f"must parent under a supervisor span")
             continue
         parent = by_id.get((span["trace_id"], span["parent_id"]))
         if parent is None:
@@ -189,8 +181,7 @@ def check_spans(path):
         checked_edges += 1
 
     traces = len({span["trace_id"] for span in spans})
-    print(f"  spans {path}: {len(spans)} spans ({supervisor} supervisor, "
-          f"{workers} worker) across {traces} traces, "
+    print(f"  spans {path}: {len(spans)} spans across {traces} traces, "
           f"{checked_edges} nesting edges: OK")
 
 

@@ -46,7 +46,6 @@
 #include "obs/trace.h"
 #include "quality/rule_cleaning.h"
 #include "relational/table_io.h"
-#include "runtime/process_runtime.h"
 #include "serve/metrics_endpoint.h"
 #include "serve/query_server.h"
 #include "util/logging.h"
@@ -70,7 +69,6 @@ struct CliOptions {
   int64_t max_rows = 0;
   int num_threads = 0;
   int num_segments = 0;
-  std::string runtime;
   std::string checkpoint_dir;
   bool resume = false;
   int64_t mem_budget = -1;  // -1 inherits Tunables; 0 disables spilling
@@ -124,9 +122,6 @@ int Usage() {
       "                    directory under the system temp dir)\n"
       "  --segments N      ground on the N-segment MPP engine instead of\n"
       "                    the single-node grounder (ProbKB-p views plan)\n"
-      "  --runtime R       sim | process: segment runtime for --segments\n"
-      "                    (default sim; env PROBKB_RUNTIME; process forks\n"
-      "                    one supervised worker per segment)\n"
       "  --sweeps N        Gibbs sample sweeps (infer; default 2000)\n"
       "  --map             MAP (most likely world) instead of marginals\n"
       "  --tpi FILE        dump the grounded facts table as TSV\n"
@@ -148,7 +143,7 @@ int Usage() {
       "  --log_json FILE   mirror log lines into FILE as JSONL\n"
       "                    (env PROBKB_LOG)\n"
       "  --post_mortem FILE  write the flight-recorder timeline as JSON\n"
-      "  --trace FILE      write distributed-trace spans as JSONL\n"
+      "  --trace FILE      write trace spans as JSONL\n"
       "  --trace_chrome FILE  write the spans as chrome://tracing JSON\n"
       "  --metrics-socket PATH  serve: Prometheus-format telemetry over a\n"
       "                    Unix socket (poll it with probkb_top)\n"
@@ -338,10 +333,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         std::fprintf(stderr, "--segments wants a positive integer\n");
         return false;
       }
-    } else if (flag == "--runtime") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->runtime = v;
     } else if (flag == "--sweeps") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -514,26 +505,9 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   const bool use_mpp = options.num_segments > 0;
   std::unique_ptr<Grounder> grounder;
   std::unique_ptr<MppGrounder> mpp;
-  std::unique_ptr<ProcessRuntime> runtime;
   if (use_mpp) {
     mpp = std::make_unique<MppGrounder>(*rkb, options.num_segments,
                                         MppMode::kViews, grounding);
-    if (ResolveRuntimeKind(options.runtime.empty()
-                               ? nullptr
-                               : options.runtime.c_str()) ==
-        RuntimeKind::kProcess) {
-      ProcessRuntimeOptions runtime_options;
-      runtime_options.num_segments = options.num_segments;
-      runtime = std::make_unique<ProcessRuntime>(runtime_options);
-      if (auto st = runtime->Spawn(); !st.ok()) {
-        PROBKB_SLOG(Runtime, Warning)
-            << "process runtime unavailable (" << st.ToString()
-            << "); degrading to the simulator";
-        runtime.reset();
-      } else {
-        mpp->AttachRuntime(runtime.get());
-      }
-    }
   } else {
     grounder = std::make_unique<Grounder>(rkb, grounding);
   }
@@ -580,13 +554,6 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
     }
   }
   writer.join();
-  if (runtime != nullptr) {
-    // The writer is done with the workers. Detach before shutdown so a
-    // later --verify-batch re-grounding runs on the in-process simulator
-    // (bit-identical tables) instead of motioning through dead workers.
-    if (mpp != nullptr) mpp->AttachRuntime(nullptr);
-    runtime->Shutdown();
-  }
   if (!writer_status.ok()) {
     // Snapshot isolation makes a dead writer non-fatal: readers keep the
     // last published epoch. Report it and serve what we have.
@@ -811,29 +778,9 @@ int Run(const CliOptions& options) {
   if (options.num_segments > 0) {
     // MPP path: ground on the shared-nothing engine (ProbKB-p views plan)
     // and gather TPi back so the downstream stages see the same tables the
-    // single-node grounder would produce. --runtime=process additionally
-    // ships every motion through forked, supervised worker processes; if
-    // the workers cannot spawn the run degrades to the in-process
-    // simulator rather than failing.
+    // single-node grounder would produce.
     MppGrounder mpp(rkb, options.num_segments, MppMode::kViews, grounding);
     if (want_stats) mpp.set_stats_registry(&registry);
-    std::unique_ptr<ProcessRuntime> runtime;
-    if (ResolveRuntimeKind(options.runtime.empty()
-                               ? nullptr
-                               : options.runtime.c_str()) ==
-        RuntimeKind::kProcess) {
-      ProcessRuntimeOptions runtime_options;
-      runtime_options.num_segments = options.num_segments;
-      runtime = std::make_unique<ProcessRuntime>(runtime_options);
-      if (auto st = runtime->Spawn(); !st.ok()) {
-        PROBKB_SLOG(Runtime, Warning)
-            << "process runtime unavailable ("
-            << st.ToString() << "); degrading to the simulator";
-        runtime.reset();
-      } else {
-        mpp.AttachRuntime(runtime.get());
-      }
-    }
     if (options.resume && GroundingCheckpointExists(options.checkpoint_dir)) {
       if (auto st = mpp.ResumeFrom(options.checkpoint_dir); !st.ok()) {
         std::fprintf(stderr, "resume: %s\n", st.ToString().c_str());
@@ -860,12 +807,6 @@ int Run(const CliOptions& options) {
     rkb.t_pi = mpp.GatherTPi();
     iterations = mpp.stats().iterations;
     if (options.explain_plans) explain_text = mpp.ExplainPlans();
-    if (runtime != nullptr) {
-      runtime->Shutdown();
-      if (want_stats) {
-        std::printf("%s\n", runtime->stats().ToString().c_str());
-      }
-    }
   } else {
     Grounder grounder(&rkb, grounding);
     if (want_stats) grounder.set_stats_registry(&registry);

@@ -4,7 +4,7 @@
 //   probkb_top SOCKET [--interval-ms N] [--iterations N] [--raw]
 //
 // Connects to the serve metrics socket, polls one Prometheus-text-format
-// snapshot per interval over the runtime's checksummed wire framing
+// snapshot per interval over checksummed frames (serve/wire.h)
 // (kMetricsRequest / kMetricsReply), and renders counters + latency
 // quantiles as a compact table with per-interval rates. --raw dumps the
 // Prometheus text verbatim instead (useful for piping into other tools).
@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/wire.h"
+#include "serve/wire.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   Timer since_prev;
   int failures = 0;
   for (int poll = 1; iterations == 0 || poll <= iterations; ++poll) {
-    if (auto st = wire::WriteFrame(fd, wire::FrameType::kMetricsRequest, -1,
+    if (auto st = wire::WriteFrame(fd, wire::FrameType::kMetricsRequest,
                                    std::string_view());
         !st.ok()) {
       std::fprintf(stderr, "probkb_top: %s\n", st.ToString().c_str());
