@@ -1,10 +1,11 @@
 #ifndef PROBKB_FACTOR_FACTOR_GRAPH_H_
 #define PROBKB_FACTOR_FACTOR_GRAPH_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kb/relational_model.h"
@@ -41,8 +42,65 @@ struct GroundFactor {
   }
 };
 
+/// \brief How a variable occurs in one of its factors. The low bit marks
+/// roles whose clause x_v = 0 can violate, the next bit roles whose clause
+/// x_v = 1 can violate.
+enum class IncidenceRole : uint8_t {
+  /// The head also appears in the body: the clause holds either way.
+  kSelfLoop = 0,
+  /// Head of a clause with a body.
+  kHead = 1,
+  /// A body atom. When both body atoms are this variable, its twin is the
+  /// true slot.
+  kBody = 2,
+  /// A singleton prior: the head of a clause whose body is the true slot.
+  kSingleton = 5,
+};
+
+/// \brief The two log-factor values a variable's conditional compares.
+struct FlipValues {
+  double v1;  // log phi with x_v = 1
+  double v0;  // log phi with x_v = 0
+};
+
+/// \brief One (variable, incident factor) pair of the compiled graph.
+/// `o1`/`o2` are the factor's other atoms, already resolved to variable
+/// indices; the graph's true slot stands in for an absent body atom and
+/// for a second occurrence of the variable itself. For kHead they are
+/// (body1, body2), for kBody (head, the other body atom). The factor's
+/// weight is copied in so that a conditional reads only its variable's
+/// records and the assignment.
+struct Incidence {
+  double weight;
+  int32_t factor;
+  int32_t o1;
+  int32_t o2;
+  IncidenceRole role;
+
+  /// \brief Both values of the factor as x_v flips, under `a`, which is
+  /// indexed by variable and ends with the true slot. Bit-identical to
+  /// GroundFactor::LogValue with a[v] set to 1 and to 0, and free of
+  /// branches.
+  FlipValues LogValues(const uint8_t* a) const {
+    const unsigned x1 = a[o1];
+    const unsigned x2 = a[o2];
+    const unsigned bits = static_cast<unsigned>(role);
+    // x_v = 0 violates a head's clause when its body holds; x_v = 1
+    // violates a body atom's clause when the rest of the body holds and
+    // the head (o1) does not.
+    const unsigned violated0 = bits & x1 & x2 & 1u;
+    const unsigned violated1 = (bits >> 1) & x2 & ~x1 & 1u;
+    const uint64_t wbits = std::bit_cast<uint64_t>(weight);
+    // A violated clause contributes +0.0, exactly as LogValue returns.
+    return {std::bit_cast<double>(wbits & (uint64_t{violated1} - 1)),
+            std::bit_cast<double>(wbits & (uint64_t{violated0} - 1))};
+  }
+};
+
 /// \brief The ground factor graph produced by grounding (Definition 7),
-/// with variable adjacency for inference and lineage queries.
+/// compiled for inference: each variable's incident factors are one
+/// contiguous run of Incidence records (CSR), in factor order with one
+/// record per occurrence.
 class FactorGraph {
  public:
   /// \brief Builds a graph from the relational outputs: variables are the
@@ -58,10 +116,18 @@ class FactorGraph {
 
   const std::vector<GroundFactor>& factors() const { return factors_; }
 
-  /// \brief Factors incident to variable `v`.
-  const std::vector<int32_t>& FactorsOf(int32_t v) const {
-    return var_factors_[static_cast<size_t>(v)];
+  /// \brief Incidence records of variable `v`, in factor order.
+  std::span<const Incidence> IncidencesOf(int32_t v) const {
+    const size_t begin = static_cast<size_t>(offsets_[static_cast<size_t>(v)]);
+    const size_t end =
+        static_cast<size_t>(offsets_[static_cast<size_t>(v) + 1]);
+    return {incidences_.data() + begin, end - begin};
   }
+
+  /// \brief Index of the slot that kernels read as always true: an
+  /// assignment passed to Incidence::LogValues has num_variables() + 1
+  /// entries, the last one 1.
+  int32_t true_slot() const { return num_variables(); }
 
   /// \brief The original TPi fact id of variable `v`.
   FactId fact_id(int32_t v) const {
@@ -93,9 +159,12 @@ class FactorGraph {
 
  private:
   std::vector<FactId> fact_ids_;
-  std::unordered_map<FactId, int32_t> var_of_;
+  /// Variables sorted by fact id; VariableOf binary-searches it.
+  std::vector<int32_t> by_fact_id_;
   std::vector<GroundFactor> factors_;
-  std::vector<std::vector<int32_t>> var_factors_;
+  /// incidences_[offsets_[v], offsets_[v + 1]) are v's records.
+  std::vector<int32_t> offsets_;
+  std::vector<Incidence> incidences_;
 };
 
 }  // namespace probkb

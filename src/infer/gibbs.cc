@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/flight_recorder.h"
 #include "obs/stats_registry.h"
@@ -10,25 +11,20 @@
 
 namespace probkb {
 
-namespace {
-
-/// Conditional log-odds of X_v = 1 given the rest of the assignment:
-/// sum over incident factors of logphi(x_v=1) - logphi(x_v=0).
 double ConditionalLogOdds(const FactorGraph& graph, int32_t v,
-                          std::vector<uint8_t>* assignment) {
+                          const uint8_t* a) {
+  // Each record adds v1 and then subtracts v0: the same two operations,
+  // in the same order, as evaluating the factor with x_v = 1 and then 0.
   double delta = 0.0;
-  auto& a = *assignment;
-  const uint8_t saved = a[static_cast<size_t>(v)];
-  for (int32_t fi : graph.FactorsOf(v)) {
-    const GroundFactor& f = graph.factors()[static_cast<size_t>(fi)];
-    a[static_cast<size_t>(v)] = 1;
-    delta += f.LogValue(a);
-    a[static_cast<size_t>(v)] = 0;
-    delta -= f.LogValue(a);
+  for (const Incidence& r : graph.IncidencesOf(v)) {
+    const FlipValues x = r.LogValues(a);
+    delta += x.v1;
+    delta -= x.v0;
   }
-  a[static_cast<size_t>(v)] = saved;
   return delta;
 }
+
+namespace {
 
 double Sigmoid(double x) {
   if (x >= 0) {
@@ -37,6 +33,14 @@ double Sigmoid(double x) {
   double e = std::exp(x);
   return e / (1.0 + e);
 }
+
+/// A variable's last conditional and its probability: a repeated
+/// conditional (always, for a variable with only singleton factors)
+/// skips the exp().
+struct ConditionalMemo {
+  double log_odds = std::numeric_limits<double>::quiet_NaN();
+  double p1 = 0.0;
+};
 
 /// Fresh chain state: zero assignment, seeded RNG, zero sample counts.
 GibbsChainState InitChain(int num_variables, uint64_t seed) {
@@ -52,29 +56,34 @@ GibbsChainState InitChain(int num_variables, uint64_t seed) {
 /// exact sample path an uninterrupted run would take.
 void AdvanceChain(const FactorGraph& graph, const GibbsOptions& options,
                   const std::vector<int32_t>& order, int end_sweep,
-                  GibbsChainState* st) {
+                  std::vector<ConditionalMemo>* memo, GibbsChainState* st) {
   const int n = graph.num_variables();
   Rng rng(0);
   rng.SetState(st->rng_state);
-  auto& assignment = st->assignment;
+  // The kernel's working copy of the assignment carries the true slot.
+  std::vector<uint8_t> a(st->assignment);
+  a.push_back(1);
   // Per-sweep latencies are only recorded with a stats sink attached.
   const bool timed = options.stats != nullptr;
   for (int sweep = st->sweeps_done; sweep < end_sweep; ++sweep) {
     Timer sweep_timer;
     for (int32_t v : order) {
-      double p1 = Sigmoid(ConditionalLogOdds(graph, v, &assignment));
-      assignment[static_cast<size_t>(v)] = rng.Bernoulli(p1) ? 1 : 0;
+      const double log_odds = ConditionalLogOdds(graph, v, a.data());
+      ConditionalMemo& m = (*memo)[static_cast<size_t>(v)];
+      if (log_odds != m.log_odds) m = {log_odds, Sigmoid(log_odds)};
+      a[static_cast<size_t>(v)] = rng.Bernoulli(m.p1) ? 1 : 0;
     }
     if (sweep >= options.burn_in_sweeps) {
       for (int32_t v = 0; v < n; ++v) {
-        st->ones[static_cast<size_t>(v)] +=
-            assignment[static_cast<size_t>(v)];
+        st->ones[static_cast<size_t>(v)] += a[static_cast<size_t>(v)];
       }
     }
     if (timed) {
       options.stats->RecordLatency("gibbs_sweep", sweep_timer.Seconds());
     }
   }
+  a.pop_back();
+  st->assignment = std::move(a);
   st->sweeps_done = end_sweep;
   st->rng_state = rng.State();
 }
@@ -115,9 +124,6 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   if (options.burn_in_sweeps < 0 || options.sample_sweeps <= 0) {
     return Status::InvalidArgument("sweep counts must be positive");
   }
-  if (options.parallelism < 1) {
-    return Status::InvalidArgument("parallelism must be >= 1");
-  }
   if (options.num_chains < 1) {
     return Status::InvalidArgument("num_chains must be >= 1");
   }
@@ -129,25 +135,19 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   // sequential in-color update below produces exactly what a parallel
   // update would.
   std::vector<int32_t> order(static_cast<size_t>(n));
-  std::vector<int64_t> color_sizes;
   int num_colors = 1;
   if (options.schedule == GibbsSchedule::kChromatic) {
     std::vector<int> colors = graph.ColorVariables();
     num_colors =
         colors.empty() ? 1 : *std::max_element(colors.begin(), colors.end()) + 1;
-    color_sizes.assign(static_cast<size_t>(num_colors), 0);
     size_t pos = 0;
     for (int c = 0; c < num_colors; ++c) {
       for (int32_t v = 0; v < n; ++v) {
-        if (colors[static_cast<size_t>(v)] == c) {
-          order[pos++] = v;
-          ++color_sizes[static_cast<size_t>(c)];
-        }
+        if (colors[static_cast<size_t>(v)] == c) order[pos++] = v;
       }
     }
   } else {
     for (int32_t v = 0; v < n; ++v) order[static_cast<size_t>(v)] = v;
-    color_sizes.assign(1, n);
   }
 
   // Chain state lives in the caller's checkpoint when one is supplied, so
@@ -177,10 +177,11 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   }
   std::vector<double> chain_seconds;
   chain_seconds.reserve(state->chains.size());
+  std::vector<ConditionalMemo> memo(static_cast<size_t>(n));
   for (size_t chain = 0; chain < state->chains.size(); ++chain) {
     GibbsChainState& st = state->chains[chain];
     Timer chain_timer;
-    AdvanceChain(graph, options, order, end_sweep, &st);
+    AdvanceChain(graph, options, order, end_sweep, &memo, &st);
     chain_seconds.push_back(chain_timer.Seconds());
     if (options.stats != nullptr) {
       options.stats->RecordGibbsChain(static_cast<int>(chain),
@@ -237,25 +238,6 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
 
   result.seconds = timer.Seconds();
   result.num_colors = num_colors;
-  const int sweeps_run = end_sweep - sweeps_before;
-  if (options.schedule == GibbsSchedule::kChromatic && n > 0 &&
-      sweeps_run > 0) {
-    // Modelled parallel sweep: each color runs its variables across P
-    // workers; colors are barriers (Gonzalez et al.). Scaled by the sweeps
-    // this call actually ran, so partial calls sum to the full-run model.
-    double per_var =
-        result.seconds /
-        (static_cast<double>(n) * sweeps_run * options.num_chains);
-    double parallel_sweep = 0.0;
-    for (int64_t size : color_sizes) {
-      parallel_sweep +=
-          per_var * std::ceil(static_cast<double>(size) / options.parallelism);
-    }
-    result.simulated_parallel_seconds =
-        parallel_sweep * sweeps_run * options.num_chains;
-  } else {
-    result.simulated_parallel_seconds = result.seconds;
-  }
   return result;
 }
 

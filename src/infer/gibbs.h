@@ -16,8 +16,8 @@ namespace probkb {
 /// kSequential sweeps variables in order. kChromatic is the parallel
 /// schedule of Gonzalez et al. [14] that the paper uses via GraphLab:
 /// variables are greedily colored so same-color variables share no factor
-/// and can be updated concurrently; the simulator reports the modelled
-/// parallel sweep time alongside the exact same samples.
+/// and could be updated concurrently; here they still run one at a time
+/// on one thread, so both schedules are deterministic for a seed.
 enum class GibbsSchedule { kSequential, kChromatic };
 
 class StatsRegistry;
@@ -26,8 +26,6 @@ struct GibbsOptions {
   int burn_in_sweeps = 200;
   int sample_sweeps = 800;
   GibbsSchedule schedule = GibbsSchedule::kSequential;
-  /// Modelled worker count for the chromatic schedule's simulated time.
-  int parallelism = 32;
   /// Independent chains (different seeds). More than one enables the
   /// Gelman-Rubin convergence diagnostic; marginals average the chains.
   int num_chains = 1;
@@ -66,9 +64,6 @@ struct GibbsResult {
   std::vector<double> marginals;
   /// Measured wall-clock seconds (all chains).
   double seconds = 0.0;
-  /// Modelled time with `parallelism` workers under the chromatic
-  /// schedule; equals `seconds` for the sequential schedule.
-  double simulated_parallel_seconds = 0.0;
   int num_colors = 1;
   /// Max potential-scale-reduction factor (Gelman-Rubin R-hat) over
   /// variables; ~1.0 indicates the chains mixed. 1.0 when num_chains == 1.
@@ -95,6 +90,14 @@ struct GibbsResult {
 Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
                                    const GibbsOptions& options,
                                    GibbsCheckpoint* checkpoint = nullptr);
+
+/// \brief Conditional log-odds of X_v = 1 given the rest of assignment
+/// `a` (indexed by variable, ending with the graph's true slot): the sum
+/// over v's incidence records of log phi(x_v=1) - log phi(x_v=0), taken in
+/// incidence order and bit-identical to flipping x_v in place and
+/// evaluating each incident factor with GroundFactor::LogValue.
+double ConditionalLogOdds(const FactorGraph& graph, int32_t v,
+                          const uint8_t* a);
 
 /// \brief Exact marginals by enumeration; the test oracle. Fails for more
 /// than `max_variables` variables.

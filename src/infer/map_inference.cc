@@ -6,22 +6,27 @@
 
 namespace probkb {
 
-namespace {
-
-/// Score change from flipping variable v in `assignment`.
-double FlipDelta(const FactorGraph& graph, int32_t v,
-                 std::vector<uint8_t>* assignment) {
-  auto& a = *assignment;
+double FlipDelta(const FactorGraph& graph, int32_t v, const uint8_t* a) {
+  const bool old_value = a[static_cast<size_t>(v)] != 0;
   double delta = 0.0;
-  const uint8_t old_value = a[static_cast<size_t>(v)];
-  for (int32_t fi : graph.FactorsOf(v)) {
-    const GroundFactor& f = graph.factors()[static_cast<size_t>(fi)];
-    delta -= f.LogValue(a);
-    a[static_cast<size_t>(v)] = 1 - old_value;
-    delta += f.LogValue(a);
-    a[static_cast<size_t>(v)] = old_value;
+  for (const Incidence& r : graph.IncidencesOf(v)) {
+    const FlipValues x = r.LogValues(a);
+    delta -= old_value ? x.v1 : x.v0;
+    delta += old_value ? x.v0 : x.v1;
   }
   return delta;
+}
+
+namespace {
+
+/// Keeps `assignment` (without its true slot) in `best` when `score` beats
+/// it.
+void KeepIfBetter(const std::vector<uint8_t>& assignment, double score,
+                  MapSolution* best) {
+  if (score > best->log_score) {
+    best->log_score = score;
+    best->assignment.assign(assignment.begin(), assignment.end() - 1);
+  }
 }
 
 }  // namespace
@@ -63,7 +68,7 @@ Result<MapSolution> IcmMap(const FactorGraph& graph,
   best.assignment.assign(static_cast<size_t>(n), 0);
   best.log_score = graph.LogScore(best.assignment);
 
-  std::vector<uint8_t> assignment(static_cast<size_t>(n));
+  std::vector<uint8_t> assignment(static_cast<size_t>(n) + 1, 1);
   for (int restart = 0; restart < options.restarts; ++restart) {
     for (int32_t v = 0; v < n; ++v) {
       // First restart from the all-true world (usually strong for Horn
@@ -74,18 +79,14 @@ Result<MapSolution> IcmMap(const FactorGraph& graph,
     for (int sweep = 0; sweep < options.max_sweeps_per_restart; ++sweep) {
       bool changed = false;
       for (int32_t v = 0; v < n; ++v) {
-        if (FlipDelta(graph, v, &assignment) > 0) {
+        if (FlipDelta(graph, v, assignment.data()) > 0) {
           assignment[static_cast<size_t>(v)] ^= 1;
           changed = true;
         }
       }
       if (!changed) break;  // local optimum
     }
-    double score = graph.LogScore(assignment);
-    if (score > best.log_score) {
-      best.log_score = score;
-      best.assignment = assignment;
-    }
+    KeepIfBetter(assignment, graph.LogScore(assignment), &best);
   }
   return best;
 }
@@ -107,17 +108,14 @@ Result<MapSolution> MaxWalkSatMap(const FactorGraph& graph,
   best.assignment.assign(static_cast<size_t>(n), 0);
   best.log_score = graph.LogScore(best.assignment);
 
-  std::vector<uint8_t> assignment(static_cast<size_t>(n));
+  std::vector<uint8_t> assignment(static_cast<size_t>(n) + 1, 1);
   std::vector<int32_t> unsat;  // indices of unsatisfied factors
   for (int attempt = 0; attempt < options.max_tries; ++attempt) {
     for (int32_t v = 0; v < n; ++v) {
       assignment[static_cast<size_t>(v)] = rng.Bernoulli(0.5) ? 1 : 0;
     }
     double score = graph.LogScore(assignment);
-    if (score > best.log_score) {
-      best.log_score = score;
-      best.assignment = assignment;
-    }
+    KeepIfBetter(assignment, score, &best);
     for (int flip = 0; flip < options.max_flips; ++flip) {
       // Collect unsatisfied (weight-losing) factors.
       unsat.clear();
@@ -140,21 +138,18 @@ Result<MapSolution> MaxWalkSatMap(const FactorGraph& graph,
       } else {
         // Greedy: the variable whose flip increases the score most.
         to_flip = vars[0];
-        double best_delta = FlipDelta(graph, vars[0], &assignment);
+        double best_delta = FlipDelta(graph, vars[0], assignment.data());
         for (size_t i = 1; i < vars.size(); ++i) {
-          double delta = FlipDelta(graph, vars[i], &assignment);
+          double delta = FlipDelta(graph, vars[i], assignment.data());
           if (delta > best_delta) {
             best_delta = delta;
             to_flip = vars[i];
           }
         }
       }
-      score += FlipDelta(graph, to_flip, &assignment);
+      score += FlipDelta(graph, to_flip, assignment.data());
       assignment[static_cast<size_t>(to_flip)] ^= 1;
-      if (score > best.log_score) {
-        best.log_score = score;
-        best.assignment = assignment;
-      }
+      KeepIfBetter(assignment, score, &best);
     }
   }
   return best;

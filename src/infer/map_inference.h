@@ -16,6 +16,13 @@ struct MapSolution {
   double log_score = 0.0;
 };
 
+/// \brief Change in LogScore from flipping variable `v` of assignment `a`
+/// (indexed by variable, ending with the graph's true slot). Per incidence
+/// record it subtracts the factor's current value and then adds its
+/// flipped one, bit-identical to flipping x_v in place between two
+/// GroundFactor::LogValue calls.
+double FlipDelta(const FactorGraph& graph, int32_t v, const uint8_t* a);
+
 /// \brief Exact MAP by enumeration (test oracle, <= `max_variables`).
 Result<MapSolution> ExactMap(const FactorGraph& graph,
                              int max_variables = 20);

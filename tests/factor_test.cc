@@ -67,8 +67,8 @@ TEST_F(PaperFactorGraphTest, LogScoreSumsSatisfiedWeights) {
 
 TEST_F(PaperFactorGraphTest, VariableFactorAdjacency) {
   for (int32_t v = 0; v < graph_->num_variables(); ++v) {
-    for (int32_t fi : graph_->FactorsOf(v)) {
-      const auto& f = graph_->factors()[static_cast<size_t>(fi)];
+    for (const Incidence& r : graph_->IncidencesOf(v)) {
+      const auto& f = graph_->factors()[static_cast<size_t>(r.factor)];
       EXPECT_TRUE(f.head == v || f.body1 == v || f.body2 == v);
     }
   }
@@ -126,6 +126,22 @@ TEST(FactorGraphTest, RejectsUnknownFactIds) {
   t_phi->AppendRow({Value::Int64(99), Value::Null(), Value::Null(),
                     Value::Float64(1.0)});
   EXPECT_FALSE(FactorGraph::FromTables(*t_pi, *t_phi).ok());
+}
+
+TEST(FactorGraphTest, VariableOfFindsUnsortedFactIds) {
+  auto t_pi = Table::Make(TPiSchema());
+  AppendFactRow(t_pi.get(), 50, {1, 2, 3, 4, 5, 0.5});
+  AppendFactRow(t_pi.get(), 7, {1, 2, 3, 4, 6, 0.5});
+  AppendFactRow(t_pi.get(), 23, {1, 2, 3, 4, 7, 0.5});
+  Table t_phi(TPhiSchema());
+  auto graph = FactorGraph::FromTables(*t_pi, t_phi);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(graph->VariableOf(50), 0);
+  EXPECT_EQ(graph->VariableOf(7), 1);
+  EXPECT_EQ(graph->VariableOf(23), 2);
+  for (FactId missing : {0, 8, 24, 51}) {
+    EXPECT_EQ(graph->VariableOf(missing), -1) << missing;
+  }
 }
 
 TEST(FactorGraphTest, RejectsDuplicateFactIds) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "core/probkb.h"
+#include "datagen/synthetic_kb.h"
 #include "grounding/grounder.h"
+#include "infer/map_inference.h"
 #include "tests/test_util.h"
 
 namespace probkb {
@@ -46,9 +53,6 @@ TEST(GibbsTest, RejectsBadOptions) {
   FactorGraph g = SingleVarGraph(1.0);
   GibbsOptions bad;
   bad.sample_sweeps = 0;
-  EXPECT_FALSE(GibbsMarginals(g, bad).ok());
-  bad = GibbsOptions{};
-  bad.parallelism = 0;
   EXPECT_FALSE(GibbsMarginals(g, bad).ok());
 }
 
@@ -117,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(Schedules, GibbsVsExactTest,
                          ::testing::Values(GibbsSchedule::kSequential,
                                            GibbsSchedule::kChromatic));
 
-TEST(GibbsTest, ChromaticReportsColorsAndSpeedup) {
+TEST(GibbsTest, ChromaticReportsColors) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
   RelationalKB rkb = BuildRelationalModel(kb);
   Grounder grounder(&rkb, GroundingOptions{});
@@ -129,13 +133,11 @@ TEST(GibbsTest, ChromaticReportsColorsAndSpeedup) {
 
   GibbsOptions options;
   options.schedule = GibbsSchedule::kChromatic;
-  options.parallelism = 4;
   options.burn_in_sweeps = 10;
   options.sample_sweeps = 10;
   auto result = GibbsMarginals(*graph, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->num_colors, 2);
-  EXPECT_LE(result->simulated_parallel_seconds, result->seconds + 1e-9);
 }
 
 // Property: Gibbs matches exact enumeration on random small Horn graphs
@@ -217,6 +219,201 @@ TEST(GibbsTest, MultiChainPsrfNearOneWhenMixing) {
   ASSERT_TRUE(exact.ok());
   for (size_t v = 0; v < exact->size(); ++v) {
     EXPECT_NEAR(result->marginals[v], (*exact)[v], 0.03);
+  }
+}
+
+/// The flip-in-place loops the incidence kernels replaced. For each
+/// occurrence of v in a factor, in factor order: the Gibbs conditional
+/// sets x_v to 1 and adds the factor's LogValue, then sets it to 0 and
+/// subtracts it; the MAP flip delta subtracts the current value, flips
+/// x_v and adds the new one.
+double FlipEvaluationLogOdds(const FactorGraph& graph, int32_t v,
+                             std::vector<uint8_t> a) {
+  double delta = 0.0;
+  for (const GroundFactor& f : graph.factors()) {
+    for (int32_t u : {f.head, f.body1, f.body2}) {
+      if (u != v) continue;
+      a[static_cast<size_t>(v)] = 1;
+      delta += f.LogValue(a);
+      a[static_cast<size_t>(v)] = 0;
+      delta -= f.LogValue(a);
+    }
+  }
+  return delta;
+}
+
+double FlipEvaluationDelta(const FactorGraph& graph, int32_t v,
+                           std::vector<uint8_t> a) {
+  double delta = 0.0;
+  const uint8_t old_value = a[static_cast<size_t>(v)];
+  for (const GroundFactor& f : graph.factors()) {
+    for (int32_t u : {f.head, f.body1, f.body2}) {
+      if (u != v) continue;
+      delta -= f.LogValue(a);
+      a[static_cast<size_t>(v)] = 1 - old_value;
+      delta += f.LogValue(a);
+      a[static_cast<size_t>(v)] = old_value;
+    }
+  }
+  return delta;
+}
+
+// The closed-form kernels (Gibbs conditional and MAP flip delta) must
+// reproduce the flip-and-evaluate loops bit for bit on every factor shape:
+// singletons, 2- and 3-atom clauses, each self-loop shape, duplicated
+// factors, and zero or negative weights.
+TEST(GibbsKernelTest, ConditionalMatchesFlipEvaluation) {
+  for (int seed = 0; seed < 40; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) + 900);
+    const int n = 2 + static_cast<int>(rng.Uniform(7));
+    auto t_pi = Table::Make(TPiSchema());
+    for (int i = 0; i < n; ++i) {
+      AppendFactRow(t_pi.get(), 10 * i + 3, {1, i, 3, i + 100, 5, 0.5});
+    }
+    auto t_phi = Table::Make(TPhiSchema());
+    auto weight = [&rng]() {
+      switch (rng.Uniform(5)) {
+        case 0:
+          return 0.0;
+        case 1:
+          return -0.0;
+        case 2:
+          return -rng.UniformDouble(0.0, 5.0);
+        default:
+          // Mixed magnitudes make any reordered sum round differently.
+          return rng.UniformDouble(-1.0, 3.0) *
+                 std::pow(10.0, rng.UniformDouble(-6.0, 6.0));
+      }
+    };
+    auto fact = [&](int v) { return Value::Int64(10 * v + 3); };
+    auto var = [&]() { return static_cast<int>(rng.Uniform(n)); };
+    for (int i = 0; i < 30; ++i) {
+      int h = var(), b1 = var(), b2 = var();
+      switch (rng.Uniform(8)) {
+        case 0:  // singleton
+          t_phi->AppendRow({fact(h), Value::Null(), Value::Null(),
+                            Value::Float64(weight())});
+          break;
+        case 1:  // 2-atom clause (may be head == body1)
+          t_phi->AppendRow({fact(h), fact(b1), Value::Null(),
+                            Value::Float64(weight())});
+          break;
+        case 2:  // head == body1
+          t_phi->AppendRow({fact(h), fact(h), fact(b2),
+                            Value::Float64(weight())});
+          break;
+        case 3:  // head == body2
+          t_phi->AppendRow({fact(h), fact(b1), fact(h),
+                            Value::Float64(weight())});
+          break;
+        case 4:  // body1 == body2
+          t_phi->AppendRow({fact(h), fact(b1), fact(b1),
+                            Value::Float64(weight())});
+          break;
+        case 5:  // all three the same atom
+          t_phi->AppendRow({fact(h), fact(h), fact(h),
+                            Value::Float64(weight())});
+          break;
+        default:  // 3-atom clause
+          t_phi->AppendRow({fact(h), fact(b1), fact(b2),
+                            Value::Float64(weight())});
+          break;
+      }
+      if (rng.Bernoulli(0.2)) {  // duplicate the factor just added
+        RowView last = t_phi->row(t_phi->NumRows() - 1);
+        t_phi->AppendRow({last[0], last[1], last[2], last[3]});
+      }
+    }
+    auto graph = FactorGraph::FromTables(*t_pi, *t_phi);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    ASSERT_EQ(graph->true_slot(), n);
+
+    std::vector<uint8_t> a(static_cast<size_t>(n) + 1, 1);
+    for (int trial = 0; trial < 20; ++trial) {
+      for (int v = 0; v < n; ++v) {
+        a[static_cast<size_t>(v)] = rng.Bernoulli(0.5) ? 1 : 0;
+      }
+      const std::vector<uint8_t> world(a.begin(), a.end() - 1);
+      for (int32_t v = 0; v < n; ++v) {
+        const double kernel = ConditionalLogOdds(*graph, v, a.data());
+        const double oracle = FlipEvaluationLogOdds(*graph, v, world);
+        EXPECT_EQ(std::bit_cast<uint64_t>(kernel),
+                  std::bit_cast<uint64_t>(oracle))
+            << "seed " << seed << " var " << v << ": " << kernel << " vs "
+            << oracle;
+        const double flip = FlipDelta(*graph, v, a.data());
+        const double flip_oracle = FlipEvaluationDelta(*graph, v, world);
+        EXPECT_EQ(std::bit_cast<uint64_t>(flip),
+                  std::bit_cast<uint64_t>(flip_oracle))
+            << "seed " << seed << " var " << v << ": " << flip << " vs "
+            << flip_oracle;
+      }
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of `marginals`, byte by byte.
+uint64_t MarginalsDigest(const std::vector<double>& marginals) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (double m : marginals) {
+    const uint64_t bits = std::bit_cast<uint64_t>(m);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Pins the exact sample path: any change to the conditional's arithmetic,
+// the update order or the RNG stream moves these digests. The constants
+// were recorded with the original flip-and-evaluate kernel.
+TEST(GibbsTest, SamplePathMatchesPinnedDigest) {
+  {
+    KnowledgeBase kb = testutil::BuildPaperExampleKB();
+    ExpansionOptions expand;
+    expand.run_inference = false;
+    auto expansion = ExpandKnowledgeBase(kb, expand);
+    ASSERT_TRUE(expansion.ok());
+    GibbsOptions options;
+    options.schedule = GibbsSchedule::kSequential;
+    options.burn_in_sweeps = 100;
+    options.sample_sweeps = 1000;
+    options.seed = 7;
+    auto result = GibbsMarginals(*expansion->graph, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(MarginalsDigest(result->marginals), 0x46de6904852f3c29ULL)
+        << std::hex << MarginalsDigest(result->marginals);
+  }
+  {
+    SyntheticKbConfig cfg;
+    cfg.scale = 0.005;
+    cfg.seed = 11;
+    auto skb = GenerateReverbSherlockKb(cfg);
+    ASSERT_TRUE(skb.ok());
+    ExpansionOptions expand;
+    expand.run_inference = false;
+    expand.grounding.max_iterations = 3;
+    auto expansion = ExpandKnowledgeBase(skb->kb, expand);
+    ASSERT_TRUE(expansion.ok());
+    ASSERT_GT(expansion->graph->num_variables(), 1000);
+    GibbsOptions options;
+    options.schedule = GibbsSchedule::kChromatic;
+    options.num_chains = 2;
+    options.burn_in_sweeps = 20;
+    options.sample_sweeps = 60;
+    options.seed = 3;
+    options.max_sweeps_per_call = 7;
+    GibbsCheckpoint state;
+    Result<GibbsResult> result = GibbsMarginals(*expansion->graph, options,
+                                                &state);
+    for (int calls = 1; result.ok() && !result->complete; ++calls) {
+      ASSERT_LE(calls, 20);
+      result = GibbsMarginals(*expansion->graph, options, &state);
+    }
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(MarginalsDigest(result->marginals), 0xa580422aa1438b71ULL)
+        << std::hex << MarginalsDigest(result->marginals);
   }
 }
 
