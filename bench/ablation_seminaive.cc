@@ -54,17 +54,18 @@ int main() {
     };
     std::printf("%6zu %14.2f %14.2f\n", i + 1, at(stats[0]), at(stats[1]));
   }
+  const double speedup =
+      stats[0].ground_atoms_seconds / stats[1].ground_atoms_seconds;
   std::printf(
       "\ntotal: naive %.3fs, semi-naive %.3fs (%.2fx) at identical closure "
       "of %lld atoms\n",
-      stats[0].ground_atoms_seconds, stats[1].ground_atoms_seconds,
-      stats[0].ground_atoms_seconds / stats[1].ground_atoms_seconds,
+      stats[0].ground_atoms_seconds, stats[1].ground_atoms_seconds, speedup,
       static_cast<long long>(final_atoms[0]));
   std::printf(
-      "\nFinding: for ProbKB's batch-query shape the delta rewrite does "
-      "not pay — each length-3 query's cost is dominated by the hash "
-      "builds over the full TPi, which both probe orders of the semi-naive "
-      "rewrite still need. This supports the paper's choice of naive "
-      "re-evaluation in Algorithm 1.\n");
+      "\nFinding: the delta rewrite %s here (%.2fx). Every TPi join probes a "
+      "persistent index, so a pass costs its probe rows; the (full, delta) "
+      "pass of a length-3 query still probes the whole first join M x TPi "
+      "before it meets the delta.\n",
+      speedup > 1.0 ? "pays" : "does not pay", speedup);
   return 0;
 }

@@ -36,6 +36,69 @@ NodeStats MakeStats(std::string label, int64_t rows_in, int64_t rows_out,
   return ns;
 }
 
+/// Builds a join's transient build-side index over every row of `right`:
+/// batch-hash the right keys (tight per-column loops), then insert. With a
+/// pool and a big enough input the build is morsel-parallel: the hash
+/// array is filled chunk-wise, and the index is hash-partitioned so each
+/// partition is built independently from that shared array (see
+/// PartitionedRowIndex for the bit-identity argument).
+PartitionedRowIndex BuildRightIndex(const Table& right,
+                                    const std::vector<int>& right_keys,
+                                    ThreadPool* pool, const Tunables& tun) {
+  const int64_t build_rows = right.NumRows();
+  const bool parallel_build = pool != nullptr && pool->num_threads() > 1 &&
+                              build_rows >= tun.parallel_min_rows;
+  std::vector<size_t> right_hashes(static_cast<size_t>(build_rows));
+  const int64_t hash_chunk_rows = tun.hash_chunk_rows;
+  if (parallel_build) {
+    const int64_t chunks =
+        (build_rows + hash_chunk_rows - 1) / hash_chunk_rows;
+    pool->ParallelFor(chunks, 1, [&](int64_t cb, int64_t ce) {
+      for (int64_t c = cb; c < ce; ++c) {
+        const int64_t begin = c * hash_chunk_rows;
+        const int64_t end = std::min(begin + hash_chunk_rows, build_rows);
+        right.HashRows(right_keys, begin, end, right_hashes.data() + begin);
+      }
+    });
+  } else if (build_rows > 0) {
+    right.HashRows(right_keys, 0, build_rows, right_hashes.data());
+  }
+
+  int num_parts = 1;
+  if (parallel_build) {
+    while (num_parts < pool->num_threads() &&
+           num_parts < tun.max_build_partitions) {
+      num_parts <<= 1;
+    }
+  }
+  PartitionedRowIndex build(num_parts);
+  if (num_parts == 1) {
+    FlatRowIndex& part = build.part(0);
+    part.Reserve(build_rows);
+    for (int64_t i = 0; i < build_rows; ++i) {
+      part.Insert(right_hashes[static_cast<size_t>(i)], i);
+    }
+  } else {
+    // Each partition task scans the shared hash array in row order and
+    // keeps only its hash range, so chain order matches the serial build.
+    pool->ParallelFor(num_parts, 1, [&](int64_t pb, int64_t pe) {
+      for (int64_t p = pb; p < pe; ++p) {
+        FlatRowIndex& part = build.part(static_cast<size_t>(p));
+        int64_t mine = 0;
+        for (size_t h : right_hashes) {
+          if (build.PartOf(h) == static_cast<size_t>(p)) ++mine;
+        }
+        part.Reserve(mine);
+        for (int64_t i = 0; i < build_rows; ++i) {
+          const size_t h = right_hashes[static_cast<size_t>(i)];
+          if (build.PartOf(h) == static_cast<size_t>(p)) part.Insert(h, i);
+        }
+      }
+    });
+  }
+  return build;
+}
+
 }  // namespace
 
 Result<TablePtr> ExecutePlan(PlanNode* root, ExecContext* ctx) {
@@ -46,9 +109,9 @@ Result<TablePtr> ExecutePlan(PlanNode* root, ExecContext* ctx) {
 
 Result<TablePtr> ScanNode::Execute(ExecContext* ctx) {
   PROBKB_RETURN_NOT_OK(ctx->CheckBudget(Label()));
-  PROBKB_RETURN_NOT_OK(ctx->Record(
-      MakeStats(Label(), table_->NumRows(), table_->NumRows(), 0.0, 0)));
-  set_obs_rows(table_->NumRows());
+  const int64_t rows = TableRows();
+  PROBKB_RETURN_NOT_OK(ctx->Record(MakeStats(Label(), rows, rows, 0.0, 0)));
+  set_obs_rows(rows);
   return table_;
 }
 
@@ -118,6 +181,9 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   PROBKB_ASSIGN_OR_RETURN(TablePtr right, children_[1]->Execute(ctx));
   Timer timer;
   const Tunables tun = GetTunables();
+  const int64_t build_rows =
+      prebuilt_.index != nullptr ? prebuilt_.rows : right->NumRows();
+  PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(build_rows));
 
   Schema out_schema;
   if (type_ == JoinType::kInner) {
@@ -132,16 +198,18 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   } else {
     out_schema = left->schema();
   }
-  // Out-of-core path: when a memory budget is armed and its headroom
-  // cannot hold this join's working set (both inputs plus the build
-  // index), rewrite to the grace-hash join: partition both sides to disk,
-  // join partition pairs one at a time. Purely physical — the output is
-  // bit-identical to the in-memory path below at every thread count
-  // (see GraceHashJoin in ops.h and DESIGN.md "Out-of-core").
+  // Out-of-core path: when a memory budget is armed, no prebuilt index
+  // exists, and the headroom cannot hold this join's working set (both
+  // inputs plus the build index), rewrite to the grace-hash join:
+  // partition both sides to disk, join partition pairs one at a time.
+  // Purely physical — the output is bit-identical to the in-memory path
+  // below at every thread count (see GraceHashJoin in ops.h and DESIGN.md
+  // "Out-of-core").
   SpillContext* spill = ctx->spill();
   MemoryBudget* mem = spill != nullptr ? spill->budget() : nullptr;
-  if (mem != nullptr && mem->enabled()) {
-    // FlatRowIndex cost ~ 16 bytes/entry + slots at 10/7 load x 24 bytes.
+  if (prebuilt_.index == nullptr && mem != nullptr && mem->enabled()) {
+    // Build cost: the 8-byte hash array, 8 bytes/entry, and 12-byte slots
+    // at 10/7..20/7 of the distinct keys.
     const int64_t working_bytes =
         left->ByteSize() + right->ByteSize() + right->NumRows() * 52;
     if (working_bytes > mem->AvailableBytes()) {
@@ -182,72 +250,24 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
 
   ThreadPool* pool = ctx->thread_pool();
 
-  // Build side: batch-hash the right keys (tight per-column loops), then
-  // build the index. With a pool and a big enough input the build is
-  // morsel-parallel: the hash array is filled chunk-wise, and the index is
-  // hash-partitioned so each partition is built independently from that
-  // shared array (see PartitionedRowIndex for the bit-identity argument).
+  // Build side: a prebuilt index (valid for the right table's first
+  // prebuilt_.rows rows) or a transient one over the whole right input.
   Timer build_timer;
-  const int64_t build_rows = right->NumRows();
-  const bool parallel_build = pool != nullptr && pool->num_threads() > 1 &&
-                              build_rows >= tun.parallel_min_rows;
-  std::vector<size_t> right_hashes(static_cast<size_t>(build_rows));
-  const int64_t hash_chunk_rows = tun.hash_chunk_rows;
-  if (parallel_build) {
-    const int64_t chunks =
-        (build_rows + hash_chunk_rows - 1) / hash_chunk_rows;
-    pool->ParallelFor(chunks, 1, [&](int64_t cb, int64_t ce) {
-      for (int64_t c = cb; c < ce; ++c) {
-        const int64_t begin = c * hash_chunk_rows;
-        const int64_t end = std::min(begin + hash_chunk_rows, build_rows);
-        right->HashRows(right_keys_, begin, end,
-                        right_hashes.data() + begin);
-      }
-    });
-  } else if (build_rows > 0) {
-    right->HashRows(right_keys_, 0, build_rows, right_hashes.data());
-  }
-
-  int num_parts = 1;
-  if (parallel_build) {
-    while (num_parts < pool->num_threads() &&
-           num_parts < tun.max_build_partitions) {
-      num_parts <<= 1;
-    }
-  }
-  PartitionedRowIndex build(num_parts);
-  if (num_parts == 1) {
-    FlatRowIndex& part = build.part(0);
-    part.Reserve(build_rows);
-    for (int64_t i = 0; i < build_rows; ++i) {
-      part.Insert(right_hashes[static_cast<size_t>(i)], i);
-    }
-  } else {
-    // Each partition task scans the shared hash array in row order and
-    // keeps only its hash range, so chain order matches the serial build.
-    pool->ParallelFor(num_parts, 1, [&](int64_t pb, int64_t pe) {
-      for (int64_t p = pb; p < pe; ++p) {
-        FlatRowIndex& part = build.part(static_cast<size_t>(p));
-        int64_t mine = 0;
-        for (size_t h : right_hashes) {
-          if (build.PartOf(h) == static_cast<size_t>(p)) ++mine;
-        }
-        part.Reserve(mine);
-        for (int64_t i = 0; i < build_rows; ++i) {
-          const size_t h = right_hashes[static_cast<size_t>(i)];
-          if (build.PartOf(h) == static_cast<size_t>(p)) part.Insert(h, i);
-        }
-      }
-    });
-  }
+  const bool prebuilt = prebuilt_.index != nullptr;
+  PartitionedRowIndex built(1);
+  if (!prebuilt) built = BuildRightIndex(*right, right_keys_, pool, tun);
   const double build_seconds = build_timer.Seconds();
+  auto index_for = [&](size_t h) -> const FlatRowIndex& {
+    return prebuilt ? *prebuilt_.index : built.PartFor(h);
+  };
 
   // Probes a left-row range into `dst` with the batched prefetch pipeline:
   // hash a batch of probe keys, prefetch every batch member's slot, then
   // resolve the batch serially in row order — resolution order equals the
   // plain serial loop's, so output stays bit-identical at every thread
-  // count. Reads only shared immutable state (inputs, build index,
-  // residual), so morsels can run it concurrently.
+  // count. Chains are in row order, so a walk stops at the first row past
+  // the build bound. Reads only shared immutable state (inputs, build
+  // index, residual), so morsels can run it concurrently.
   auto probe_range = [&](int64_t begin, int64_t end, Table* dst) {
     std::vector<Value> out_buf(type_ == JoinType::kInner ? output_cols_.size()
                                                          : 0);
@@ -256,14 +276,18 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
     for (int64_t base = begin; base < end; base += kProbeBatchRows) {
       const int64_t batch = std::min(kProbeBatchRows, end - base);
       left->HashRows(left_keys_, base, base + batch, hashes);
-      for (int64_t k = 0; k < batch; ++k) build.PrefetchHash(hashes[k]);
+      for (int64_t k = 0; k < batch; ++k) {
+        index_for(hashes[k]).PrefetchHash(hashes[k]);
+      }
       for (int64_t k = 0; k < batch; ++k) {
         const size_t h = hashes[k];
         RowView lrow = left->row(base + k);
-        const FlatRowIndex& index = build.PartFor(h);
+        const FlatRowIndex& index = index_for(h);
         bool matched = false;
         for (int64_t e = index.Head(h); e >= 0; e = index.Next(e)) {
-          RowView rrow = right->row(index.Row(e));
+          const int64_t r = index.Row(e);
+          if (r >= build_rows) break;
+          RowView rrow = right->row(r);
           if (!RowKeyEquals(lrow, rrow, left_keys_, right_keys_)) continue;
           if (residual_ != nullptr) {
             ConcatRow(lrow, rrow, &concat_buf);
@@ -315,12 +339,12 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
     probe_range(0, left->NumRows(), out.get());
   }
 
-  NodeStats ns = MakeStats(Label(), left->NumRows() + right->NumRows(),
+  NodeStats ns = MakeStats(Label(), left->NumRows() + build_rows,
                            out->NumRows(), timer.Seconds(), 2);
   ns.build_seconds = build_seconds;
   ns.probe_seconds = probe_timer.Seconds();
-  ns.rehashes = build.rehash_count();
-  ns.build_partitions = build.num_parts();
+  ns.rehashes = built.rehash_count();
+  ns.build_partitions = built.num_parts();
   PROBKB_RETURN_NOT_OK(ctx->Record(std::move(ns)));
   set_obs_rows(out->NumRows());
   return out;
@@ -336,6 +360,7 @@ Result<TablePtr> DistinctNode::Execute(ExecContext* ctx) {
   if (keys.empty()) {
     for (int c = 0; c < in->width(); ++c) keys.push_back(c);
   }
+  PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(in->NumRows()));
   auto out = Table::Make(in->schema());
   // Dedup set over the output rows; chains keyed on the row-key hash.
   // Batched prefetch pipeline: `seen` is pre-sized for every input row, so

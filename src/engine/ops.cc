@@ -256,7 +256,8 @@ Status GraceJoinPair(SpillContext* spill, const Table& left_part,
                      std::vector<TablePtr>* leaves) {
   const Tunables tun = GetTunables();
   MemoryBudget* budget = spill->budget();
-  // FlatRowIndex cost ~ 16 bytes/entry + slots at 10/7 load x 24 bytes.
+  // Build cost: the 8-byte hash array, 8 bytes/entry, and 12-byte slots
+  // at 10/7..20/7 of the distinct keys.
   const int64_t index_bytes = right_part.NumRows() * 52;
   const int64_t working_bytes =
       left_part.ByteSize() + right_part.ByteSize() + index_bytes;

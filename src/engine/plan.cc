@@ -58,12 +58,13 @@ HashJoinNode::HashJoinNode(PlanNodePtr left, PlanNodePtr right,
                            std::vector<int> left_keys,
                            std::vector<int> right_keys, JoinType type,
                            std::vector<JoinOutputCol> output_cols,
-                           RowPredicate residual)
+                           RowPredicate residual, PrebuiltIndex prebuilt)
     : left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       type_(type),
       output_cols_(std::move(output_cols)),
-      residual_(std::move(residual)) {
+      residual_(std::move(residual)),
+      prebuilt_(prebuilt) {
   PROBKB_CHECK(left_keys_.size() == right_keys_.size());
   children_.push_back(std::move(left));
   children_.push_back(std::move(right));

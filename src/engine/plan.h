@@ -13,6 +13,7 @@
 
 namespace probkb {
 
+class FlatRowIndex;
 class PlanNode;
 using PlanNodePtr = std::unique_ptr<PlanNode>;
 
@@ -63,21 +64,28 @@ class PlanNode {
 };
 
 /// \brief Leaf node scanning an existing table (zero-copy).
+///
+/// `rows` >= 0 bounds the scan to the table's first `rows` rows: the node
+/// still hands its consumer the whole table (zero-copy), but reports and
+/// estimates `rows`. Only a hash join's build side reading a prebuilt
+/// index with the same bound consumes such a scan.
 class ScanNode : public PlanNode {
  public:
-  explicit ScanNode(TablePtr table, std::string name = "table")
-      : table_(std::move(table)), name_(std::move(name)) {}
+  explicit ScanNode(TablePtr table, std::string name = "table",
+                    int64_t rows = -1)
+      : table_(std::move(table)), name_(std::move(name)), rows_(rows) {}
 
   Result<TablePtr> Execute(ExecContext* ctx) override;
   std::string Label() const override { return "SeqScan on " + name_; }
 
   /// Scan inputs are materialized, so their size is known at plan time —
   /// the one exact leaf cardinality the planner's estimates grow from.
-  int64_t TableRows() const { return table_->NumRows(); }
+  int64_t TableRows() const { return rows_ >= 0 ? rows_ : table_->NumRows(); }
 
  private:
   TablePtr table_;
   std::string name_;
+  int64_t rows_;
 };
 
 /// \brief Row predicate evaluated by FilterNode and join residuals.
@@ -161,7 +169,20 @@ struct JoinOutputCol {
   }
 };
 
+/// \brief A join build index prepared outside the plan: keyed on the join's
+/// right keys, chains in row order (see FlatRowIndex), valid for the right
+/// table's first `rows` rows.
+struct PrebuiltIndex {
+  const FlatRowIndex* index = nullptr;
+  int64_t rows = 0;
+};
+
 /// \brief Hash equi-join. Builds on the right input, probes with the left.
+///
+/// With a `prebuilt` index the join builds nothing: it probes that index
+/// and ignores right rows at or past `prebuilt.rows`, so the right input
+/// should be a scan bounded to the same rows. The output equals the join
+/// against a right table truncated to those rows.
 ///
 /// For kInner the output is given by `output_cols`; for kLeftSemi/kLeftAnti
 /// the output is the left row and `output_cols` is ignored. An optional
@@ -173,7 +194,7 @@ class HashJoinNode : public PlanNode {
   HashJoinNode(PlanNodePtr left, PlanNodePtr right, std::vector<int> left_keys,
                std::vector<int> right_keys, JoinType type,
                std::vector<JoinOutputCol> output_cols = {},
-               RowPredicate residual = nullptr);
+               RowPredicate residual = nullptr, PrebuiltIndex prebuilt = {});
 
   Result<TablePtr> Execute(ExecContext* ctx) override;
   std::string Label() const override {
@@ -189,6 +210,7 @@ class HashJoinNode : public PlanNode {
   JoinType type_;
   std::vector<JoinOutputCol> output_cols_;
   RowPredicate residual_;
+  PrebuiltIndex prebuilt_;
 };
 
 /// \brief Set-distinct over the given key columns (all columns if empty);
@@ -239,8 +261,9 @@ class UnionAllNode : public PlanNode {
 
 // Convenience builders ------------------------------------------------------
 
-inline PlanNodePtr Scan(TablePtr table, std::string name = "table") {
-  return std::make_unique<ScanNode>(std::move(table), std::move(name));
+inline PlanNodePtr Scan(TablePtr table, std::string name = "table",
+                        int64_t rows = -1) {
+  return std::make_unique<ScanNode>(std::move(table), std::move(name), rows);
 }
 inline PlanNodePtr Filter(PlanNodePtr input, RowPredicate pred,
                           std::string description = "") {
@@ -254,11 +277,12 @@ inline PlanNodePtr HashJoin(PlanNodePtr left, PlanNodePtr right,
                             std::vector<int> left_keys,
                             std::vector<int> right_keys, JoinType type,
                             std::vector<JoinOutputCol> output_cols = {},
-                            RowPredicate residual = nullptr) {
+                            RowPredicate residual = nullptr,
+                            PrebuiltIndex prebuilt = {}) {
   return std::make_unique<HashJoinNode>(
       std::move(left), std::move(right), std::move(left_keys),
       std::move(right_keys), type, std::move(output_cols),
-      std::move(residual));
+      std::move(residual), prebuilt);
 }
 inline PlanNodePtr Distinct(PlanNodePtr input, std::vector<int> key_cols = {}) {
   return std::make_unique<DistinctNode>(std::move(input),

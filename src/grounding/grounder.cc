@@ -1,5 +1,7 @@
 #include "grounding/grounder.h"
 
+#include <algorithm>
+
 #include "engine/ops.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
@@ -71,10 +73,11 @@ Status Grounder::ArmStatement(ExecContext* ec) {
   return Status::OK();
 }
 
-Status Grounder::CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
-                                      bool skip_length2,
-                                      std::vector<TablePtr>* out) {
+Status Grounder::RunQuery1(TablePtr probe1, TablePtr probe2,
+                           bool skip_length2,
+                           const std::function<Status(TablePtr)>& sink) {
   const int iteration = stats_.iterations + 1;
+  const TPiIndexes* indexes = KeepsIndexes() ? &indexes_ : nullptr;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (skip_length2 && GetPartitionSpec(p).body_length == 1) continue;
     TablePtr m = rkb_->m[static_cast<size_t>(p - 1)];
@@ -86,7 +89,7 @@ Status Grounder::CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
     }
     Timer join_timer;
     const std::string stmt = StrFormat("Query1-%d", p);
-    PlanNodePtr plan = BuildAtomsPlan(p, m, probe1, probe2);
+    PlanNodePtr plan = BuildAtomsPlan(p, m, probe1, probe2, indexes);
     // Warm estimate: the previous iteration's observed output for this
     // statement; cold start falls back to the tree's structural heuristic.
     AnnotatePlanEstimates(plan.get(), &planner_, stmt);
@@ -101,9 +104,62 @@ Status Grounder::CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
       obs_->RecordPartitionIteration(iteration, p, atoms->NumRows(),
                                      join_timer.Seconds());
     }
-    out->push_back(std::move(atoms));
     ++stats_.statements;
+    PROBKB_RETURN_NOT_OK(sink(std::move(atoms)));
   }
+  return Status::OK();
+}
+
+Status Grounder::MergeInferred(const Table& atoms, int64_t* added) {
+  RowPredicate drop;
+  if (!banned_x_keys_.empty() || !banned_y_keys_.empty()) {
+    drop = [this](const RowView& row) { return IsBanned(row); };
+  }
+  PROBKB_ASSIGN_OR_RETURN(
+      int64_t merged, indexes_.MergeAtoms(rkb_->t_pi.get(), atoms,
+                                          &rkb_->next_fact_id, drop));
+  *added += merged;
+  return Status::OK();
+}
+
+Status Grounder::RunIterationStatements(int64_t* added) {
+  // Every statement sees TPi as of the iteration start, matching Algorithm
+  // 1, which unions all T_j after the partition loop. With the indexes
+  // kept, that bound lives in the joins (indexes_.Sync pins it), so each
+  // statement's atoms merge as soon as it returns and are freed before
+  // the next statement runs. Without them, joins read the whole table and
+  // the merges wait for the last statement.
+  const bool eager = KeepsIndexes();
+  if (eager) PROBKB_RETURN_NOT_OK(indexes_.Sync(*rkb_->t_pi));
+  std::vector<TablePtr> deferred;
+  auto sink = [&](TablePtr atoms) {
+    if (eager) return MergeInferred(*atoms, added);
+    deferred.push_back(std::move(atoms));
+    return Status::OK();
+  };
+  if (options_.evaluation == EvaluationMode::kNaive ||
+      stats_.iterations == 0) {
+    PROBKB_RETURN_NOT_OK(RunQuery1(rkb_->t_pi, rkb_->t_pi, false, sink));
+  } else {
+    // Semi-naive: a new derivation must use at least one delta atom.
+    // Queries run as (delta, full) and (full, delta); the overlap
+    // (delta, delta) is produced twice and removed by the set-merge.
+    auto delta = Table::Make(TPiSchema());
+    delta->AppendRows(*rkb_->t_pi, delta_start_, rkb_->t_pi->NumRows());
+    PROBKB_RETURN_NOT_OK(RunQuery1(delta, rkb_->t_pi, false, sink));
+    // Length-2 rules have one body atom, so the delta pass above already
+    // covers them; length-3 rules also need (full, delta). Both probe
+    // orders of a partition would be one SQL statement (a UNION ALL), so
+    // the second pass is not counted again.
+    int64_t statements_before = stats_.statements;
+    PROBKB_RETURN_NOT_OK(RunQuery1(rkb_->t_pi, delta, true, sink));
+    stats_.statements = statements_before;
+  }
+  for (const TablePtr& atoms : deferred) {
+    PROBKB_RETURN_NOT_OK(MergeInferred(*atoms, added));
+  }
+  // Under a memory budget the merge index lives for one iteration only.
+  if (!eager) indexes_.Clear();
   return Status::OK();
 }
 
@@ -118,40 +174,22 @@ Result<int64_t> Grounder::GroundAtomsIteration() {
   TraceSpan span(Tracer::Global(), "iteration", "grounding",
                  stats_.iterations + 1);
   explain_lines_.clear();
-  // Apply every partition against the *same* TPi snapshot, then merge: this
-  // matches Algorithm 1, which unions all T_j after the partition loop.
-  std::vector<TablePtr> inferred;
-  if (options_.evaluation == EvaluationMode::kNaive ||
-      stats_.iterations == 0) {
-    PROBKB_RETURN_NOT_OK(
-        CollectInferredAtoms(rkb_->t_pi, rkb_->t_pi, false, &inferred));
-  } else {
-    // Semi-naive: a new derivation must use at least one delta atom.
-    // Queries run as (delta, full) and (full, delta); the overlap
-    // (delta, delta) is produced twice and removed by the set-merge.
-    auto delta = Table::Make(TPiSchema());
-    delta->AppendRows(*rkb_->t_pi, delta_start_, rkb_->t_pi->NumRows());
-    PROBKB_RETURN_NOT_OK(
-        CollectInferredAtoms(delta, rkb_->t_pi, false, &inferred));
-    // Length-2 rules have one body atom, so the delta pass above already
-    // covers them; length-3 rules also need (full, delta). Both probe
-    // orders of a partition would be one SQL statement (a UNION ALL), so
-    // the second pass is not counted again.
-    int64_t statements_before = stats_.statements;
-    PROBKB_RETURN_NOT_OK(
-        CollectInferredAtoms(rkb_->t_pi, delta, true, &inferred));
-    stats_.statements = statements_before;
-  }
-  delta_start_ = rkb_->t_pi->NumRows();
+  const int64_t start_rows = rkb_->t_pi->NumRows();
+  const FactId start_id = rkb_->next_fact_id;
   int64_t added = 0;
-  for (const TablePtr& atoms : inferred) {
-    if (!banned_x_keys_.empty() || !banned_y_keys_.empty()) {
-      DeleteWhere(atoms.get(),
-                  [this](const RowView& row) { return IsBanned(row); });
+  if (Status st = RunIterationStatements(&added); !st.ok()) {
+    // Roll back the merges of the statements that did complete.
+    Table* t_pi = rkb_->t_pi.get();
+    if (t_pi->NumRows() > start_rows) {
+      std::vector<bool> keep(static_cast<size_t>(t_pi->NumRows()), false);
+      std::fill(keep.begin(), keep.begin() + start_rows, true);
+      t_pi->FilterInPlace(keep);
     }
-    added +=
-        MergeAtomsIntoTPi(rkb_->t_pi.get(), *atoms, &rkb_->next_fact_id);
+    rkb_->next_fact_id = start_id;
+    indexes_.Truncate(start_rows);
+    return st;
   }
+  delta_start_ = start_rows;
   if (options_.apply_constraints_each_iteration) {
     PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
     stats_.constraint_deleted += deleted;
@@ -196,6 +234,7 @@ Status Grounder::ResumeFrom(const std::string& checkpoint_dir) {
                                                   checkpoint_dir));
   *rkb_->t_pi = std::move(*cp.t_pi);
   rkb_->next_fact_id = cp.next_fact_id;
+  indexes_.Clear();
   delta_start_ = cp.delta_start;
   stats_.iterations = cp.iteration;
   banned_x_.clear();
@@ -260,6 +299,11 @@ Result<TablePtr> Grounder::GroundFactors() {
   Timer timer;
   TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
   auto t_phi = Table::Make(TPhiSchema());
+  const TPiIndexes* indexes = nullptr;
+  if (KeepsIndexes()) {
+    PROBKB_RETURN_NOT_OK(indexes_.Sync(*rkb_->t_pi));
+    indexes = &indexes_;
+  }
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     TablePtr m = rkb_->m[static_cast<size_t>(p - 1)];
     if (m->NumRows() == 0) continue;
@@ -271,7 +315,7 @@ Result<TablePtr> Grounder::GroundFactors() {
     PROBKB_ASSIGN_OR_RETURN(
         TablePtr factors,
         GroundFactorsForPartition(p, m, rkb_->t_pi, rkb_->t_pi, rkb_->t_pi,
-                                  &ec));
+                                  &ec, indexes));
     // Bag union: Proposition 1 guarantees no duplicates within a
     // partition; duplicates across partitions are distinct deductions.
     t_phi->AppendTable(*factors);
@@ -332,6 +376,8 @@ Result<int64_t> Grounder::ApplyConstraints() {
                             {0, 1});
   deleted += DeleteMatching(rkb_->t_pi.get(), {tpi::kY, tpi::kC2}, *viol_y,
                             {0, 1});
+  // Deletes compact TPi's row ids, so the indexes are rebuilt on next use.
+  if (deleted > 0) indexes_.Clear();
   return deleted;
 }
 

@@ -1,6 +1,7 @@
 #ifndef PROBKB_GROUNDING_GROUNDER_H_
 #define PROBKB_GROUNDING_GROUNDER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -12,6 +13,7 @@
 #include "fault/fault_injector.h"
 #include "grounding/partition_queries.h"
 #include "grounding/spill_session.h"
+#include "grounding/tpi_indexes.h"
 #include "kb/relational_model.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -95,6 +97,14 @@ struct GroundingStats {
 /// \brief Single-node ProbKB grounder: applies all rules of each MLN
 /// partition in one batch query (6 queries per iteration regardless of the
 /// number of rules), per Section 4.3.
+///
+/// The grounder keeps one persistent hash index per TPi key shape
+/// (TPiIndexes), extended as TPi grows and shared by every Query 1 join,
+/// the merge dedup and every Query 2 join. Deleting TPi rows (Query 3) or
+/// resuming drops the indexes; they are rebuilt on next use. Under an
+/// armed memory budget the grounder keeps none: joins build transient
+/// indexes (grace-hash included) and the merge builds its Txy index per
+/// iteration.
 class Grounder {
  public:
   /// `rkb` must outlive the grounder; TPi is expanded in place.
@@ -104,8 +114,10 @@ class Grounder {
   /// cap): Algorithm 1 lines 2-7.
   Status GroundAtoms();
 
-  /// \brief One naive-evaluation iteration over all partitions; returns
-  /// the number of new atoms merged into TPi.
+  /// \brief One iteration over all partitions; returns the number of new
+  /// atoms merged into TPi. When a Query 1 statement fails, TPi, the
+  /// fact-id counter and the TPi indexes are left as they were when the
+  /// iteration started.
   Result<int64_t> GroundAtomsIteration();
 
   /// \brief Algorithm 1 lines 8-10: builds the factor table TPhi
@@ -155,10 +167,18 @@ class Grounder {
 
  private:
   bool IsBanned(const RowView& atom) const;
-  /// Runs queries 1-1..1-6 against the given probe tables and collects the
-  /// (not yet merged) inferred-atom tables.
-  Status CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
-                              bool skip_length2, std::vector<TablePtr>* out);
+  /// True while the grounder keeps its TPi indexes across statements (no
+  /// memory budget armed).
+  bool KeepsIndexes() const { return !spill_session_->enabled(); }
+  /// Runs queries 1-1..1-6 against the given probe tables and hands each
+  /// statement's inferred-atom table to `sink` as soon as it returns.
+  Status RunQuery1(TablePtr probe1, TablePtr probe2, bool skip_length2,
+                   const std::function<Status(TablePtr)>& sink);
+  /// All Query 1 statements of one iteration plus their merges; adds the
+  /// merged row count to `*added`.
+  Status RunIterationStatements(int64_t* added);
+  /// Merges one statement's atoms into TPi, skipping banned entities.
+  Status MergeInferred(const Table& atoms, int64_t* added);
   /// Arms a statement's ExecContext with the remaining deadline, the row
   /// budget, and the fault injector; kDeadlineExceeded if none remains.
   Status ArmStatement(ExecContext* ec);
@@ -180,6 +200,8 @@ class Grounder {
   /// Semi-naive state: TPi row count at the start of the last iteration's
   /// merge (rows from here on are the delta).
   int64_t delta_start_ = 0;
+  /// Persistent TPi indexes (see the class comment).
+  TPiIndexes indexes_;
   GroundingOptions options_;
   GroundingStats stats_;
   FaultInjector* injector_ = nullptr;

@@ -5,6 +5,7 @@
 
 #include "engine/ops.h"
 #include "engine/tunables.h"
+#include "grounding/tpi_indexes.h"
 
 namespace probkb {
 
@@ -204,27 +205,45 @@ std::vector<ProjectExpr> NullI3Projection() {
 
 namespace {
 
+/// Inner join of `left` against the TPi instance `t` on `t_keys`. When
+/// `indexes` holds a prebuilt index for `t` on those keys, the join probes
+/// it and the scan of `t` is bounded to the rows the index serves;
+/// otherwise the join builds a transient index over all of `t`.
+PlanNodePtr JoinT(PlanNodePtr left, TablePtr t,
+                  const std::vector<int>& left_keys,
+                  const std::vector<int>& t_keys,
+                  std::vector<JoinOutputCol> output_cols,
+                  const TPiIndexes* indexes) {
+  const PrebuiltIndex index =
+      indexes != nullptr ? indexes->Find(t.get(), t_keys) : PrebuiltIndex{};
+  PlanNodePtr scan =
+      Scan(std::move(t), "T", index.index != nullptr ? index.rows : -1);
+  return HashJoin(std::move(left), std::move(scan), left_keys, t_keys,
+                  JoinType::kInner, std::move(output_cols),
+                  /*residual=*/nullptr, index);
+}
+
 /// First join of a length-3 query: M_i x T2 -> J1.
-PlanNodePtr BuildJ1(const PartitionSpec& spec, TablePtr m, TablePtr t_probe) {
-  return HashJoin(Scan(std::move(m), "M" + std::to_string(spec.partition)),
-                  Scan(std::move(t_probe), "T"), spec.m_keys1, spec.t_keys1,
-                  JoinType::kInner, J1OutputCols(spec));
+PlanNodePtr BuildJ1(const PartitionSpec& spec, TablePtr m, TablePtr t_probe,
+                    const TPiIndexes* indexes) {
+  return JoinT(Scan(std::move(m), "M" + std::to_string(spec.partition)),
+               std::move(t_probe), spec.m_keys1, spec.t_keys1,
+               J1OutputCols(spec), indexes);
 }
 
 }  // namespace
 
 PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
-                           TablePtr t_probe2) {
+                           TablePtr t_probe2, const TPiIndexes* indexes) {
   const PartitionSpec& spec = GetPartitionSpec(p);
   if (spec.body_length == 1) {
-    return HashJoin(Scan(std::move(m), "M" + std::to_string(p)),
-                    Scan(std::move(t_probe), "T"), spec.m_keys1, spec.t_keys1,
-                    JoinType::kInner, Len2AtomOutputCols(spec));
+    return JoinT(Scan(std::move(m), "M" + std::to_string(p)),
+                 std::move(t_probe), spec.m_keys1, spec.t_keys1,
+                 Len2AtomOutputCols(spec), indexes);
   }
-  PlanNodePtr j1 = BuildJ1(spec, std::move(m), std::move(t_probe));
-  return HashJoin(std::move(j1), Scan(std::move(t_probe2), "T"),
-                  spec.j1_keys2, spec.t_keys2, JoinType::kInner,
-                  Len3AtomOutputCols(spec));
+  PlanNodePtr j1 = BuildJ1(spec, std::move(m), std::move(t_probe), indexes);
+  return JoinT(std::move(j1), std::move(t_probe2), spec.j1_keys2,
+               spec.t_keys2, Len3AtomOutputCols(spec), indexes);
 }
 
 Result<TablePtr> GroundAtomsForPartition(int p, TablePtr m, TablePtr t_probe,
@@ -238,27 +257,27 @@ Result<TablePtr> GroundAtomsForPartition(int p, TablePtr m, TablePtr t_probe,
 Result<TablePtr> GroundFactorsForPartition(int p, TablePtr m,
                                            TablePtr t_probe,
                                            TablePtr t_probe2, TablePtr t_head,
-                                           ExecContext* ctx) {
+                                           ExecContext* ctx,
+                                           const TPiIndexes* indexes) {
   const PartitionSpec& spec = GetPartitionSpec(p);
   const bool has_i3 = spec.body_length == 2;
 
   PlanNodePtr candidates;
   if (spec.body_length == 1) {
-    candidates =
-        HashJoin(Scan(std::move(m), "M" + std::to_string(p)),
-                 Scan(std::move(t_probe), "T"), spec.m_keys1, spec.t_keys1,
-                 JoinType::kInner, Len2FactorCandidateCols(spec));
+    candidates = JoinT(Scan(std::move(m), "M" + std::to_string(p)),
+                       std::move(t_probe), spec.m_keys1, spec.t_keys1,
+                       Len2FactorCandidateCols(spec), indexes);
   } else {
-    PlanNodePtr j1 = BuildJ1(spec, std::move(m), std::move(t_probe));
-    candidates = HashJoin(std::move(j1), Scan(std::move(t_probe2), "T"),
-                          spec.j1_keys2, spec.t_keys2, JoinType::kInner,
-                          Len3FactorCandidateCols(spec));
+    PlanNodePtr j1 =
+        BuildJ1(spec, std::move(m), std::move(t_probe), indexes);
+    candidates = JoinT(std::move(j1), std::move(t_probe2), spec.j1_keys2,
+                       spec.t_keys2, Len3FactorCandidateCols(spec), indexes);
   }
 
   // Head join: resolve I1 by matching the derived atom against TPi.
-  auto plan = HashJoin(std::move(candidates), Scan(std::move(t_head), "T"),
-                       HeadJoinLeftKeys(), ViewKeysTxy(), JoinType::kInner,
-                       FactorHeadOutputCols(has_i3));
+  auto plan = JoinT(std::move(candidates), std::move(t_head),
+                    HeadJoinLeftKeys(), ViewKeysTxy(),
+                    FactorHeadOutputCols(has_i3), indexes);
   PROBKB_ASSIGN_OR_RETURN(TablePtr factors, plan->Execute(ctx));
   if (!has_i3) {
     auto null_i3 = Project(Scan(factors), NullI3Projection());
@@ -333,11 +352,6 @@ int64_t AppendAtomRows(Table* t_pi, const Table& atoms,
                      Value::Null()});
   }
   return static_cast<int64_t>(rows.size());
-}
-
-int64_t MergeAtomsIntoTPi(Table* t_pi, const Table& atoms, FactId* next_id) {
-  return AppendAtomRows(t_pi, atoms, SelectNewAtomRows(*t_pi, atoms),
-                        next_id);
 }
 
 namespace {

@@ -11,6 +11,8 @@
 
 namespace probkb {
 
+class TPiIndexes;
+
 /// Inferred-atom schema produced by the groundAtoms queries:
 /// (R, x, C1, y, C2).
 namespace atom {
@@ -77,8 +79,13 @@ std::vector<ProjectExpr> NullI3Projection();
 /// separately from GroundAtomsForPartition so the adaptive planner can
 /// annotate the tree with cardinality estimates and --explain can render
 /// it before/after execution.
+///
+/// A join whose TPi side has an index in `indexes` (may be null) probes it
+/// and sees only the rows pinned by the indexes' last Sync(); every other
+/// join builds its own index over the whole table.
 PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
-                           TablePtr t_probe2);
+                           TablePtr t_probe2,
+                           const TPiIndexes* indexes = nullptr);
 
 /// \brief Query 1-p: applies every rule of partition `p` in one batch and
 /// returns the inferred atoms (R, x, C1, y, C2), not yet deduplicated.
@@ -93,29 +100,26 @@ Result<TablePtr> GroundAtomsForPartition(int p, TablePtr m, TablePtr t_probe,
 
 /// \brief Query 2-p: applies every rule of partition `p` and returns the
 /// ground factors (I1, I2, I3, w). `t_head` resolves head atom ids.
+/// `indexes` (may be null) serves joins as in BuildAtomsPlan.
 Result<TablePtr> GroundFactorsForPartition(int p, TablePtr m,
                                            TablePtr t_probe,
                                            TablePtr t_probe2, TablePtr t_head,
-                                           ExecContext* ctx);
+                                           ExecContext* ctx,
+                                           const TPiIndexes* indexes = nullptr);
 
 /// \brief Singleton factors (I, NULL, NULL, w) for every fact of TPi with a
 /// non-NULL weight (Algorithm 1 line 10).
 Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx);
 
-/// \brief Merges `atoms` into `t_pi` with set semantics on
-/// (R, x, C1, y, C2); new atoms get ids from `*next_id` and NULL weight.
-/// Returns the number of rows added. Equivalent to AppendAtomRows over
-/// SelectNewAtomRows.
-int64_t MergeAtomsIntoTPi(Table* t_pi, const Table& atoms, FactId* next_id);
-
-/// \brief Dedup phase of the TPi merge: the row indices of `atoms` that are
-/// new w.r.t. `t_pi` (and w.r.t. earlier `atoms` rows), in row order. Pure
-/// read-only selection — the MPP grounder runs it for all segments in
-/// parallel, then assigns fact ids serially in canonical segment order so
-/// ids come out bit-identical to the serial engine's.
+/// \brief Dedup phase of the MPP grounder's TPi merge: the row indices of
+/// `atoms` that are new w.r.t. `t_pi` (and w.r.t. earlier `atoms` rows), in
+/// row order. Pure read-only selection — the MPP grounder runs it for all
+/// segments in parallel, then assigns fact ids serially in canonical
+/// segment order so ids come out bit-identical to the serial engine's. The
+/// single-node grounder merges through TPiIndexes::MergeAtoms instead.
 std::vector<int64_t> SelectNewAtomRows(const Table& t_pi, const Table& atoms);
 
-/// \brief Id-assignment phase of the TPi merge: appends the selected
+/// \brief Id-assignment phase of a TPi merge: appends the selected
 /// `atoms` rows to `t_pi` with consecutive ids from `*next_id` and NULL
 /// weight. Returns the number of rows appended.
 int64_t AppendAtomRows(Table* t_pi, const Table& atoms,

@@ -1,0 +1,137 @@
+#include "grounding/tpi_indexes.h"
+
+#include <algorithm>
+
+#include "engine/tunables.h"
+#include "grounding/partition_queries.h"
+
+namespace probkb {
+
+namespace {
+
+constexpr size_t kTxy = 3;
+
+/// The Txy key columns of an inferred atom, in TPi's (R, C1, x, C2, y)
+/// order, so an atom hashes exactly like the TPi row it would become.
+const std::vector<int>& AtomKeysTxy() {
+  static const std::vector<int> keys = {atom::kR, atom::kC1, atom::kX,
+                                        atom::kC2, atom::kY};
+  return keys;
+}
+
+}  // namespace
+
+TPiIndexes::TPiIndexes() {
+  views_[0].keys = ViewKeysT0();
+  views_[1].keys = ViewKeysTx();
+  views_[2].keys = ViewKeysTy();
+  views_[kTxy].keys = ViewKeysTxy();
+}
+
+void TPiIndexes::Adopt(const Table& t_pi) {
+  bool stale = &t_pi != table_;
+  for (const View& view : views_) stale |= view.rows > t_pi.NumRows();
+  if (!stale) return;
+  Clear();
+  table_ = &t_pi;
+}
+
+Status TPiIndexes::Extend(const Table& t_pi, View* view) {
+  const int64_t n = t_pi.NumRows();
+  if (view->rows >= n) return Status::OK();
+  PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(n));
+  size_t hashes[kIndexBuildChunkRows];
+  for (int64_t base = view->rows; base < n; base += kIndexBuildChunkRows) {
+    const int64_t end = std::min(base + kIndexBuildChunkRows, n);
+    t_pi.HashRows(view->keys, base, end, hashes);
+    for (int64_t i = base; i < end; ++i) {
+      view->index.Insert(hashes[i - base], i);
+    }
+  }
+  view->rows = n;
+  return Status::OK();
+}
+
+Status TPiIndexes::Sync(const Table& t_pi) {
+  Adopt(t_pi);
+  for (View& view : views_) PROBKB_RETURN_NOT_OK(Extend(t_pi, &view));
+  synced_rows_ = t_pi.NumRows();
+  return Status::OK();
+}
+
+PrebuiltIndex TPiIndexes::Find(const Table* t,
+                               std::span<const int> keys) const {
+  if (synced_rows_ < 0 || t != table_) return {};
+  for (const View& view : views_) {
+    if (view.rows >= synced_rows_ && std::ranges::equal(view.keys, keys)) {
+      return {&view.index, synced_rows_};
+    }
+  }
+  return {};
+}
+
+Result<int64_t> TPiIndexes::MergeAtoms(Table* t_pi, const Table& atoms,
+                                       FactId* next_id,
+                                       const RowPredicate& drop) {
+  Adopt(*t_pi);
+  View& txy = views_[kTxy];
+  PROBKB_RETURN_NOT_OK(Extend(*t_pi, &txy));
+  const int64_t base = t_pi->NumRows();
+  PROBKB_RETURN_NOT_OK(
+      FlatRowIndex::CheckCapacity(base + atoms.NumRows()));
+  // New atoms enter the index under the row ids they get on append, so
+  // later rows of the batch dedup against them; a chain row past `base`
+  // is still pending and its key is read from `atoms`.
+  std::vector<int64_t> selected;
+  const std::vector<int>& keys = AtomKeysTxy();
+  size_t hashes[kHashBatchRows];
+  for (int64_t begin = 0; begin < atoms.NumRows(); begin += kHashBatchRows) {
+    const int64_t end = std::min(begin + kHashBatchRows, atoms.NumRows());
+    atoms.HashRows(keys, begin, end, hashes);
+    for (int64_t i = begin; i < end; ++i) {
+      txy.index.PrefetchHash(hashes[i - begin]);
+    }
+    for (int64_t i = begin; i < end; ++i) {
+      RowView row = atoms.row(i);
+      if (drop != nullptr && drop(row)) continue;
+      const size_t h = hashes[i - begin];
+      bool present = false;
+      for (int64_t e = txy.index.Head(h); e >= 0 && !present;
+           e = txy.index.Next(e)) {
+        const int64_t r = txy.index.Row(e);
+        present = r < base
+                      ? RowKeyEquals(row, t_pi->row(r), keys, txy.keys)
+                      : RowKeyEquals(row,
+                                     atoms.row(selected[static_cast<size_t>(
+                                         r - base)]),
+                                     keys, keys);
+      }
+      if (present) continue;
+      txy.index.Insert(h, base + static_cast<int64_t>(selected.size()));
+      selected.push_back(i);
+    }
+  }
+  txy.rows = base + static_cast<int64_t>(selected.size());
+  return AppendAtomRows(t_pi, atoms, selected, next_id);
+}
+
+void TPiIndexes::Truncate(int64_t rows) {
+  for (View& view : views_) {
+    if (view.rows <= rows) continue;
+    // Every view inserts TPi rows in row order, so entry i is row i.
+    view.index.Truncate(rows);
+    view.rows = rows;
+  }
+  if (synced_rows_ > rows) synced_rows_ = rows;
+}
+
+void TPiIndexes::Clear() {
+  for (View& view : views_) {
+    view.index = FlatRowIndex();
+    view.rows = 0;
+  }
+  table_ = nullptr;
+  synced_rows_ = -1;
+}
+
+}  // namespace probkb

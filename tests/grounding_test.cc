@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <filesystem>
+#include <string>
+
 #include "datagen/synthetic_kb.h"
 #include "engine/ops.h"
+#include "fault/fault_injector.h"
 #include "grounding/partition_queries.h"
+#include "grounding/tpi_indexes.h"
 #include "tests/test_util.h"
 
 namespace probkb {
@@ -169,14 +175,88 @@ TEST(MergeAtomsTest, AssignsFreshIdsAndDedupes) {
   atoms->AppendRow({Value::Int64(8), Value::Int64(1), Value::Int64(2),
                     Value::Int64(3), Value::Int64(4)});  // dup within batch
 
-  EXPECT_EQ(MergeAtomsIntoTPi(t_pi.get(), *atoms, &next), 1);
+  TPiIndexes indexes;
+  auto merged = indexes.MergeAtoms(t_pi.get(), *atoms, &next, nullptr);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 1);
   EXPECT_EQ(t_pi->NumRows(), 2);
   EXPECT_EQ(next, 2);
   RowView added = t_pi->row(1);
   EXPECT_EQ(added[tpi::kI].i64(), 1);
   EXPECT_TRUE(added[tpi::kW].is_null());
+
+  // A second batch dedups against the first batch's appended row, and a
+  // dropped row is neither appended nor remembered.
+  auto more = Table::Make(AtomSchema());
+  more->AppendRow({Value::Int64(8), Value::Int64(1), Value::Int64(2),
+                   Value::Int64(3), Value::Int64(4)});  // merged above
+  more->AppendRow({Value::Int64(9), Value::Int64(1), Value::Int64(2),
+                   Value::Int64(3), Value::Int64(4)});  // dropped
+  more->AppendRow({Value::Int64(9), Value::Int64(5), Value::Int64(2),
+                   Value::Int64(3), Value::Int64(4)});  // new
+  auto drop_r9_x1 = [](const RowView& row) {
+    return row[atom::kR].i64() == 9 && row[atom::kX].i64() == 1;
+  };
+  merged = indexes.MergeAtoms(t_pi.get(), *more, &next, drop_r9_x1);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 1);
+  ASSERT_EQ(t_pi->NumRows(), 3);
+  EXPECT_EQ(t_pi->row(2)[tpi::kR].i64(), 9);
+  EXPECT_EQ(t_pi->row(2)[tpi::kX].i64(), 5);
+  EXPECT_EQ(t_pi->row(2)[tpi::kI].i64(), 2);
+  EXPECT_EQ(next, 3);
 }
 
+// Every TPi join probes one of the persistent indexes bounded to the rows
+// pinned by Sync(): rows merged afterwards stay invisible to the join, even
+// through Txy, which the merge extends at once.
+TEST(MergeAtomsTest, SyncPinsTheJoinBound) {
+  auto t_pi = Table::Make(TPiSchema());
+  AppendFactRow(t_pi.get(), 0, {7, 1, 2, 3, 4, 0.5});
+  FactId next = 1;
+  TPiIndexes indexes;
+  ASSERT_TRUE(indexes.Sync(*t_pi).ok());
+
+  auto atoms = Table::Make(AtomSchema());
+  atoms->AppendRow({Value::Int64(7), Value::Int64(6), Value::Int64(2),
+                    Value::Int64(3), Value::Int64(4)});
+  ASSERT_TRUE(indexes.MergeAtoms(t_pi.get(), *atoms, &next, nullptr).ok());
+  ASSERT_EQ(t_pi->NumRows(), 2);
+
+  const PrebuiltIndex txy = indexes.Find(t_pi.get(), ViewKeysTxy());
+  ASSERT_NE(txy.index, nullptr);
+  EXPECT_EQ(txy.rows, 1);
+  EXPECT_EQ(indexes.Find(t_pi.get(), std::vector<int>{tpi::kR}).index,
+            nullptr);
+  auto other = t_pi->Clone();
+  EXPECT_EQ(indexes.Find(other.get(), ViewKeysTxy()).index, nullptr);
+
+  // Probe both atoms' keys: only the pinned row matches.
+  ExecContext ec;
+  auto joined =
+      HashJoin(Scan(atoms->Clone()), Scan(t_pi, "T", txy.rows),
+               {atom::kR, atom::kC1, atom::kX, atom::kC2, atom::kY},
+               ViewKeysTxy(), JoinType::kInner,
+               {JoinOutputCol::Right(tpi::kI, "I")}, nullptr, txy)
+          ->Execute(&ec);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_EQ((*joined)->NumRows(), 0);
+  auto first = Table::Make(AtomSchema());
+  first->AppendRow({Value::Int64(7), Value::Int64(1), Value::Int64(2),
+                    Value::Int64(3), Value::Int64(4)});
+  joined = HashJoin(Scan(first), Scan(t_pi, "T", txy.rows),
+                    {atom::kR, atom::kC1, atom::kX, atom::kC2, atom::kY},
+                    ViewKeysTxy(), JoinType::kInner,
+                    {JoinOutputCol::Right(tpi::kI, "I")}, nullptr, txy)
+               ->Execute(&ec);
+  ASSERT_TRUE(joined.ok());
+  ASSERT_EQ((*joined)->NumRows(), 1);
+  EXPECT_EQ((*joined)->row(0)[0].i64(), 0);
+
+  // The next Sync() moves the bound to every current row.
+  ASSERT_TRUE(indexes.Sync(*t_pi).ok());
+  EXPECT_EQ(indexes.Find(t_pi.get(), ViewKeysTxy()).rows, 2);
+}
 
 // --- Semi-naive evaluation ----------------------------------------------------
 
@@ -233,6 +313,159 @@ TEST_P(SemiNaivePropertyTest, ClosuresMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaivePropertyTest, ::testing::Range(0, 5));
+
+// --- Pinned outputs ----------------------------------------------------------
+
+/// FNV-1a over every cell of `table` in row order: a NULL marker byte, or
+/// the cell's 8-byte bit pattern.
+uint64_t TableDigest(const Table& table, uint64_t h = 0xcbf29ce484222325ULL) {
+  auto mix = [&h](uint64_t bits, int bytes) {
+    for (int byte = 0; byte < bytes; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int64_t i = 0; i < table.NumRows(); ++i) {
+    RowView row = table.row(i);
+    for (int c = 0; c < row.width(); ++c) {
+      const Value v = row[c];
+      if (v.is_null()) {
+        mix(0xff, 1);
+      } else if (v.is_int64()) {
+        mix(static_cast<uint64_t>(v.i64()), 8);
+      } else {
+        mix(std::bit_cast<uint64_t>(v.f64()), 8);
+      }
+    }
+  }
+  return h;
+}
+
+/// Grounds a seeded generated KB to `options.max_iterations` (resuming from
+/// `resume_dir` when non-empty) and digests TPi (ids included) then TPhi.
+uint64_t GroundedDigest(uint64_t seed, const GroundingOptions& options,
+                        const std::string& resume_dir = "") {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.02;
+  cfg.seed = seed;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  EXPECT_TRUE(skb.ok());
+  RelationalKB rkb = BuildRelationalModel(skb->kb);
+  Grounder grounder(&rkb, options);
+  if (!resume_dir.empty()) {
+    EXPECT_TRUE(grounder.ResumeFrom(resume_dir).ok());
+  }
+  Status st = grounder.GroundAtoms();
+  EXPECT_TRUE(st.ok()) << st;
+  auto t_phi = grounder.GroundFactors();
+  EXPECT_TRUE(t_phi.ok());
+  if (!t_phi.ok()) return 0;
+  return TableDigest(**t_phi, TableDigest(*rkb.t_pi));
+}
+
+// Pins TPi (keys, ids, weights, row order) and TPhi of the single-node
+// grounder: naive and semi-naive at 1 and 4 threads, Query 3 inside the
+// loop (which deletes mid-run), and a checkpoint/resume round trip. The
+// constants were recorded before the persistent TPi indexes existed, so
+// any change to merge order, id assignment or join output order moves
+// them.
+TEST(GroundingTest, OutputsMatchPinnedDigest) {
+  constexpr uint64_t kNaive = 0x1e3a8ee7d50afb7bULL;
+  constexpr uint64_t kSemiNaive = 0x5c0cd548c6a18c53ULL;
+  constexpr uint64_t kConstraints = 0x11e74d9deed79e8aULL;
+  for (int threads : {1, 4}) {
+    GroundingOptions naive;
+    naive.max_iterations = 4;
+    naive.num_threads = threads;
+    const uint64_t naive_digest = GroundedDigest(5, naive);
+    EXPECT_EQ(naive_digest, kNaive)
+        << "threads " << threads << ": 0x" << std::hex << naive_digest;
+
+    GroundingOptions semi = naive;
+    semi.evaluation = EvaluationMode::kSemiNaive;
+    const uint64_t semi_digest = GroundedDigest(5, semi);
+    EXPECT_EQ(semi_digest, kSemiNaive)
+        << "threads " << threads << ": 0x" << std::hex << semi_digest;
+  }
+  {
+    GroundingOptions constrained;
+    constrained.max_iterations = 4;
+    constrained.apply_constraints_each_iteration = true;
+    const uint64_t digest = GroundedDigest(5, constrained);
+    EXPECT_EQ(digest, kConstraints) << "0x" << std::hex << digest;
+  }
+  {
+    const std::string dir =
+        ::testing::TempDir() + "/probkb_grounding_pinned_digest";
+    std::filesystem::remove_all(dir);
+    GroundingOptions first;
+    first.max_iterations = 2;
+    first.checkpoint_dir = dir;
+    GroundedDigest(5, first);
+    GroundingOptions rest;
+    rest.max_iterations = 4;
+    const uint64_t digest = GroundedDigest(5, rest, dir);
+    EXPECT_EQ(digest, kNaive) << "resumed: 0x" << std::hex << digest;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A statement failing mid-iteration, after earlier statements of the same
+// iteration already merged their atoms, must leave TPi, the fact-id counter
+// and the TPi indexes exactly as the iteration found them: retrying the
+// iteration then reproduces a clean run bit for bit.
+TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.005;
+  cfg.seed = 9;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  GroundingOptions options;
+  options.num_threads = 1;
+
+  RelationalKB clean_rkb = BuildRelationalModel(skb->kb);
+  Grounder clean(&clean_rkb, options);
+  ASSERT_TRUE(clean.GroundAtomsIteration().ok());
+  ASSERT_TRUE(clean.GroundAtomsIteration().ok());
+
+  RelationalKB rkb = BuildRelationalModel(skb->kb);
+  // Operators per statement (HashJoin plus its scans, CheckBudget order):
+  // 3 for a length-2 partition, 5 for a length-3 one. The fault strikes
+  // the first operator of iteration 2's second statement.
+  std::vector<int64_t> statement_ops;
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    if (rkb.m[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
+    statement_ops.push_back(GetPartitionSpec(p).body_length == 1 ? 3 : 5);
+  }
+  ASSERT_GE(statement_ops.size(), 2u);
+  int64_t iteration_ops = 0;
+  for (int64_t ops : statement_ops) iteration_ops += ops;
+  FaultInjectionOptions faults;
+  faults.enabled = true;
+  faults.schedule = {{FaultKind::kMemoryExhausted,
+                      /*motion=*/iteration_ops + statement_ops[0], 0, -1, -1}};
+  FaultInjector injector(faults);
+
+  Grounder grounder(&rkb, options);
+  grounder.set_fault_injector(&injector);
+  ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
+  const TablePtr start = rkb.t_pi->Clone();
+  const FactId start_id = rkb.next_fact_id;
+  const int64_t statements = grounder.stats().statements;
+
+  auto failed = grounder.GroundAtomsIteration();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+  // The first statement of the iteration did run (and merged).
+  EXPECT_EQ(grounder.stats().statements, statements + 1);
+  EXPECT_TRUE(TablesEqualExact(*rkb.t_pi, *start));
+  EXPECT_EQ(rkb.next_fact_id, start_id);
+
+  grounder.set_fault_injector(nullptr);
+  ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
+  EXPECT_TRUE(TablesEqualExact(*rkb.t_pi, *clean_rkb.t_pi));
+  EXPECT_EQ(rkb.next_fact_id, clean_rkb.next_fact_id);
+}
 
 TEST(GroundingMonotonicityTest, TPiOnlyGrowsWithoutConstraints) {
   SyntheticKbConfig cfg;

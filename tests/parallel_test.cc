@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "datagen/synthetic_kb.h"
@@ -245,6 +246,147 @@ TEST(FlatRowIndexTest, ReserveOnPartialIndexKeepsCapacityAndChainOrder) {
     std::vector<int64_t> expected;
     for (int64_t i = k; i < kPrefill; i += 4) expected.push_back(i);
     EXPECT_EQ(chain, expected) << "chain " << k;
+  }
+}
+
+/// Chain rows of `hash` in `index`, in chain order.
+std::vector<int64_t> ChainOf(const FlatRowIndex& index, size_t hash) {
+  std::vector<int64_t> rows;
+  for (int64_t e = index.Head(hash); e >= 0; e = index.Next(e)) {
+    rows.push_back(index.Row(e));
+  }
+  return rows;
+}
+
+TEST(FlatRowIndexTest, ExtendedIndexEqualsFreshBuild) {
+  // Rows over a small key space (long chains), inserted in row order:
+  // once in one pass, once across several appends separated by probes.
+  Rng rng(17);
+  std::vector<size_t> hashes(5000);
+  for (size_t& h : hashes) {
+    h = static_cast<size_t>(rng.Uniform(300)) * 0x9E3779B97F4A7C15ull;
+  }
+  FlatRowIndex fresh(static_cast<int64_t>(hashes.size()));
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    fresh.Insert(hashes[i], static_cast<int64_t>(i));
+  }
+  FlatRowIndex extended;
+  for (size_t end : {size_t{7}, size_t{700}, size_t{701}, size_t{3000},
+                     hashes.size()}) {
+    for (size_t i = static_cast<size_t>(extended.size()); i < end; ++i) {
+      extended.Insert(hashes[i], static_cast<int64_t>(i));
+    }
+    ASSERT_GE(extended.Head(hashes[0]), 0);
+  }
+  ASSERT_EQ(extended.size(), fresh.size());
+  for (size_t h : hashes) EXPECT_EQ(ChainOf(extended, h), ChainOf(fresh, h));
+
+  // Truncating back to a prefix leaves the chains a fresh build of that
+  // prefix holds, and the truncated index extends like one.
+  FlatRowIndex prefix;
+  for (size_t i = 0; i < 1234; ++i) {
+    prefix.Insert(hashes[i], static_cast<int64_t>(i));
+  }
+  extended.Truncate(1234);
+  ASSERT_EQ(extended.size(), 1234);
+  for (size_t h : hashes) EXPECT_EQ(ChainOf(extended, h), ChainOf(prefix, h));
+  for (size_t i = 1234; i < hashes.size(); ++i) {
+    extended.Insert(hashes[i], static_cast<int64_t>(i));
+  }
+  for (size_t h : hashes) EXPECT_EQ(ChainOf(extended, h), ChainOf(fresh, h));
+}
+
+TEST(FlatRowIndexTest, Low32BitCollisionsReturnOnlyTheirOwnRows) {
+  // Brute-force two int64 keys whose row-key hashes agree in the low 32
+  // bits (the slot tag) but differ as keys.
+  Schema schema({{"k", ColumnType::kInt64}});
+  const std::vector<int> key = {0};
+  auto probe_keys = Table::Make(schema);
+  std::unordered_map<uint32_t, int64_t> seen;
+  int64_t a = -1, b = -1;
+  for (int64_t k = 0; a < 0; ++k) {
+    auto one = Table::Make(schema);
+    one->AppendRow({Value::Int64(k)});
+    const size_t h = HashRowKey(one->row(0), key);
+    auto [it, fresh] = seen.emplace(static_cast<uint32_t>(h), k);
+    if (!fresh) {
+      a = it->second;
+      b = k;
+    }
+  }
+  // Interleave the two keys' rows in one build table (key, row id).
+  auto build = Table::Make(Schema({{"k", ColumnType::kInt64},
+                                   {"row", ColumnType::kInt64}}));
+  std::vector<int64_t> rows_a, rows_b;
+  for (int64_t i = 0; i < 12; ++i) {
+    const bool is_a = i % 3 != 1;
+    build->AppendRow({Value::Int64(is_a ? a : b), Value::Int64(i)});
+    (is_a ? rows_a : rows_b).push_back(i);
+  }
+  probe_keys->AppendRow({Value::Int64(b)});
+  probe_keys->AppendRow({Value::Int64(a)});
+  ExecContext ec;
+  auto joined = HashJoin(Scan(probe_keys), Scan(build), {0}, {0},
+                         JoinType::kInner,
+                         {JoinOutputCol::Left(0, "key"),
+                          JoinOutputCol::Right(1, "row")})
+                    ->Execute(&ec);
+  ASSERT_TRUE(joined.ok());
+  std::vector<int64_t> got_a, got_b;
+  for (int64_t i = 0; i < (*joined)->NumRows(); ++i) {
+    RowView row = (*joined)->row(i);
+    (row[0].i64() == a ? got_a : got_b).push_back(row[1].i64());
+  }
+  EXPECT_EQ(got_a, rows_a);
+  EXPECT_EQ(got_b, rows_b);
+}
+
+TEST(FlatRowIndexTest, BoundedProbeEqualsJoinOverPrefix) {
+  // A prebuilt index over all 3000 rows, probed with bound 1800, must give
+  // exactly the join against a table holding only the first 1800 rows —
+  // serially and with a morsel-parallel probe.
+  Rng rng(23);
+  Schema schema({{"k", ColumnType::kInt64}, {"v", ColumnType::kInt64}});
+  auto build = Table::Make(schema);
+  for (int64_t i = 0; i < 3000; ++i) {
+    build->AppendRow({Value::Int64(static_cast<int64_t>(rng.Uniform(400))),
+                      Value::Int64(i)});
+  }
+  auto probe = Table::Make(schema);
+  for (int64_t i = 0; i < 20000; ++i) {
+    probe->AppendRow({Value::Int64(static_cast<int64_t>(rng.Uniform(500))),
+                      Value::Int64(i)});
+  }
+  constexpr int64_t kBound = 1800;
+  auto prefix = Table::Make(schema);
+  prefix->AppendRows(*build, 0, kBound);
+  FlatRowIndex index;
+  std::vector<size_t> hashes(static_cast<size_t>(build->NumRows()));
+  build->HashRows(std::vector<int>{0}, 0, build->NumRows(), hashes.data());
+  for (int64_t i = 0; i < build->NumRows(); ++i) {
+    index.Insert(hashes[static_cast<size_t>(i)], i);
+  }
+  const std::vector<JoinOutputCol> cols = {JoinOutputCol::Left(1, "l"),
+                                           JoinOutputCol::Right(1, "r")};
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ExecContext fresh_ec, bounded_ec;
+    fresh_ec.set_thread_pool(p);
+    bounded_ec.set_thread_pool(p);
+    auto fresh = HashJoin(Scan(probe), Scan(prefix), {0}, {0},
+                          JoinType::kInner, cols)
+                     ->Execute(&fresh_ec);
+    auto bounded =
+        HashJoin(Scan(probe), Scan(build, "T", kBound), {0}, {0},
+                 JoinType::kInner, cols, nullptr,
+                 PrebuiltIndex{&index, kBound})
+            ->Execute(&bounded_ec);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(bounded.ok());
+    ASSERT_GT((*fresh)->NumRows(), 0);
+    EXPECT_TRUE(TablesEqualExact(**fresh, **bounded));
+    // The bounded scan reports the bound, as a scan of the prefix would.
+    EXPECT_EQ(bounded_ec.stats().nodes[1].rows_out, kBound);
   }
 }
 
