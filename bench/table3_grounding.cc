@@ -197,12 +197,11 @@ int main(int argc, char** argv) {
   std::vector<SystemRun> runs;
 
   // Execution-stats registries for the two ProbKB systems, attached only
-  // when `--stats_json` (or PROBKB_TRACE) asks for them so the default
-  // bench numbers stay instrumentation-free.
+  // when `--stats_json` asks for them so the default bench numbers stay
+  // instrumentation-free.
   StatsRegistry mpp_registry;
   StatsRegistry single_registry;
-  const bool want_stats =
-      !stats_json_path.empty() || mpp_registry.trace_enabled();
+  const bool want_stats = !stats_json_path.empty();
 
   // --- ProbKB-p (MPP simulator with views) ----------------------------------
   {
@@ -386,13 +385,6 @@ int main(int argc, char** argv) {
                  single_registry.ToJson().c_str());
     std::fclose(f);
     std::printf("wrote %s\n", stats_json_path.c_str());
-  }
-  if (want_stats) {
-    // With PROBKB_TRACE set, the (richer) MPP run's spans win the file.
-    if (auto st = mpp_registry.WriteTraceIfEnabled(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
   }
   return 0;
 }

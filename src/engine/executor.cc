@@ -6,6 +6,7 @@
 #include "engine/flat_hash.h"
 #include "engine/ops.h"
 #include "engine/tunables.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 // Execution half of the plan layer: the PlanNode::Execute bodies. The
@@ -193,7 +194,26 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
     }
     std::vector<Field> fields;
     fields.reserve(output_cols_.size());
-    for (const auto& c : output_cols_) fields.push_back({c.name, c.type});
+    for (const auto& c : output_cols_) {
+      const Schema& side = c.side == JoinOutputCol::Side::kLeft
+                               ? left->schema()
+                               : right->schema();
+      if (c.column < 0 || c.column >= side.num_fields()) {
+        return Status::InvalidArgument(StrFormat(
+            "hash join output column '%s' reads column %d of a %d-column "
+            "input",
+            c.name.c_str(), c.column, side.num_fields()));
+      }
+      if (side.field(c.column).type != c.type) {
+        return Status::InvalidArgument(StrFormat(
+            "hash join output column '%s' is declared %s over %s input "
+            "column '%s'",
+            c.name.c_str(), ColumnTypeToString(c.type),
+            ColumnTypeToString(side.field(c.column).type),
+            side.field(c.column).name.c_str()));
+      }
+      fields.push_back({c.name, c.type});
+    }
     out_schema = Schema(std::move(fields));
   } else {
     out_schema = left->schema();

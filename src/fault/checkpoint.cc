@@ -9,7 +9,7 @@
 #include <fstream>
 #include <map>
 
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "relational/table_io.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -245,10 +245,9 @@ Status WriteGroundingCheckpoint(const GroundingCheckpoint& cp,
   std::filesystem::remove_all(staging, ec);
   // Deliberately no directory path in the payload: dump bytes must not
   // depend on where the checkpoint lives (paths differ per run/thread).
-  FlightRecorder::Global()->Record(
-      FrEvent::kCheckpointCommit, "grounding", cp.iteration,
-      static_cast<int64_t>(staged.size()),
-      staged.empty() ? 0 : staged.front().rows);
+  Tracer::Global()->Event(EventKind::kCheckpointCommit, "grounding",
+                          cp.iteration, static_cast<int64_t>(staged.size()),
+                          staged.empty() ? 0 : staged.front().rows);
   return Status::OK();
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace probkb {
@@ -115,9 +115,9 @@ std::vector<FaultEvent> FaultInjector::MotionFaults(int64_t motion_index,
       default:
         break;
     }
-    FlightRecorder::Global()->Record(FrEvent::kFaultInjected,
-                                     FaultKindToString(f.kind), motion_index,
-                                     attempt, f.segment);
+    Tracer::Global()->Event(EventKind::kFaultInjected,
+                            FaultKindToString(f.kind), motion_index, attempt,
+                            f.segment);
   }
   return fired;
 }
@@ -129,16 +129,16 @@ Status FaultInjector::OperatorFault(int64_t op_index,
     if (e.motion != op_index) continue;
     if (e.kind == FaultKind::kMemoryExhausted) {
       ++stats_.memory_trips;
-      FlightRecorder::Global()->Record(FrEvent::kFaultInjected,
-                                       FaultKindToString(e.kind), op_index);
+      Tracer::Global()->Event(EventKind::kFaultInjected,
+                              FaultKindToString(e.kind), op_index);
       return Status::ResourceExhausted(StrFormat(
           "injected memory budget trip in operator %lld (%s)",
           static_cast<long long>(op_index), label.c_str()));
     }
     if (e.kind == FaultKind::kDeadlineTrip) {
       ++stats_.deadline_trips;
-      FlightRecorder::Global()->Record(FrEvent::kFaultInjected,
-                                       FaultKindToString(e.kind), op_index);
+      Tracer::Global()->Event(EventKind::kFaultInjected,
+                              FaultKindToString(e.kind), op_index);
       return Status::DeadlineExceeded(StrFormat(
           "injected deadline trip in operator %lld (%s)",
           static_cast<long long>(op_index), label.c_str()));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "engine/ops.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
 #include "util/strings.h"
@@ -201,9 +200,8 @@ Result<int64_t> Grounder::GroundAtomsIteration() {
   ++stats_.iterations;
   if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
   span.set_values(stats_.iterations, added, rkb_->t_pi->NumRows());
-  FlightRecorder::Global()->Record(FrEvent::kIterationBoundary, "grounder",
-                                   stats_.iterations, added,
-                                   rkb_->t_pi->NumRows());
+  Tracer::Global()->Event(EventKind::kIterationBoundary, "grounder",
+                          stats_.iterations, added, rkb_->t_pi->NumRows());
   return added;
 }
 

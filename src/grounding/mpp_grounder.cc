@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "engine/ops.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -310,9 +309,8 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   ++stats_.iterations;
   if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
   span.set_values(stats_.iterations, added, t_pi_->NumRows());
-  FlightRecorder::Global()->Record(FrEvent::kIterationBoundary,
-                                   "mpp_grounder", stats_.iterations, added,
-                                   t_pi_->NumRows());
+  Tracer::Global()->Event(EventKind::kIterationBoundary, "mpp_grounder",
+                          stats_.iterations, added, t_pi_->NumRows());
   return added;
 }
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/flight_recorder.h"
 #include "obs/stats_registry.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -188,9 +188,9 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
                                       end_sweep - sweeps_before, n,
                                       chain_seconds.back());
     }
-    FlightRecorder::Global()->Record(
-        FrEvent::kGibbsMilestone, "sweeps", static_cast<int64_t>(chain),
-        st.sweeps_done, end_sweep == total_sweeps ? 1 : 0);
+    Tracer::Global()->Event(EventKind::kGibbsMilestone, "sweeps",
+                            static_cast<int64_t>(chain), st.sweeps_done,
+                            end_sweep == total_sweeps ? 1 : 0);
   }
 
   GibbsResult result;

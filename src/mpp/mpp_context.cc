@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -42,8 +41,7 @@ Status MppContext::CheckDeadline() const {
 Status MppContext::BeginMotion(const std::string& label,
                                int64_t* motion_index) {
   *motion_index = next_motion_index_++;
-  FlightRecorder::Global()->Record(FrEvent::kMotionBegin, label,
-                                   *motion_index);
+  Tracer::Global()->Event(EventKind::kMotionBegin, label, *motion_index);
   if (injector_ != nullptr) {
     PROBKB_RETURN_NOT_OK(injector_->OperatorFault(*motion_index, label));
   }
@@ -101,9 +99,8 @@ Status MppContext::RecoverMotion(
   for (int attempt = 1; !pending.empty(); ++attempt) {
     if (attempt > retry_.max_attempts) {
       ++stats->unrecovered_motions;
-      FlightRecorder::Global()->Record(FrEvent::kMotionFailed, label,
-                                       motion_index, retry_.max_attempts,
-                                       pending.front().segment);
+      Tracer::Global()->Event(EventKind::kMotionFailed, label, motion_index,
+                              retry_.max_attempts, pending.front().segment);
       // Account what recovery burned before giving up.
       MppStep step;
       step.kind = MppStep::Kind::kRecovery;
@@ -120,9 +117,8 @@ Status MppContext::RecoverMotion(
     }
     backoff_seconds += retry_.BackoffSeconds(attempt);
     ++stats->retries;
-    FlightRecorder::Global()->Record(
-        FrEvent::kRetryAttempt, label, motion_index, attempt,
-        static_cast<int64_t>(pending.size()));
+    Tracer::Global()->Event(EventKind::kRetryAttempt, label, motion_index,
+                            attempt, static_cast<int64_t>(pending.size()));
 
     std::map<int, FaultEvent> failed_again;
     for (const FaultEvent& f :
@@ -159,8 +155,8 @@ Status MppContext::RecoverMotion(
   cost_.Add(std::move(step));
   stats->backoff_seconds += backoff_seconds;
   stats->tuples_reshipped += reshipped;
-  FlightRecorder::Global()->Record(FrEvent::kMotionRecovered, label,
-                                   motion_index, recovered, reshipped);
+  Tracer::Global()->Event(EventKind::kMotionRecovered, label, motion_index,
+                          recovered, reshipped);
   return Status::OK();
 }
 

@@ -1,6 +1,5 @@
 #include "obs/stats_registry.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "util/strings.h"
@@ -56,31 +55,6 @@ double SkewOf(const std::vector<int64_t>& per_segment) {
 
 }  // namespace
 
-StatsRegistry::StatsRegistry()
-    : trace_base_(std::chrono::steady_clock::now()) {
-  if (const char* path = std::getenv("PROBKB_TRACE")) {
-    if (path[0] != '\0') trace_path_ = path;
-  }
-}
-
-void StatsRegistry::Trace(const std::string& name,
-                          const std::string& category, double seconds,
-                          int lane) {
-  if (trace_path_.empty()) return;
-  const int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                             std::chrono::steady_clock::now() - trace_base_)
-                             .count();
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.dur_us = static_cast<int64_t>(seconds * 1e6);
-  if (ev.dur_us < 0) ev.dur_us = 0;
-  ev.ts_us = now_us - ev.dur_us;
-  if (ev.ts_us < 0) ev.ts_us = 0;
-  ev.lane = lane;
-  trace_events_.push_back(std::move(ev));
-}
-
 void StatsRegistry::RecordOp(const std::string& scope, const OpRecord& op) {
   auto [it, inserted] = statement_index_.emplace(scope, statements_.size());
   if (inserted) {
@@ -112,8 +86,6 @@ void StatsRegistry::RecordOp(const std::string& scope, const OpRecord& op) {
   if (op.probe_seconds > 0) {
     RecordLatency("join_probe", op.probe_seconds);
   }
-
-  Trace(op.label, "op/" + scope, op.seconds, 0);
 }
 
 void StatsRegistry::RecordPartitionIteration(int iteration, int partition,
@@ -133,9 +105,6 @@ void StatsRegistry::RecordPartitionIteration(int iteration, int partition,
   cell.delta_rows += delta_rows;
   cell.join_seconds += join_seconds;
   ++cell.statements;
-
-  Trace(StrFormat("iter%d/M%d", iteration, partition), "partition",
-        join_seconds, 2);
 }
 
 void StatsRegistry::RecordMotion(const std::string& label,
@@ -162,8 +131,6 @@ void StatsRegistry::RecordMotion(const std::string& label,
     if (v > t.max_segment_tuples) t.max_segment_tuples = v;
   }
   RecordLatency("motion_ship", seconds);
-
-  Trace(label, "motion/" + kind, seconds, 1);
 }
 
 void StatsRegistry::RecordCompute(const std::string& label,
@@ -185,8 +152,6 @@ void StatsRegistry::RecordCompute(const std::string& label,
     const double skew = mean > 0 ? max_seconds / mean : 0.0;
     if (skew > t.max_skew) t.max_skew = skew;
   }
-
-  Trace(label, "compute", max_seconds, 1);
 }
 
 void StatsRegistry::RecordWorkers(const std::vector<WorkerTotals>& workers) {
@@ -204,7 +169,6 @@ void StatsRegistry::RecordGibbsChain(int chain, int64_t sweeps,
                         static_cast<double>(num_variables) / seconds
                   : 0.0;
   gibbs_chains_.push_back(s);
-  Trace(StrFormat("gibbs chain %d", chain), "gibbs", seconds, 3);
 }
 
 void StatsRegistry::RecordLatency(const std::string& name, double seconds,
@@ -593,29 +557,6 @@ std::string StatsRegistry::ToPrometheusText() const {
     }
   }
   return out;
-}
-
-Status StatsRegistry::WriteTraceIfEnabled() const {
-  if (trace_path_.empty()) return Status::OK();
-  std::ofstream out(trace_path_);
-  if (!out) {
-    return Status::IOError("cannot open trace file '" + trace_path_ +
-                           "' for write");
-  }
-  out << "{\"traceEvents\": [";
-  for (size_t i = 0; i < trace_events_.size(); ++i) {
-    const TraceEvent& ev = trace_events_[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << StrFormat(
-        "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\","
-        " \"ts\": %lld, \"dur\": %lld, \"pid\": 0, \"tid\": %d}",
-        JsonEscape(ev.name).c_str(), JsonEscape(ev.category).c_str(),
-        static_cast<long long>(ev.ts_us), static_cast<long long>(ev.dur_us),
-        ev.lane);
-  }
-  out << (trace_events_.empty() ? "]}\n" : "\n]}\n");
-  if (!out.good()) return Status::IOError("trace write failed");
-  return Status::OK();
 }
 
 }  // namespace probkb

@@ -1,7 +1,6 @@
 #ifndef PROBKB_OBS_STATS_REGISTRY_H_
 #define PROBKB_OBS_STATS_REGISTRY_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -115,16 +114,11 @@ struct GibbsChainStats {
 /// so the registry itself needs no locks; the only concurrent counters
 /// (pool workers) are per-worker atomics merged at snapshot time by the
 /// caller. Recording never influences execution: it runs after every
-/// budget/fault gate and only copies values out.
-///
-/// When the PROBKB_TRACE environment variable names a file at construction
-/// time, every operator / motion / partition record additionally captures a
-/// Chrome-trace "complete" event (phase "X"); WriteTraceIfEnabled() emits
-/// the chrome://tracing-loadable JSON.
+/// budget/fault gate and only copies values out. The registry keeps
+/// aggregates and histograms only; the timeline of a run lives in the
+/// event journal (obs/trace.h).
 class StatsRegistry {
  public:
-  StatsRegistry();
-
   /// \brief Appends one operator record to `scope`'s statement (created on
   /// first use) and folds it into the per-label totals.
   void RecordOp(const std::string& scope, const OpRecord& op);
@@ -222,27 +216,7 @@ class StatsRegistry {
   /// snapshots this on every poll.
   std::string ToPrometheusText() const;
 
-  /// \brief True when PROBKB_TRACE was set at construction.
-  bool trace_enabled() const { return !trace_path_.empty(); }
-  const std::string& trace_path() const { return trace_path_; }
-
-  /// \brief Writes the Chrome-trace JSON to the PROBKB_TRACE path; no-op
-  /// (OK) when tracing is off.
-  Status WriteTraceIfEnabled() const;
-
  private:
-  struct TraceEvent {
-    std::string name;
-    std::string category;
-    int64_t ts_us = 0;   // start, microseconds since registry construction
-    int64_t dur_us = 0;
-    int lane = 0;        // rendered as the Chrome-trace tid
-  };
-
-  /// Captures a span that ended "now" and lasted `seconds`.
-  void Trace(const std::string& name, const std::string& category,
-             double seconds, int lane);
-
   std::vector<StatementTrace> statements_;
   std::unordered_map<std::string, size_t> statement_index_;
   std::vector<OpTotals> op_totals_;
@@ -259,10 +233,6 @@ class StatsRegistry {
   std::unordered_map<std::string, size_t> latency_index_;
   std::vector<std::pair<std::string, int64_t>> counters_;
   std::unordered_map<std::string, size_t> counter_index_;
-
-  std::string trace_path_;
-  std::vector<TraceEvent> trace_events_;
-  std::chrono::steady_clock::time_point trace_base_;
 };
 
 }  // namespace probkb

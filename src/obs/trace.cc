@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -23,11 +24,16 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void CopyTag(char* dst, size_t dst_size, const char* src) {
-  const size_t n = std::min(std::strlen(src), dst_size - 1);
-  std::memcpy(dst, src, n);
+void CopyTag(char* dst, size_t dst_size, std::string_view src) {
+  const size_t n = std::min(src.size(), dst_size - 1);
+  std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
+
+/// Ring storage grows in blocks of this many records (32 KiB), so a thread
+/// that journals a handful of events touches one block, not the whole
+/// capacity.
+constexpr size_t kRecordsPerBlock = 256;
 
 /// Per-thread open-span stack. Keyed on the owning tracer's never-reused
 /// id (a thread traces into one tracer at a time; switching tracers
@@ -47,6 +53,45 @@ ThreadStack& LocalStack() {
 }
 
 }  // namespace
+
+const char* EventKindName(EventKind kind) {
+  switch (kind) {
+    case EventKind::kMotionBegin:
+      return "motion_begin";
+    case EventKind::kFaultInjected:
+      return "fault_injected";
+    case EventKind::kRetryAttempt:
+      return "retry_attempt";
+    case EventKind::kMotionRecovered:
+      return "motion_recovered";
+    case EventKind::kMotionFailed:
+      return "motion_failed";
+    case EventKind::kCheckpointCommit:
+      return "checkpoint_commit";
+    case EventKind::kIterationBoundary:
+      return "iteration_boundary";
+    case EventKind::kGibbsMilestone:
+      return "gibbs_milestone";
+  }
+  return "?";
+}
+
+Tracer::Ring::Ring(size_t capacity)
+    : capacity(capacity),
+      block_records(std::min(capacity, kRecordsPerBlock)),
+      blocks((capacity + block_records - 1) / block_records) {}
+
+SpanRecord& Tracer::Ring::Slot(uint64_t index) {
+  const uint64_t i = index % capacity;
+  std::unique_ptr<SpanRecord[]>& block = blocks[i / block_records];
+  if (block == nullptr) block.reset(new SpanRecord[block_records]);
+  return block[i % block_records];
+}
+
+const SpanRecord& Tracer::Ring::Slot(uint64_t index) const {
+  const uint64_t i = index % capacity;
+  return blocks[i / block_records][i % block_records];
+}
 
 Tracer::Tracer(uint64_t seed, size_t capacity)
     : id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
@@ -69,17 +114,18 @@ int64_t Tracer::NowUs() {
 }
 
 Tracer::Ring* Tracer::LocalRing() {
-  struct Cache {
-    uint64_t owner_id = 0;
-    Ring* ring = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.owner_id == id_) return cache.ring;
+  // One Ring* per (thread, tracer instance), keyed by the never-reused id
+  // so private tracers can't cross-contaminate the global one or revive a
+  // dead tracer's ring. A thread may journal into several tracers at once
+  // (a benchmark's spans into a private tracer, events into Global()).
+  thread_local std::vector<std::pair<uint64_t, Ring*>> cache;
+  for (const auto& [owner_id, ring] : cache) {
+    if (owner_id == id_) return ring;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   rings_.push_back(std::make_unique<Ring>(capacity_));
-  cache.owner_id = id_;
-  cache.ring = rings_.back().get();
-  return cache.ring;
+  cache.emplace_back(id_, rings_.back().get());
+  return rings_.back().get();
 }
 
 Tracer::OpenSpan Tracer::PushSpan() {
@@ -135,14 +181,28 @@ void Tracer::PopSpan(const OpenSpan& span, const char* name,
   Emit(record);
 }
 
+void Tracer::Event(EventKind kind, std::string_view detail, int64_t a,
+                   int64_t b, int64_t c) {
+  SpanRecord record;
+  record.kind = RecordKind::kEvent;
+  record.event = kind;
+  record.a = a;
+  record.b = b;
+  record.c = c;
+  record.start_us = std::max<int64_t>(NowUs() - base_us_, 0);
+  CopyTag(record.name, sizeof(record.name), detail);
+  events_written_.fetch_add(1, std::memory_order_relaxed);
+  Emit(record);
+}
+
 void Tracer::Emit(const SpanRecord& record) {
   Ring* ring = LocalRing();
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  SpanRecord& slot = ring->slots[head % capacity_];
+  SpanRecord& slot = ring->Slot(head);
   slot = record;
   slot.seq = seq;
-  // Publish the slot: pairs with the acquire in CollectSpans.
+  // Publish the slot: pairs with the acquire in Collect.
   ring->head.store(head + 1, std::memory_order_release);
 }
 
@@ -154,9 +214,10 @@ void Tracer::Reset() {
   }
   next_seq_.store(0, std::memory_order_relaxed);
   next_trace_.store(0, std::memory_order_relaxed);
+  events_written_.store(0, std::memory_order_relaxed);
 }
 
-std::vector<SpanRecord> Tracer::CollectSpans() const {
+std::vector<SpanRecord> Tracer::Collect(RecordKind kind) const {
   std::vector<SpanRecord> merged;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,7 +225,8 @@ std::vector<SpanRecord> Tracer::CollectSpans() const {
       const uint64_t head = ring->head.load(std::memory_order_acquire);
       const uint64_t kept = std::min<uint64_t>(head, capacity_);
       for (uint64_t i = head - kept; i < head; ++i) {
-        merged.push_back(ring->slots[i % capacity_]);
+        const SpanRecord& record = ring->Slot(i);
+        if (record.kind == kind) merged.push_back(record);
       }
     }
   }
@@ -175,14 +237,18 @@ std::vector<SpanRecord> Tracer::CollectSpans() const {
   return merged;
 }
 
-int64_t Tracer::dropped_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t dropped = 0;
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    if (head > capacity_) dropped += static_cast<int64_t>(head - capacity_);
-  }
-  return dropped;
+std::vector<SpanRecord> Tracer::CollectSpans() const {
+  return Collect(RecordKind::kSpan);
+}
+
+std::vector<SpanRecord> Tracer::CollectEvents() const {
+  return Collect(RecordKind::kEvent);
+}
+
+int64_t Tracer::dropped_events() const {
+  return static_cast<int64_t>(
+             events_written_.load(std::memory_order_relaxed)) -
+         static_cast<int64_t>(Collect(RecordKind::kEvent).size());
 }
 
 std::string Tracer::CanonicalText() const {
@@ -224,20 +290,19 @@ std::string Tracer::DumpJsonl() const {
 }
 
 std::string Tracer::DumpChromeJson() const {
-  const std::vector<SpanRecord> spans = CollectSpans();
   std::string out = "{\"traceEvents\": [";
   bool first = true;
-  for (const SpanRecord& record : spans) {
+  for (const SpanRecord& record : CollectSpans()) {
     out += first ? "\n" : ",\n";
     first = false;
-    const int64_t ts = record.start_us < 0 ? 0 : record.start_us;
     out += StrFormat(
         "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": "
         "%lld, \"dur\": %lld, \"pid\": 0, \"tid\": 0, \"args\": "
         "{\"trace_id\": \"%016llx\", \"span_id\": \"%016llx\", "
         "\"parent_id\": \"%016llx\", \"a\": %lld, \"b\": %lld, \"c\": "
         "%lld}}",
-        record.name, record.category, static_cast<long long>(ts),
+        record.name, record.category,
+        static_cast<long long>(record.start_us),
         static_cast<long long>(record.dur_us),
         static_cast<unsigned long long>(record.trace_id),
         static_cast<unsigned long long>(record.span_id),
@@ -245,7 +310,73 @@ std::string Tracer::DumpChromeJson() const {
         static_cast<long long>(record.a), static_cast<long long>(record.b),
         static_cast<long long>(record.c));
   }
+  for (const SpanRecord& record : CollectEvents()) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += StrFormat(
+        "  {\"name\": \"%s\", \"cat\": \"event\", \"ph\": \"i\", "
+        "\"s\": \"t\", \"ts\": %lld, \"pid\": 0, \"tid\": 0, \"args\": "
+        "{\"detail\": \"%s\", \"a\": %lld, \"b\": %lld, \"c\": %lld}}",
+        EventKindName(record.event), static_cast<long long>(record.start_us),
+        record.name, static_cast<long long>(record.a),
+        static_cast<long long>(record.b), static_cast<long long>(record.c));
+  }
   out += first ? "]}\n" : "\n]}\n";
+  return out;
+}
+
+namespace {
+/// Index of the first of the newest `last_n` of `n` events (all when 0).
+size_t FirstOfTail(size_t n, size_t last_n) {
+  return last_n > 0 && n > last_n ? n - last_n : 0;
+}
+}  // namespace
+
+std::string Tracer::PostMortemText(size_t last_n) const {
+  const std::vector<SpanRecord> events = CollectEvents();
+  const size_t first = FirstOfTail(events.size(), last_n);
+  std::string out =
+      StrFormat("=== event journal (%zu events", events.size() - first);
+  const int64_t dropped = dropped_events();
+  if (dropped > 0) {
+    out += StrFormat(", %lld older dropped", static_cast<long long>(dropped));
+  }
+  out += ") ===\n";
+  for (size_t i = first; i < events.size(); ++i) {
+    const SpanRecord& record = events[i];
+    out += StrFormat("#%06zu %-18s a=%lld b=%lld c=%lld", i,
+                     EventKindName(record.event),
+                     static_cast<long long>(record.a),
+                     static_cast<long long>(record.b),
+                     static_cast<long long>(record.c));
+    if (record.name[0] != '\0') {
+      out += ' ';
+      out += record.name;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::string Tracer::PostMortemJson(size_t last_n) const {
+  const std::vector<SpanRecord> events = CollectEvents();
+  const size_t first = FirstOfTail(events.size(), last_n);
+  std::string out = "{\n";
+  out += StrFormat("  \"dropped_events\": %lld,\n",
+                   static_cast<long long>(dropped_events()));
+  out += "  \"events\": [";
+  for (size_t i = first; i < events.size(); ++i) {
+    const SpanRecord& record = events[i];
+    out += i == first ? "\n" : ",\n";
+    out += StrFormat(
+        "    {\"index\": %zu, \"event\": \"%s\", \"a\": %lld, \"b\": "
+        "%lld, \"c\": %lld, \"detail\": \"%s\"}",
+        i, EventKindName(record.event), static_cast<long long>(record.a),
+        static_cast<long long>(record.b), static_cast<long long>(record.c),
+        record.name);
+  }
+  out += first == events.size() ? "]\n" : "\n  ]\n";
+  out += "}\n";
   return out;
 }
 
@@ -273,6 +404,10 @@ Status Tracer::WriteJsonl(const std::string& path) const {
 
 Status Tracer::WriteChromeTrace(const std::string& path) const {
   return WriteFileOrError(path, DumpChromeJson(), "trace");
+}
+
+Status Tracer::WritePostMortem(const std::string& path, size_t last_n) const {
+  return WriteFileOrError(path, PostMortemJson(last_n), "post-mortem");
 }
 
 TraceSpan::TraceSpan(Tracer* tracer, const char* name, const char* category,

@@ -102,11 +102,33 @@ TEST(HashJoinTest, ResidualPredicate) {
   EXPECT_EQ(out->row(0)[0].i64(), 5);
 }
 
-TEST(HashJoinTest, InnerJoinRequiresOutputCols) {
+TEST(HashJoinTest, InnerJoinRejectsMissingOrMistypedOutputCols) {
   auto t = MakeTable(AB(), {{1, 2}});
   ExecContext ctx;
   auto plan = HashJoin(Scan(t), Scan(t), {0}, {0}, JoinType::kInner);
   EXPECT_FALSE(plan->Execute(&ctx).ok());
+
+  // A declared output type must match the input column it copies: an
+  // int64 output over a float64 column is a bad plan, not a bad row.
+  auto floats = Table::Make(
+      Schema({{"c", ColumnType::kInt64}, {"w", ColumnType::kFloat64}}));
+  floats->AppendRow({Value::Int64(1), Value::Float64(0.5)});
+  auto mistyped = HashJoin(Scan(t), Scan(floats), {0}, {0}, JoinType::kInner,
+                           {JoinOutputCol::Left(0, "a"),
+                            JoinOutputCol::Right(1, "w")});
+  auto result = mistyped->Execute(&ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status();
+
+  // Declared as float64, the same plan runs.
+  auto out = Exec(HashJoin(
+      Scan(t), Scan(floats), {0}, {0}, JoinType::kInner,
+      {JoinOutputCol::Left(0, "a"),
+       JoinOutputCol::Right(1, "w", ColumnType::kFloat64)}));
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->NumRows(), 1);
+  EXPECT_EQ(out->row(0)[1].f64(), 0.5);
 }
 
 TEST(HashJoinTest, NullKeysJoinEachOther) {

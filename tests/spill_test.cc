@@ -236,7 +236,8 @@ TablePtr RunJoin(const TablePtr& left, const TablePtr& right, JoinType type,
   std::vector<JoinOutputCol> out_cols;
   if (type == JoinType::kInner) {
     out_cols = {JoinOutputCol::Left(0, "k"), JoinOutputCol::Left(1, "lv"),
-                JoinOutputCol::Right(1, "rv"), JoinOutputCol::Right(2, "rw")};
+                JoinOutputCol::Right(1, "rv"),
+                JoinOutputCol::Right(2, "rw", ColumnType::kFloat64)};
   }
   RowPredicate pred;
   if (residual) {

@@ -34,7 +34,6 @@
 #include "engine/tunables.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
-#include "obs/flight_recorder.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -323,27 +322,22 @@ int main(int argc, char** argv) {
           ? (stats_on_seconds - stats_off_seconds) / stats_off_seconds * 100.0
           : 0.0;
 
-  // Flight-recorder + structured-logging overhead on table3_grounding: a
-  // serial run with the recorder killed vs one with the recorder on AND a
-  // JSONL log sink attached (the worst supported observability config
-  // short of PROBKB_TRACE). Budget: < 5%.
+  // Structured-logging overhead on table3_grounding: a serial run without
+  // a log sink vs one with a JSONL log sink attached (the event journal is
+  // always on in both). Budget: < 5%.
   double obs_off_seconds = 0.0;
   double obs_on_seconds = 0.0;
   {
-    FlightRecorder* recorder = FlightRecorder::Global();
     const char* log_path = "BENCH_log.jsonl";
     TablePtr ignored_t_pi;
-    recorder->set_enabled(false);
     bool ok = RunSingleNode(skb->kb, 1, &obs_off_seconds, &ignored_t_pi,
                             nullptr);
-    recorder->set_enabled(true);
-    recorder->Reset();
     ok = ok && EnableJsonLogSink(log_path).ok() &&
          RunSingleNode(skb->kb, 1, &obs_on_seconds, &ignored_t_pi, nullptr);
     DisableJsonLogSink();
     std::remove(log_path);
     if (!ok) {
-      std::fprintf(stderr, "recorder-overhead runs failed\n");
+      std::fprintf(stderr, "logging-overhead runs failed\n");
       return 1;
     }
   }
@@ -425,7 +419,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nstats overhead: off %.3fs, on %.3fs (%+.1f%%)\n",
               stats_off_seconds, stats_on_seconds, overhead_pct);
-  std::printf("recorder+logging overhead: off %.3fs, on %.3fs (%+.1f%%)\n",
+  std::printf("logging overhead: off %.3fs, on %.3fs (%+.1f%%)\n",
               obs_off_seconds, obs_on_seconds, obs_overhead_pct);
   std::printf("tracing+metrics overhead: off %.3fs, on %.3fs (%+.1f%%)  %s\n",
               trace_off_seconds, trace_on_seconds, trace_overhead_pct,

@@ -18,8 +18,10 @@ Checks per registry:
     join times;
   * motions ship non-negative tuple/byte counts.
 
-With a TRACE_JSON argument the Chrome-trace file must parse and carry
-non-negative complete events.
+With a TRACE_JSON argument (the probkb CLI's ``--trace_chrome`` output)
+the Chrome-trace file must parse and carry only complete spans (phase
+``X``) and journal instants (phase ``i``), none with a negative timestamp
+or duration.
 
 ``--require-spill`` additionally demands that at least one registry's
 counter list reports ``spill_bytes_written > 0`` — the out-of-core CI
@@ -122,12 +124,17 @@ def check_trace(path):
     events = trace.get("traceEvents")
     if not isinstance(events, list) or not events:
         fail(f"trace '{path}' has no traceEvents")
+    phases = {"X": 0, "i": 0}
     for ev in events:
-        if ev.get("ph") != "X":
-            fail(f"trace '{path}' has a non-complete event: {ev}")
-        if ev.get("ts", -1) < 0 or ev.get("dur", -1) < 0:
+        ph = ev.get("ph")
+        if ph not in phases:
+            fail(f"trace '{path}' has an event that is neither a complete "
+                 f"span nor an instant: {ev}")
+        phases[ph] += 1
+        if ev.get("ts", -1) < 0 or (ph == "X" and ev.get("dur", -1) < 0):
             fail(f"trace '{path}' has a negative timestamp: {ev}")
-    print(f"  trace {path}: {len(events)} events: OK")
+    print(f"  trace {path}: {phases['X']} spans, {phases['i']} instants: "
+          f"OK")
 
 
 def check_spans(path):

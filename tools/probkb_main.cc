@@ -41,7 +41,6 @@
 #include "infer/gibbs.h"
 #include "infer/map_inference.h"
 #include "mln/parser.h"
-#include "obs/flight_recorder.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
 #include "quality/rule_cleaning.h"
@@ -142,9 +141,10 @@ int Usage() {
       "                    env PROBKB_LOG_LEVEL)\n"
       "  --log_json FILE   mirror log lines into FILE as JSONL\n"
       "                    (env PROBKB_LOG)\n"
-      "  --post_mortem FILE  write the flight-recorder timeline as JSON\n"
+      "  --post_mortem FILE  write the event journal's last events as JSON\n"
       "  --trace FILE      write trace spans as JSONL\n"
-      "  --trace_chrome FILE  write the spans as chrome://tracing JSON\n"
+      "  --trace_chrome FILE  write spans and journal events as\n"
+      "                    chrome://tracing JSON\n"
       "  --metrics-socket PATH  serve: Prometheus-format telemetry over a\n"
       "                    Unix socket (poll it with probkb_top)\n"
       "  --metrics-linger S  serve: keep the metrics socket up S seconds\n"
@@ -159,17 +159,16 @@ int Usage() {
       "  --verify-batch    serve: cross-check answers against full batch\n"
       "                    grounding + inference at the same epoch\n"
       "  --tolerance F     serve: max |serve - batch| marginal difference\n"
-      "                    allowed by --verify-batch (default 0.05)\n"
-      "  (set PROBKB_TRACE=FILE for a chrome://tracing span dump)\n");
+      "                    allowed by --verify-batch (default 0.05)\n");
   return 2;
 }
 
-// Every flag (or env var) that names an output file, so duplicate paths
-// can be rejected up front. Without this, --post_mortem and PROBKB_TRACE
+// Every flag that names an output file, so duplicate paths can be
+// rejected up front. Without this, --post_mortem and --trace_chrome
 // pointed at the same file would each open it independently and silently
 // interleave / clobber each other's JSON.
 bool CheckOutputPathCollisions(const CliOptions& options) {
-  std::vector<std::pair<const char*, std::string>> outputs = {
+  const std::vector<std::pair<const char*, std::string>> outputs = {
       {"--tpi", options.tpi_out},
       {"--tphi", options.tphi_out},
       {"--stats_json", options.stats_json},
@@ -178,10 +177,6 @@ bool CheckOutputPathCollisions(const CliOptions& options) {
       {"--trace", options.trace_jsonl},
       {"--trace_chrome", options.trace_chrome},
   };
-  const char* env_trace = std::getenv("PROBKB_TRACE");
-  if (env_trace != nullptr && env_trace[0] != '\0') {
-    outputs.emplace_back("PROBKB_TRACE", env_trace);
-  }
   for (size_t i = 0; i < outputs.size(); ++i) {
     if (outputs[i].second.empty()) continue;
     for (size_t j = i + 1; j < outputs.size(); ++j) {
@@ -733,8 +728,7 @@ int Run(const CliOptions& options) {
   // only attached (and thus only fed) when some output was requested, so
   // the default path keeps its zero-instrumentation behavior.
   StatsRegistry registry;
-  const bool want_stats = options.stats || !options.stats_json.empty() ||
-                          registry.trace_enabled();
+  const bool want_stats = options.stats || !options.stats_json.empty();
   auto emit_stats = [&]() -> int {
     if (!want_stats) return 0;
     if (options.stats) std::printf("%s", registry.ToText().c_str());
@@ -744,10 +738,6 @@ int Run(const CliOptions& options) {
         return 1;
       }
       std::printf("wrote %s\n", options.stats_json.c_str());
-    }
-    if (auto st = registry.WriteTraceIfEnabled(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
     }
     return 0;
   };
@@ -978,16 +968,18 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", options.trace_chrome.c_str());
   }
 
-  // Flight-recorder post-mortem: the merged event timeline goes to stderr
-  // whenever the pipeline exits non-OK (usage errors excluded — nothing
-  // ran), and to --post_mortem FILE as JSON whenever one was requested.
+  // Post-mortem: the journal's last events go to stderr whenever the
+  // pipeline exits non-OK (usage errors excluded — nothing ran), and to
+  // --post_mortem FILE as JSON whenever one was requested.
   constexpr size_t kPostMortemEvents = 256;
-  FlightRecorder* recorder = FlightRecorder::Global();
+  const Tracer* journal = Tracer::Global();
   if (code != 0 && code != 2) {
-    std::fputs(recorder->DumpText(kPostMortemEvents).c_str(), stderr);
+    std::fputs(journal->PostMortemText(kPostMortemEvents).c_str(), stderr);
   }
   if (!options.post_mortem.empty()) {
-    if (auto st = recorder->WriteDump(options.post_mortem); !st.ok()) {
+    if (auto st = journal->WritePostMortem(options.post_mortem,
+                                           kPostMortemEvents);
+        !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return code != 0 ? code : 1;
     }
