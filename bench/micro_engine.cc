@@ -290,9 +290,11 @@ void BM_GroundAtomsIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundAtomsIteration);
 
+// Argument: GibbsOptions::num_threads. The KB is large enough (scale
+// 0.02) that its largest color gives four threads work each.
 void BM_GibbsSweep(benchmark::State& state) {
   SyntheticKbConfig config;
-  config.scale = 0.005;
+  config.scale = 0.02;
   auto skb = GenerateReverbSherlockKb(config);
   if (!skb.ok()) {
     state.SkipWithError("generator failed");
@@ -311,17 +313,22 @@ void BM_GibbsSweep(benchmark::State& state) {
   // Enough sweeps per call that the kernel, not per-call set-up, dominates;
   // items are variable updates, so items/s is the kernel's updates/s.
   constexpr int kSweeps = 50;
+  int threads = 0;
   for (auto _ : state) {
     GibbsOptions gibbs;
     gibbs.burn_in_sweeps = 0;
     gibbs.sample_sweeps = kSweeps;
+    gibbs.num_threads = static_cast<int>(state.range(0));
     auto result = GibbsMarginals(*graph, gibbs);
+    if (result.ok()) threads = result->threads;
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * kSweeps *
                           graph->num_variables());
+  state.counters["threads"] = threads;
+  state.counters["variables"] = graph->num_variables();
 }
-BENCHMARK(BM_GibbsSweep);
+BENCHMARK(BM_GibbsSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace probkb

@@ -26,6 +26,50 @@ Incidence CompileIncidence(const GroundFactor& f, int32_t fi, int32_t v,
           loop ? IncidenceRole::kSelfLoop : IncidenceRole::kHead};
 }
 
+/// Greedy first-fit coloring of the variable-interaction graph in row
+/// order: row r takes the smallest color no factor neighbour before it
+/// holds. `degree` is the prefix sum of each row's occurrences in
+/// `factors`.
+std::vector<int32_t> GreedyColors(const std::vector<GroundFactor>& factors,
+                                  const std::vector<int32_t>& degree,
+                                  size_t* num_colors) {
+  const size_t n = degree.size() - 1;
+  // factors_of[degree[r], degree[r + 1]) are the factors of row r.
+  std::vector<int32_t> factors_of(static_cast<size_t>(degree.back()));
+  std::vector<int32_t> cursor(degree.begin(), degree.end() - 1);
+  for (size_t fi = 0; fi < factors.size(); ++fi) {
+    const GroundFactor& f = factors[fi];
+    for (int32_t r : {f.head, f.body1, f.body2}) {
+      if (r >= 0) {
+        factors_of[static_cast<size_t>(cursor[static_cast<size_t>(r)]++)] =
+            static_cast<int32_t>(fi);
+      }
+    }
+  }
+  std::vector<int32_t> color(n);
+  // stamp[c] == r marks color c as taken by a neighbour of row r.
+  std::vector<int32_t> stamp;
+  for (int32_t r = 0; r < static_cast<int32_t>(n); ++r) {
+    for (int32_t k = degree[static_cast<size_t>(r)];
+         k < degree[static_cast<size_t>(r) + 1]; ++k) {
+      const GroundFactor& f =
+          factors[static_cast<size_t>(factors_of[static_cast<size_t>(k)])];
+      for (int32_t u : {f.head, f.body1, f.body2}) {
+        // Only rows before r are colored yet.
+        if (u >= 0 && u < r) {
+          stamp[static_cast<size_t>(color[static_cast<size_t>(u)])] = r;
+        }
+      }
+    }
+    size_t c = 0;
+    while (c < stamp.size() && stamp[c] == r) ++c;
+    if (c == stamp.size()) stamp.push_back(-1);
+    color[static_cast<size_t>(r)] = static_cast<int32_t>(c);
+  }
+  *num_colors = stamp.size();
+  return color;
+}
+
 }  // namespace
 
 Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
@@ -62,10 +106,11 @@ Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
     return idx;
   };
 
-  // One pass reads the factors and counts each variable's occurrences;
-  // the prefix sum places the records, which a second pass fills in
-  // factor order.
-  g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  // One pass reads the factors (variables numbered by TPi row for now)
+  // and counts each variable's occurrences; the prefix sum lays out a
+  // temporary CSR of factor indices per variable, which the coloring
+  // walks.
+  std::vector<int32_t> degree(static_cast<size_t>(n) + 1, 0);
   g.factors_.reserve(static_cast<size_t>(t_phi.NumRows()));
   for (int64_t i = 0; i < t_phi.NumRows(); ++i) {
     RowView row = t_phi.row(i);
@@ -82,10 +127,53 @@ Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
     }
     f.weight = row[tphi::kW].is_null() ? 0.0 : row[tphi::kW].f64();
     for (int32_t v : {f.head, f.body1, f.body2}) {
-      if (v >= 0) ++g.offsets_[static_cast<size_t>(v) + 1];
+      if (v >= 0) ++degree[static_cast<size_t>(v) + 1];
     }
     g.factors_.push_back(f);
   }
+  for (size_t v = 1; v < degree.size(); ++v) degree[v] += degree[v - 1];
+
+  // Each row's color, until the counting sort below turns it into the
+  // row's variable.
+  size_t num_colors = 0;
+  std::vector<int32_t> var_of_row =
+      GreedyColors(g.factors_, degree, &num_colors);
+  g.color_ranges_.assign(num_colors + 1, 0);
+
+  // Counting sort by color, stable in row order; then every row-numbered
+  // array is renumbered.
+  for (int32_t c : var_of_row) ++g.color_ranges_[static_cast<size_t>(c) + 1];
+  for (size_t c = 1; c < g.color_ranges_.size(); ++c) {
+    g.color_ranges_[c] += g.color_ranges_[c - 1];
+  }
+  {
+    std::vector<int32_t> next(g.color_ranges_.begin(),
+                              g.color_ranges_.end() - 1);
+    for (int32_t& c : var_of_row) c = next[static_cast<size_t>(c)]++;
+  }
+  auto renumber = [&var_of_row](int32_t r) {
+    return r < 0 ? r : var_of_row[static_cast<size_t>(r)];
+  };
+  {
+    std::vector<FactId> ids(static_cast<size_t>(n));
+    g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+    for (int32_t r = 0; r < n; ++r) {
+      const size_t v = static_cast<size_t>(renumber(r));
+      ids[v] = g.fact_ids_[static_cast<size_t>(r)];
+      g.offsets_[v + 1] = degree[static_cast<size_t>(r) + 1] -
+                          degree[static_cast<size_t>(r)];
+    }
+    g.fact_ids_ = std::move(ids);
+  }
+  for (int32_t& r : g.by_fact_id_) r = renumber(r);
+  for (GroundFactor& f : g.factors_) {
+    f.head = renumber(f.head);
+    f.body1 = renumber(f.body1);
+    f.body2 = renumber(f.body2);
+  }
+
+  // The records, placed by the prefix sum over the renumbered degrees and
+  // filled in factor order.
   for (size_t v = 1; v < g.offsets_.size(); ++v) {
     g.offsets_[v] += g.offsets_[v - 1];
   }
@@ -120,33 +208,6 @@ double FactorGraph::LogScore(const std::vector<uint8_t>& assignment) const {
   double score = 0.0;
   for (const GroundFactor& f : factors_) score += f.LogValue(assignment);
   return score;
-}
-
-std::vector<int> FactorGraph::ColorVariables() const {
-  const int n = num_variables();
-  std::vector<int> color(static_cast<size_t>(n), -1);
-  std::vector<int> used;  // scratch: colors used by neighbours
-  for (int32_t v = 0; v < n; ++v) {
-    used.clear();
-    for (const Incidence& r : IncidencesOf(v)) {
-      for (int32_t u : {r.o1, r.o2}) {
-        if (u != true_slot() && color[static_cast<size_t>(u)] >= 0) {
-          used.push_back(color[static_cast<size_t>(u)]);
-        }
-      }
-    }
-    std::sort(used.begin(), used.end());
-    int c = 0;
-    for (int uc : used) {
-      if (uc == c) {
-        ++c;
-      } else if (uc > c) {
-        break;
-      }
-    }
-    color[static_cast<size_t>(v)] = c;
-  }
-  return color;
 }
 
 std::vector<int32_t> FactorGraph::DerivationsOf(int32_t v) const {

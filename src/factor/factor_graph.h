@@ -101,6 +101,14 @@ struct Incidence {
 /// compiled for inference: each variable's incident factors are one
 /// contiguous run of Incidence records (CSR), in factor order with one
 /// record per occurrence.
+///
+/// Variables are numbered color-major: a greedy coloring of the
+/// variable-interaction graph (variables sharing a factor get different
+/// colors) assigns each variable a color, and the variables of color c
+/// are the index range [color_ranges()[c], color_ranges()[c + 1]), in TPi
+/// row order within a color. Same-color variables are conditionally
+/// independent, so the chromatic Gibbs sampler updates a color's range in
+/// any order, on any number of threads.
 class FactorGraph {
  public:
   /// \brief Builds a graph from the relational outputs: variables are the
@@ -124,6 +132,13 @@ class FactorGraph {
     return {incidences_.data() + begin, end - begin};
   }
 
+  /// \brief Records of the variables before `v` (0 <= v <=
+  /// num_variables()): the CSR's prefix sum, which prices a range of
+  /// variables for splitting it between threads.
+  int32_t incidence_offset(int32_t v) const {
+    return offsets_[static_cast<size_t>(v)];
+  }
+
   /// \brief Index of the slot that kernels read as always true: an
   /// assignment passed to Incidence::LogValues has num_variables() + 1
   /// entries, the last one 1.
@@ -140,11 +155,12 @@ class FactorGraph {
   /// satisfied-clause weights, Eq. (4).
   double LogScore(const std::vector<uint8_t>& assignment) const;
 
-  /// \brief Greedy coloring of the variable-interaction graph (variables
-  /// sharing a factor receive different colors). Returns color per
-  /// variable; same-color variables are conditionally independent, which
-  /// the chromatic Gibbs schedule exploits.
-  std::vector<int> ColorVariables() const;
+  /// \brief Color boundaries: color c is the variable range
+  /// [color_ranges()[c], color_ranges()[c + 1]). num_colors() + 1 entries.
+  const std::vector<int32_t>& color_ranges() const { return color_ranges_; }
+  int num_colors() const {
+    return static_cast<int>(color_ranges_.size()) - 1;
+  }
 
   /// \brief Factors whose head is `v` and that have a body — i.e. the
   /// derivations of v. The factor table "contains the entire lineage and
@@ -165,6 +181,7 @@ class FactorGraph {
   /// incidences_[offsets_[v], offsets_[v + 1]) are v's records.
   std::vector<int32_t> offsets_;
   std::vector<Incidence> incidences_;
+  std::vector<int32_t> color_ranges_{0};
 };
 
 }  // namespace probkb

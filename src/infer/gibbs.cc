@@ -1,12 +1,18 @@
 #include "infer/gibbs.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <new>
+#include <ranges>
+#include <system_error>
+#include <thread>
 
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace probkb {
@@ -42,50 +48,224 @@ struct ConditionalMemo {
   double p1 = 0.0;
 };
 
-/// Fresh chain state: zero assignment, seeded RNG, zero sample counts.
-GibbsChainState InitChain(int num_variables, uint64_t seed) {
-  GibbsChainState st;
-  st.assignment.assign(static_cast<size_t>(num_variables), 0);
-  st.ones.assign(static_cast<size_t>(num_variables), 0);
-  st.rng_state = Rng(seed).State();
-  return st;
+/// Variables per cut: a thread's part of a color starts at a multiple of
+/// 64 variables, so with 64-byte aligned arrays no two threads write the
+/// same cache line of the assignment, the memo or the counts.
+constexpr int32_t kCutVariables = 64;
+constexpr size_t kCacheLine = 64;
+
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLine}));
+  }
+  void deallocate(T* p, size_t) {
+    ::operator delete(p, std::align_val_t{kCacheLine});
+  }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const {
+    return true;
+  }
+};
+
+template <typename T>
+using CacheLineVector = std::vector<T, CacheLineAllocator<T>>;
+
+constexpr uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64's output function: the SplitMix64 stream with seed s is
+/// Mix64(s + k * kGoldenGamma) for k = 1, 2, ...
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
 }
 
-/// Advances one chain from its saved state up to sweep `end_sweep`
-/// (exclusive). Restoring the RNG words makes the continuation replay the
-/// exact sample path an uninterrupted run would take.
-void AdvanceChain(const FactorGraph& graph, const GibbsOptions& options,
-                  const std::vector<int32_t>& order, int end_sweep,
-                  std::vector<ConditionalMemo>* memo, GibbsChainState* st) {
-  const int n = graph.num_variables();
-  Rng rng(0);
-  rng.SetState(st->rng_state);
-  // The kernel's working copy of the assignment carries the true slot.
-  std::vector<uint8_t> a(st->assignment);
-  a.push_back(1);
-  // Per-sweep latencies are only recorded with a stats sink attached.
-  const bool timed = options.stats != nullptr;
-  for (int sweep = st->sweeps_done; sweep < end_sweep; ++sweep) {
-    Timer sweep_timer;
-    for (int32_t v : order) {
-      const double log_odds = ConditionalLogOdds(graph, v, a.data());
-      ConditionalMemo& m = (*memo)[static_cast<size_t>(v)];
-      if (log_odds != m.log_odds) m = {log_odds, Sigmoid(log_odds)};
-      a[static_cast<size_t>(v)] = rng.Bernoulli(m.p1) ? 1 : 0;
+/// Start of chain `chain`'s draw stream. Hashed, so two chains' streams
+/// (runs of consecutive SplitMix64 counters) start at unrelated points
+/// instead of one counter apart.
+uint64_t ChainKey(uint64_t seed, size_t chain) {
+  return Mix64(seed + kGoldenGamma * (static_cast<uint64_t>(chain) + 1));
+}
+
+/// Spin-then-yield barrier for a fixed team. The last thread to arrive
+/// resets the count and bumps the generation; its release store publishes
+/// every write the team made before arriving. Waiters spin only briefly:
+/// when another process holds a core, a preempted team member needs that
+/// core more than a spinning one does.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(int parties) : parties_(parties) {}
+
+  void Wait() {
+    const uint32_t generation = generation_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      generation_.store(generation + 1, std::memory_order_release);
+      return;
     }
-    if (sweep >= options.burn_in_sweeps) {
-      for (int32_t v = 0; v < n; ++v) {
-        st->ones[static_cast<size_t>(v)] += a[static_cast<size_t>(v)];
+    for (int spins = 0;
+         generation_.load(std::memory_order_acquire) == generation;
+         ++spins) {
+      if (spins < kSpins) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+      } else {
+        std::this_thread::yield();
       }
     }
-    if (timed) {
-      options.stats->RecordLatency("gibbs_sweep", sweep_timer.Seconds());
+  }
+
+ private:
+  static constexpr int kSpins = 32;
+  const int parties_;
+  alignas(kCacheLine) std::atomic<int> arrived_{0};
+  alignas(kCacheLine) std::atomic<uint32_t> generation_{0};
+};
+
+/// One chain's state for the duration of a call, in cache-line aligned
+/// copies shared by the whole team.
+struct ChainWork {
+  uint64_t key = 0;
+  /// The assignment plus the kernel's true slot.
+  CacheLineVector<uint8_t> a;
+  CacheLineVector<int64_t> ones;
+};
+
+/// Everything the thread team shares for one GibbsMarginals call. Thread
+/// t sweeps [cuts[c * (threads + 1) + t], cuts[c * (threads + 1) + t + 1])
+/// of color c, then meets the others at the barrier.
+struct Team {
+  const FactorGraph& graph;
+  const GibbsOptions& options;
+  int threads;
+  int begin_sweep;
+  int end_sweep;
+  std::vector<int32_t> cuts;
+  CacheLineVector<ConditionalMemo> memo;
+  std::vector<ChainWork> chains;
+  SpinBarrier barrier;
+  /// Written by thread 0 only.
+  std::vector<double> chain_seconds;
+
+  /// Samples variables [begin, end) of sweep `sweep`. Variable v's draw
+  /// is SplitMix64 at counter (sweep * n + v) of the chain's stream, so it
+  /// does not depend on which thread updates v, or when.
+  void Update(ChainWork& w, int sweep, int32_t begin, int32_t end) {
+    const uint64_t base =
+        w.key + kGoldenGamma * (static_cast<uint64_t>(sweep) *
+                                static_cast<uint64_t>(graph.num_variables()));
+    const int64_t counting = sweep >= options.burn_in_sweeps ? 1 : 0;
+    uint8_t* a = w.a.data();
+    for (int32_t v = begin; v < end; ++v) {
+      const double log_odds = ConditionalLogOdds(graph, v, a);
+      ConditionalMemo& m = memo[static_cast<size_t>(v)];
+      if (log_odds != m.log_odds) m = {log_odds, Sigmoid(log_odds)};
+      const uint64_t draw =
+          Mix64(base + kGoldenGamma * static_cast<uint64_t>(v));
+      const uint8_t x =
+          static_cast<double>(draw >> 11) * 0x1.0p-53 < m.p1 ? 1 : 0;
+      a[v] = x;
+      w.ones[static_cast<size_t>(v)] += x & counting;
     }
   }
-  a.pop_back();
-  st->assignment = std::move(a);
-  st->sweeps_done = end_sweep;
-  st->rng_state = rng.State();
+
+  /// Thread t's share of every chain, sweep and color. Thread 0 (the
+  /// caller) also keeps the clocks and the stats.
+  void Run(int t) {
+    const int num_colors = graph.num_colors();
+    const bool timed = t == 0 && options.stats != nullptr;
+    for (size_t chain = 0; chain < chains.size(); ++chain) {
+      Timer chain_timer;
+      for (int sweep = begin_sweep; sweep < end_sweep; ++sweep) {
+        Timer sweep_timer;
+        for (int c = 0; c < num_colors; ++c) {
+          const int32_t* cut =
+              &cuts[static_cast<size_t>(c * (threads + 1) + t)];
+          Update(chains[chain], sweep, cut[0], cut[1]);
+          if (threads > 1) barrier.Wait();
+        }
+        if (timed) {
+          options.stats->RecordLatency("gibbs_sweep", sweep_timer.Seconds());
+        }
+      }
+      if (t == 0) {
+        chain_seconds.push_back(chain_timer.Seconds());
+        if (options.stats != nullptr) {
+          options.stats->RecordGibbsChain(static_cast<int>(chain),
+                                          end_sweep - begin_sweep,
+                                          graph.num_variables(),
+                                          chain_seconds.back());
+        }
+      }
+    }
+  }
+};
+
+/// Cut points of every color for a team of `threads` threads: one contiguous
+/// part per thread, of about equal work (a variable costs one unit plus
+/// one per incidence record), each boundary rounded up to a multiple of
+/// kCutVariables (empty parts allowed). The cuts never change a sample.
+std::vector<int32_t> ColorCuts(const FactorGraph& graph, int threads) {
+  const std::vector<int32_t>& ranges = graph.color_ranges();
+  auto work = [&graph](int32_t v) {
+    return static_cast<int64_t>(v) + graph.incidence_offset(v);
+  };
+  std::vector<int32_t> cuts;
+  cuts.reserve(static_cast<size_t>(graph.num_colors()) *
+               static_cast<size_t>(threads + 1));
+  for (int c = 0; c < graph.num_colors(); ++c) {
+    const int32_t begin = ranges[static_cast<size_t>(c)];
+    const int32_t end = ranges[static_cast<size_t>(c) + 1];
+    cuts.push_back(begin);
+    for (int t = 1; t < threads; ++t) {
+      const int64_t target =
+          work(begin) + (work(end) - work(begin)) * t / threads;
+      // The first variable whose prefix work reaches the target; `end`
+      // always does.
+      const int32_t first = *std::ranges::partition_point(
+          std::views::iota(begin, end + 1),
+          [&](int32_t v) { return work(v) < target; });
+      const int32_t rounded = (first + kCutVariables - 1) /
+                              kCutVariables * kCutVariables;
+      cuts.push_back(std::clamp(rounded, begin, end));
+    }
+    cuts.push_back(end);
+  }
+  return cuts;
+}
+
+/// Runs `team` on team.threads threads, the caller as thread 0. Started
+/// threads wait at a gate until the whole team exists; if one cannot be
+/// started, the others leave without sweeping and the caller sweeps
+/// alone, which draws the same samples.
+void RunTeam(Team& team) {
+  enum : int { kPending, kGo, kAbort };
+  std::atomic<int> gate{kPending};
+  std::vector<std::thread> workers;
+  try {
+    workers.reserve(static_cast<size_t>(team.threads - 1));
+    for (int t = 1; t < team.threads; ++t) {
+      workers.emplace_back([&team, &gate, t] {
+        gate.wait(kPending);
+        if (gate.load() == kGo) team.Run(t);
+      });
+    }
+    gate.store(kGo);
+  } catch (const std::system_error&) {
+    gate.store(kAbort);
+    team.threads = 1;
+    team.cuts = ColorCuts(team.graph, 1);
+  }
+  gate.notify_all();
+  team.Run(0);
+  for (std::thread& w : workers) w.join();
 }
 
 /// Gelman-Rubin potential scale reduction factor for one variable given
@@ -130,26 +310,6 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   const int n = graph.num_variables();
   Timer timer;
 
-  // Update order: plain index order for sequential; grouped by color for
-  // chromatic. Within a color no two variables share a factor, so the
-  // sequential in-color update below produces exactly what a parallel
-  // update would.
-  std::vector<int32_t> order(static_cast<size_t>(n));
-  int num_colors = 1;
-  if (options.schedule == GibbsSchedule::kChromatic) {
-    std::vector<int> colors = graph.ColorVariables();
-    num_colors =
-        colors.empty() ? 1 : *std::max_element(colors.begin(), colors.end()) + 1;
-    size_t pos = 0;
-    for (int c = 0; c < num_colors; ++c) {
-      for (int32_t v = 0; v < n; ++v) {
-        if (colors[static_cast<size_t>(v)] == c) order[pos++] = v;
-      }
-    }
-  } else {
-    for (int32_t v = 0; v < n; ++v) order[static_cast<size_t>(v)] = v;
-  }
-
   // Chain state lives in the caller's checkpoint when one is supplied, so
   // an interrupted run continues from its last sweep boundary; otherwise
   // in a local that starts fresh and completes in this call.
@@ -157,14 +317,19 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   GibbsCheckpoint* state = checkpoint ? checkpoint : &local_state;
   const int total_sweeps = options.burn_in_sweeps + options.sample_sweeps;
   if (state->chains.empty()) {
-    state->chains.reserve(static_cast<size_t>(options.num_chains));
-    for (int chain = 0; chain < options.num_chains; ++chain) {
-      state->chains.push_back(InitChain(
-          n, options.seed +
-                 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(chain)));
+    state->chains.resize(static_cast<size_t>(options.num_chains));
+    for (GibbsChainState& st : state->chains) {
+      st.assignment.assign(static_cast<size_t>(n), 0);
+      st.ones.assign(static_cast<size_t>(n), 0);
     }
   } else if (static_cast<int>(state->chains.size()) != options.num_chains ||
-             static_cast<int>(state->chains.front().assignment.size()) != n) {
+             std::ranges::any_of(state->chains,
+                                 [n](const GibbsChainState& st) {
+                                   return st.assignment.size() !=
+                                              static_cast<size_t>(n) ||
+                                          st.ones.size() !=
+                                              static_cast<size_t>(n);
+                                 })) {
     return Status::InvalidArgument(
         "Gibbs checkpoint does not match num_chains / the factor graph");
   }
@@ -175,23 +340,50 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
     end_sweep = std::min(total_sweeps,
                          sweeps_before + options.max_sweeps_per_call);
   }
-  std::vector<double> chain_seconds;
-  chain_seconds.reserve(state->chains.size());
-  std::vector<ConditionalMemo> memo(static_cast<size_t>(n));
+
+  // The team: at most one thread per kGibbsVariablesPerThread variables
+  // of the largest color, the caller included, for the whole call.
+  const std::vector<int32_t>& ranges = graph.color_ranges();
+  int32_t largest = 0;
+  for (size_t c = 0; c + 1 < ranges.size(); ++c) {
+    largest = std::max(largest, ranges[c + 1] - ranges[c]);
+  }
+  const int threads =
+      std::clamp(largest / kGibbsVariablesPerThread, 1,
+                 ThreadPool::ResolveThreads(options.num_threads));
+  Team team{.graph = graph,
+            .options = options,
+            .threads = threads,
+            .begin_sweep = sweeps_before,
+            .end_sweep = end_sweep,
+            .cuts = ColorCuts(graph, threads),
+            .memo = {},
+            .chains = {},
+            .barrier = SpinBarrier(threads),
+            .chain_seconds = {}};
+  team.memo.resize(static_cast<size_t>(n));
+  team.chains.resize(state->chains.size());
+  for (size_t chain = 0; chain < state->chains.size(); ++chain) {
+    const GibbsChainState& st = state->chains[chain];
+    ChainWork& w = team.chains[chain];
+    w.key = ChainKey(options.seed, chain);
+    w.a.reserve(static_cast<size_t>(n) + 1);
+    w.a.assign(st.assignment.begin(), st.assignment.end());
+    w.a.push_back(1);
+    w.ones.assign(st.ones.begin(), st.ones.end());
+  }
+  RunTeam(team);
   for (size_t chain = 0; chain < state->chains.size(); ++chain) {
     GibbsChainState& st = state->chains[chain];
-    Timer chain_timer;
-    AdvanceChain(graph, options, order, end_sweep, &memo, &st);
-    chain_seconds.push_back(chain_timer.Seconds());
-    if (options.stats != nullptr) {
-      options.stats->RecordGibbsChain(static_cast<int>(chain),
-                                      end_sweep - sweeps_before, n,
-                                      chain_seconds.back());
-    }
+    const ChainWork& w = team.chains[chain];
+    st.assignment.assign(w.a.begin(), w.a.end() - 1);
+    st.ones.assign(w.ones.begin(), w.ones.end());
+    st.sweeps_done = end_sweep;
     Tracer::Global()->Event(EventKind::kGibbsMilestone, "sweeps",
                             static_cast<int64_t>(chain), st.sweeps_done,
                             end_sweep == total_sweeps ? 1 : 0);
   }
+  const std::vector<double>& chain_seconds = team.chain_seconds;
 
   GibbsResult result;
   result.chain_seconds = chain_seconds;
@@ -237,7 +429,8 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   }
 
   result.seconds = timer.Seconds();
-  result.num_colors = num_colors;
+  result.num_colors = graph.num_colors();
+  result.threads = team.threads;
   return result;
 }
 

@@ -1,30 +1,33 @@
 #ifndef PROBKB_INFER_GIBBS_H_
 #define PROBKB_INFER_GIBBS_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "factor/factor_graph.h"
-#include "util/random.h"
 #include "util/result.h"
 
 namespace probkb {
 
 /// \brief Variable-update schedules of the Gibbs sampler.
 ///
-/// kSequential sweeps variables in order. kChromatic is the parallel
-/// schedule of Gonzalez et al. [14] that the paper uses via GraphLab:
-/// variables are greedily colored so same-color variables share no factor
-/// and could be updated concurrently; here they still run one at a time
-/// on one thread, so both schedules are deterministic for a seed.
+/// Both names now run the same sampler: the chromatic schedule of
+/// Gonzalez et al. [14] that the paper uses via GraphLab, over the graph's
+/// color-major numbering, where same-color variables share no factor and
+/// update concurrently. The choice no longer changes the sample path; the
+/// enum stays only because callers (the serve benchmark) still name it.
 enum class GibbsSchedule { kSequential, kChromatic };
 
 class StatsRegistry;
 
+/// Smallest share of the largest color worth a thread of its own: below
+/// it the barrier after each color costs more than the thread saves.
+inline constexpr int kGibbsVariablesPerThread = 2048;
+
 struct GibbsOptions {
   int burn_in_sweeps = 200;
   int sample_sweeps = 800;
+  /// Ignored; see GibbsSchedule.
   GibbsSchedule schedule = GibbsSchedule::kSequential;
   /// Independent chains (different seeds). More than one enables the
   /// Gelman-Rubin convergence diagnostic; marginals average the chains.
@@ -33,8 +36,16 @@ struct GibbsOptions {
   /// Fault tolerance: advance each chain by at most this many sweeps per
   /// call, persisting progress in the caller's GibbsCheckpoint (0 runs to
   /// completion in one call). A run split across calls is bit-identical
-  /// to an uninterrupted one — the checkpoint carries the exact RNG state.
+  /// to an uninterrupted one, at any thread counts, as long as the other
+  /// options stay the same: every draw is keyed on (seed, chain, sweep,
+  /// variable), so the checkpoint needs no RNG state.
   int max_sweeps_per_call = 0;
+  /// Threads sweeping each color, the caller included; 0 resolves through
+  /// ThreadPool::ResolveThreads (PROBKB_THREADS, else all cores). The
+  /// marginals are bit-identical at any thread count. The sampler uses at
+  /// most one thread per kGibbsVariablesPerThread variables of the
+  /// largest color.
+  int num_threads = 0;
   /// Optional execution-stats sink: per-chain throughput plus a
   /// "gibbs_sweep" latency histogram (per-sweep timing is only taken when
   /// attached). Never affects the sample path.
@@ -44,8 +55,6 @@ struct GibbsOptions {
 /// \brief Resumable state of one Gibbs chain at a sweep boundary.
 struct GibbsChainState {
   int sweeps_done = 0;
-  /// xoshiro256** words; restoring them replays the identical sample path.
-  std::array<uint64_t, 4> rng_state{};
   std::vector<uint8_t> assignment;
   /// Per-variable count of post-burn-in sweeps that sampled 1.
   std::vector<int64_t> ones;
@@ -65,6 +74,8 @@ struct GibbsResult {
   /// Measured wall-clock seconds (all chains).
   double seconds = 0.0;
   int num_colors = 1;
+  /// Threads that swept each color (see GibbsOptions::num_threads).
+  int threads = 1;
   /// Max potential-scale-reduction factor (Gelman-Rubin R-hat) over
   /// variables; ~1.0 indicates the chains mixed. 1.0 when num_chains == 1.
   double max_psrf = 1.0;

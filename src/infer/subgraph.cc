@@ -19,8 +19,12 @@ Result<SubgraphMarginals> ComputeSubgraphMarginals(
                             ExactMarginals(graph, opts.exact_max_vars));
     out.exact = true;
   } else {
+    // Sample on the calling thread: the serve path's readers already
+    // supply the parallelism.
+    GibbsOptions gibbs_options = opts.gibbs;
+    gibbs_options.num_threads = 1;
     PROBKB_ASSIGN_OR_RETURN(GibbsResult gibbs,
-                            GibbsMarginals(graph, opts.gibbs));
+                            GibbsMarginals(graph, gibbs_options));
     marginals = std::move(gibbs.marginals);
   }
   out.probability.reserve(marginals.size());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/probkb.h"
+#include "datagen/synthetic_kb.h"
 #include "grounding/grounder.h"
 #include "tests/test_util.h"
 
@@ -74,22 +76,56 @@ TEST_F(PaperFactorGraphTest, VariableFactorAdjacency) {
   }
 }
 
-TEST_F(PaperFactorGraphTest, ColoringIsProper) {
-  auto colors = graph_->ColorVariables();
-  for (const auto& f : graph_->factors()) {
-    std::vector<int32_t> vars;
-    for (int32_t v : {f.head, f.body1, f.body2}) {
-      if (v >= 0) vars.push_back(v);
-    }
-    for (size_t i = 0; i < vars.size(); ++i) {
-      for (size_t j = i + 1; j < vars.size(); ++j) {
-        if (vars[i] != vars[j]) {
-          EXPECT_NE(colors[static_cast<size_t>(vars[i])],
-                    colors[static_cast<size_t>(vars[j])]);
+/// Each color range of `graph` must be an independent set (no factor
+/// joins two distinct variables of one color), the ranges must tile the
+/// variables, and the renumbering must round-trip through fact ids.
+void ExpectColorMajorLayout(const FactorGraph& graph) {
+  const std::vector<int32_t>& ranges = graph.color_ranges();
+  ASSERT_EQ(ranges.size(), static_cast<size_t>(graph.num_colors()) + 1);
+  EXPECT_EQ(ranges.front(), 0);
+  EXPECT_EQ(ranges.back(), graph.num_variables());
+  std::vector<int> color(static_cast<size_t>(graph.num_variables()), -1);
+  for (int c = 0; c < graph.num_colors(); ++c) {
+    const int32_t begin = ranges[static_cast<size_t>(c)];
+    const int32_t end = ranges[static_cast<size_t>(c) + 1];
+    EXPECT_LT(begin, end) << "color " << c << " is empty";
+    for (int32_t v = begin; v < end; ++v) color[static_cast<size_t>(v)] = c;
+  }
+  for (const GroundFactor& f : graph.factors()) {
+    const int32_t vars[] = {f.head, f.body1, f.body2};
+    for (int32_t u : vars) {
+      for (int32_t w : vars) {
+        if (u >= 0 && w >= 0 && u != w) {
+          EXPECT_NE(color[static_cast<size_t>(u)],
+                    color[static_cast<size_t>(w)])
+              << "variables " << u << " and " << w << " share a factor";
         }
       }
     }
   }
+  for (int32_t v = 0; v < graph.num_variables(); ++v) {
+    EXPECT_EQ(graph.VariableOf(graph.fact_id(v)), v);
+  }
+}
+
+TEST_F(PaperFactorGraphTest, ColorRangesAreIndependentSets) {
+  EXPECT_GE(graph_->num_colors(), 2);
+  ExpectColorMajorLayout(*graph_);
+}
+
+TEST(FactorGraphTest, SyntheticColorRangesAreIndependentSets) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.005;
+  cfg.seed = 11;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  ExpansionOptions expand;
+  expand.run_inference = false;
+  expand.grounding.max_iterations = 3;
+  auto expansion = ExpandKnowledgeBase(skb->kb, expand);
+  ASSERT_TRUE(expansion.ok());
+  ASSERT_GT(expansion->graph->num_variables(), 1000);
+  ExpectColorMajorLayout(*expansion->graph);
 }
 
 TEST_F(PaperFactorGraphTest, LineageOfLocatedIn) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/probkb.h"
+#include "datagen/synthetic_kb.h"
 #include "engine/exec_context.h"
 #include "fault/checkpoint.h"
 #include "fault/fault_injector.h"
@@ -932,6 +934,59 @@ TEST(GibbsResumeTest, SlicedSamplingIsBitIdenticalToOneShot) {
   EXPECT_DOUBLE_EQ(partial->max_psrf, full->max_psrf);
 }
 
+// Draws are keyed on (seed, chain, sweep, variable), so a checkpoint
+// carries no RNG state and a run may change thread counts between slices:
+// slices at one thread, then at four, replay the one-shot sample path. The
+// graph is large enough for four threads to share every large color.
+TEST(GibbsResumeTest, SlicedAtOneThreadResumedAtFourMatchesOneShot) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.02;
+  cfg.seed = 11;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  ExpansionOptions options;
+  options.run_inference = false;
+  options.grounding.max_iterations = 3;
+  auto expansion = ExpandKnowledgeBase(skb->kb, options);
+  ASSERT_TRUE(expansion.ok());
+  const FactorGraph& graph = *expansion->graph;
+
+  GibbsOptions one_shot;
+  one_shot.burn_in_sweeps = 10;
+  one_shot.sample_sweeps = 30;
+  one_shot.num_chains = 2;
+  one_shot.num_threads = 4;
+  auto full = GibbsMarginals(graph, one_shot);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->threads, 4);
+
+  GibbsOptions sliced = one_shot;
+  sliced.max_sweeps_per_call = 7;
+  sliced.num_threads = 1;
+  GibbsCheckpoint state;
+  auto partial = GibbsMarginals(graph, sliced, &state);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial->threads, 1);
+  partial = GibbsMarginals(graph, sliced, &state);  // through burn-in
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial->sweeps_done, 14);
+  sliced.num_threads = 4;
+  for (int calls = 0; !partial->complete; ++calls) {
+    ASSERT_LE(calls, 10) << "sliced sampling failed to terminate";
+    partial = GibbsMarginals(graph, sliced, &state);
+    ASSERT_TRUE(partial.ok());
+    EXPECT_EQ(partial->threads, 4);
+  }
+  ASSERT_EQ(partial->marginals.size(), full->marginals.size());
+  for (size_t v = 0; v < full->marginals.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(partial->marginals[v]),
+              std::bit_cast<uint64_t>(full->marginals[v]))
+        << "variable " << v;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(partial->max_psrf),
+            std::bit_cast<uint64_t>(full->max_psrf));
+}
+
 TEST(GibbsResumeTest, MismatchedCheckpointIsRejected) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
   ExpansionOptions options;
@@ -949,6 +1004,14 @@ TEST(GibbsResumeTest, MismatchedCheckpointIsRejected) {
   GibbsOptions more_chains = gibbs;
   more_chains.num_chains = 3;
   EXPECT_EQ(GibbsMarginals(*expansion->graph, more_chains, &state)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // Every chain's assignment and counts must cover the graph.
+  GibbsCheckpoint short_counts = state;
+  short_counts.chains.back().ones.pop_back();
+  EXPECT_EQ(GibbsMarginals(*expansion->graph, gibbs, &short_counts)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include "core/probkb.h"
 #include "datagen/synthetic_kb.h"
@@ -67,7 +69,8 @@ TEST(GibbsTest, DeterministicForSeed) {
   EXPECT_EQ(a->marginals, b->marginals);
 }
 
-class GibbsVsExactTest : public ::testing::TestWithParam<GibbsSchedule> {};
+// Parameter: GibbsOptions::num_threads.
+class GibbsVsExactTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GibbsVsExactTest, PaperExampleMarginalsMatchExact) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
@@ -83,7 +86,7 @@ TEST_P(GibbsVsExactTest, PaperExampleMarginalsMatchExact) {
   ASSERT_TRUE(exact.ok());
 
   GibbsOptions options;
-  options.schedule = GetParam();
+  options.num_threads = GetParam();
   options.burn_in_sweeps = 500;
   options.sample_sweeps = 8000;
   options.seed = 7;
@@ -117,9 +120,7 @@ TEST_P(GibbsVsExactTest, PaperExampleMarginalsMatchExact) {
   EXPECT_GT(p_grow, p_live - 0.02);  // stronger rule, at least as likely
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedules, GibbsVsExactTest,
-                         ::testing::Values(GibbsSchedule::kSequential,
-                                           GibbsSchedule::kChromatic));
+INSTANTIATE_TEST_SUITE_P(Threads, GibbsVsExactTest, ::testing::Values(1, 4));
 
 TEST(GibbsTest, ChromaticReportsColors) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
@@ -132,7 +133,6 @@ TEST(GibbsTest, ChromaticReportsColors) {
   ASSERT_TRUE(graph.ok());
 
   GibbsOptions options;
-  options.schedule = GibbsSchedule::kChromatic;
   options.burn_in_sweeps = 10;
   options.sample_sweeps = 10;
   auto result = GibbsMarginals(*graph, options);
@@ -141,12 +141,12 @@ TEST(GibbsTest, ChromaticReportsColors) {
 }
 
 // Property: Gibbs matches exact enumeration on random small Horn graphs
-// under both schedules.
+// at one thread and at four. Parameters: seed, num_threads.
 class GibbsPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, GibbsSchedule>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(GibbsPropertyTest, MatchesExactOnRandomGraphs) {
-  auto [seed, schedule] = GetParam();
+  auto [seed, threads] = GetParam();
   Rng rng(static_cast<uint64_t>(seed) + 500);
   const int n = 8;
   auto t_pi = Table::Make(TPiSchema());
@@ -176,7 +176,7 @@ TEST_P(GibbsPropertyTest, MatchesExactOnRandomGraphs) {
   auto exact = ExactMarginals(*graph);
   ASSERT_TRUE(exact.ok());
   GibbsOptions options;
-  options.schedule = schedule;
+  options.num_threads = threads;
   options.burn_in_sweeps = 500;
   options.sample_sweeps = 6000;
   options.seed = static_cast<uint64_t>(seed);
@@ -187,11 +187,9 @@ TEST_P(GibbsPropertyTest, MatchesExactOnRandomGraphs) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndSchedules, GibbsPropertyTest,
-    ::testing::Combine(::testing::Range(0, 5),
-                       ::testing::Values(GibbsSchedule::kSequential,
-                                         GibbsSchedule::kChromatic)));
+INSTANTIATE_TEST_SUITE_P(SeedsAndThreads, GibbsPropertyTest,
+                         ::testing::Combine(::testing::Range(0, 20),
+                                            ::testing::Values(1, 4)));
 
 
 TEST(GibbsTest, MultiChainPsrfNearOneWhenMixing) {
@@ -365,56 +363,116 @@ uint64_t MarginalsDigest(const std::vector<double>& marginals) {
   return h;
 }
 
+/// The factor graph of a seeded synthetic KB after three grounding
+/// iterations. At scale 0.02 its largest color is over four times
+/// kGibbsVariablesPerThread, so four threads all get work.
+std::shared_ptr<FactorGraph> SyntheticGraph(double scale) {
+  SyntheticKbConfig cfg;
+  cfg.scale = scale;
+  cfg.seed = 11;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  if (!skb.ok()) return nullptr;
+  ExpansionOptions expand;
+  expand.run_inference = false;
+  expand.grounding.max_iterations = 3;
+  auto expansion = ExpandKnowledgeBase(skb->kb, expand);
+  return expansion.ok() ? expansion->graph : nullptr;
+}
+
+std::shared_ptr<FactorGraph> PaperExampleGraph() {
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  ExpansionOptions expand;
+  expand.run_inference = false;
+  auto expansion = ExpandKnowledgeBase(kb, expand);
+  return expansion.ok() ? expansion->graph : nullptr;
+}
+
 // Pins the exact sample path: any change to the conditional's arithmetic,
-// the update order or the RNG stream moves these digests. The constants
-// were recorded with the original flip-and-evaluate kernel.
+// the color-major numbering or the counter-based draws moves these
+// digests. The constants were recorded when the draws became
+// counter-based; they hold at every thread count.
 TEST(GibbsTest, SamplePathMatchesPinnedDigest) {
   {
-    KnowledgeBase kb = testutil::BuildPaperExampleKB();
-    ExpansionOptions expand;
-    expand.run_inference = false;
-    auto expansion = ExpandKnowledgeBase(kb, expand);
-    ASSERT_TRUE(expansion.ok());
+    std::shared_ptr<FactorGraph> graph = PaperExampleGraph();
+    ASSERT_NE(graph, nullptr);
     GibbsOptions options;
-    options.schedule = GibbsSchedule::kSequential;
     options.burn_in_sweeps = 100;
     options.sample_sweeps = 1000;
     options.seed = 7;
-    auto result = GibbsMarginals(*expansion->graph, options);
+    auto result = GibbsMarginals(*graph, options);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(MarginalsDigest(result->marginals), 0x46de6904852f3c29ULL)
+    EXPECT_EQ(MarginalsDigest(result->marginals), 0xdb6712090dcc5167ULL)
         << std::hex << MarginalsDigest(result->marginals);
   }
   {
-    SyntheticKbConfig cfg;
-    cfg.scale = 0.005;
-    cfg.seed = 11;
-    auto skb = GenerateReverbSherlockKb(cfg);
-    ASSERT_TRUE(skb.ok());
-    ExpansionOptions expand;
-    expand.run_inference = false;
-    expand.grounding.max_iterations = 3;
-    auto expansion = ExpandKnowledgeBase(skb->kb, expand);
-    ASSERT_TRUE(expansion.ok());
-    ASSERT_GT(expansion->graph->num_variables(), 1000);
+    std::shared_ptr<FactorGraph> graph = SyntheticGraph(0.005);
+    ASSERT_NE(graph, nullptr);
+    ASSERT_GT(graph->num_variables(), 1000);
     GibbsOptions options;
-    options.schedule = GibbsSchedule::kChromatic;
     options.num_chains = 2;
     options.burn_in_sweeps = 20;
     options.sample_sweeps = 60;
     options.seed = 3;
     options.max_sweeps_per_call = 7;
     GibbsCheckpoint state;
-    Result<GibbsResult> result = GibbsMarginals(*expansion->graph, options,
-                                                &state);
+    Result<GibbsResult> result = GibbsMarginals(*graph, options, &state);
     for (int calls = 1; result.ok() && !result->complete; ++calls) {
       ASSERT_LE(calls, 20);
-      result = GibbsMarginals(*expansion->graph, options, &state);
+      result = GibbsMarginals(*graph, options, &state);
     }
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(MarginalsDigest(result->marginals), 0xa580422aa1438b71ULL)
+    EXPECT_EQ(MarginalsDigest(result->marginals), 0x5bb6d67d33cbec37ULL)
         << std::hex << MarginalsDigest(result->marginals);
   }
+}
+
+// Every draw is keyed on (seed, chain, sweep, variable) and same-color
+// variables share no factor, so the thread count must not move a single
+// bit of the marginals or the diagnostic.
+TEST(GibbsThreadsTest, MarginalsBitIdenticalAcrossThreadCounts) {
+  for (const auto& graph : {PaperExampleGraph(), SyntheticGraph(0.005),
+                            SyntheticGraph(0.02)}) {
+    ASSERT_NE(graph, nullptr);
+    int32_t largest = 0;
+    for (int c = 0; c < graph->num_colors(); ++c) {
+      largest = std::max(largest, graph->color_ranges()[c + 1] -
+                                      graph->color_ranges()[c]);
+    }
+    for (int chains : {1, 2}) {
+      GibbsOptions options;
+      options.burn_in_sweeps = 20;
+      options.sample_sweeps = 60;
+      options.num_chains = chains;
+      options.seed = 5;
+      options.num_threads = 1;
+      auto serial = GibbsMarginals(*graph, options);
+      ASSERT_TRUE(serial.ok());
+      EXPECT_EQ(serial->threads, 1);
+      for (int threads : {2, 3, 4}) {
+        options.num_threads = threads;
+        auto parallel = GibbsMarginals(*graph, options);
+        ASSERT_TRUE(parallel.ok());
+        EXPECT_EQ(parallel->threads,
+                  std::clamp(largest / kGibbsVariablesPerThread, 1, threads));
+        EXPECT_EQ(MarginalsDigest(parallel->marginals),
+                  MarginalsDigest(serial->marginals))
+            << graph->num_variables() << " variables, " << chains
+            << " chains, " << threads << " threads";
+        EXPECT_EQ(std::bit_cast<uint64_t>(parallel->max_psrf),
+                  std::bit_cast<uint64_t>(serial->max_psrf));
+      }
+    }
+  }
+  // The largest graph really ran on four threads.
+  GibbsOptions options;
+  options.burn_in_sweeps = 1;
+  options.sample_sweeps = 1;
+  options.num_threads = 4;
+  std::shared_ptr<FactorGraph> graph = SyntheticGraph(0.02);
+  ASSERT_NE(graph, nullptr);
+  auto result = GibbsMarginals(*graph, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->threads, 4);
 }
 
 TEST(GibbsTest, MultiChainValidation) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -256,6 +257,60 @@ TEST_F(ServeTest, StatsCountersTrackServedQueries) {
   EXPECT_GT(server->StatsCounter("serve_answers"), 0);
   std::string text = server->StatsText();
   EXPECT_NE(text.find("serve_queries"), std::string::npos);
+}
+
+/// Subgraph answers sampled by Gibbs (exact enumeration off) stay bit for
+/// bit the same across concurrent readers when PROBKB_THREADS asks for
+/// four threads: the serve path samples on each reader's own thread, and
+/// the sample path does not depend on the thread count anyway.
+TEST_F(ServeTest, GibbsAnswersBitIdenticalAcrossReadersWithFourThreads) {
+  // Restores PROBKB_THREADS however the test exits.
+  struct RestoreThreadsEnv {
+    const char* saved = std::getenv("PROBKB_THREADS");
+    std::string value = saved != nullptr ? saved : "";
+    ~RestoreThreadsEnv() {
+      if (saved != nullptr) {
+        ::setenv("PROBKB_THREADS", value.c_str(), 1);
+      } else {
+        ::unsetenv("PROBKB_THREADS");
+      }
+    }
+  } restore;
+  ServeOptions options;
+  options.grounding.max_depth = 16;
+  options.inference.use_exact_when_small = false;
+  options.inference.gibbs.burn_in_sweeps = 50;
+  options.inference.gibbs.sample_sweeps = 400;
+  auto server = MakeServer(options);
+  Expand();
+  ASSERT_TRUE(server->PublishEpoch(rkb_).ok());
+  auto pin = server->PinNewest();
+  ASSERT_TRUE(pin.ok());
+  auto pattern = ParseQueryPattern("Ruth Gruber");
+  ASSERT_TRUE(pattern.ok());
+
+  ::setenv("PROBKB_THREADS", "1", 1);
+  auto reference = server->AnswerAt(*pattern, *pin);
+  ::setenv("PROBKB_THREADS", "4", 1);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_FALSE(reference->entries.empty());
+  EXPECT_FALSE(reference->exact);
+  for (int readers : {1, 4, 8}) {
+    std::vector<Result<ServeAnswer>> answers(
+        static_cast<size_t>(readers), Status::Internal("not answered"));
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(readers));
+    for (int r = 0; r < readers; ++r) {
+      threads.emplace_back([&, r] {
+        answers[static_cast<size_t>(r)] = server->AnswerAt(*pattern, *pin);
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (const Result<ServeAnswer>& answer : answers) {
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      ExpectBitIdentical(*reference, *answer);
+    }
+  }
 }
 
 /// Locality: on a KB of many entity-disjoint components, a query grounds

@@ -110,8 +110,9 @@ int Usage() {
       "  --max-rows N      per-statement produced-row cap (exit 5 past it)\n"
       "  --checkpoint DIR  write an iteration checkpoint into DIR\n"
       "  --resume          resume grounding from --checkpoint DIR\n"
-      "  --threads N       grounding worker threads (default: all cores;\n"
-      "                    1 = serial; output is identical either way)\n"
+      "  --threads N       worker threads for grounding and Gibbs sampling\n"
+      "                    (default: all cores; 1 = serial; output is\n"
+      "                    identical either way)\n"
       "  --mem-budget SIZE out-of-core memory budget for grounding joins\n"
       "                    (e.g. 256M, 2G; 0 = in-memory only; default\n"
       "                    env PROBKB_MEM_BUDGET). Over-budget joins run\n"
@@ -476,7 +477,6 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   serve.grounding.max_depth = options.serve_depth;
   serve.grounding.max_atoms = options.serve_max_atoms;
   serve.top_k = options.topk;
-  serve.inference.gibbs.schedule = GibbsSchedule::kChromatic;
   serve.inference.gibbs.sample_sweeps = options.sweeps;
   QueryServer server(&kb, rkb->next_fact_id, serve);
   if (auto epoch = server.PublishEpoch(*rkb); !epoch.ok()) {
@@ -649,8 +649,8 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
       batch = std::move(*exact);
     } else {
       GibbsOptions gibbs;
-      gibbs.schedule = GibbsSchedule::kChromatic;
       gibbs.sample_sweeps = options.sweeps;
+      gibbs.num_threads = options.num_threads;
       auto sampled = GibbsMarginals(*graph, gibbs);
       if (!sampled.ok()) {
         std::fprintf(stderr, "%s\n", sampled.status().ToString().c_str());
@@ -906,8 +906,8 @@ int Run(const CliOptions& options) {
     return emit_stats();
   }
   GibbsOptions gibbs;
-  gibbs.schedule = GibbsSchedule::kChromatic;
   gibbs.sample_sweeps = options.sweeps;
+  gibbs.num_threads = options.num_threads;
   // The sampler now reports its own chains (and a per-sweep latency
   // histogram) straight into the registry.
   if (want_stats) gibbs.stats = &registry;
