@@ -1,8 +1,8 @@
 // Ablation: naive vs semi-naive fixpoint evaluation. The paper's SQL
 // grounding re-joins the *entire* TPi every iteration (naive evaluation);
 // the classic Datalog delta optimization joins only last iteration's new
-// atoms. This bench quantifies the per-iteration cost difference at the
-// same closure.
+// atoms; it is the grounder's default. This bench quantifies the
+// per-iteration cost difference at the same closure.
 
 #include <cstdio>
 
@@ -23,7 +23,7 @@ int main() {
   std::printf("%s\n\n", skb->kb.StatsString().c_str());
 
   GroundingStats stats[2];
-  int64_t final_atoms[2] = {0, 0};
+  TablePtr t_pi[2];
   for (EvaluationMode mode :
        {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
     RelationalKB rkb = BuildRelationalModel(skb->kb);
@@ -33,13 +33,18 @@ int main() {
     Grounder grounder(&rkb, options);
     if (!grounder.GroundAtoms().ok()) return 1;
     stats[mode == EvaluationMode::kSemiNaive] = grounder.stats();
-    final_atoms[mode == EvaluationMode::kSemiNaive] = rkb.t_pi->NumRows();
+    t_pi[mode == EvaluationMode::kSemiNaive] = rkb.t_pi;
   }
 
-  if (final_atoms[0] != final_atoms[1]) {
-    std::fprintf(stderr, "closure mismatch: %lld vs %lld\n",
-                 static_cast<long long>(final_atoms[0]),
-                 static_cast<long long>(final_atoms[1]));
+  // Both modes must build the same TPi, ids and row order included.
+  bool identical = t_pi[0]->NumRows() == t_pi[1]->NumRows();
+  for (int64_t i = 0; identical && i < t_pi[0]->NumRows(); ++i) {
+    identical = t_pi[0]->row(i).Equals(t_pi[1]->row(i));
+  }
+  if (!identical) {
+    std::fprintf(stderr, "TPi mismatch: %lld vs %lld rows\n",
+                 static_cast<long long>(t_pi[0]->NumRows()),
+                 static_cast<long long>(t_pi[1]->NumRows()));
     return 1;
   }
 
@@ -57,15 +62,15 @@ int main() {
   const double speedup =
       stats[0].ground_atoms_seconds / stats[1].ground_atoms_seconds;
   std::printf(
-      "\ntotal: naive %.3fs, semi-naive %.3fs (%.2fx) at identical closure "
+      "\ntotal: naive %.3fs, semi-naive %.3fs (%.2fx) at an identical TPi "
       "of %lld atoms\n",
       stats[0].ground_atoms_seconds, stats[1].ground_atoms_seconds, speedup,
-      static_cast<long long>(final_atoms[0]));
+      static_cast<long long>(t_pi[0]->NumRows()));
   std::printf(
-      "\nFinding: the delta rewrite %s here (%.2fx). Every TPi join probes a "
-      "persistent index, so a pass costs its probe rows; the (full, delta) "
-      "pass of a length-3 query still probes the whole first join M x TPi "
-      "before it meets the delta.\n",
+      "\nFinding: the delta rewrite %s here (%.2fx). Iteration 1 is the "
+      "same full pass in both modes; after it, semi-naive probes the rule "
+      "indexes from the delta and TPi only with what the delta reached, "
+      "while naive re-joins M x TPi in full.\n",
       speedup > 1.0 ? "pays" : "does not pay", speedup);
   return 0;
 }

@@ -192,6 +192,8 @@ int main(int argc, char** argv) {
 
   GroundingOptions options;
   options.max_iterations = kIterations;
+  // Table 3 times Algorithm 1 verbatim: every iteration re-joins all of TPi.
+  options.evaluation = EvaluationMode::kNaive;
   options.mem_budget_bytes = mem_budget;
   options.spill_dir = spill_dir;
   std::vector<SystemRun> runs;

@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "obs/trace.h"
@@ -319,10 +321,35 @@ Result<GroundingCheckpoint> ReadGroundingCheckpoint(
   if (!have_iteration || !have_next_id) {
     return Status::ParseError("checkpoint manifest is missing fields");
   }
+  if (iteration < 0 || iteration > std::numeric_limits<int>::max()) {
+    return Status::ParseError(
+        StrFormat("checkpoint iteration %lld is out of range",
+                  static_cast<long long>(iteration)));
+  }
   cp.iteration = static_cast<int>(iteration);
   PROBKB_ASSIGN_OR_RETURN(
       cp.t_pi,
       ReadCheckpointTable(t_pi_schema, dir, "t_pi.tsv", manifest_rows));
+  // A resumed grounder takes the delta from TPi's rows past delta_start
+  // and assigns ids from next_fact_id, so both must fit the table.
+  if (cp.delta_start < 0 || cp.delta_start > cp.t_pi->NumRows()) {
+    return Status::ParseError(StrFormat(
+        "checkpoint delta_start %lld is outside TPi's %lld rows",
+        static_cast<long long>(cp.delta_start),
+        static_cast<long long>(cp.t_pi->NumRows())));
+  }
+  int64_t max_id = -1;
+  const int id_col = t_pi_schema.GetFieldIndex("I");
+  for (int64_t r = 0; id_col >= 0 && r < cp.t_pi->NumRows(); ++r) {
+    const Value id = cp.t_pi->ValueAt(r, id_col);
+    if (id.is_int64()) max_id = std::max(max_id, id.i64());
+  }
+  if (cp.next_fact_id <= max_id) {
+    return Status::ParseError(StrFormat(
+        "checkpoint next_fact_id %lld does not exceed TPi's largest id %lld",
+        static_cast<long long>(cp.next_fact_id),
+        static_cast<long long>(max_id)));
+  }
   PROBKB_ASSIGN_OR_RETURN(
       cp.banned_x, ReadCheckpointTable(BannedEntitySchema(), dir,
                                        "banned_x.tsv", manifest_rows));

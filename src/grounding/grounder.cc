@@ -1,6 +1,7 @@
 #include "grounding/grounder.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "engine/ops.h"
 #include "obs/trace.h"
@@ -72,43 +73,6 @@ Status Grounder::ArmStatement(ExecContext* ec) {
   return Status::OK();
 }
 
-Status Grounder::RunQuery1(TablePtr probe1, TablePtr probe2,
-                           bool skip_length2,
-                           const std::function<Status(TablePtr)>& sink) {
-  const int iteration = stats_.iterations + 1;
-  const TPiIndexes* indexes = KeepsIndexes() ? &indexes_ : nullptr;
-  for (int p = 1; p <= kNumRuleStructures; ++p) {
-    if (skip_length2 && GetPartitionSpec(p).body_length == 1) continue;
-    TablePtr m = rkb_->m[static_cast<size_t>(p - 1)];
-    if (m->NumRows() == 0) continue;
-    ExecContext ec;
-    PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
-    if (obs_ != nullptr) {
-      ec.set_stats_sink(obs_, StrFormat("iter%d/M%d", iteration, p));
-    }
-    Timer join_timer;
-    const std::string stmt = StrFormat("Query1-%d", p);
-    PlanNodePtr plan = BuildAtomsPlan(p, m, probe1, probe2, indexes);
-    // Warm estimate: the previous iteration's observed output for this
-    // statement; cold start falls back to the tree's structural heuristic.
-    AnnotatePlanEstimates(plan.get(), &planner_, stmt);
-    PROBKB_ASSIGN_OR_RETURN(TablePtr atoms, plan->Execute(&ec));
-    planner_.ObserveRows(stmt, atoms->NumRows());
-    explain_lines_.push_back(StrFormat("%s (iter %d):\n", stmt.c_str(),
-                                       iteration) +
-                             plan->Explain(1));
-    if (obs_ != nullptr) {
-      // Semi-naive's second probe order lands in the same (iteration,
-      // partition) cell; the registry accumulates both passes.
-      obs_->RecordPartitionIteration(iteration, p, atoms->NumRows(),
-                                     join_timer.Seconds());
-    }
-    ++stats_.statements;
-    PROBKB_RETURN_NOT_OK(sink(std::move(atoms)));
-  }
-  return Status::OK();
-}
-
 Status Grounder::MergeInferred(const Table& atoms, int64_t* added) {
   RowPredicate drop;
   if (!banned_x_keys_.empty() || !banned_y_keys_.empty()) {
@@ -121,6 +85,24 @@ Status Grounder::MergeInferred(const Table& atoms, int64_t* added) {
   return Status::OK();
 }
 
+Result<TablePtr> Grounder::NewDerivationsInNaiveOrder(
+    const Table& derivations) {
+  PROBKB_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
+                          indexes_.AbsentAtoms(*rkb_->t_pi, derivations));
+  // Naive evaluation emits a statement's derivations ordered by (rule
+  // row, body-1 row, body-2 row), and fact ids rise with rows. Keys are
+  // unique: one derivation per (rule, body atoms).
+  const int64_t* rule = derivations.Int64Data(derivation::kRule);
+  const int64_t* i2 = derivations.Int64Data(derivation::kI2);
+  const int64_t* i3 = derivations.Int64Data(derivation::kI3);
+  std::sort(rows.begin(), rows.end(), [&](int64_t a, int64_t b) {
+    return std::tie(rule[a], i2[a], i3[a]) < std::tie(rule[b], i2[b], i3[b]);
+  });
+  auto ordered = Table::Make(derivations.schema());
+  ordered->AppendGatheredRows(derivations, rows);
+  return ordered;
+}
+
 Status Grounder::RunIterationStatements(int64_t* added) {
   // Every statement sees TPi as of the iteration start, matching Algorithm
   // 1, which unions all T_j after the partition loop. With the indexes
@@ -130,29 +112,58 @@ Status Grounder::RunIterationStatements(int64_t* added) {
   // the merges wait for the last statement.
   const bool eager = KeepsIndexes();
   if (eager) PROBKB_RETURN_NOT_OK(indexes_.Sync(*rkb_->t_pi));
+  // Semi-naive: every derivation over rows before delta_start_ ran in an
+  // earlier iteration, so a new atom's derivations all use a delta atom.
+  // The full pass runs instead with no earlier iteration to lean on
+  // (iteration 1, or after Query 3 deleted rows), under a memory budget
+  // (the delta passes need the persistent indexes), and when fact ids do
+  // not rise with row order (the order key would not match naive's).
+  const bool delta_driven =
+      eager && options_.evaluation == EvaluationMode::kSemiNaive &&
+      delta_start_ > 0 && indexes_.ids_ascending();
+  RuleIndexes::DeltaSlices delta;
+  if (delta_driven) {
+    PROBKB_RETURN_NOT_OK(rule_indexes_.Build(rkb_->m));
+    delta = rule_indexes_.Route(*rkb_->t_pi, delta_start_);
+  }
+  const int iteration = stats_.iterations + 1;
+  const TPiIndexes* indexes = eager ? &indexes_ : nullptr;
   std::vector<TablePtr> deferred;
-  auto sink = [&](TablePtr atoms) {
-    if (eager) return MergeInferred(*atoms, added);
-    deferred.push_back(std::move(atoms));
-    return Status::OK();
-  };
-  if (options_.evaluation == EvaluationMode::kNaive ||
-      stats_.iterations == 0) {
-    PROBKB_RETURN_NOT_OK(RunQuery1(rkb_->t_pi, rkb_->t_pi, false, sink));
-  } else {
-    // Semi-naive: a new derivation must use at least one delta atom.
-    // Queries run as (delta, full) and (full, delta); the overlap
-    // (delta, delta) is produced twice and removed by the set-merge.
-    auto delta = Table::Make(TPiSchema());
-    delta->AppendRows(*rkb_->t_pi, delta_start_, rkb_->t_pi->NumRows());
-    PROBKB_RETURN_NOT_OK(RunQuery1(delta, rkb_->t_pi, false, sink));
-    // Length-2 rules have one body atom, so the delta pass above already
-    // covers them; length-3 rules also need (full, delta). Both probe
-    // orders of a partition would be one SQL statement (a UNION ALL), so
-    // the second pass is not counted again.
-    int64_t statements_before = stats_.statements;
-    PROBKB_RETURN_NOT_OK(RunQuery1(rkb_->t_pi, delta, true, sink));
-    stats_.statements = statements_before;
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    TablePtr m = rkb_->m[static_cast<size_t>(p - 1)];
+    if (m->NumRows() == 0) continue;
+    ExecContext ec;
+    PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
+    if (obs_ != nullptr) {
+      ec.set_stats_sink(obs_, StrFormat("iter%d/M%d", iteration, p));
+    }
+    Timer join_timer;
+    const std::string stmt = StrFormat("Query1-%d", p);
+    PlanNodePtr plan =
+        delta_driven ? BuildDeltaAtomsPlan(p, rule_indexes_, delta,
+                                           rkb_->t_pi, indexes_, delta_start_)
+                     : BuildAtomsPlan(p, m, rkb_->t_pi, rkb_->t_pi, indexes);
+    // Warm estimate: the previous iteration's observed output for this
+    // statement; cold start falls back to the tree's structural heuristic.
+    AnnotatePlanEstimates(plan.get(), &planner_, stmt);
+    PROBKB_ASSIGN_OR_RETURN(TablePtr atoms, plan->Execute(&ec));
+    planner_.ObserveRows(stmt, atoms->NumRows());
+    explain_lines_.push_back(StrFormat("%s (iter %d):\n", stmt.c_str(),
+                                       iteration) +
+                             plan->Explain(1));
+    if (obs_ != nullptr) {
+      obs_->RecordPartitionIteration(iteration, p, atoms->NumRows(),
+                                     join_timer.Seconds());
+    }
+    ++stats_.statements;
+    if (delta_driven) {
+      PROBKB_ASSIGN_OR_RETURN(atoms, NewDerivationsInNaiveOrder(*atoms));
+    }
+    if (eager) {
+      PROBKB_RETURN_NOT_OK(MergeInferred(*atoms, added));
+    } else {
+      deferred.push_back(std::move(atoms));
+    }
   }
   for (const TablePtr& atoms : deferred) {
     PROBKB_RETURN_NOT_OK(MergeInferred(*atoms, added));
@@ -163,12 +174,6 @@ Status Grounder::RunIterationStatements(int64_t* added) {
 }
 
 Result<int64_t> Grounder::GroundAtomsIteration() {
-  if (options_.evaluation == EvaluationMode::kSemiNaive &&
-      options_.apply_constraints_each_iteration) {
-    return Status::InvalidArgument(
-        "semi-naive evaluation assumes no mid-run deletions; disable "
-        "apply_constraints_each_iteration");
-  }
   Timer timer;
   TraceSpan span(Tracer::Global(), "iteration", "grounding",
                  stats_.iterations + 1);
@@ -374,8 +379,12 @@ Result<int64_t> Grounder::ApplyConstraints() {
                             {0, 1});
   deleted += DeleteMatching(rkb_->t_pi.get(), {tpi::kY, tpi::kC2}, *viol_y,
                             {0, 1});
-  // Deletes compact TPi's row ids, so the indexes are rebuilt on next use.
-  if (deleted > 0) indexes_.Clear();
+  // Deletes compact TPi's row ids, so the indexes are rebuilt on next use,
+  // and the next iteration runs the full pass.
+  if (deleted > 0) {
+    indexes_.Clear();
+    delta_start_ = 0;
+  }
   return deleted;
 }
 

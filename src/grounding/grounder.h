@@ -1,7 +1,6 @@
 #ifndef PROBKB_GROUNDING_GROUNDER_H_
 #define PROBKB_GROUNDING_GROUNDER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -21,21 +20,23 @@
 
 namespace probkb {
 
-/// \brief Fixpoint evaluation strategies.
+/// \brief Fixpoint evaluation strategies. Both produce the same TPi, fact
+/// ids and row order included, and the same TPhi.
 ///
 /// kNaive re-applies every rule to the whole TPi each iteration — exactly
-/// the paper's Algorithm 1 (its SQL re-joins the full facts table).
-/// kSemiNaive joins only against the atoms added in the previous iteration
-/// (for length-3 rules: delta x full plus full x delta), a classic Datalog
-/// optimization the paper leaves on the table; the ablation bench
-/// quantifies what it would have bought.
+/// the paper's Algorithm 1 (its SQL re-joins the full facts table); Table
+/// 3 and the semi-naive ablation time it. kSemiNaive, the default, runs
+/// the full pass only when no earlier iteration covers the old rows
+/// (iteration 1, or after Query 3 deleted rows) and otherwise derives only
+/// what uses an atom added by the previous iteration, driving every join
+/// from that delta (DESIGN.md "Semi-naive evaluation").
 enum class EvaluationMode { kNaive, kSemiNaive };
 
 /// \brief Knobs of the grounding algorithm (Algorithm 1).
 struct GroundingOptions {
   /// Fixpoint cap; the paper reports 15 iterations ground most facts.
   int max_iterations = 15;
-  EvaluationMode evaluation = EvaluationMode::kNaive;
+  EvaluationMode evaluation = EvaluationMode::kSemiNaive;
   /// Run Query 3 after each iteration (Algorithm 1 line 6). The paper's
   /// Section 6.1 performance runs disable this and apply Query 3 once
   /// before inference instead.
@@ -170,13 +171,12 @@ class Grounder {
   /// True while the grounder keeps its TPi indexes across statements (no
   /// memory budget armed).
   bool KeepsIndexes() const { return !spill_session_->enabled(); }
-  /// Runs queries 1-1..1-6 against the given probe tables and hands each
-  /// statement's inferred-atom table to `sink` as soon as it returns.
-  Status RunQuery1(TablePtr probe1, TablePtr probe2, bool skip_length2,
-                   const std::function<Status(TablePtr)>& sink);
   /// All Query 1 statements of one iteration plus their merges; adds the
   /// merged row count to `*added`.
   Status RunIterationStatements(int64_t* added);
+  /// The derivations (see namespace derivation) of atoms TPi does not
+  /// hold yet, sorted into naive evaluation's order.
+  Result<TablePtr> NewDerivationsInNaiveOrder(const Table& derivations);
   /// Merges one statement's atoms into TPi, skipping banned entities.
   Status MergeInferred(const Table& atoms, int64_t* added);
   /// Arms a statement's ExecContext with the remaining deadline, the row
@@ -198,10 +198,14 @@ class Grounder {
   /// budget resolves. Statements get it via ExecContext::set_spill.
   std::unique_ptr<SpillSession> spill_session_;
   /// Semi-naive state: TPi row count at the start of the last iteration's
-  /// merge (rows from here on are the delta).
+  /// merge (rows from here on are the delta); 0 when the next iteration
+  /// must run the full pass.
   int64_t delta_start_ = 0;
   /// Persistent TPi indexes (see the class comment).
   TPiIndexes indexes_;
+  /// The rule tables indexed for the delta-driven passes, built on first
+  /// use.
+  RuleIndexes rule_indexes_;
   GroundingOptions options_;
   GroundingStats stats_;
   FaultInjector* injector_ = nullptr;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <numeric>
 
 #include "engine/ops.h"
 #include "engine/tunables.h"
 #include "grounding/tpi_indexes.h"
+#include "util/strings.h"
 
 namespace probkb {
 
@@ -23,7 +26,22 @@ constexpr int kW = 5;
 constexpr int kXv = 6;
 constexpr int kZ = 7;
 constexpr int kI2 = 8;
+constexpr int kRule = 9;  // Δ-driven plans only
 }  // namespace j1
+
+// Intermediate J2 of the Δ-driven (old, Δ) pass: a Δ atom matched as body
+// 2, (R1, R2, C1, C2, C3, yv, z, I3, rule).
+namespace j2 {
+constexpr int kR1 = 0;
+constexpr int kR2 = 1;
+constexpr int kC1 = 2;
+constexpr int kC2 = 3;
+constexpr int kC3 = 4;
+constexpr int kYv = 5;
+constexpr int kZ = 6;
+constexpr int kI3 = 7;
+constexpr int kRule = 8;
+}  // namespace j2
 
 // Factor-candidate schema before the head join:
 // (R1, C1, C2, w, xv, yv, I2[, I3]).
@@ -48,26 +66,36 @@ std::array<PartitionSpec, 6> BuildSpecs() {
 
   // M1: p(x,y) <- q(x,y). Pairings (M.R2,T.R), (M.C1,T.C1), (M.C2,T.C2).
   specs[0] = {1, 1, false, false,
-              {mlen2::kR2, mlen2::kC1, mlen2::kC2}, t0, {}, {}};
+              {mlen2::kR2, mlen2::kC1, mlen2::kC2}, t0, {}, {}, {}, {}, {}};
   // M2: p(x,y) <- q(y,x): x lives in T.y, so M.C1 pairs with T.C2.
   specs[1] = {2, 1, true, false,
-              {mlen2::kR2, mlen2::kC2, mlen2::kC1}, t0, {}, {}};
-  // M3: q(z,x), r(z,y).
+              {mlen2::kR2, mlen2::kC2, mlen2::kC1}, t0, {}, {}, {}, {}, {}};
+  // M3: q(z,x), r(z,y). Body 2 r(z,y) is keyed (R3, C3, C2) on T0; body 1
+  // q(z,x) is found by z in Tx as (R2, C3, z, C1).
   specs[2] = {3, 2, false, false,
               {mlen3::kR2, mlen3::kC3, mlen3::kC1}, t0,
-              {j1::kR3, j1::kC3, j1::kZ, j1::kC2}, tx};
-  // M4: q(x,z), r(z,y).
+              {j1::kR3, j1::kC3, j1::kZ, j1::kC2}, tx,
+              {mlen3::kR3, mlen3::kC3, mlen3::kC2},
+              {j2::kR2, j2::kC3, j2::kZ, j2::kC1}, tx};
+  // M4: q(x,z), r(z,y). Body 1 q(x,z) is found by z in Ty as
+  // (R2, C1, C3, z).
   specs[3] = {4, 2, true, false,
               {mlen3::kR2, mlen3::kC1, mlen3::kC3}, t0,
-              {j1::kR3, j1::kC3, j1::kZ, j1::kC2}, tx};
-  // M5: q(z,x), r(y,z).
+              {j1::kR3, j1::kC3, j1::kZ, j1::kC2}, tx,
+              {mlen3::kR3, mlen3::kC3, mlen3::kC2},
+              {j2::kR2, j2::kC1, j2::kC3, j2::kZ}, ty};
+  // M5: q(z,x), r(y,z). Body 2 r(y,z) is keyed (R3, C2, C3) on T0.
   specs[4] = {5, 2, false, true,
               {mlen3::kR2, mlen3::kC3, mlen3::kC1}, t0,
-              {j1::kR3, j1::kC2, j1::kC3, j1::kZ}, ty};
+              {j1::kR3, j1::kC2, j1::kC3, j1::kZ}, ty,
+              {mlen3::kR3, mlen3::kC2, mlen3::kC3},
+              {j2::kR2, j2::kC3, j2::kZ, j2::kC1}, tx};
   // M6: q(x,z), r(y,z).
   specs[5] = {6, 2, true, true,
               {mlen3::kR2, mlen3::kC1, mlen3::kC3}, t0,
-              {j1::kR3, j1::kC2, j1::kC3, j1::kZ}, ty};
+              {j1::kR3, j1::kC2, j1::kC3, j1::kZ}, ty,
+              {mlen3::kR3, mlen3::kC2, mlen3::kC3},
+              {j2::kR2, j2::kC1, j2::kC3, j2::kZ}, ty};
   return specs;
 }
 
@@ -205,6 +233,20 @@ std::vector<ProjectExpr> NullI3Projection() {
 
 namespace {
 
+/// Inner join of `left` probing `index` over `right`'s first `index.rows`
+/// rows, or a transient index over all of `right` when `index` is empty.
+PlanNodePtr JoinIndexed(PlanNodePtr left, TablePtr right, std::string name,
+                        const std::vector<int>& left_keys,
+                        const std::vector<int>& right_keys,
+                        std::vector<JoinOutputCol> output_cols,
+                        PrebuiltIndex index) {
+  PlanNodePtr scan = Scan(std::move(right), std::move(name),
+                          index.index != nullptr ? index.rows : -1);
+  return HashJoin(std::move(left), std::move(scan), left_keys, right_keys,
+                  JoinType::kInner, std::move(output_cols),
+                  /*residual=*/nullptr, index);
+}
+
 /// Inner join of `left` against the TPi instance `t` on `t_keys`. When
 /// `indexes` holds a prebuilt index for `t` on those keys, the join probes
 /// it and the scan of `t` is bounded to the rows the index serves;
@@ -216,11 +258,8 @@ PlanNodePtr JoinT(PlanNodePtr left, TablePtr t,
                   const TPiIndexes* indexes) {
   const PrebuiltIndex index =
       indexes != nullptr ? indexes->Find(t.get(), t_keys) : PrebuiltIndex{};
-  PlanNodePtr scan =
-      Scan(std::move(t), "T", index.index != nullptr ? index.rows : -1);
-  return HashJoin(std::move(left), std::move(scan), left_keys, t_keys,
-                  JoinType::kInner, std::move(output_cols),
-                  /*residual=*/nullptr, index);
+  return JoinIndexed(std::move(left), std::move(t), "T", left_keys, t_keys,
+                     std::move(output_cols), index);
 }
 
 /// First join of a length-3 query: M_i x T2 -> J1.
@@ -244,6 +283,202 @@ PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
   PlanNodePtr j1 = BuildJ1(spec, std::move(m), std::move(t_probe), indexes);
   return JoinT(std::move(j1), std::move(t_probe2), spec.j1_keys2,
                spec.t_keys2, Len3AtomOutputCols(spec), indexes);
+}
+
+namespace {
+
+/// Indexes every row of `t` on `keys`, in row order.
+FlatRowIndex IndexRows(const Table& t, const std::vector<int>& keys) {
+  FlatRowIndex index(t.NumRows());
+  std::vector<size_t> hashes(static_cast<size_t>(t.NumRows()));
+  if (t.NumRows() > 0) t.HashRows(keys, 0, t.NumRows(), hashes.data());
+  for (int64_t i = 0; i < t.NumRows(); ++i) {
+    index.Insert(hashes[static_cast<size_t>(i)], i);
+  }
+  return index;
+}
+
+// Output columns of the Δ-driven joins. A join that probes a rule index
+// has the Δ atoms on its left and the rule table on its right, the sides
+// of the M-driven join exchanged; `rule_col` is the rule table's trailing
+// row-number column.
+
+std::vector<JoinOutputCol> Swapped(std::vector<JoinOutputCol> cols) {
+  for (JoinOutputCol& c : cols) {
+    c.side = c.side == JoinOutputCol::Side::kLeft ? JoinOutputCol::Side::kRight
+                                                  : JoinOutputCol::Side::kLeft;
+  }
+  return cols;
+}
+
+std::vector<JoinOutputCol> DeltaLen2Cols(const PartitionSpec& spec,
+                                         int rule_col) {
+  std::vector<JoinOutputCol> cols = Swapped(Len2AtomOutputCols(spec));
+  cols.push_back(JoinOutputCol::Right(rule_col, "rule"));
+  cols.push_back(JoinOutputCol::Left(tpi::kI, "I2"));
+  cols.push_back(JoinOutputCol::Left(tpi::kI, "I3"));
+  return cols;
+}
+
+/// J1 from a Δ atom matched as body 1, plus "rule".
+std::vector<JoinOutputCol> DeltaJ1Cols(const PartitionSpec& spec,
+                                       int rule_col) {
+  std::vector<JoinOutputCol> cols = Swapped(J1OutputCols(spec));
+  cols.push_back(JoinOutputCol::Right(rule_col, "rule"));
+  return cols;
+}
+
+std::vector<JoinOutputCol> DeltaLen3Cols(const PartitionSpec& spec) {
+  std::vector<JoinOutputCol> cols = Len3AtomOutputCols(spec);
+  cols.push_back(JoinOutputCol::Left(j1::kRule, "rule"));
+  cols.push_back(JoinOutputCol::Left(j1::kI2, "I2"));
+  cols.push_back(JoinOutputCol::Right(tpi::kI, "I3"));
+  return cols;
+}
+
+/// J2 from a Δ atom matched as body 2.
+std::vector<JoinOutputCol> DeltaJ2Cols(const PartitionSpec& spec,
+                                       int rule_col) {
+  const int z_col = spec.r_swapped ? tpi::kY : tpi::kX;
+  const int yv_col = spec.r_swapped ? tpi::kX : tpi::kY;
+  return {
+      JoinOutputCol::Right(mlen3::kR1, "R1"),
+      JoinOutputCol::Right(mlen3::kR2, "R2"),
+      JoinOutputCol::Right(mlen3::kC1, "C1"),
+      JoinOutputCol::Right(mlen3::kC2, "C2"),
+      JoinOutputCol::Right(mlen3::kC3, "C3"),
+      JoinOutputCol::Left(yv_col, "yv"),
+      JoinOutputCol::Left(z_col, "z"),
+      JoinOutputCol::Left(tpi::kI, "I3"),
+      JoinOutputCol::Right(rule_col, "rule"),
+  };
+}
+
+std::vector<JoinOutputCol> DeltaLen3Body1Cols(const PartitionSpec& spec) {
+  const int xv_col = spec.q_swapped ? tpi::kX : tpi::kY;
+  return {
+      JoinOutputCol::Left(j2::kR1, "R"),
+      JoinOutputCol::Right(xv_col, "x"),
+      JoinOutputCol::Left(j2::kC1, "C1"),
+      JoinOutputCol::Left(j2::kYv, "y"),
+      JoinOutputCol::Left(j2::kC2, "C2"),
+      JoinOutputCol::Left(j2::kRule, "rule"),
+      JoinOutputCol::Right(tpi::kI, "I2"),
+      JoinOutputCol::Left(j2::kI3, "I3"),
+  };
+}
+
+}  // namespace
+
+Status RuleIndexes::Build(const std::array<TablePtr, kNumRuleStructures>& m) {
+  bool rebuilt = false;
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    const size_t i = static_cast<size_t>(p - 1);
+    const Table& src = *m[i];
+    if (sources_[i] == m[i] && source_rows_[i] == src.NumRows()) continue;
+    PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(src.NumRows()));
+    std::vector<Field> fields = src.schema().fields();
+    fields.push_back({"rule", ColumnType::kInt64});
+    Partition part;
+    part.rules = Table::Make(Schema(std::move(fields)));
+    std::vector<int64_t> rows(static_cast<size_t>(src.NumRows()));
+    std::iota(rows.begin(), rows.end(), int64_t{0});
+    part.rules->AppendGatheredRowsWithIds(src, rows);
+    const PartitionSpec& spec = GetPartitionSpec(p);
+    part.body1 = IndexRows(*part.rules, spec.m_keys1);
+    if (spec.body_length == 2) {
+      part.body2 = IndexRows(*part.rules, spec.m_keys2);
+    }
+    parts_[i] = std::move(part);
+    sources_[i] = m[i];
+    source_rows_[i] = src.NumRows();
+    rebuilt = true;
+  }
+  if (!rebuilt) return Status::OK();
+  std::vector<uint16_t> slots;
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    const PartitionSpec& spec = GetPartitionSpec(p);
+    const Table& rules = *parts_[static_cast<size_t>(p - 1)].rules;
+    for (int b = 0; b < spec.body_length; ++b) {
+      // The first key column of a body atom is its relation.
+      const int64_t* relation =
+          rules.Int64Data(b == 0 ? spec.m_keys1[0] : spec.m_keys2[0]);
+      for (int64_t r = 0; r < rules.NumRows(); ++r) {
+        if (relation[r] < 0) {
+          sources_ = {};  // rebuild, and fail again, on the next call
+          return Status::InvalidArgument(StrFormat(
+              "M%d row %lld has negative relation id %lld", p,
+              static_cast<long long>(r), static_cast<long long>(relation[r])));
+        }
+        const size_t id = static_cast<size_t>(relation[r]);
+        if (id >= slots.size()) slots.resize(id + 1, 0);
+        slots[id] |= static_cast<uint16_t>(1u << (2 * (p - 1) + b));
+      }
+    }
+  }
+  relation_slots_ = std::move(slots);
+  return Status::OK();
+}
+
+RuleIndexes::DeltaSlices RuleIndexes::Route(const Table& t_pi,
+                                            int64_t delta_start) const {
+  std::array<std::vector<int64_t>, 2 * kNumRuleStructures> rows;
+  const int64_t* relation = t_pi.Int64Data(tpi::kR);
+  for (int64_t i = delta_start; i < t_pi.NumRows(); ++i) {
+    const uint64_t id = static_cast<uint64_t>(relation[i]);
+    if (id >= relation_slots_.size()) continue;
+    for (unsigned mask = relation_slots_[id]; mask != 0; mask &= mask - 1) {
+      rows[static_cast<size_t>(std::countr_zero(mask))].push_back(i);
+    }
+  }
+  DeltaSlices slices;
+  for (size_t slot = 0; slot < rows.size(); ++slot) {
+    TablePtr slice = Table::Make(t_pi.schema());
+    slice->AppendGatheredRows(t_pi, rows[slot]);
+    slices[slot / 2][slot % 2] = std::move(slice);
+  }
+  return slices;
+}
+
+PlanNodePtr BuildDeltaAtomsPlan(int p, const RuleIndexes& rules,
+                                const RuleIndexes::DeltaSlices& delta,
+                                TablePtr t_pi, const TPiIndexes& indexes,
+                                int64_t delta_start) {
+  const PartitionSpec& spec = GetPartitionSpec(p);
+  const RuleIndexes::Partition& part = rules.partition(p);
+  const int rule_col = part.rules->width() - 1;
+  // The delta rows of body atom `b` probe its rule index on their view-T0
+  // key.
+  auto probe_rules = [&](size_t b, const FlatRowIndex& index,
+                         const std::vector<int>& m_keys,
+                         std::vector<JoinOutputCol> cols) {
+    return JoinIndexed(Scan(delta[static_cast<size_t>(p - 1)][b], "Delta"),
+                       part.rules, "M" + std::to_string(p), ViewKeysT0(),
+                       m_keys, std::move(cols),
+                       {&index, part.rules->NumRows()});
+  };
+  if (spec.body_length == 1) {
+    return probe_rules(0, part.body1, spec.m_keys1,
+                       DeltaLen2Cols(spec, rule_col));
+  }
+  // (Δ, full): body 2 ranges over TPi as of the last Sync().
+  PlanNodePtr delta_full =
+      JoinT(probe_rules(0, part.body1, spec.m_keys1,
+                        DeltaJ1Cols(spec, rule_col)),
+            t_pi, spec.j1_keys2, spec.t_keys2, DeltaLen3Cols(spec), &indexes);
+  // (old, Δ): body 1 ranges over the rows before Δ only, so no derivation
+  // is produced by both passes.
+  PrebuiltIndex old = indexes.Find(t_pi.get(), spec.t2_keys1);
+  PROBKB_CHECK(old.index != nullptr && delta_start <= old.rows);
+  old.rows = delta_start;
+  PlanNodePtr old_delta = JoinIndexed(
+      probe_rules(1, part.body2, spec.m_keys2, DeltaJ2Cols(spec, rule_col)),
+      std::move(t_pi), "T", spec.j2_keys1, spec.t2_keys1,
+      DeltaLen3Body1Cols(spec), old);
+  std::vector<PlanNodePtr> passes;
+  passes.push_back(std::move(delta_full));
+  passes.push_back(std::move(old_delta));
+  return UnionAll(std::move(passes));
 }
 
 Result<TablePtr> GroundAtomsForPartition(int p, TablePtr m, TablePtr t_probe,

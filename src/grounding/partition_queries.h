@@ -1,9 +1,11 @@
 #ifndef PROBKB_GROUNDING_PARTITION_QUERIES_H_
 #define PROBKB_GROUNDING_PARTITION_QUERIES_H_
 
+#include <array>
 #include <vector>
 
 #include "engine/exec_context.h"
+#include "engine/flat_hash.h"
 #include "engine/plan.h"
 #include "kb/relational_model.h"
 #include "relational/table.h"
@@ -25,6 +27,17 @@ inline constexpr int kC2 = 4;
 
 Schema AtomSchema();
 
+/// Derivation schema of the Δ-driven Query 1: an inferred atom followed by
+/// its order key (R, x, C1, y, C2, rule, I2, I3). `rule` is the rule's row
+/// in its M table and I2/I3 are the body atoms' fact ids (I3 repeats I2
+/// for length-2 rules). Naive evaluation emits derivations in this key's
+/// order; see BuildDeltaAtomsPlan.
+namespace derivation {
+inline constexpr int kRule = 5;
+inline constexpr int kI2 = 6;
+inline constexpr int kI3 = 7;
+}  // namespace derivation
+
 /// \brief Join-key pairings of the batch queries for one MLN partition.
 ///
 /// Each partition's groundAtoms query is one or two hash joins between the
@@ -42,6 +55,12 @@ struct PartitionSpec {
   std::vector<int> t_keys1;  // TPi-side keys of the first join (view T0)
   std::vector<int> j1_keys2;  // J1-side keys of the second join (len 3)
   std::vector<int> t_keys2;   // TPi-side keys of the second join (Tx or Ty)
+  // Δ-driven (old, Δ) pass of a length-3 query: Δ meets body 2 first, so
+  // M pairs with T0 on body 2's keys, and the result J2 then probes for
+  // body 1 by its shared variable z.
+  std::vector<int> m_keys2;   // M-side keys of body 2 (view T0)
+  std::vector<int> j2_keys1;  // J2-side keys of the body-1 join
+  std::vector<int> t2_keys1;  // TPi-side keys of that join (Tx or Ty)
 };
 
 /// \brief Returns the spec for partition `p` in 1..6.
@@ -86,6 +105,63 @@ std::vector<ProjectExpr> NullI3Projection();
 PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
                            TablePtr t_probe2,
                            const TPiIndexes* indexes = nullptr);
+
+/// \brief The rule tables M1..M6 prepared for the Δ-driven Query 1: each
+/// copied with its row number as a trailing "rule" column and indexed on
+/// each body atom's key, the M-side columns a TPi row's view-T0 key
+/// (R, C1, C2) meets. Rule tables do not change during a fixpoint, so a
+/// grounder builds these once and reuses them every iteration.
+class RuleIndexes {
+ public:
+  struct Partition {
+    TablePtr rules;  // M_p plus the "rule" column
+    FlatRowIndex body1;
+    FlatRowIndex body2;  // length-3 partitions only
+  };
+  /// Per partition and body atom, the delta rows that atom's index can
+  /// match (see Route).
+  using DeltaSlices = std::array<std::array<TablePtr, 2>, kNumRuleStructures>;
+
+  /// \brief Indexes `m`, unless these tables (same objects, same row
+  /// counts) are already indexed.
+  Status Build(const std::array<TablePtr, kNumRuleStructures>& m);
+
+  const Partition& partition(int p) const {
+    return parts_[static_cast<size_t>(p - 1)];
+  }
+
+  /// \brief Splits the delta, `t_pi`'s rows from `delta_start` on, by body
+  /// atom: slice [p-1][b] holds, in row order, the rows whose relation is
+  /// body atom b+1 of some rule of M_p. Every other row would probe that
+  /// index in vain; a lookup in a per-relation bit mask keeps them out.
+  DeltaSlices Route(const Table& t_pi, int64_t delta_start) const;
+
+ private:
+  std::array<Partition, kNumRuleStructures> parts_;
+  std::array<TablePtr, kNumRuleStructures> sources_;
+  std::array<int64_t, kNumRuleStructures> source_rows_{};
+  /// Relation id -> bit 2(p-1)+b for every body atom b of a rule of M_p
+  /// that has that relation.
+  std::vector<uint16_t> relation_slots_;
+};
+
+/// \brief Builds (without executing) the Δ-driven Query 1-p plan: every
+/// derivation of partition `p` that uses at least one delta atom, the
+/// delta being TPi's rows from `delta_start` up to the join bound pinned
+/// by `indexes`' last Sync(), split by `rules.Route()`. Output schema: see
+/// namespace derivation.
+///
+/// Delta rows probe the rule index of body 1; the rules they meet probe
+/// TPi's persistent index for body 2 (the (Δ, full) pass). A length-3
+/// partition adds the (old, Δ) pass: delta rows probe the rule index of
+/// body 2, and the rules they meet probe the index for body 1 bounded at
+/// `delta_start`. The passes are disjoint, no pass builds a hash table,
+/// and both return their derivations in no particular order; the caller
+/// sorts them by the order key. `indexes` must hold T0/Tx/Ty for `t_pi`.
+PlanNodePtr BuildDeltaAtomsPlan(int p, const RuleIndexes& rules,
+                                const RuleIndexes::DeltaSlices& delta,
+                                TablePtr t_pi, const TPiIndexes& indexes,
+                                int64_t delta_start);
 
 /// \brief Query 1-p: applies every rule of partition `p` in one batch and
 /// returns the inferred atoms (R, x, C1, y, C2), not yet deduplicated.

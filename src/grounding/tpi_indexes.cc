@@ -56,6 +56,12 @@ Status TPiIndexes::Sync(const Table& t_pi) {
   Adopt(t_pi);
   for (View& view : views_) PROBKB_RETURN_NOT_OK(Extend(t_pi, &view));
   synced_rows_ = t_pi.NumRows();
+  const int64_t* ids = t_pi.Int64Data(tpi::kI);
+  for (int64_t r = std::max<int64_t>(id_checked_rows_, 1);
+       r < synced_rows_ && unordered_row_ < 0; ++r) {
+    if (ids[r] <= ids[r - 1]) unordered_row_ = r;
+  }
+  id_checked_rows_ = synced_rows_;
   return Status::OK();
 }
 
@@ -115,6 +121,34 @@ Result<int64_t> TPiIndexes::MergeAtoms(Table* t_pi, const Table& atoms,
   return AppendAtomRows(t_pi, atoms, selected, next_id);
 }
 
+Result<std::vector<int64_t>> TPiIndexes::AbsentAtoms(const Table& t_pi,
+                                                     const Table& atoms) {
+  Adopt(t_pi);
+  View& txy = views_[kTxy];
+  PROBKB_RETURN_NOT_OK(Extend(t_pi, &txy));
+  std::vector<int64_t> absent;
+  const std::vector<int>& keys = AtomKeysTxy();
+  size_t hashes[kHashBatchRows];
+  for (int64_t begin = 0; begin < atoms.NumRows(); begin += kHashBatchRows) {
+    const int64_t end = std::min(begin + kHashBatchRows, atoms.NumRows());
+    atoms.HashRows(keys, begin, end, hashes);
+    for (int64_t i = begin; i < end; ++i) {
+      txy.index.PrefetchHash(hashes[i - begin]);
+    }
+    for (int64_t i = begin; i < end; ++i) {
+      RowView row = atoms.row(i);
+      bool present = false;
+      for (int64_t e = txy.index.Head(hashes[i - begin]); e >= 0 && !present;
+           e = txy.index.Next(e)) {
+        present = RowKeyEquals(row, t_pi.row(txy.index.Row(e)), keys,
+                               txy.keys);
+      }
+      if (!present) absent.push_back(i);
+    }
+  }
+  return absent;
+}
+
 void TPiIndexes::Truncate(int64_t rows) {
   for (View& view : views_) {
     if (view.rows <= rows) continue;
@@ -123,6 +157,8 @@ void TPiIndexes::Truncate(int64_t rows) {
     view.rows = rows;
   }
   if (synced_rows_ > rows) synced_rows_ = rows;
+  id_checked_rows_ = std::min(id_checked_rows_, rows);
+  if (unordered_row_ >= rows) unordered_row_ = -1;
 }
 
 void TPiIndexes::Clear() {
@@ -132,6 +168,8 @@ void TPiIndexes::Clear() {
   }
   table_ = nullptr;
   synced_rows_ = -1;
+  id_checked_rows_ = 0;
+  unordered_row_ = -1;
 }
 
 }  // namespace probkb

@@ -53,6 +53,17 @@ class TPiIndexes {
   Result<int64_t> MergeAtoms(Table* t_pi, const Table& atoms,
                              FactId* next_id, const RowPredicate& drop);
 
+  /// \brief The rows of `atoms` (AtomSchema() columns first) whose
+  /// (R, x, C1, y, C2) key `t_pi` does not hold, in row order. Probes the
+  /// Txy index, extended over `t_pi` first.
+  Result<std::vector<int64_t>> AbsentAtoms(const Table& t_pi,
+                                           const Table& atoms);
+
+  /// \brief True when the fact ids of the rows pinned by the last Sync()
+  /// rise with row order, which makes fact ids order derivations the way
+  /// row positions do.
+  bool ids_ascending() const { return unordered_row_ < 0; }
+
   /// \brief Forgets every indexed row at or past `rows`, after the caller
   /// cut TPi back to its first `rows` rows (a failed iteration's rollback).
   void Truncate(int64_t rows);
@@ -77,6 +88,9 @@ class TPiIndexes {
   std::array<View, 4> views_;  // T0, Tx, Ty, Txy
   const Table* table_ = nullptr;
   int64_t synced_rows_ = -1;  // join bound; -1 until Sync()
+  int64_t id_checked_rows_ = 0;  // rows whose id order Sync() checked
+  int64_t unordered_row_ = -1;   // first row whose id is not above its
+                                 // predecessor's; -1 if none
 };
 
 }  // namespace probkb

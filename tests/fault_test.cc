@@ -306,7 +306,7 @@ TEST(CheckpointTest, RoundTripsScalarsTablesAndSegments) {
   GroundingCheckpoint cp;
   cp.iteration = 3;
   cp.next_fact_id = 42;
-  cp.delta_start = 7;
+  cp.delta_start = 1;
   cp.t_pi = Table::Make(TPiSchema());
   cp.t_pi->AppendRow({Value::Int64(1), Value::Int64(2), Value::Int64(3),
                       Value::Int64(4), Value::Int64(5), Value::Int64(6),
@@ -334,7 +334,7 @@ TEST(CheckpointTest, RoundTripsScalarsTablesAndSegments) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->iteration, 3);
   EXPECT_EQ(loaded->next_fact_id, 42);
-  EXPECT_EQ(loaded->delta_start, 7);
+  EXPECT_EQ(loaded->delta_start, 1);
   EXPECT_TRUE(TablesIdentical(*loaded->t_pi, *cp.t_pi));
   EXPECT_TRUE(TablesIdentical(*loaded->banned_x, *cp.banned_x));
   EXPECT_EQ(loaded->banned_y->NumRows(), 0);
@@ -496,6 +496,55 @@ TEST(CheckpointTest, ManifestRowCountsDetectTamperedTables) {
   ASSERT_TRUE(
       WriteTableTsvFile(*MakeTPiRows(1), dir + "/t_pi.tsv").ok());
   EXPECT_FALSE(ReadGroundingCheckpoint(TPiSchema(), dir).ok());
+}
+
+/// Rewrites the value of MANIFEST line `key` in the checkpoint under `dir`.
+void SetManifestValue(const std::string& dir, const std::string& key,
+                      const std::string& value) {
+  const std::string path = dir + "/MANIFEST";
+  std::ifstream in(path);
+  std::string text;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
+    text += line + "\n";
+  }
+  in.close();
+  std::ofstream(path) << text;
+}
+
+// A MANIFEST whose scalars do not fit its TPi is rejected as a ParseError,
+// and a resume from it fails instead of reading past TPi's rows.
+TEST(CheckpointTest, ManifestScalarsOutsideTPiAreRejected) {
+  struct Corruption {
+    const char* key;
+    const char* value;
+  };
+  // TPi holds 3 rows with ids 0..2.
+  const Corruption corruptions[] = {
+      {"delta_start", "4"},   {"delta_start", "-1"},
+      {"iteration", "-1"},    {"next_fact_id", "2"},
+      {"next_fact_id", "-5"},
+  };
+  for (const Corruption& c : corruptions) {
+    SCOPED_TRACE(std::string(c.key) + " " + c.value);
+    GroundingCheckpoint cp;
+    cp.iteration = 1;
+    cp.next_fact_id = 3;
+    cp.delta_start = 3;
+    cp.t_pi = MakeTPiRows(3);
+    const std::string dir = FreshDir("corrupt_manifest");
+    ASSERT_TRUE(WriteGroundingCheckpoint(cp, dir).ok());
+    ASSERT_TRUE(ReadGroundingCheckpoint(TPiSchema(), dir).ok());
+
+    SetManifestValue(dir, c.key, c.value);
+    auto loaded = ReadGroundingCheckpoint(TPiSchema(), dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status();
+    RelationalKB rkb = BuildRelationalModel(testutil::BuildPaperExampleKB());
+    Grounder grounder(&rkb, GroundingOptions{});
+    EXPECT_EQ(grounder.ResumeFrom(dir).code(), StatusCode::kParseError);
+  }
 }
 
 // --- Single-node checkpoint/resume ---------------------------------------------

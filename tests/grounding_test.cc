@@ -162,6 +162,25 @@ TEST_F(PaperExampleTest, StatementCountIsPerPartitionNotPerRule) {
   EXPECT_EQ(grounder.stats().statements, 4);
 }
 
+TEST_F(PaperExampleTest, SemiNaiveRejectsNegativeRuleRelation) {
+  // The delta passes route atoms by relation id; a rule table with a
+  // negative one is malformed input and comes back as a Status.
+  const Table& m3 = *rkb_.m[2];
+  auto bad = Table::Make(m3.schema());
+  for (int64_t i = 0; i < m3.NumRows(); ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < m3.width(); ++c) row.push_back(m3.row(i)[c]);
+    if (i == 0) row[mlen3::kR3] = Value::Int64(-1);
+    bad->AppendRow(row);
+  }
+  rkb_.m[2] = bad;
+  Grounder grounder(&rkb_, GroundingOptions{});
+  ASSERT_TRUE(grounder.GroundAtomsIteration().ok());  // the full pass
+  auto second = grounder.GroundAtomsIteration();
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MergeAtomsTest, AssignsFreshIdsAndDedupes) {
   auto t_pi = Table::Make(TPiSchema());
   AppendFactRow(t_pi.get(), 0, {7, 1, 2, 3, 4, 0.5});
@@ -262,57 +281,16 @@ TEST(MergeAtomsTest, SyncPinsTheJoinBound) {
 
 TEST_F(PaperExampleTest, SemiNaiveMatchesNaiveClosure) {
   RelationalKB rkb2 = BuildRelationalModel(kb_);
-  GroundingOptions semi;
-  semi.evaluation = EvaluationMode::kSemiNaive;
-  Grounder grounder_semi(&rkb2, semi);
+  Grounder grounder_semi(&rkb2, GroundingOptions{});  // the default
   ASSERT_TRUE(grounder_semi.GroundAtoms().ok());
 
-  Grounder grounder_naive(&rkb_, GroundingOptions{});
+  GroundingOptions naive;
+  naive.evaluation = EvaluationMode::kNaive;
+  Grounder grounder_naive(&rkb_, naive);
   ASSERT_TRUE(grounder_naive.GroundAtoms().ok());
 
-  EXPECT_EQ(TPiAtomSet(*rkb2.t_pi), TPiAtomSet(*rkb_.t_pi));
+  EXPECT_TRUE(TablesEqualExact(*rkb2.t_pi, *rkb_.t_pi));
 }
-
-TEST_F(PaperExampleTest, SemiNaiveRejectsConstraintsInLoop) {
-  GroundingOptions options;
-  options.evaluation = EvaluationMode::kSemiNaive;
-  options.apply_constraints_each_iteration = true;
-  Grounder grounder(&rkb_, options);
-  auto added = grounder.GroundAtomsIteration();
-  EXPECT_FALSE(added.ok());
-  EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
-}
-
-// Property: semi-naive evaluation reaches exactly the naive closure on
-// random synthetic KBs, and does strictly less probe work after the first
-// iteration.
-class SemiNaivePropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SemiNaivePropertyTest, ClosuresMatch) {
-  SyntheticKbConfig cfg;
-  cfg.scale = 0.003;
-  cfg.seed = static_cast<uint64_t>(GetParam()) * 131 + 7;
-  auto skb = GenerateReverbSherlockKb(cfg);
-  ASSERT_TRUE(skb.ok());
-
-  RelationalKB naive_rkb = BuildRelationalModel(skb->kb);
-  GroundingOptions naive_options;
-  naive_options.max_iterations = 6;
-  Grounder naive(&naive_rkb, naive_options);
-  ASSERT_TRUE(naive.GroundAtoms().ok());
-
-  RelationalKB semi_rkb = BuildRelationalModel(skb->kb);
-  GroundingOptions semi_options;
-  semi_options.max_iterations = 6;
-  semi_options.evaluation = EvaluationMode::kSemiNaive;
-  Grounder semi(&semi_rkb, semi_options);
-  ASSERT_TRUE(semi.GroundAtoms().ok());
-
-  EXPECT_EQ(testutil::TPiAtomSet(*semi_rkb.t_pi),
-            testutil::TPiAtomSet(*naive_rkb.t_pi));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaivePropertyTest, ::testing::Range(0, 5));
 
 // --- Pinned outputs ----------------------------------------------------------
 
@@ -341,12 +319,14 @@ uint64_t TableDigest(const Table& table, uint64_t h = 0xcbf29ce484222325ULL) {
   return h;
 }
 
-/// Grounds a seeded generated KB to `options.max_iterations` (resuming from
-/// `resume_dir` when non-empty) and digests TPi (ids included) then TPhi.
+/// Grounds a seeded generated KB of `scale` to `options.max_iterations`
+/// (resuming from `resume_dir` when non-empty) and digests TPi (ids
+/// included) then TPhi.
 uint64_t GroundedDigest(uint64_t seed, const GroundingOptions& options,
-                        const std::string& resume_dir = "") {
+                        const std::string& resume_dir = "",
+                        double scale = 0.02) {
   SyntheticKbConfig cfg;
-  cfg.scale = 0.02;
+  cfg.scale = scale;
   cfg.seed = seed;
   auto skb = GenerateReverbSherlockKb(cfg);
   EXPECT_TRUE(skb.ok());
@@ -363,58 +343,129 @@ uint64_t GroundedDigest(uint64_t seed, const GroundingOptions& options,
   return TableDigest(**t_phi, TableDigest(*rkb.t_pi));
 }
 
+// Digests of GroundedDigest(5, ...) at 4 iterations, recorded before the
+// persistent TPi indexes existed, so any change to merge order, id
+// assignment or join output order moves them.
+constexpr uint64_t kNaive = 0x1e3a8ee7d50afb7bULL;
+constexpr uint64_t kConstraints = 0x11e74d9deed79e8aULL;
+
 // Pins TPi (keys, ids, weights, row order) and TPhi of the single-node
 // grounder: naive and semi-naive at 1 and 4 threads, Query 3 inside the
-// loop (which deletes mid-run), and a checkpoint/resume round trip. The
-// constants were recorded before the persistent TPi indexes existed, so
-// any change to merge order, id assignment or join output order moves
-// them.
+// loop (which deletes mid-run), and checkpoint/resume round trips, one of
+// them switching from naive to semi-naive at the checkpoint.
 TEST(GroundingTest, OutputsMatchPinnedDigest) {
-  constexpr uint64_t kNaive = 0x1e3a8ee7d50afb7bULL;
-  constexpr uint64_t kSemiNaive = 0x5c0cd548c6a18c53ULL;
-  constexpr uint64_t kConstraints = 0x11e74d9deed79e8aULL;
   for (int threads : {1, 4}) {
-    GroundingOptions naive;
-    naive.max_iterations = 4;
-    naive.num_threads = threads;
-    const uint64_t naive_digest = GroundedDigest(5, naive);
-    EXPECT_EQ(naive_digest, kNaive)
-        << "threads " << threads << ": 0x" << std::hex << naive_digest;
-
-    GroundingOptions semi = naive;
-    semi.evaluation = EvaluationMode::kSemiNaive;
-    const uint64_t semi_digest = GroundedDigest(5, semi);
-    EXPECT_EQ(semi_digest, kSemiNaive)
-        << "threads " << threads << ": 0x" << std::hex << semi_digest;
+    for (EvaluationMode mode :
+         {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
+      GroundingOptions options;
+      options.max_iterations = 4;
+      options.num_threads = threads;
+      options.evaluation = mode;
+      const uint64_t digest = GroundedDigest(5, options);
+      EXPECT_EQ(digest, kNaive)
+          << "threads " << threads << ", "
+          << (mode == EvaluationMode::kNaive ? "naive" : "semi-naive")
+          << ": 0x" << std::hex << digest;
+    }
   }
   {
     GroundingOptions constrained;
     constrained.max_iterations = 4;
     constrained.apply_constraints_each_iteration = true;
+    constrained.evaluation = EvaluationMode::kNaive;
     const uint64_t digest = GroundedDigest(5, constrained);
     EXPECT_EQ(digest, kConstraints) << "0x" << std::hex << digest;
   }
-  {
+  for (EvaluationMode first_mode :
+       {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
     const std::string dir =
         ::testing::TempDir() + "/probkb_grounding_pinned_digest";
     std::filesystem::remove_all(dir);
     GroundingOptions first;
     first.max_iterations = 2;
     first.checkpoint_dir = dir;
+    first.evaluation = first_mode;
     GroundedDigest(5, first);
     GroundingOptions rest;
     rest.max_iterations = 4;
+    rest.evaluation = EvaluationMode::kSemiNaive;
     const uint64_t digest = GroundedDigest(5, rest, dir);
-    EXPECT_EQ(digest, kNaive) << "resumed: 0x" << std::hex << digest;
+    EXPECT_EQ(digest, kNaive)
+        << "resumed from a "
+        << (first_mode == EvaluationMode::kNaive ? "naive" : "semi-naive")
+        << " checkpoint: 0x" << std::hex << digest;
     std::filesystem::remove_all(dir);
   }
 }
+
+// Query 3 inside the loop deletes rows mid-run: semi-naive runs the full
+// pass after every iteration that deleted and must still match naive.
+TEST(GroundingTest, SemiNaiveConstraintsInLoopMatchPinnedDigest) {
+  GroundingOptions options;
+  options.max_iterations = 4;
+  options.apply_constraints_each_iteration = true;
+  options.evaluation = EvaluationMode::kSemiNaive;
+  const uint64_t digest = GroundedDigest(5, options);
+  EXPECT_EQ(digest, kConstraints) << "0x" << std::hex << digest;
+}
+
+// Fact ids that do not rise with row order (here: a KB loaded with its
+// ids reversed) cannot order derivations as naive does, so semi-naive
+// runs the full pass and still matches naive exactly.
+TEST(GroundingTest, SemiNaiveMatchesNaiveWhenIdsDescend) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.003;
+  cfg.seed = 7;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  auto ground = [&](EvaluationMode mode) {
+    RelationalKB rkb = BuildRelationalModel(skb->kb);
+    auto reversed = Table::Make(TPiSchema());
+    const int64_t n = rkb.t_pi->NumRows();
+    for (int64_t i = 0; i < n; ++i) {
+      AppendFactRow(reversed.get(), n - 1 - i, FactFromRow(rkb.t_pi->row(i)));
+    }
+    rkb.t_pi = reversed;
+    GroundingOptions options;
+    options.evaluation = mode;
+    Grounder grounder(&rkb, options);
+    EXPECT_TRUE(grounder.GroundAtoms().ok());
+    EXPECT_GT(grounder.stats().iterations, 2);
+    return rkb.t_pi;
+  };
+  EXPECT_TRUE(TablesEqualExact(*ground(EvaluationMode::kSemiNaive),
+                               *ground(EvaluationMode::kNaive)));
+}
+
+// Property: semi-naive evaluation reproduces naive's TPi (ids and row
+// order included) and TPhi on random synthetic KBs, to the fixpoint or the
+// 15-iteration cap, with and without Query 3 inside the loop.
+class SemiNaivePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SemiNaivePropertyTest, ClosuresMatch) {
+  // Params 0-9 generate small KBs, 10-19 KBs at the pinned digests' scale.
+  const uint64_t seed = static_cast<uint64_t>(GetParam() % 10) * 131 + 7;
+  const double scale = GetParam() < 10 ? 0.003 : 0.02;
+  for (bool constraints : {false, true}) {
+    GroundingOptions naive;
+    naive.max_iterations = 15;
+    naive.apply_constraints_each_iteration = constraints;
+    naive.evaluation = EvaluationMode::kNaive;
+    GroundingOptions semi = naive;
+    semi.evaluation = EvaluationMode::kSemiNaive;
+    EXPECT_EQ(GroundedDigest(seed, semi, "", scale),
+              GroundedDigest(seed, naive, "", scale))
+        << "constraints in the loop: " << constraints;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaivePropertyTest, ::testing::Range(0, 20));
 
 // A statement failing mid-iteration, after earlier statements of the same
 // iteration already merged their atoms, must leave TPi, the fact-id counter
 // and the TPi indexes exactly as the iteration found them: retrying the
 // iteration then reproduces a clean run bit for bit.
-TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
+void ExpectFailedStatementRollsBack(EvaluationMode mode) {
   SyntheticKbConfig cfg;
   cfg.scale = 0.005;
   cfg.seed = 9;
@@ -422,6 +473,7 @@ TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
   ASSERT_TRUE(skb.ok());
   GroundingOptions options;
   options.num_threads = 1;
+  options.evaluation = mode;
 
   RelationalKB clean_rkb = BuildRelationalModel(skb->kb);
   Grounder clean(&clean_rkb, options);
@@ -430,16 +482,20 @@ TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
 
   RelationalKB rkb = BuildRelationalModel(skb->kb);
   // Operators per statement (HashJoin plus its scans, CheckBudget order):
-  // 3 for a length-2 partition, 5 for a length-3 one. The fault strikes
-  // the first operator of iteration 2's second statement.
+  // 3 for a length-2 partition, 5 for a length-3 one. Iteration 2 of
+  // semi-naive runs the delta plans, whose length-3 statements append two
+  // 5-operator passes (11 operators). The fault strikes the first operator
+  // of iteration 2's second statement.
+  const bool delta_driven = mode == EvaluationMode::kSemiNaive;
   std::vector<int64_t> statement_ops;
+  int64_t iteration_ops = 0;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (rkb.m[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
-    statement_ops.push_back(GetPartitionSpec(p).body_length == 1 ? 3 : 5);
+    const bool len2 = GetPartitionSpec(p).body_length == 1;
+    iteration_ops += len2 ? 3 : 5;
+    statement_ops.push_back(len2 ? 3 : delta_driven ? 11 : 5);
   }
   ASSERT_GE(statement_ops.size(), 2u);
-  int64_t iteration_ops = 0;
-  for (int64_t ops : statement_ops) iteration_ops += ops;
   FaultInjectionOptions faults;
   faults.enabled = true;
   faults.schedule = {{FaultKind::kMemoryExhausted,
@@ -465,6 +521,14 @@ TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
   ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
   EXPECT_TRUE(TablesEqualExact(*rkb.t_pi, *clean_rkb.t_pi));
   EXPECT_EQ(rkb.next_fact_id, clean_rkb.next_fact_id);
+}
+
+TEST(GroundingRollbackTest, FailedStatementLeavesIterationStartState) {
+  ExpectFailedStatementRollsBack(EvaluationMode::kNaive);
+}
+
+TEST(GroundingRollbackTest, FailedDeltaStatementLeavesIterationStartState) {
+  ExpectFailedStatementRollsBack(EvaluationMode::kSemiNaive);
 }
 
 TEST(GroundingMonotonicityTest, TPiOnlyGrowsWithoutConstraints) {

@@ -439,10 +439,29 @@ TEST(GoldenExplainTest, Table3SingleNodePlans) {
 
   GroundingOptions options;
   options.max_iterations = 3;
+  options.evaluation = EvaluationMode::kNaive;  // as table3_grounding runs
   RelationalKB rkb = BuildRelationalModel(skb->kb);
   Grounder grounder(&rkb, options);
   ASSERT_TRUE(grounder.GroundAtoms().ok());
   CompareAgainstGolden("table3_explain.txt", grounder.ExplainPlans());
+}
+
+TEST(GoldenExplainTest, SemiNaiveDeltaPlans) {
+  // The same KB under the default semi-naive evaluation: iteration 3 runs
+  // the delta-driven trees (the delta probes the rule tables; length-3
+  // statements append the (delta, full) and (old, delta) passes).
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.002;
+  cfg.seed = 7;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+
+  GroundingOptions options;
+  options.max_iterations = 3;
+  RelationalKB rkb = BuildRelationalModel(skb->kb);
+  Grounder grounder(&rkb, options);
+  ASSERT_TRUE(grounder.GroundAtoms().ok());
+  CompareAgainstGolden("seminaive_explain.txt", grounder.ExplainPlans());
 }
 
 TEST(GoldenExplainTest, Fig4MppMotionDecisions) {

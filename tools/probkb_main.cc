@@ -2,7 +2,7 @@
 //
 //   probkb stats   program.mln
 //   probkb ground  program.mln [--iterations N] [--constraints]
-//                  [--rule-theta F] [--semi-naive] [--deadline S]
+//                  [--rule-theta F] [--deadline S]
 //                  [--max-rows N] [--checkpoint DIR] [--resume]
 //                  [--threads N] [--mem-budget SIZE] [--spill-dir DIR]
 //                  [--tpi out.tsv] [--tphi out.tsv]
@@ -60,7 +60,6 @@ struct CliOptions {
   std::string program_path;
   int iterations = 15;
   bool constraints = false;
-  bool semi_naive = false;
   double rule_theta = 1.0;
   int sweeps = 2000;
   bool map_inference = false;
@@ -104,7 +103,6 @@ int Usage() {
       "[flags]\n"
       "  --iterations N    grounding iteration cap (default 15)\n"
       "  --constraints     apply functional constraints each iteration\n"
-      "  --semi-naive      semi-naive (delta) evaluation\n"
       "  --rule-theta F    keep the top-F fraction of rules by score\n"
       "  --deadline S      grounding deadline in seconds (exit 4 past it)\n"
       "  --max-rows N      per-statement produced-row cap (exit 5 past it)\n"
@@ -279,8 +277,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->iterations = std::atoi(v);
     } else if (flag == "--constraints") {
       options->constraints = true;
-    } else if (flag == "--semi-naive") {
-      options->semi_naive = true;
     } else if (flag == "--rule-theta") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -711,8 +707,6 @@ int Run(const CliOptions& options) {
   GroundingOptions grounding;
   grounding.max_iterations = options.iterations;
   grounding.apply_constraints_each_iteration = options.constraints;
-  grounding.evaluation = options.semi_naive ? EvaluationMode::kSemiNaive
-                                            : EvaluationMode::kNaive;
   grounding.deadline_seconds = options.deadline_seconds;
   grounding.max_rows_per_statement = options.max_rows;
   grounding.checkpoint_dir = options.checkpoint_dir;
