@@ -15,10 +15,16 @@
 //   --spill-dir DIR    spill-file directory (default: system temp)
 //   --oocore-check     correctness mode instead of the benchmark: grounds
 //                      once in memory, then under the budget at 1/2/4/8
-//                      threads, and the TPi / TPhi tables must be
-//                      bit-identical (exit 1 otherwise; also fails if the
-//                      budgeted run never spilled)
+//                      threads; exit 1 unless every budgeted run spills,
+//                      reproduces TPi / TPhi bit for bit, and keeps its
+//                      peak-RSS delta inside the budget envelope and below
+//                      an in-memory run at the same thread count (see
+//                      RssEnvelopeOk). All runs take the full pass
+//                      (EvaluationMode::kNaive). Without --mem-budget the
+//                      budget is max(1-thread in-memory peak-RSS delta / 4,
+//                      8 MiB).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -63,54 +69,113 @@ bool TablesIdentical(const Table& a, const Table& b) {
   return true;
 }
 
-/// Out-of-core bit-identity oracle: grounds the KB once fully in memory,
-/// then under `budget_bytes` at 1/2/4/8 threads; every budgeted run must
-/// reproduce the in-memory TPi and TPhi byte for byte *and* actually
-/// spill (otherwise the budget was too loose to exercise the grace path).
+/// The peak-RSS envelope a budgeted grounding must hold: 1.2x the budget
+/// of join working set, plus what any join must retain regardless of
+/// spilling — the answer tables themselves and up to one transient copy of
+/// them while the k-way merge drains leaf runs into the output (runs are
+/// freed as they empty, capping the duplication at ~1x output). 8 MiB of
+/// allocator slack covers glibc arena granularity at bench scales. The
+/// budgeted peak must also undercut the in-memory peak outright, so the
+/// envelope can never degenerate into a vacuous bound.
+bool RssEnvelopeOk(int64_t budgeted_delta, int64_t in_memory_delta,
+                   int64_t budget_bytes, int64_t output_bytes) {
+  const int64_t envelope =
+      static_cast<int64_t>(1.2 * static_cast<double>(budget_bytes)) +
+      2 * output_bytes + (8LL << 20);
+  return budgeted_delta <= envelope && budgeted_delta < in_memory_delta;
+}
+
+/// One grounding run (Query 1 to the iteration cap, then Query 2) with its
+/// peak-RSS delta. The window opens after BuildRelationalModel, so the delta
+/// measures the engine's working set, not the resident KB the budget
+/// deliberately excludes.
+struct OocoreRun {
+  RelationalKB rkb;
+  TablePtr t_phi;
+  int64_t peak_delta = 0;
+  int64_t spill_bytes = 0;
+};
+
+bool GroundMeasured(const KnowledgeBase& kb, const GroundingOptions& options,
+                    OocoreRun* run) {
+  run->rkb = BuildRelationalModel(kb);
+  StatsRegistry registry;
+  Grounder grounder(&run->rkb, options);
+  grounder.set_stats_registry(&registry);
+  bench::TryResetPeakRss();
+  const int64_t rss0 = bench::PeakRssBytes();
+  if (!grounder.GroundAtoms().ok()) return false;
+  auto phi = grounder.GroundFactors();
+  if (!phi.ok()) return false;
+  run->peak_delta = bench::PeakRssBytes() - rss0;
+  run->t_phi = *phi;
+  run->spill_bytes = registry.FindCounter("spill_bytes_written");
+  return true;
+}
+
+/// Out-of-core oracle (see the --oocore-check flag above). `budget_bytes`
+/// 0 derives the budget from the 1-thread in-memory run.
 int RunOutOfCoreCheck(const KnowledgeBase& kb, GroundingOptions base,
                       int64_t budget_bytes, const std::string& spill_dir) {
   base.spill_dir = spill_dir;
+  // Under a budget the Grounder always runs the full M-driven pass, so the
+  // in-memory runs it is measured against run that pass too.
+  base.evaluation = EvaluationMode::kNaive;
 
+  // The 1-thread in-memory run: the tables every budgeted run must
+  // reproduce, and the peak the budget is derived from.
   GroundingOptions in_mem = base;
   in_mem.mem_budget_bytes = 0;
   in_mem.num_threads = 1;
-  RelationalKB rkb_ref = BuildRelationalModel(kb);
-  Grounder reference(&rkb_ref, in_mem);
-  if (!reference.GroundAtoms().ok()) return 1;
-  auto phi_ref = reference.GroundFactors();
-  if (!phi_ref.ok()) return 1;
-  std::printf("oocore reference (in-memory): %lld atoms, %lld factors\n",
-              static_cast<long long>(rkb_ref.t_pi->NumRows()),
-              static_cast<long long>((*phi_ref)->NumRows()));
+  OocoreRun ref;
+  if (!GroundMeasured(kb, in_mem, &ref)) return 1;
+  if (budget_bytes <= 0) {
+    budget_bytes = std::max<int64_t>(ref.peak_delta / 4, int64_t{8} << 20);
+  }
+  const int64_t output_bytes = ref.rkb.t_pi->ByteSize() + ref.t_phi->ByteSize();
+  std::printf(
+      "oocore reference (in-memory): %lld atoms, %lld factors, output %s\n",
+      static_cast<long long>(ref.rkb.t_pi->NumRows()),
+      static_cast<long long>(ref.t_phi->NumRows()),
+      FormatByteSize(output_bytes).c_str());
 
   int failures = 0;
   for (int threads : {1, 2, 4, 8}) {
+    // Each budgeted run's peak is held against the in-memory peak at its
+    // own thread count.
+    int64_t in_memory_delta = ref.peak_delta;
+    if (threads > 1) {
+      in_mem.num_threads = threads;
+      OocoreRun mem_run;
+      if (!GroundMeasured(kb, in_mem, &mem_run)) return 1;
+      in_memory_delta = mem_run.peak_delta;
+    }
     GroundingOptions budgeted = base;
     budgeted.mem_budget_bytes = budget_bytes;
     budgeted.num_threads = threads;
-    StatsRegistry registry;
-    RelationalKB rkb = BuildRelationalModel(kb);
-    Grounder grounder(&rkb, budgeted);
-    grounder.set_stats_registry(&registry);
-    if (!grounder.GroundAtoms().ok()) return 1;
-    auto phi = grounder.GroundFactors();
-    if (!phi.ok()) return 1;
-    const bool tpi_ok = TablesIdentical(*rkb_ref.t_pi, *rkb.t_pi);
-    const bool phi_ok = TablesIdentical(**phi_ref, **phi);
-    const long long spilled =
-        static_cast<long long>(registry.FindCounter("spill_bytes_written"));
-    const bool spilled_ok = spilled > 0;
-    if (!tpi_ok || !phi_ok || !spilled_ok) ++failures;
+    OocoreRun run;
+    if (!GroundMeasured(kb, budgeted, &run)) return 1;
+    const bool tpi_ok = TablesIdentical(*ref.rkb.t_pi, *run.rkb.t_pi);
+    const bool phi_ok = TablesIdentical(*ref.t_phi, *run.t_phi);
+    const bool spilled_ok = run.spill_bytes > 0;
+    const bool rss_ok = RssEnvelopeOk(run.peak_delta, in_memory_delta,
+                                      budget_bytes, output_bytes);
+    if (!tpi_ok || !phi_ok || !spilled_ok || !rss_ok) ++failures;
     std::printf(
-        "oocore threads=%d budget=%s: %lld spill bytes -> TPi %s, TPhi %s%s\n",
-        threads, FormatByteSize(budget_bytes).c_str(), spilled,
+        "oocore threads=%d budget=%s: %lld spill bytes, peak RSS +%s "
+        "(in-memory +%s) -> TPi %s, TPhi %s%s%s\n",
+        threads, FormatByteSize(budget_bytes).c_str(),
+        static_cast<long long>(run.spill_bytes),
+        FormatByteSize(run.peak_delta).c_str(),
+        FormatByteSize(in_memory_delta).c_str(),
         tpi_ok ? "identical" : "DIVERGED", phi_ok ? "identical" : "DIVERGED",
-        spilled_ok ? "" : " [no spill — budget too loose]");
+        spilled_ok ? "" : " [no spill — budget too loose]",
+        rss_ok ? "" : " [PEAK RSS OVER THE BUDGET ENVELOPE]");
   }
   if (failures == 0) {
     std::printf(
         "oocore: budgeted grace-hash grounding is bit-identical to the "
-        "in-memory path\n");
+        "in-memory path and inside its peak-RSS envelope\n");
   }
   return failures == 0 ? 0 : 1;
 }
@@ -151,7 +216,7 @@ int main(int argc, char** argv) {
     std::printf("scaled KB to %zu facts (--scale-facts %lld)\n",
                 skb->kb.facts().size(), static_cast<long long>(target));
   }
-  int64_t mem_budget = -1;  // inherit Tunables / PROBKB_MEM_BUDGET
+  int64_t mem_budget = 0;  // 0: in-memory (--oocore-check derives one)
   const std::string mem_budget_arg = bench::ArgValue(argc, argv, "--mem-budget");
   if (!mem_budget_arg.empty()) {
     auto bytes = ParseByteSize(mem_budget_arg);
@@ -166,10 +231,7 @@ int main(int argc, char** argv) {
   if (bench::HasFlag(argc, argv, "--oocore-check")) {
     GroundingOptions check_options;
     check_options.max_iterations = kIterations;
-    // A budget must be explicit here: the check's whole point is to force
-    // the spill path, so default to a deliberately tight 32M.
-    const int64_t budget = mem_budget > 0 ? mem_budget : 32LL << 20;
-    return RunOutOfCoreCheck(skb->kb, check_options, budget, spill_dir);
+    return RunOutOfCoreCheck(skb->kb, check_options, mem_budget, spill_dir);
   }
 
   // "We run Query 3 once before inference starts and do not perform any

@@ -11,9 +11,9 @@
 
 // Execution half of the plan layer: the PlanNode::Execute bodies. The
 // structural IR (construction, Explain) lives in plan.cc. All batching /
-// parallelism cutoffs come from the Tunables snapshot taken per operator;
-// every knob only moves work between the bit-identical serial and parallel
-// paths, so no setting can change any output.
+// parallelism cutoffs are the constants of engine/tunables.h; each only
+// moves work between the bit-identical serial and parallel paths, so none
+// can change any output.
 
 namespace probkb {
 
@@ -45,19 +45,17 @@ NodeStats MakeStats(std::string label, int64_t rows_in, int64_t rows_out,
 /// PartitionedRowIndex for the bit-identity argument).
 PartitionedRowIndex BuildRightIndex(const Table& right,
                                     const std::vector<int>& right_keys,
-                                    ThreadPool* pool, const Tunables& tun) {
+                                    ThreadPool* pool) {
   const int64_t build_rows = right.NumRows();
   const bool parallel_build = pool != nullptr && pool->num_threads() > 1 &&
-                              build_rows >= tun.parallel_min_rows;
+                              build_rows >= kParallelMinRows;
   std::vector<size_t> right_hashes(static_cast<size_t>(build_rows));
-  const int64_t hash_chunk_rows = tun.hash_chunk_rows;
   if (parallel_build) {
-    const int64_t chunks =
-        (build_rows + hash_chunk_rows - 1) / hash_chunk_rows;
+    const int64_t chunks = (build_rows + kHashChunkRows - 1) / kHashChunkRows;
     pool->ParallelFor(chunks, 1, [&](int64_t cb, int64_t ce) {
       for (int64_t c = cb; c < ce; ++c) {
-        const int64_t begin = c * hash_chunk_rows;
-        const int64_t end = std::min(begin + hash_chunk_rows, build_rows);
+        const int64_t begin = c * kHashChunkRows;
+        const int64_t end = std::min(begin + kHashChunkRows, build_rows);
         right.HashRows(right_keys, begin, end, right_hashes.data() + begin);
       }
     });
@@ -68,7 +66,7 @@ PartitionedRowIndex BuildRightIndex(const Table& right,
   int num_parts = 1;
   if (parallel_build) {
     while (num_parts < pool->num_threads() &&
-           num_parts < tun.max_build_partitions) {
+           num_parts < kMaxBuildPartitions) {
       num_parts <<= 1;
     }
   }
@@ -181,7 +179,6 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   PROBKB_ASSIGN_OR_RETURN(TablePtr left, children_[0]->Execute(ctx));
   PROBKB_ASSIGN_OR_RETURN(TablePtr right, children_[1]->Execute(ctx));
   Timer timer;
-  const Tunables tun = GetTunables();
   const int64_t build_rows =
       prebuilt_.index != nullptr ? prebuilt_.rows : right->NumRows();
   PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(build_rows));
@@ -250,11 +247,12 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
       gspec.num_parts = parts;
       gspec.label = "grace";
       GraceJoinStats gstats;
-      PROBKB_ASSIGN_OR_RETURN(TablePtr gout,
-                              GraceHashJoin(spill, *left, *right, gspec,
-                                            &gstats));
-      NodeStats ns = MakeStats(Label(), left->NumRows() + right->NumRows(),
-                               gout->NumRows(), timer.Seconds(), 2);
+      const int64_t input_rows = left->NumRows() + right->NumRows();
+      PROBKB_ASSIGN_OR_RETURN(
+          TablePtr gout, GraceHashJoin(spill, std::move(left),
+                                       std::move(right), gspec, &gstats));
+      NodeStats ns = MakeStats(Label(), input_rows, gout->NumRows(),
+                               timer.Seconds(), 2);
       ns.build_partitions = gstats.partitions;
       ns.spill_partitions = gstats.spill_partitions;
       ns.spill_bytes_written = gstats.spill_bytes_written;
@@ -275,7 +273,7 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   Timer build_timer;
   const bool prebuilt = prebuilt_.index != nullptr;
   PartitionedRowIndex built(1);
-  if (!prebuilt) built = BuildRightIndex(*right, right_keys_, pool, tun);
+  if (!prebuilt) built = BuildRightIndex(*right, right_keys_, pool);
   const double build_seconds = build_timer.Seconds();
   auto index_for = [&](size_t h) -> const FlatRowIndex& {
     return prebuilt ? *prebuilt_.index : built.PartFor(h);
@@ -339,17 +337,16 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   // morsel, concatenated in morsel order — the output is bit-identical to
   // the serial probe loop regardless of scheduling. Small probe sides run
   // serially: morsel dispatch on a tiny delta costs more than it saves.
-  const int64_t morsel_rows = tun.morsel_rows;
   Timer probe_timer;
   if (pool != nullptr && pool->num_threads() > 1 &&
-      left->NumRows() >= tun.parallel_min_rows) {
-    const int64_t morsels = (left->NumRows() + morsel_rows - 1) / morsel_rows;
+      left->NumRows() >= kParallelMinRows) {
+    const int64_t morsels = (left->NumRows() + kMorselRows - 1) / kMorselRows;
     std::vector<TablePtr> parts(static_cast<size_t>(morsels));
     pool->ParallelFor(morsels, 1, [&](int64_t m_begin, int64_t m_end) {
       for (int64_t m = m_begin; m < m_end; ++m) {
         auto part = Table::Make(out_schema);
-        int64_t begin = m * morsel_rows;
-        int64_t end = std::min(begin + morsel_rows, left->NumRows());
+        int64_t begin = m * kMorselRows;
+        int64_t end = std::min(begin + kMorselRows, left->NumRows());
         probe_range(begin, end, part.get());
         parts[static_cast<size_t>(m)] = std::move(part);
       }

@@ -10,8 +10,8 @@ namespace probkb {
 /// \brief Runs a plan tree and returns its result table.
 ///
 /// The executor half of the plan layer: PlanNode::Execute bodies live in
-/// executor.cc and read their serial/parallel cutoffs from the process-wide
-/// Tunables snapshot (engine/tunables.h) instead of compile-time constants.
+/// executor.cc and read their serial/parallel cutoffs from the constants
+/// of engine/tunables.h.
 /// Each node also records its observed output cardinality on itself
 /// (PlanNode::obs_rows), so an executed tree doubles as an EXPLAIN ANALYZE
 /// artifact the planner's next iteration feeds on.

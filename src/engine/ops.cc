@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace probkb {
 
@@ -139,20 +142,13 @@ namespace {
 /// advisory budget.
 constexpr int kMaxGraceDepth = 4;
 
-/// Appends `schema` plus the hidden trailing row-id column.
-Schema WithOrigColumn(const Schema& schema) {
-  std::vector<Field> fields = schema.fields();
-  fields.push_back(Field{"__orig", ColumnType::kInt64});
-  return Schema(std::move(fields));
-}
-
 /// Joins one partition pair in memory with the batched probe pipeline
 /// (HashJoinNode's serial probe loop, verbatim semantics). `left_part`
 /// carries the hidden orig column (width = left_base_width + 1); every
-/// output row lands in `dst` with its orig value in the trailing column.
+/// output row is appended to `dst` and its orig value to `origs`.
 void ProbePartitionPair(const Table& left_part, int left_base_width,
                         const Table& right_part, const GraceJoinSpec& spec,
-                        Table* dst) {
+                        Table* dst, std::vector<int64_t>* origs) {
   const int64_t build_rows = right_part.NumRows();
   std::vector<size_t> right_hashes(static_cast<size_t>(build_rows));
   if (build_rows > 0) {
@@ -169,7 +165,8 @@ void ProbePartitionPair(const Table& left_part, int left_base_width,
 
   const bool inner = spec.type == JoinType::kInner;
   const int orig_col = left_base_width;
-  std::vector<Value> out_buf(inner ? spec.output_cols.size() + 1 : 0);
+  std::vector<Value> out_buf(inner ? spec.output_cols.size()
+                                   : static_cast<size_t>(left_base_width));
   std::vector<Value> concat_buf;
   size_t hashes[kProbeBatchRows];
   const int64_t probe_rows = left_part.NumRows();
@@ -209,28 +206,31 @@ void ProbePartitionPair(const Table& left_part, int left_base_width,
                              ? lrow[oc.column]
                              : rrow[oc.column];
           }
-          out_buf.back() = lrow[orig_col];
           dst->AppendRow(out_buf);
+          origs->push_back(lrow[orig_col].i64());
         } else {
           break;  // semi/anti only need existence
         }
       }
-      // Semi/anti emit the left row as-is: dst shares left_part's schema,
-      // so the orig column rides along automatically.
-      if (spec.type == JoinType::kLeftSemi && matched) dst->AppendRow(lrow);
-      if (spec.type == JoinType::kLeftAnti && !matched) dst->AppendRow(lrow);
+      // Semi/anti emit the left row without its orig column.
+      if ((spec.type == JoinType::kLeftSemi && matched) ||
+          (spec.type == JoinType::kLeftAnti && !matched)) {
+        for (int c = 0; c < left_base_width; ++c) out_buf[c] = lrow[c];
+        dst->AppendRow(out_buf);
+        origs->push_back(lrow[orig_col].i64());
+      }
     }
   }
 }
 
 /// Streams `src` rows [all] into `dst` partitions, hashing on `keys` in
-/// Tunables-sized chunks.
+/// kHashChunkRows chunks.
 Status PartitionInto(const Table& src, const std::vector<int>& keys,
-                     int64_t chunk_rows, SpillableTable* dst) {
+                     SpillableTable* dst) {
   std::vector<size_t> hashes;
   const int64_t n = src.NumRows();
-  for (int64_t begin = 0; begin < n; begin += chunk_rows) {
-    const int64_t end = std::min(begin + chunk_rows, n);
+  for (int64_t begin = 0; begin < n; begin += kHashChunkRows) {
+    const int64_t end = std::min(begin + kHashChunkRows, n);
     hashes.resize(static_cast<size_t>(end - begin));
     src.HashRows(keys, begin, end, hashes.data());
     PROBKB_RETURN_NOT_OK(dst->AppendPartitioned(src, hashes, begin, end));
@@ -241,20 +241,12 @@ Status PartitionInto(const Table& src, const std::vector<int>& keys,
 /// Joins `left_part` x `right_part`, recursing one more partitioning
 /// level (next bit group down) when the pair's working set still exceeds
 /// the budget. Both inputs are pinned/resident tables; `left_part`
-/// carries the orig column.
-///
-/// Every in-memory probe appends a fresh table to `leaves` instead of
-/// writing into one per-top-partition output: a leaf is ascending in orig
-/// (the probe walks its partition in scatter order), but the
-/// *concatenation* of sibling leaves is not — children split on a deeper
-/// bit group, so their orig ranges interleave. The top-level merge
-/// therefore runs over all leaves, never over concatenations.
+/// carries the orig column. Output rows append to `out` in probe order,
+/// their orig values to `origs`.
 Status GraceJoinPair(SpillContext* spill, const Table& left_part,
                      const Table& right_part, const GraceJoinSpec& spec,
-                     const Schema& run_schema, int left_base_width,
-                     int bit_offset, int depth,
-                     std::vector<TablePtr>* leaves) {
-  const Tunables tun = GetTunables();
+                     int left_base_width, int bit_offset, int depth,
+                     Table* out, std::vector<int64_t>* origs) {
   MemoryBudget* budget = spill->budget();
   // Build cost: the 8-byte hash array, 8 bytes/entry, and 12-byte slots
   // at 10/7..20/7 of the distinct keys.
@@ -265,12 +257,10 @@ Status GraceJoinPair(SpillContext* spill, const Table& left_part,
       budget != nullptr && budget->enabled() &&
       working_bytes > budget->AvailableBytes();
   if (!over_budget || depth >= kMaxGraceDepth ||
-      right_part.NumRows() < tun.grace_split_min_rows ||
+      right_part.NumRows() < kGraceSplitMinRows ||
       bit_offset + 1 > 55) {
-    auto leaf = Table::Make(run_schema);
-    ProbePartitionPair(left_part, left_base_width, right_part, spec,
-                       leaf.get());
-    if (leaf->NumRows() > 0) leaves->push_back(std::move(leaf));
+    ProbePartitionPair(left_part, left_base_width, right_part, spec, out,
+                       origs);
     return Status::OK();
   }
 
@@ -291,17 +281,15 @@ Status GraceJoinPair(SpillContext* spill, const Table& left_part,
                         stem + ".L", /*with_row_ids=*/false);
   SpillableTable rparts(spill, right_part.schema(), parts, bit_offset,
                         stem + ".R", /*with_row_ids=*/false);
-  PROBKB_RETURN_NOT_OK(
-      PartitionInto(left_part, spec.left_keys, tun.hash_chunk_rows, &lparts));
-  PROBKB_RETURN_NOT_OK(PartitionInto(right_part, spec.right_keys,
-                                     tun.hash_chunk_rows, &rparts));
+  PROBKB_RETURN_NOT_OK(PartitionInto(left_part, spec.left_keys, &lparts));
+  PROBKB_RETURN_NOT_OK(PartitionInto(right_part, spec.right_keys, &rparts));
   const int next_offset = bit_offset + lparts.router().bits();
   for (int p = 0; p < parts; ++p) {
     if (lparts.PartitionRows(p) == 0) continue;
     PROBKB_ASSIGN_OR_RETURN(TablePtr lp, lparts.PinPartition(p));
     PROBKB_ASSIGN_OR_RETURN(TablePtr rp, rparts.PinPartition(p));
-    Status st = GraceJoinPair(spill, *lp, *rp, spec, run_schema,
-                              left_base_width, next_offset, depth + 1, leaves);
+    Status st = GraceJoinPair(spill, *lp, *rp, spec, left_base_width,
+                              next_offset, depth + 1, out, origs);
     lparts.UnpinPartition(p);
     rparts.UnpinPartition(p);
     PROBKB_RETURN_NOT_OK(st);
@@ -311,13 +299,12 @@ Status GraceJoinPair(SpillContext* spill, const Table& left_part,
 
 }  // namespace
 
-Result<TablePtr> GraceHashJoin(SpillContext* spill, const Table& left,
-                               const Table& right, const GraceJoinSpec& spec,
+Result<TablePtr> GraceHashJoin(SpillContext* spill, TablePtr left,
+                               TablePtr right, const GraceJoinSpec& spec,
                                GraceJoinStats* stats) {
   PROBKB_RETURN_NOT_OK(spill->Prepare());
-  const Tunables tun = GetTunables();
   TraceSpan span(Tracer::Global(), "grace_hash_join", "spill",
-                 left.NumRows(), right.NumRows());
+                 left->NumRows(), right->NumRows());
 
   const SpillStats& sstats = spill->stats();
   const int64_t written0 = sstats.bytes_written.load(std::memory_order_relaxed);
@@ -331,95 +318,65 @@ Result<TablePtr> GraceHashJoin(SpillContext* spill, const Table& left,
   PROBKB_CHECK(parts >= 2 && (parts & (parts - 1)) == 0 && parts <= 256);
 
   const bool inner = spec.type == JoinType::kInner;
-  const int left_base_width = left.width();
-  const Schema run_schema =
-      WithOrigColumn(inner ? spec.out_schema : left.schema());
+  const int left_base_width = left->width();
+  const int64_t left_rows = left->NumRows();
+  auto out = Table::Make(inner ? spec.out_schema : left->schema());
 
   // Level 0: partition both sides on the top hash bits; the probe side is
-  // tagged with global row ids for the final merge.
-  SpillableTable lparts(spill, left.schema(), parts, /*bit_offset=*/0,
+  // tagged with its row ids (orig) for the final reorder.
+  SpillableTable lparts(spill, left->schema(), parts, /*bit_offset=*/0,
                         spec.label + ".L", /*with_row_ids=*/true);
-  SpillableTable rparts(spill, right.schema(), parts, /*bit_offset=*/0,
+  SpillableTable rparts(spill, right->schema(), parts, /*bit_offset=*/0,
                         spec.label + ".R", /*with_row_ids=*/false);
-  PROBKB_RETURN_NOT_OK(
-      PartitionInto(left, spec.left_keys, tun.hash_chunk_rows, &lparts));
-  PROBKB_RETURN_NOT_OK(
-      PartitionInto(right, spec.right_keys, tun.hash_chunk_rows, &rparts));
+  PROBKB_RETURN_NOT_OK(PartitionInto(*left, spec.left_keys, &lparts));
+  PROBKB_RETURN_NOT_OK(PartitionInto(*right, spec.right_keys, &rparts));
+  // Both sides now live in their partitions: drop this join's hold on the
+  // inputs, so an intermediate the caller handed over is freed before the
+  // pairs join.
+  left.reset();
+  right.reset();
 
   // Pair joins run one partition at a time (sequential page-in, bounded
-  // working set). Every leaf probe emits its own run, ascending in orig:
-  // the partitioner scanned the probe side in row order, and the pair
-  // probe walks its partition in that order.
+  // working set) and append to the one output in probe order. A left
+  // row's matches share its full hash, so every routing level sends them
+  // to the same leaf probe, which emits them consecutively in chain order.
   const int next_offset = lparts.router().bits();
-  std::vector<TablePtr> runs;
+  std::vector<int64_t> origs;
   for (int p = 0; p < parts; ++p) {
     if (lparts.PartitionRows(p) == 0) continue;
     PROBKB_ASSIGN_OR_RETURN(TablePtr lp, lparts.PinPartition(p));
     PROBKB_ASSIGN_OR_RETURN(TablePtr rp, rparts.PinPartition(p));
-    Status st =
-        GraceJoinPair(spill, *lp, *rp, spec, run_schema, left_base_width,
-                      next_offset, /*depth=*/1, &runs);
+    Status st = GraceJoinPair(spill, *lp, *rp, spec, left_base_width,
+                              next_offset, /*depth=*/1, out.get(), &origs);
     lparts.UnpinPartition(p);
     rparts.UnpinPartition(p);
     PROBKB_RETURN_NOT_OK(st);
   }
 
-  // K-way range merge on orig over all leaf runs: repeatedly take from
-  // the run whose head orig is smallest, copying the maximal prefix that
-  // stays below every other run's head. Orig values are unique to one run
-  // (a left row's matches share its full hash, so every routing level
-  // sends them to the same partition — and thus one leaf), so strict
-  // comparison suffices; the ranged AppendProjectedRows strips the orig
-  // column as it copies. The result is the exact serial probe order.
-  const Schema& out_schema = inner ? spec.out_schema : left.schema();
-  auto out = Table::Make(out_schema);
-  out->ReserveRows([&] {
-    int64_t total = 0;
-    for (const TablePtr& r : runs) total += r->NumRows();
-    return total;
-  }());
-  std::vector<int> strip_cols(static_cast<size_t>(out_schema.num_fields()));
-  for (size_t c = 0; c < strip_cols.size(); ++c) {
-    strip_cols[c] = static_cast<int>(c);
-  }
-  const int orig_col = out_schema.num_fields();
-  struct Run {
-    size_t owner;  // index into `runs`, so a drained run can be freed
-    const int64_t* orig;
-    int64_t pos;
-    int64_t n;
-  };
-  std::vector<Run> heads;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i]->NumRows() > 0) {
-      heads.push_back(
-          Run{i, runs[i]->Int64Data(orig_col), 0, runs[i]->NumRows()});
+  // Back to the serial probe order: a stable counting sort on orig keeps
+  // left rows in row order and each one's matches in chain order. The
+  // rows are reordered in place, one column at a time, so the output is
+  // never held twice.
+  std::vector<int64_t> order(origs.size());
+  {
+    std::vector<int64_t> next(static_cast<size_t>(left_rows) + 1, 0);
+    for (int64_t o : origs) ++next[static_cast<size_t>(o) + 1];
+    for (size_t i = 1; i < next.size(); ++i) next[i] += next[i - 1];
+    for (size_t i = 0; i < origs.size(); ++i) {
+      order[static_cast<size_t>(next[static_cast<size_t>(origs[i])]++)] =
+          static_cast<int64_t>(i);
     }
   }
-  while (!heads.empty()) {
-    size_t best = 0;
-    for (size_t i = 1; i < heads.size(); ++i) {
-      if (heads[i].orig[heads[i].pos] < heads[best].orig[heads[best].pos]) {
-        best = i;
-      }
-    }
-    int64_t limit = std::numeric_limits<int64_t>::max();
-    for (size_t i = 0; i < heads.size(); ++i) {
-      if (i != best) limit = std::min(limit, heads[i].orig[heads[i].pos]);
-    }
-    Run& run = heads[best];
-    int64_t end = run.pos;
-    while (end < run.n && run.orig[end] < limit) ++end;
-    out->AppendProjectedRows(*runs[run.owner], strip_cols, run.pos, end);
-    run.pos = end;
-    if (run.pos == run.n) {
-      // Release the drained leaf immediately: the merge transiently holds
-      // the run tables alongside the growing output, so freeing runs as
-      // they empty caps that duplication at roughly one output copy.
-      runs[run.owner].reset();
-      heads.erase(heads.begin() + static_cast<ptrdiff_t>(best));
-    }
-  }
+  std::vector<int64_t>().swap(origs);
+  out->PermuteRows(order);
+  std::vector<int64_t>().swap(order);
+#if defined(__GLIBC__)
+  // The pair loop grows the output step by step between page-ins, index
+  // builds and reorders; glibc keeps the blocks they free as resident
+  // holes in the heap. Hand those pages back, so the resident set of a
+  // budgeted run follows its working set rather than its history.
+  malloc_trim(0);
+#endif
 
   if (stats != nullptr) {
     stats->partitions = parts;

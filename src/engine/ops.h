@@ -125,11 +125,13 @@ struct GraceJoinStats {
 /// joins partition pairs one at a time with the batched probe pipeline,
 /// recursing on the next bit group when a pair still exceeds the budget.
 /// Probe-side partitions carry the original row index in a hidden
-/// trailing column, and partition outputs are range-merged back on it —
+/// trailing column, and the output is reordered back on it —
 /// so the result is bit-identical to HashJoinNode's in-memory path at
 /// every thread and partition count (see DESIGN.md "Out-of-core").
-Result<TablePtr> GraceHashJoin(SpillContext* spill, const Table& left,
-                               const Table& right, const GraceJoinSpec& spec,
+/// The join releases `left` and `right` once both are partitioned, so an
+/// input no one else holds is freed while the pairs join.
+Result<TablePtr> GraceHashJoin(SpillContext* spill, TablePtr left,
+                               TablePtr right, const GraceJoinSpec& spec,
                                GraceJoinStats* stats);
 
 }  // namespace probkb

@@ -2,17 +2,15 @@
 #define PROBKB_ENGINE_TUNABLES_H_
 
 #include <cstdint>
-#include <string>
-
-#include "util/result.h"
 
 namespace probkb {
 
-/// Compile-time batch widths. These size stack arrays in the batched hash
-/// pipelines (`size_t hashes[k...]`), so they cannot become runtime knobs
-/// without moving those buffers to the heap; they are micro-architectural
-/// (L1 / prefetch-queue depth), not workload-dependent, so a constant is
-/// the right shape. Everything workload-dependent lives in Tunables below.
+/// Execution constants of the engine, defined in one place (CI's
+/// tunables-lint rejects bare cutoffs elsewhere in src/).
+///
+/// The batch widths size stack arrays in the batched hash pipelines
+/// (`size_t hashes[k...]`); they are micro-architectural (L1 /
+/// prefetch-queue depth), not workload-dependent.
 ///
 /// Rows a probe batch covers in the batched prefetch pipeline: enough
 /// in-flight prefetches to hide a DRAM miss, small enough to stay in L1.
@@ -26,90 +24,41 @@ inline constexpr int64_t kSegmentHashChunkRows = 4096;
 /// Rows per batched hashing chunk when building a KeyIndex.
 inline constexpr int64_t kIndexBuildChunkRows = 4096;
 
-/// \brief Runtime execution knobs, replacing the per-file constants that
-/// PR 5 hard-coded (kParallelMinRows / kHashChunkRows / morsel size /
-/// MppContext::kSerialFanoutRowCutoff / the build-partition cap).
+/// The serial/parallel cutoffs below only move work between the serial and
+/// parallel paths of an operator; both paths are bit-identical by
+/// construction (DESIGN.md "Threading model"), so no value can change any
+/// output.
 ///
-/// One struct, three sources, in priority order:
-///   1. explicit SetTunables() (CLI flags),
-///   2. PROBKB_* environment overrides (ApplyTunablesEnv),
-///   3. the compiled defaults below — or, with --auto_tune, the values
-///      CalibrateTunables measured on this host (cached to a file).
+/// Input-row floor below which an operator skips the thread pool entirely
+/// (probe morsels, build partitioning, parallel batch hashing): dispatch
+/// overhead beats the win on tiny deltas.
+inline constexpr int64_t kParallelMinRows = 8192;
+/// Rows per parallel build-side hashing chunk in HashJoin, and per
+/// partitioning chunk of the grace-hash join.
+inline constexpr int64_t kHashChunkRows = 4096;
+/// Rows per probe morsel in the morsel-parallel HashJoin probe.
+inline constexpr int64_t kMorselRows = 2048;
+/// Total-input-rows floor below which per-segment MPP fan-out runs
+/// serially even with a pool attached: dispatching N segment tasks for a
+/// few hundred rows costs more than the tasks themselves (fig6c_mpp_views
+/// fell below 1.0x at 2-8 threads on fan-out overhead over tiny
+/// per-iteration deltas). The serial path is the same code in segment
+/// order.
+inline constexpr int64_t kSerialFanoutRowCutoff = 8192;
+/// Cap on hash-partitioned build parts in HashJoin (power of two).
+inline constexpr int kMaxBuildPartitions = 16;
+
+/// Out-of-core constants. The memory budget itself is a deployment setting
+/// (GroundingOptions::mem_budget_bytes, `--mem-budget`), not a constant.
 ///
-/// Every knob only moves work between the serial and parallel paths of an
-/// operator; both paths are bit-identical by construction (DESIGN.md
-/// "Threading model"), so no setting can change any output.
-struct Tunables {
-  /// Input-row floor below which an operator skips the thread pool
-  /// entirely (probe morsels, build partitioning, parallel batch hashing):
-  /// dispatch overhead beats the win on tiny deltas.
-  int64_t parallel_min_rows = 8192;
-  /// Rows per parallel build-side hashing chunk in HashJoin.
-  int64_t hash_chunk_rows = 4096;
-  /// Rows per probe morsel in the morsel-parallel HashJoin probe.
-  int64_t morsel_rows = 2048;
-  /// Total-input-rows floor below which per-segment MPP fan-out runs
-  /// serially even with a pool attached. Dispatching N segment tasks for a
-  /// few hundred rows costs more than the tasks themselves — the
-  /// fig6c_mpp_views workload regressed below 1.0x speedup at 2-8 threads
-  /// purely on fan-out overhead over tiny per-iteration deltas.
-  int64_t serial_fanout_row_cutoff = 8192;
-  /// Cap on hash-partitioned build parts in HashJoin (power of two).
-  int max_build_partitions = 16;
-  /// Transient-memory budget for out-of-core execution, in bytes; 0
-  /// disables spilling (pure in-memory). Covers the working set the
-  /// operators allocate (pinned spill partitions, partition write
-  /// buffers), not resident base tables. Unlike the knobs above this one
-  /// changes *where* bytes live, never what any operator outputs: the
-  /// grace-hash path it enables is bit-identical to in-memory execution.
-  int64_t mem_budget_bytes = 0;
-  /// Spill partition page size: a partition's write buffer flushes to its
-  /// page file when it grows past this many bytes.
-  int64_t spill_page_bytes = 1 << 20;
-  /// Build-side row floor below which a grace partition pair joins in
-  /// memory instead of recursing another partitioning level: tiny pairs
-  /// cannot meaningfully split (and repartitioning them costs more than
-  /// the index they avoid).
-  int64_t grace_split_min_rows = 4096;
-
-  bool operator==(const Tunables&) const = default;
-
-  std::string ToString() const;
-};
-
-/// \brief Process-wide tunables. GetTunables returns a snapshot copy;
-/// SetTunables replaces the whole struct. Set before execution starts
-/// (CLI parse / bench setup) — operators read a snapshot per Execute call.
-Tunables GetTunables();
-void SetTunables(const Tunables& t);
-
-/// \brief Applies PROBKB_PARALLEL_MIN_ROWS / PROBKB_HASH_CHUNK_ROWS /
-/// PROBKB_MORSEL_ROWS / PROBKB_SERIAL_FANOUT_CUTOFF /
-/// PROBKB_MAX_BUILD_PARTITIONS / PROBKB_MEM_BUDGET /
-/// PROBKB_SPILL_PAGE_BYTES / PROBKB_GRACE_SPLIT_MIN_ROWS on top of
-/// `base`. Garbage values warn and keep the base value (the
-/// ResolveThreads contract). PROBKB_MEM_BUDGET and
-/// PROBKB_SPILL_PAGE_BYTES accept K/M/G suffixes ("512M").
-Tunables ApplyTunablesEnv(Tunables base);
-
-/// \brief Measures this host's serial-vs-parallel crossover with a short
-/// microbench probe (batched hashing + morsel fan-out over synthetic rows
-/// at doubling sizes) and returns cutoffs set just above the largest size
-/// where serial still won. On a host with one hardware thread every
-/// cutoff is pushed to int64 max: the pool can never win, so every
-/// operator degrades to the exact serial path.
-Tunables CalibrateTunables(int num_threads = 0);
-
-/// \brief Cache of a calibration result keyed by a host signature
-/// (hardware thread count), so startup pays the probe once per host.
-/// LoadTunablesCache returns false on a missing/stale/foreign-host file.
-bool LoadTunablesCache(const std::string& path, Tunables* out);
-Status SaveTunablesCache(const std::string& path, const Tunables& t);
-
-/// \brief Resolves the calibration flow the CLI / bench harness use:
-/// cache hit wins, else calibrate and (best-effort) write the cache. The
-/// path defaults to $PROBKB_TUNABLES_CACHE, else ".probkb_tunables".
-Tunables AutoTuneTunables(std::string cache_path = "");
+/// Spill partition page size: a partition's write buffer flushes to its
+/// page file when it grows past this many bytes.
+inline constexpr int64_t kSpillPageBytes = 1 << 20;
+/// Build-side row floor below which a grace partition pair joins in memory
+/// instead of recursing another partitioning level: tiny pairs cannot
+/// meaningfully split (and repartitioning them costs more than the index
+/// they avoid).
+inline constexpr int64_t kGraceSplitMinRows = 4096;
 
 }  // namespace probkb
 

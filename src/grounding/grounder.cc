@@ -109,7 +109,8 @@ Status Grounder::RunIterationStatements(int64_t* added) {
   // kept, that bound lives in the joins (indexes_.Sync pins it), so each
   // statement's atoms merge as soon as it returns and are freed before
   // the next statement runs. Without them, joins read the whole table and
-  // the merges wait for the last statement.
+  // the merges wait for the last statement; each statement's atoms are
+  // cut to the ones TPi lacks before they wait.
   const bool eager = KeepsIndexes();
   if (eager) PROBKB_RETURN_NOT_OK(indexes_.Sync(*rkb_->t_pi));
   // Semi-naive: every derivation over rows before delta_start_ ran in an
@@ -162,7 +163,13 @@ Status Grounder::RunIterationStatements(int64_t* added) {
     if (eager) {
       PROBKB_RETURN_NOT_OK(MergeInferred(*atoms, added));
     } else {
-      deferred.push_back(std::move(atoms));
+      // Defer only the atoms TPi lacked at the iteration start (it does
+      // not grow before the merges below, which would skip the rest).
+      PROBKB_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
+                              indexes_.AbsentAtoms(*rkb_->t_pi, *atoms));
+      auto absent = Table::Make(atoms->schema());
+      absent->AppendGatheredRows(*atoms, rows);
+      deferred.push_back(std::move(absent));
     }
   }
   for (const TablePtr& atoms : deferred) {

@@ -63,12 +63,11 @@ struct GroundingOptions {
   /// path. Any setting produces bit-identical outputs — see DESIGN.md
   /// "Threading model".
   int num_threads = 0;
-  /// Transient-memory budget for out-of-core execution: -1 inherits the
-  /// Tunables knob (--mem-budget / PROBKB_MEM_BUDGET), 0 disables
-  /// spilling, > 0 is an explicit byte limit. Like num_threads, any
-  /// setting produces bit-identical outputs — the budget only decides
-  /// where bytes live (DESIGN.md "Out-of-core").
-  int64_t mem_budget_bytes = -1;
+  /// Transient-memory budget for out-of-core execution in bytes
+  /// (`--mem-budget`): 0 disables spilling, > 0 is a byte limit. Like
+  /// num_threads, any setting produces bit-identical outputs — the budget
+  /// only decides where bytes live (DESIGN.md "Out-of-core").
+  int64_t mem_budget_bytes = 0;
   /// Spill directory; empty resolves to <system temp>/probkb_spill.<pid>.
   std::string spill_dir;
 };

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "engine/ops.h"
+#include "engine/tunables.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -147,7 +148,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
   auto for_each_segment = [&](int64_t total_rows,
                               const std::function<void(int)>& body) {
     if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
-        total_rows >= MppContext::SerialFanoutRowCutoff()) {
+        total_rows >= kSerialFanoutRowCutoff) {
       pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
       });

@@ -12,10 +12,7 @@
 namespace probkb {
 
 SpillSession::SpillSession(int64_t mem_budget_bytes, std::string spill_dir) {
-  const Tunables tun = GetTunables();
-  const int64_t bytes =
-      mem_budget_bytes >= 0 ? mem_budget_bytes : tun.mem_budget_bytes;
-  if (bytes <= 0) return;  // unlimited memory: pure in-memory execution
+  if (mem_budget_bytes <= 0) return;  // pure in-memory execution
   if (spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
@@ -27,8 +24,8 @@ SpillSession::SpillSession(int64_t mem_budget_bytes, std::string spill_dir) {
   // page buffer larger than a slice of the budget would keep everything
   // resident and never spill. Clamp pages to budget/16 (floor 4 KiB).
   const int64_t page_bytes = std::clamp<int64_t>(
-      bytes / 16, 4096, tun.spill_page_bytes);
-  budget_ = std::make_unique<MemoryBudget>(bytes);
+      mem_budget_bytes / 16, 4096, kSpillPageBytes);
+  budget_ = std::make_unique<MemoryBudget>(mem_budget_bytes);
   spill_ = std::make_unique<SpillContext>(std::move(spill_dir), budget_.get(),
                                           page_bytes);
   if (Status st = spill_->Prepare(); !st.ok()) {
@@ -39,10 +36,10 @@ SpillSession::SpillSession(int64_t mem_budget_bytes, std::string spill_dir) {
     budget_.reset();
     return;
   }
-  PROBKB_SLOG(Spill, Info) << "out-of-core execution armed: budget "
-                           << FormatByteSize(bytes) << ", spill dir '"
-                           << spill_->dir() << "', page "
-                           << FormatByteSize(page_bytes);
+  PROBKB_SLOG(Spill, Info)
+      << "out-of-core execution armed: budget "
+      << FormatByteSize(mem_budget_bytes) << ", spill dir '" << spill_->dir()
+      << "', page " << FormatByteSize(page_bytes);
 }
 
 SpillSession::~SpillSession() {

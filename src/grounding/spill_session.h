@@ -16,13 +16,13 @@ namespace probkb {
 /// surfaces spill counters into a StatsRegistry. Shared by Grounder and
 /// MppGrounder so both resolve budget/dir/page-size identically.
 ///
-/// Resolution order for the budget: an explicit `mem_budget_bytes >= 0`
-/// wins (0 = spilling off); -1 inherits the Tunables knob
-/// (--mem-budget / PROBKB_MEM_BUDGET). The directory defaults to
-/// `<system temp>/probkb_spill.<pid>` when unset, so concurrent runs on
-/// one host never sweep each other's files. Construction prepares the
-/// directory and sweeps debris a crashed predecessor left behind;
-/// destruction removes every file this run committed.
+/// The budget is taken as given: 0 turns spilling off, a positive byte
+/// count arms it (GroundingOptions::mem_budget_bytes, `--mem-budget`).
+/// The directory defaults to `<system temp>/probkb_spill.<pid>` when
+/// unset, so concurrent runs on one host never sweep each other's files.
+/// Construction prepares the directory and sweeps debris a crashed
+/// predecessor left behind; destruction removes every file this run
+/// committed.
 class SpillSession {
  public:
   SpillSession(int64_t mem_budget_bytes, std::string spill_dir);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "engine/tunables.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -272,7 +273,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
       }
     };
     if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
-        input.PhysicalRows() >= SerialFanoutRowCutoff()) {
+        input.PhysicalRows() >= kSerialFanoutRowCutoff) {
       pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) {
           route_sender(static_cast<int>(s));

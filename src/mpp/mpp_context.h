@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "engine/planner.h"
-#include "engine/tunables.h"
 #include "fault/fault_injector.h"
 #include "mpp/cost_model.h"
 #include "mpp/distributed_table.h"
@@ -35,18 +34,6 @@ namespace probkb {
 /// an exceeded simulated deadline) returns kDeadlineExceeded.
 class MppContext {
  public:
-  /// \brief Total-input-rows floor below which per-segment fan-out runs
-  /// serially even with a pool attached. Dispatching N segment tasks for a
-  /// few hundred rows costs more than the tasks themselves — the
-  /// fig6c_mpp_views workload regressed below 1.0x speedup at 2-8 threads
-  /// purely on fan-out overhead over tiny per-iteration deltas. Outputs are
-  /// unaffected: the serial path is the same code in segment order.
-  /// Routed through Tunables (engine/tunables.h) so auto-calibration can
-  /// push it out of reach on hosts where fan-out never wins.
-  static int64_t SerialFanoutRowCutoff() {
-    return GetTunables().serial_fanout_row_cutoff;
-  }
-
   explicit MppContext(int num_segments, CostParams params = {})
       : num_segments_(num_segments), params_(params) {}
 

@@ -1,6 +1,7 @@
 #include "mpp/mpp_ops.h"
 
 #include "engine/ops.h"
+#include "engine/tunables.h"
 #include "util/timer.h"
 
 namespace probkb {
@@ -44,7 +45,7 @@ void ForEachSegment(MppContext* ctx, int num_segments, int64_t total_rows,
                     const std::function<void(int)>& body) {
   ThreadPool* pool = ctx->thread_pool();
   if (pool != nullptr && pool->num_threads() > 1 && num_segments > 1 &&
-      total_rows >= MppContext::SerialFanoutRowCutoff()) {
+      total_rows >= kSerialFanoutRowCutoff) {
     pool->ParallelFor(num_segments, 1, [&](int64_t begin, int64_t end) {
       for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
     });

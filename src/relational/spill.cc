@@ -363,6 +363,7 @@ Status SpillableTable::Finish() {
       PROBKB_RETURN_NOT_OK(FlushPartition(&part));
       PROBKB_RETURN_NOT_OK(part.file->Commit());
       part.committed_path = part.file->path();
+      part.file.reset();  // frees the page encode buffer
     }
     buffered_now += part.buffer->ByteSize();
   }

@@ -248,7 +248,7 @@ class SpillableTable {
  private:
   struct Partition {
     TablePtr buffer;                   // tail rows not yet flushed
-    std::unique_ptr<SpillFile> file;   // nullptr until first flush
+    std::unique_ptr<SpillFile> file;   // from the first flush to Finish()
     std::string committed_path;        // set by Finish()
     int64_t rows = 0;
     TablePtr pinned;                   // page-in result while pinned

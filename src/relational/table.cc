@@ -129,34 +129,6 @@ void Table::AppendProjectedRows(const Table& src,
   num_rows_ += n;
 }
 
-void Table::AppendProjectedRows(const Table& src,
-                                std::span<const int> src_cols, int64_t begin,
-                                int64_t end) {
-  PROBKB_CHECK(static_cast<int>(src_cols.size()) == width());
-  PROBKB_DCHECK(begin >= 0 && begin <= end && end <= src.NumRows());
-  const int64_t n = end - begin;
-  if (n == 0) return;
-  ExtendNullWords(n);
-  for (size_t ci = 0; ci < cols_.size(); ++ci) {
-    Column& dst = Mut(static_cast<int>(ci));
-    const Column& from = *src.cols_[static_cast<size_t>(src_cols[ci])];
-    PROBKB_CHECK(dst.type == from.type);
-    if (dst.type == ColumnType::kInt64) {
-      dst.i64.insert(dst.i64.end(), from.i64.begin() + begin,
-                     from.i64.begin() + end);
-    } else {
-      dst.f64.insert(dst.f64.end(), from.f64.begin() + begin,
-                     from.f64.begin() + end);
-    }
-    if (from.null_count > 0) {
-      for (int64_t r = begin; r < end; ++r) {
-        if (IsNullBit(from, r)) SetNullBit(&dst, num_rows_ + (r - begin));
-      }
-    }
-  }
-  num_rows_ += n;
-}
-
 namespace {
 
 /// Gathers `rows` elements of `from` onto the end of `to`.
@@ -331,6 +303,31 @@ int64_t Table::FilterInPlace(const std::vector<bool>& keep) {
   }
   num_rows_ = kept;
   return n - kept;
+}
+
+void Table::PermuteRows(std::span<const int64_t> order) {
+  PROBKB_CHECK(static_cast<int64_t>(order.size()) == NumRows());
+  for (int ci = 0; ci < width(); ++ci) {
+    Column& c = Mut(ci);
+    if (c.type == ColumnType::kInt64) {
+      std::vector<int64_t> permuted;
+      GatherInto(&permuted, c.i64, order);
+      c.i64 = std::move(permuted);
+    } else {
+      std::vector<double> permuted;
+      GatherInto(&permuted, c.f64, order);
+      c.f64 = std::move(permuted);
+    }
+    if (c.null_count > 0) {
+      std::vector<uint64_t> words(c.null_words.size(), 0);
+      for (size_t i = 0; i < order.size(); ++i) {
+        if (IsNullBit(c, order[i])) {
+          words[i >> 6] |= uint64_t{1} << (i & 63);
+        }
+      }
+      c.null_words = std::move(words);
+    }
+  }
 }
 
 TablePtr Table::Clone() const {

@@ -125,13 +125,6 @@ class Table {
   /// (in order). The columnar fast path behind all-column projections.
   void AppendProjectedRows(const Table& src, std::span<const int> src_cols);
 
-  /// \brief Row-range variant of AppendProjectedRows: appends rows
-  /// [begin, end) of `src`, keeping only columns `src_cols`. The grace-hash
-  /// merge uses it to strip the trailing row-id column from partition
-  /// output runs without materializing cells.
-  void AppendProjectedRows(const Table& src, std::span<const int> src_cols,
-                           int64_t begin, int64_t end);
-
   /// \brief Appends the rows of `src` at indices `rows` (in order) as
   /// per-column gathers. Schemas must have equal width and column types.
   /// The spill partitioner's scatter path: one gather per partition beats
@@ -141,8 +134,9 @@ class Table {
   /// \brief Like AppendGatheredRows, but this table carries one extra
   /// trailing int64 column (width() == src.width() + 1) that receives each
   /// appended row's `rows[i]` value. Spilled probe-side partitions use it
-  /// to remember original row indices, so partition outputs can be merged
-  /// back into the exact serial probe order (see DESIGN.md "Out-of-core").
+  /// to remember original row indices, so the join output can be
+  /// reordered back into the exact serial probe order (see DESIGN.md
+  /// "Out-of-core").
   void AppendGatheredRowsWithIds(const Table& src,
                                  std::span<const int64_t> rows);
 
@@ -170,6 +164,12 @@ class Table {
   /// \brief Removes rows for which `keep[i]` is false. `keep.size()` must be
   /// NumRows(). Returns the number of rows removed.
   int64_t FilterInPlace(const std::vector<bool>& keep);
+
+  /// \brief Reorders the rows in place: row i becomes the old row
+  /// `order[i]`, and `order` must be a permutation of [0, NumRows()).
+  /// Works one column at a time, so it needs one column of scratch, not a
+  /// second table.
+  void PermuteRows(std::span<const int64_t> order);
 
   /// \brief Value-semantics copy. O(width): the copy shares this table's
   /// column storage and either side detaches (copies) a column the first

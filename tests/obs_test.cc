@@ -4,14 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "engine/exec_context.h"
 #include "engine/ops.h"
 #include "engine/plan.h"
-#include "obs/bench_baseline.h"
 #include "obs/histogram.h"
 #include "obs/stats_registry.h"
 #include "tests/test_util.h"
@@ -336,215 +334,6 @@ TEST(StatsRegistryTest, OpAndMotionRecordsFeedLatencyHistograms) {
   EXPECT_NEAR(ship->sum_seconds(), 0.005, 1e-9);
 }
 
-// --- Bench baseline parsing & comparison ---------------------------------------
-
-/// A miniature but shape-faithful BENCH_parallel.json: top-level scalars,
-/// an overhead object, and workloads with nested point arrays plus a
-/// "breakdown" subtree that the parser must skip, not choke on.
-const char kBenchJson[] = R"({
-  "bench": "bench_report",
-  "scale": 1,
-  "hardware_threads": 8,
-  "stats_overhead": {"off_seconds": 1.0, "on_seconds": 1.02,
-                     "overhead_pct": 2.0},
-  "workloads": [
-    {"name": "table3_grounding", "serial_s": 2.0, "points": [
-      {"threads": 1, "seconds": 2.0, "speedup": 1.0, "identical": true},
-      {"threads": 4, "seconds": 0.6, "speedup": 3.33, "identical": true}
-    ],
-     "breakdown": {"statements": [{"label": "x", "ops": [1, 2]}],
-                   "note": "skipped \"subtree\""}},
-    {"name": "fig6c_mpp_views", "serial_s": 3.0, "points": [
-      {"threads": 1, "seconds": 3.0, "speedup": 1.0, "identical": true}
-    ],
-     "breakdown": null}
-  ]
-})";
-
-TEST(BenchBaselineTest, ParsesRealShapedReport) {
-  auto report = ParseBenchReportJson(kBenchJson);
-  ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->workloads.size(), 2u);
-  const BenchWorkload* w = report->Find("table3_grounding");
-  ASSERT_NE(w, nullptr);
-  EXPECT_DOUBLE_EQ(w->serial_seconds, 2.0);
-  ASSERT_EQ(w->points.size(), 2u);
-  EXPECT_EQ(w->points[1].threads, 4);
-  EXPECT_DOUBLE_EQ(w->points[1].seconds, 0.6);
-  const BenchWorkload* mpp = report->Find("fig6c_mpp_views");
-  ASSERT_NE(mpp, nullptr);
-  ASSERT_EQ(mpp->points.size(), 1u);
-  EXPECT_EQ(report->Find("nope"), nullptr);
-}
-
-TEST(BenchBaselineTest, RejectsGarbageAndEmptyReports) {
-  EXPECT_FALSE(ParseBenchReportJson("").ok());
-  EXPECT_FALSE(ParseBenchReportJson("not json").ok());
-  EXPECT_FALSE(ParseBenchReportJson("{\"workloads\": []}").ok());
-  EXPECT_FALSE(ParseBenchReportJson("{\"bench\": \"x\"}").ok());
-  EXPECT_FALSE(ReadBenchReportFile("/nonexistent/bench.json").ok());
-}
-
-BenchReport MakeReport(double t1, double t4) {
-  BenchReport report;
-  BenchWorkload w;
-  w.name = "table3_grounding";
-  w.serial_seconds = t1;
-  w.points = {{1, t1}, {4, t4}};
-  report.workloads.push_back(w);
-  return report;
-}
-
-TEST(BenchCompareTest, WithinThresholdPasses) {
-  BenchComparison cmp = CompareBenchReports(MakeReport(2.0, 0.6),
-                                            MakeReport(2.1, 0.63));
-  EXPECT_FALSE(cmp.has_regression);
-  ASSERT_EQ(cmp.deltas.size(), 2u);
-  EXPECT_NEAR(cmp.deltas[0].delta_fraction, 0.05, 1e-9);
-  EXPECT_NE(cmp.ToText().find("RESULT: OK"), std::string::npos);
-}
-
-TEST(BenchCompareTest, SyntheticTenPercentRegressionFails) {
-  // 12% slower on the 4-thread point: over the 10% gate.
-  BenchComparison cmp = CompareBenchReports(MakeReport(2.0, 0.6),
-                                            MakeReport(2.0, 0.672));
-  EXPECT_TRUE(cmp.has_regression);
-  int flagged = 0;
-  for (const BenchDelta& d : cmp.deltas) {
-    if (d.regression) {
-      ++flagged;
-      EXPECT_EQ(d.threads, 4);
-      EXPECT_NEAR(d.delta_fraction, 0.12, 1e-9);
-    }
-  }
-  EXPECT_EQ(flagged, 1);
-  EXPECT_NE(cmp.ToText().find("REGRESSION"), std::string::npos);
-  EXPECT_NE(cmp.ToJson().find("\"has_regression\": true"),
-            std::string::npos);
-}
-
-TEST(BenchCompareTest, ThresholdBoundaryIsExclusive) {
-  // Exactly at the threshold is allowed; the gate trips strictly above
-  // it. Exact binary fractions (2.0 -> 2.25 is +12.5%) keep the boundary
-  // comparison free of floating-point noise.
-  BenchComparison at = CompareBenchReports(MakeReport(2.0, 0.5),
-                                           MakeReport(2.25, 0.5625),
-                                           /*threshold=*/0.125);
-  EXPECT_FALSE(at.has_regression);
-  BenchComparison over = CompareBenchReports(MakeReport(2.0, 0.5),
-                                             MakeReport(2.3, 0.5625),
-                                             /*threshold=*/0.125);
-  EXPECT_TRUE(over.has_regression);
-  // A tighter threshold moves the gate.
-  BenchComparison strict = CompareBenchReports(
-      MakeReport(2.0, 0.5), MakeReport(2.125, 0.5), /*threshold=*/0.04);
-  EXPECT_TRUE(strict.has_regression);
-}
-
-TEST(BenchCompareTest, MissingCoverageCountsAsRegression) {
-  // A workload present in the baseline but absent from the current report
-  // means coverage silently shrank — that must fail the gate.
-  BenchReport baseline = MakeReport(2.0, 0.6);
-  BenchWorkload extra;
-  extra.name = "fig6c_mpp_views";
-  extra.serial_seconds = 1.0;
-  extra.points = {{1, 1.0}};
-  baseline.workloads.push_back(extra);
-
-  BenchComparison cmp =
-      CompareBenchReports(baseline, MakeReport(2.0, 0.6));
-  EXPECT_TRUE(cmp.has_regression);
-  bool saw_missing = false;
-  for (const BenchDelta& d : cmp.deltas) {
-    if (d.missing) {
-      saw_missing = true;
-      EXPECT_EQ(d.workload, "fig6c_mpp_views");
-    }
-  }
-  EXPECT_TRUE(saw_missing);
-
-  // The reverse (current has extra workloads) is growth, not regression.
-  BenchComparison grown =
-      CompareBenchReports(MakeReport(2.0, 0.6), baseline);
-  EXPECT_FALSE(grown.has_regression);
-}
-
-TEST(BenchCompareTest, FasterIsNeverARegression) {
-  BenchComparison cmp = CompareBenchReports(MakeReport(2.0, 0.6),
-                                            MakeReport(1.0, 0.3));
-  EXPECT_FALSE(cmp.has_regression);
-  for (const BenchDelta& d : cmp.deltas) {
-    EXPECT_LT(d.delta_fraction, 0.0);
-  }
-}
-
-TEST(BenchCompareTest, ZeroTimingBaselineDoesNotAutoPass) {
-  // A corrupt or placeholder baseline of 0.0 seconds used to make the
-  // ratio divide by zero; real current timings must still flag, with a
-  // finite delta for the report.
-  BenchComparison cmp = CompareBenchReports(MakeReport(0.0, 0.0),
-                                            MakeReport(0.5, 0.5));
-  EXPECT_TRUE(cmp.has_regression);
-  for (const BenchDelta& d : cmp.deltas) {
-    EXPECT_TRUE(d.regression);
-    EXPECT_TRUE(std::isfinite(d.delta_fraction));
-  }
-}
-
-TEST(BenchCompareTest, NearZeroTimingsPassViaAbsoluteSlack) {
-  // Sub-microsecond jitter on a ~zero baseline is measurement noise, not
-  // a regression — the relative gate alone would scream at +50000%.
-  BenchComparison equal = CompareBenchReports(MakeReport(0.0, 0.0),
-                                              MakeReport(0.0, 0.0));
-  EXPECT_FALSE(equal.has_regression);
-  BenchComparison jitter = CompareBenchReports(MakeReport(0.0, 0.0),
-                                               MakeReport(5e-7, 5e-7));
-  EXPECT_FALSE(jitter.has_regression);
-  for (const BenchDelta& d : jitter.deltas) {
-    EXPECT_TRUE(std::isfinite(d.delta_fraction));
-  }
-}
-
-TEST(BenchCompareTest, AbsentByteFieldsSkipTheGates) {
-  // Default-constructed workloads carry the -1 "field absent" sentinel:
-  // old reports without peak_rss_bytes/shipped_bytes never gate.
-  BenchComparison cmp = CompareBenchReports(MakeReport(2.0, 0.6),
-                                            MakeReport(2.0, 0.6));
-  EXPECT_TRUE(cmp.memory_deltas.empty());
-  EXPECT_TRUE(cmp.shipped_deltas.empty());
-  EXPECT_FALSE(cmp.has_regression);
-}
-
-TEST(BenchCompareTest, RecordedZeroBytesBaselineStillGates) {
-  // A recorded 0 is a real measurement, not absence: traffic or RSS
-  // appearing where there was none must fail, with a finite delta
-  // (denominator floors at one byte).
-  BenchReport baseline = MakeReport(2.0, 0.6);
-  baseline.workloads[0].peak_rss_bytes = 0;
-  baseline.workloads[0].shipped_bytes = 0;
-  BenchReport current = MakeReport(2.0, 0.6);
-  current.workloads[0].peak_rss_bytes = 4096;
-  current.workloads[0].shipped_bytes = 1024;
-
-  BenchComparison cmp = CompareBenchReports(baseline, current);
-  EXPECT_TRUE(cmp.has_regression);
-  ASSERT_EQ(cmp.memory_deltas.size(), 1u);
-  EXPECT_TRUE(cmp.memory_deltas[0].regression);
-  EXPECT_TRUE(std::isfinite(cmp.memory_deltas[0].delta_fraction));
-  ASSERT_EQ(cmp.shipped_deltas.size(), 1u);
-  EXPECT_TRUE(cmp.shipped_deltas[0].regression);
-  EXPECT_TRUE(std::isfinite(cmp.shipped_deltas[0].delta_fraction));
-
-  // Zero-to-zero is flat, and passes.
-  BenchReport flat = MakeReport(2.0, 0.6);
-  flat.workloads[0].peak_rss_bytes = 0;
-  flat.workloads[0].shipped_bytes = 0;
-  BenchComparison unchanged = CompareBenchReports(baseline, flat);
-  EXPECT_FALSE(unchanged.has_regression);
-  ASSERT_EQ(unchanged.memory_deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(unchanged.memory_deltas[0].delta_fraction, 0.0);
-}
-
 TEST(StatsRegistryTest, CounterSeriesAccumulateAndRender) {
   StatsRegistry stats;
   EXPECT_EQ(stats.FindCounter("serve_queries"), -1);
@@ -560,17 +349,6 @@ TEST(StatsRegistryTest, CounterSeriesAccumulateAndRender) {
   std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"serve_answers\""), std::string::npos);
-}
-
-TEST(BenchCompareTest, MixedPresenceOfByteFieldsSkipsTheGate) {
-  // One side carrying the field and the other not (report-format skew
-  // across versions) opts the workload out rather than comparing against
-  // the sentinel.
-  BenchReport baseline = MakeReport(2.0, 0.6);
-  baseline.workloads[0].peak_rss_bytes = 1 << 20;
-  BenchComparison cmp = CompareBenchReports(baseline, MakeReport(2.0, 0.6));
-  EXPECT_TRUE(cmp.memory_deltas.empty());
-  EXPECT_FALSE(cmp.has_regression);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "obs/stats_registry.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -489,9 +490,9 @@ TEST(ParallelGroundingTest, FixpointBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelGroundingTest, StatsOnIsBitIdenticalAcrossThreadCounts) {
-  // Acceptance gate for the observability layer: attaching a StatsRegistry
-  // must not perturb any output at any thread count — it only copies
-  // values out after the fact.
+  // Acceptance gate for the observability layer: attaching a StatsRegistry,
+  // with Tracer::Global() recording spans or dark, must not perturb any
+  // output at any thread count — both only copy values out after the fact.
   KnowledgeBase kb = BiggishKB();
   GroundingOptions baseline_options;
   baseline_options.max_iterations = 3;
@@ -503,39 +504,54 @@ TEST(ParallelGroundingTest, StatsOnIsBitIdenticalAcrossThreadCounts) {
   auto phi_baseline = baseline.GroundFactors();
   ASSERT_TRUE(phi_baseline.ok());
 
-  for (int threads : {1, 2, 4, 8}) {
-    GroundingOptions options = baseline_options;
-    options.num_threads = threads;
-    RelationalKB rkb = BuildRelationalModel(kb);
-    Grounder grounder(&rkb, options);
-    StatsRegistry registry;
-    grounder.set_stats_registry(&registry);
-    ASSERT_TRUE(grounder.GroundAtoms().ok());
-    auto phi = grounder.GroundFactors();
-    ASSERT_TRUE(phi.ok());
-    EXPECT_TRUE(TablesEqualExact(*rkb_baseline.t_pi, *rkb.t_pi))
-        << threads << " threads with stats on: TPi differs";
-    EXPECT_TRUE(TablesEqualExact(**phi_baseline, **phi))
-        << threads << " threads with stats on: TPhi differs";
+  Tracer* tracer = Tracer::Global();
+  for (bool traced : {false, true}) {
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(traced ? "tracer on" : "tracer off");
+      tracer->set_enabled(traced);
+      // Turns the global tracer off and empties it however this pass
+      // exits, so a failed assertion leaves no spans to later tests.
+      struct DisableTracer {
+        Tracer* tracer;
+        ~DisableTracer() {
+          tracer->set_enabled(false);
+          tracer->Reset();
+        }
+      } disable{tracer};
+      GroundingOptions options = baseline_options;
+      options.num_threads = threads;
+      RelationalKB rkb = BuildRelationalModel(kb);
+      Grounder grounder(&rkb, options);
+      StatsRegistry registry;
+      grounder.set_stats_registry(&registry);
+      ASSERT_TRUE(grounder.GroundAtoms().ok());
+      auto phi = grounder.GroundFactors();
+      EXPECT_EQ(tracer->CollectSpans().empty(), !traced);
+      ASSERT_TRUE(phi.ok());
+      EXPECT_TRUE(TablesEqualExact(*rkb_baseline.t_pi, *rkb.t_pi))
+          << threads << " threads with stats on: TPi differs";
+      EXPECT_TRUE(TablesEqualExact(**phi_baseline, **phi))
+          << threads << " threads with stats on: TPhi differs";
 
-    // And the registry actually observed the run: partition cells for
-    // every iteration, operator records, and (threads > 1) worker slots.
-    EXPECT_FALSE(registry.partition_iterations().empty());
-    EXPECT_FALSE(registry.statements().empty());
-    int max_iter = 0;
-    for (const PartitionIterStats& cell : registry.partition_iterations()) {
-      EXPECT_GE(cell.partition, 1);
-      EXPECT_LE(cell.partition, kNumRuleStructures);
-      EXPECT_GE(cell.delta_rows, 0);
-      EXPECT_GE(cell.join_seconds, 0.0);
-      if (cell.iteration > max_iter) max_iter = cell.iteration;
-    }
-    EXPECT_EQ(max_iter, grounder.stats().iterations);
-    if (threads > 1) {
-      EXPECT_EQ(registry.workers().size(),
-                static_cast<size_t>(threads - 1));
-    } else {
-      EXPECT_TRUE(registry.workers().empty());
+      // And the registry actually observed the run: partition cells for
+      // every iteration, operator records, and (threads > 1) worker slots.
+      EXPECT_FALSE(registry.partition_iterations().empty());
+      EXPECT_FALSE(registry.statements().empty());
+      int max_iter = 0;
+      for (const PartitionIterStats& cell : registry.partition_iterations()) {
+        EXPECT_GE(cell.partition, 1);
+        EXPECT_LE(cell.partition, kNumRuleStructures);
+        EXPECT_GE(cell.delta_rows, 0);
+        EXPECT_GE(cell.join_seconds, 0.0);
+        if (cell.iteration > max_iter) max_iter = cell.iteration;
+      }
+      EXPECT_EQ(max_iter, grounder.stats().iterations);
+      if (threads > 1) {
+        EXPECT_EQ(registry.workers().size(),
+                  static_cast<size_t>(threads - 1));
+      } else {
+        EXPECT_TRUE(registry.workers().empty());
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 // Adaptive-optimizer tests: cost-model motion decisions, plan-estimate
-// annotation, the Tunables layer, cross-policy / cross-thread bit-identity
-// of the MPP grounder, shipped-volume regressions, golden EXPLAIN output,
-// and checkpoint resume with a cold planner history.
+// annotation, cross-policy / cross-thread bit-identity of the MPP grounder,
+// shipped-volume regressions, golden EXPLAIN output, and checkpoint resume
+// with a cold planner history.
 //
 // Golden files live in tests/goldens/ (PROBKB_GOLDEN_DIR). Regenerate with
 //   PROBKB_REGEN_GOLDENS=1 ./build/tests/planner_test
@@ -20,7 +20,6 @@
 #include "engine/ops.h"
 #include "engine/plan.h"
 #include "engine/planner.h"
-#include "engine/tunables.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "tests/test_util.h"
@@ -199,82 +198,6 @@ TEST(AnnotateEstimatesTest, ExplainRendersEstAndObs) {
   ExecContext ctx;
   ASSERT_TRUE(plan->Execute(&ctx).ok());
   EXPECT_NE(plan->Explain().find("(est=2 obs=2)"), std::string::npos);
-}
-
-// --- Tunables ---------------------------------------------------------------
-
-// Tunables are process-global; every test restores the previous snapshot.
-class TunablesTest : public ::testing::Test {
- protected:
-  void SetUp() override { saved_ = GetTunables(); }
-  void TearDown() override {
-    SetTunables(saved_);
-    for (const char* var :
-         {"PROBKB_PARALLEL_MIN_ROWS", "PROBKB_HASH_CHUNK_ROWS",
-          "PROBKB_MORSEL_ROWS", "PROBKB_SERIAL_FANOUT_CUTOFF",
-          "PROBKB_MAX_BUILD_PARTITIONS"}) {
-      ::unsetenv(var);
-    }
-  }
-  Tunables saved_;
-};
-
-TEST_F(TunablesTest, SetGetRoundTrip) {
-  Tunables t = GetTunables();
-  t.parallel_min_rows = 123;
-  t.morsel_rows = 456;
-  SetTunables(t);
-  EXPECT_EQ(GetTunables(), t);
-  EXPECT_NE(GetTunables().ToString().find("parallel_min_rows=123"),
-            std::string::npos);
-}
-
-TEST_F(TunablesTest, EnvOverridesApplyOnTopOfBase) {
-  ::setenv("PROBKB_PARALLEL_MIN_ROWS", "1000", 1);
-  ::setenv("PROBKB_MAX_BUILD_PARTITIONS", "8", 1);
-  Tunables base;
-  Tunables t = ApplyTunablesEnv(base);
-  EXPECT_EQ(t.parallel_min_rows, 1000);
-  EXPECT_EQ(t.max_build_partitions, 8);
-  EXPECT_EQ(t.morsel_rows, base.morsel_rows);  // untouched knob keeps base
-}
-
-TEST_F(TunablesTest, GarbageEnvValuesKeepBase) {
-  ::setenv("PROBKB_MORSEL_ROWS", "a-few", 1);
-  ::setenv("PROBKB_HASH_CHUNK_ROWS", "-5", 1);
-  Tunables base;
-  Tunables t = ApplyTunablesEnv(base);
-  EXPECT_EQ(t.morsel_rows, base.morsel_rows);
-  EXPECT_EQ(t.hash_chunk_rows, base.hash_chunk_rows);
-}
-
-TEST_F(TunablesTest, CacheRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/probkb_tunables_cache";
-  std::filesystem::remove(path);
-
-  Tunables missing;
-  EXPECT_FALSE(LoadTunablesCache(path, &missing));
-
-  Tunables t;
-  t.parallel_min_rows = 31337;
-  t.serial_fanout_row_cutoff = 77;
-  ASSERT_TRUE(SaveTunablesCache(path, t).ok());
-  Tunables loaded;
-  ASSERT_TRUE(LoadTunablesCache(path, &loaded));
-  EXPECT_EQ(loaded, t);
-
-  // A corrupted header is rejected, not half-parsed.
-  { std::ofstream f(path, std::ios::trunc); f << "bogus 9\n"; }
-  EXPECT_FALSE(LoadTunablesCache(path, &loaded));
-  std::filesystem::remove(path);
-}
-
-TEST_F(TunablesTest, SingleThreadCalibrationDegradesToSerial) {
-  // The fig6c fix: on a 1-thread host no parallel path can win, so every
-  // cutoff is pushed out of reach and operators take the exact serial path.
-  Tunables t = CalibrateTunables(1);
-  EXPECT_EQ(t.parallel_min_rows, std::numeric_limits<int64_t>::max());
-  EXPECT_EQ(t.serial_fanout_row_cutoff, std::numeric_limits<int64_t>::max());
 }
 
 // --- Cross-policy / cross-thread bit-identity -------------------------------

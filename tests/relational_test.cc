@@ -114,6 +114,23 @@ TEST(TableTest, FilterInPlace) {
   EXPECT_EQ(t->row(1)[0].i64(), 4);
 }
 
+TEST(TableTest, PermuteRowsMovesValuesAndNulls) {
+  Schema schema({{"a", ColumnType::kInt64}, {"w", ColumnType::kFloat64}});
+  auto t = Table::Make(schema);
+  t->AppendRow({Value::Int64(10), Value::Float64(0.5)});
+  t->AppendRow({Value::Int64(11), Value::Null()});
+  t->AppendRow({Value::Null(), Value::Float64(2.5)});
+  const std::vector<int64_t> order = {2, 0, 1};
+  t->PermuteRows(order);
+  ASSERT_EQ(t->NumRows(), 3);
+  EXPECT_TRUE(t->row(0)[0].is_null());
+  EXPECT_EQ(t->row(0)[1].f64(), 2.5);
+  EXPECT_EQ(t->row(1)[0].i64(), 10);
+  EXPECT_EQ(t->row(1)[1].f64(), 0.5);
+  EXPECT_EQ(t->row(2)[0].i64(), 11);
+  EXPECT_TRUE(t->row(2)[1].is_null());
+}
+
 TEST(TableTest, SortedRowsIsOrderInsensitive) {
   auto a = testutil::MakeTable(TwoCol(), {{3, 4}, {1, 2}});
   auto b = testutil::MakeTable(TwoCol(), {{1, 2}, {3, 4}});

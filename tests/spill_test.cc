@@ -81,8 +81,7 @@ TEST_F(SpillTest, SpillFileRoundTripIsByteIdentical) {
   for (int64_t begin = 0; begin < t->NumRows(); begin += 2000) {
     const int64_t end = std::min<int64_t>(begin + 2000, t->NumRows());
     auto chunk = Table::Make(t->schema());
-    std::vector<int> all_cols = {0, 1, 2};
-    chunk->AppendProjectedRows(*t, all_cols, begin, end);
+    chunk->AppendRows(*t, begin, end);
     ASSERT_TRUE((*file)->AppendPage(*chunk).ok());
   }
   ASSERT_TRUE((*file)->Commit().ok());

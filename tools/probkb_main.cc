@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/tunables.h"
 #include "factor/factor_graph.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
@@ -69,14 +68,12 @@ struct CliOptions {
   int num_segments = 0;
   std::string checkpoint_dir;
   bool resume = false;
-  int64_t mem_budget = -1;  // -1 inherits Tunables; 0 disables spilling
+  int64_t mem_budget = 0;  // 0 disables spilling
   std::string spill_dir;
   std::string tpi_out;
   std::string tphi_out;
   std::string fact_query;
   bool explain_plans = false;
-  bool auto_tune = false;
-  std::vector<std::string> tunable_overrides;
   bool stats = false;
   std::string stats_json;
   std::string log_level;
@@ -112,10 +109,9 @@ int Usage() {
       "                    (default: all cores; 1 = serial; output is\n"
       "                    identical either way)\n"
       "  --mem-budget SIZE out-of-core memory budget for grounding joins\n"
-      "                    (e.g. 256M, 2G; 0 = in-memory only; default\n"
-      "                    env PROBKB_MEM_BUDGET). Over-budget joins run\n"
-      "                    grace-hash with disk spill; output is\n"
-      "                    bit-identical either way\n"
+      "                    (e.g. 256M, 2G; default 0 = in-memory only).\n"
+      "                    Over-budget joins run grace-hash with disk\n"
+      "                    spill; output is bit-identical either way\n"
       "  --spill-dir DIR   spill-file directory (default: a per-process\n"
       "                    directory under the system temp dir)\n"
       "  --segments N      ground on the N-segment MPP engine instead of\n"
@@ -128,12 +124,6 @@ int Usage() {
       "  --explain         dump the chosen plan trees / motion decisions of\n"
       "                    the last grounding iteration (est vs observed\n"
       "                    cardinalities)\n"
-      "  --auto-tune       calibrate execution knobs with a startup\n"
-      "                    microbench (cached; see PROBKB_TUNABLES_CACHE)\n"
-      "  --tunable K=V     override one execution knob (parallel_min_rows,\n"
-      "                    hash_chunk_rows, morsel_rows,\n"
-      "                    serial_fanout_row_cutoff, max_build_partitions);\n"
-      "                    repeatable, wins over --auto-tune and env\n"
       "  --stats           print an EXPLAIN ANALYZE execution report\n"
       "  --stats_json FILE write the execution stats as JSON\n"
       "  --log_level L     debug|info|warning|error or 0-3 (default info;\n"
@@ -204,42 +194,6 @@ int ExitCodeFor(const Status& st) {
     default:
       return st.ok() ? 0 : 1;
   }
-}
-
-// Resolves the execution knobs for this run: calibration (--auto-tune) is
-// the base, PROBKB_* env vars refine it, and explicit --tunable K=V flags
-// win. False (usage error) on a malformed override.
-bool ApplyCliTunables(const CliOptions& options) {
-  Tunables tun = options.auto_tune ? AutoTuneTunables() : GetTunables();
-  tun = ApplyTunablesEnv(tun);
-  for (const std::string& kv : options.tunable_overrides) {
-    const size_t eq = kv.find('=');
-    const long long value =
-        eq == std::string::npos ? 0 : std::atoll(kv.c_str() + eq + 1);
-    if (eq == std::string::npos || value <= 0) {
-      std::fprintf(stderr,
-                   "--tunable wants K=V with a positive integer, got '%s'\n",
-                   kv.c_str());
-      return false;
-    }
-    const std::string key = kv.substr(0, eq);
-    if (key == "parallel_min_rows") {
-      tun.parallel_min_rows = value;
-    } else if (key == "hash_chunk_rows") {
-      tun.hash_chunk_rows = value;
-    } else if (key == "morsel_rows") {
-      tun.morsel_rows = value;
-    } else if (key == "serial_fanout_row_cutoff") {
-      tun.serial_fanout_row_cutoff = value;
-    } else if (key == "max_build_partitions") {
-      tun.max_build_partitions = static_cast<int>(value);
-    } else {
-      std::fprintf(stderr, "unknown tunable '%s'\n", key.c_str());
-      return false;
-    }
-  }
-  SetTunables(tun);
-  return true;
 }
 
 // Hardened numeric-flag intake: garbage falls back to the default,
@@ -345,12 +299,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->fact_query = v;
     } else if (flag == "--explain") {
       options->explain_plans = true;
-    } else if (flag == "--auto-tune") {
-      options->auto_tune = true;
-    } else if (flag == "--tunable") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->tunable_overrides.push_back(v);
     } else if (flag == "--stats") {
       options->stats = true;
     } else if (flag == "--stats_json") {
@@ -937,7 +885,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
-  if (!ApplyCliTunables(options)) return 2;
   if (!CheckOutputPathCollisions(options)) return 2;
   if (!options.trace_jsonl.empty() || !options.trace_chrome.empty()) {
     Tracer::Global()->set_enabled(true);
