@@ -79,23 +79,9 @@ void BM_HashAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggregate)->Arg(1 << 12)->Arg(1 << 15);
 
-void BM_SetUnionInto(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  auto src = RandomTable(rows, rows / 2, 5);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto dst = RandomTable(rows, rows / 2, 6);
-    state.ResumeTiming();
-    int64_t added = SetUnionInto(dst.get(), *src, {0, 1});
-    benchmark::DoNotOptimize(added);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_SetUnionInto)->Arg(1 << 12)->Arg(1 << 15);
-
 // The Reserve() contract of FlatRowIndex: sizing from the input
 // cardinality up front skips every mid-build rehash. The pair below
-// measures exactly what the SetUnionInto / KeyIndex pre-reserve fix buys.
+// measures exactly what the KeyIndex pre-reserve buys.
 void BM_FlatIndexInsertReserved(benchmark::State& state) {
   const int64_t rows = state.range(0);
   auto t = RandomTable(rows, rows / 2, 9);

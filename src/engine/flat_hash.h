@@ -59,7 +59,7 @@ class FlatRowIndex {
   FlatRowIndex() = default;
 
   /// \brief Sizes the table for `expected_rows` inserts up front, so bulk
-  /// builds (join build side, SetUnionInto over a known delta) do not
+  /// builds (join build side, KeyIndex over a known table) do not
   /// rehash mid-insert.
   explicit FlatRowIndex(int64_t expected_rows) { Reserve(expected_rows); }
 

@@ -11,16 +11,9 @@
 
 namespace probkb {
 
-KeyIndex::KeyIndex(const Table* table, std::vector<int> key_cols,
-                   int64_t expected_extra_rows)
-    : KeyIndex(table, std::move(key_cols), expected_extra_rows,
-               /*index_existing=*/true) {}
-
-KeyIndex::KeyIndex(const Table* table, std::vector<int> key_cols,
-                   int64_t expected_extra_rows, bool index_existing)
+KeyIndex::KeyIndex(const Table* table, std::vector<int> key_cols)
     : table_(table), key_cols_(std::move(key_cols)) {
-  if (!index_existing) return;
-  index_.Reserve(table->NumRows() + expected_extra_rows);
+  index_.Reserve(table->NumRows());
   // Batched build: hash the key columns in contiguous chunks instead of
   // materializing a Value per cell per row.
   size_t hashes[kIndexBuildChunkRows];
@@ -32,14 +25,6 @@ KeyIndex::KeyIndex(const Table* table, std::vector<int> key_cols,
       index_.Insert(hashes[i - base], i);
     }
   }
-}
-
-KeyIndex KeyIndex::Empty(const Table* table, std::vector<int> key_cols,
-                         int64_t expected_rows) {
-  KeyIndex index(table, std::move(key_cols), /*expected_extra_rows=*/0,
-                 /*index_existing=*/false);
-  index.index_.Reserve(expected_rows);
-  return index;
 }
 
 bool KeyIndex::Contains(const RowView& row,
@@ -60,35 +45,6 @@ bool KeyIndex::ContainsHashed(size_t hash, const RowView& row,
 
 void KeyIndex::AddRow(int64_t i) {
   index_.Insert(HashRowKey(table_->row(i), key_cols_), i);
-}
-
-int64_t SetUnionInto(Table* dst, const Table& src,
-                     const std::vector<int>& key_cols) {
-  PROBKB_CHECK(dst->width() == src.width());
-  // Pre-reserve for the delta: without this, a large src rehashes the
-  // index log(src/dst) times mid-merge.
-  KeyIndex index(dst, key_cols, src.NumRows());
-  dst->ReserveRows(src.NumRows());
-  // Batch-hash src keys once. An appended row is a copy of the src row, so
-  // its key hash in dst equals the src hash — reuse it for AddRowHashed.
-  size_t hashes[kHashBatchRows];
-  int64_t added = 0;
-  const int64_t n = src.NumRows();
-  for (int64_t base = 0; base < n; base += kHashBatchRows) {
-    const int64_t end = std::min(base + kHashBatchRows, n);
-    src.HashRows(key_cols, base, end, hashes);
-    for (int64_t i = base; i < end; ++i) index.PrefetchHash(hashes[i - base]);
-    for (int64_t i = base; i < end; ++i) {
-      const size_t h = hashes[i - base];
-      RowView row = src.row(i);
-      if (!index.ContainsHashed(h, row, key_cols)) {
-        dst->AppendRow(row);
-        index.AddRowHashed(h, dst->NumRows() - 1);
-        ++added;
-      }
-    }
-  }
-  return added;
 }
 
 int64_t DeleteWhere(Table* table,

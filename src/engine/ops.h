@@ -13,26 +13,17 @@ namespace probkb {
 
 /// \brief Hash index over the key columns of a table.
 ///
-/// Supports membership probes and incremental inserts; grounding uses it to
-/// merge newly inferred atoms into TPi with set semantics, and constraint
-/// application uses it to delete facts keyed by violating entities. Backed
-/// by FlatRowIndex (one flat probe array) rather than a node-based map.
+/// Supports membership probes and incremental inserts; Tuffy-T uses it to
+/// merge newly inferred atoms into a predicate table with set semantics,
+/// and constraint application uses it to delete facts keyed by violating
+/// entities. Backed by FlatRowIndex (one flat probe array) rather than a
+/// node-based map.
 class KeyIndex {
  public:
   /// Indexes `table` on `key_cols`. The table must outlive the index; rows
   /// appended to the table after construction are not indexed unless added
-  /// via AddRow(). `expected_extra_rows` pre-sizes the hash table for that
-  /// many future AddRow() calls on top of the table's current rows, so
-  /// callers growing the table in bulk (SetUnionInto, the TPi merge) do not
-  /// pay a rehash per doubling.
-  KeyIndex(const Table* table, std::vector<int> key_cols,
-           int64_t expected_extra_rows = 0);
-
-  /// \brief Index over `table` that starts *empty* (no rows indexed yet):
-  /// the caller adds rows one by one via AddRow(). Used for incremental
-  /// dedup of a batch against itself. Pre-sized for `expected_rows`.
-  static KeyIndex Empty(const Table* table, std::vector<int> key_cols,
-                        int64_t expected_rows);
+  /// via AddRow().
+  KeyIndex(const Table* table, std::vector<int> key_cols);
 
   /// \brief True if some indexed row matches `row` (compared on
   /// `probe_cols`, which must parallel this index's key columns).
@@ -47,34 +38,15 @@ class KeyIndex {
   /// \brief Indexes row `i` of the underlying table.
   void AddRow(int64_t i);
 
-  /// \brief AddRow() with the key hash already computed. `hash` must equal
-  /// HashRowKey(table->row(i), key_cols).
-  void AddRowHashed(size_t hash, int64_t i) { index_.Insert(hash, i); }
-
   /// \brief Prefetches the slot a later ContainsHashed(hash, ...) will
   /// touch (see FlatRowIndex::PrefetchHash).
   void PrefetchHash(size_t hash) const { index_.PrefetchHash(hash); }
 
-  int64_t NumIndexedRows() const { return index_.size(); }
-
  private:
-  KeyIndex(const Table* table, std::vector<int> key_cols,
-           int64_t expected_extra_rows, bool index_existing);
-
   const Table* table_;
   std::vector<int> key_cols_;
   FlatRowIndex index_;
 };
-
-/// \brief Appends to `dst` the rows of `src` whose key (on `key_cols`,
-/// same indices in both tables) is not already present in `dst`, deduping
-/// within `src` as well. Returns the number of rows appended.
-///
-/// This is the set-semantics union of Algorithm 1 line 5
-/// (TPi <- TPi U (U_j T_j)). The dedup index is pre-sized for
-/// `dst->NumRows() + src.NumRows()` keys up front.
-int64_t SetUnionInto(Table* dst, const Table& src,
-                     const std::vector<int>& key_cols);
 
 /// \brief Deletes rows matching `pred`; returns the number deleted.
 int64_t DeleteWhere(Table* table, const std::function<bool(const RowView&)>& pred);

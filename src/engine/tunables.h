@@ -15,8 +15,8 @@ namespace probkb {
 /// Rows a probe batch covers in the batched prefetch pipeline: enough
 /// in-flight prefetches to hide a DRAM miss, small enough to stay in L1.
 inline constexpr int64_t kProbeBatchRows = 32;
-/// Rows per batched Table::HashRows call in the KeyIndex / SetUnionInto /
-/// DeleteMatching / SelectNewAtomRows pipelines.
+/// Rows per batched Table::HashRows call in the DeleteMatching and TPi
+/// merge pipelines.
 inline constexpr int64_t kHashBatchRows = 64;
 /// Rows per batched TargetSegments hashing chunk in Distribute /
 /// placement validation.

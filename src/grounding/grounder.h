@@ -20,8 +20,9 @@
 
 namespace probkb {
 
-/// \brief Fixpoint evaluation strategies. Both produce the same TPi, fact
-/// ids and row order included, and the same TPhi.
+/// \brief Fixpoint evaluation strategies of the single-node and MPP
+/// grounders. Both produce the same TPi, fact ids and row order included,
+/// and the same TPhi.
 ///
 /// kNaive re-applies every rule to the whole TPi each iteration — exactly
 /// the paper's Algorithm 1 (its SQL re-joins the full facts table); Table

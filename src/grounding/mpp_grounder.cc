@@ -1,10 +1,11 @@
 #include "grounding/mpp_grounder.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <utility>
 
 #include "engine/ops.h"
-#include "engine/tunables.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -68,6 +69,18 @@ DistributedTablePtr MppGrounder::ProbeFor(
   return t_pi_;
 }
 
+MppGrounder::RowMarks MppGrounder::SegmentRows() const {
+  auto rows = [](const DistributedTablePtr& t) {
+    std::vector<int64_t> out;
+    if (t == nullptr) return out;
+    for (int s = 0; s < t->num_segments(); ++s) {
+      out.push_back(t->segment(s)->NumRows());
+    }
+    return out;
+  };
+  return {rows(t_pi_), rows(view_tx_), rows(view_ty_)};
+}
+
 void MppGrounder::ObserveStatement(const std::string& label, int64_t estimate,
                                    int64_t observed) {
   planner_.ObserveRows(label, observed);
@@ -84,47 +97,170 @@ std::string MppGrounder::ExplainPlans() const {
   return out;
 }
 
+Result<DistributedTablePtr> MppGrounder::Join(DistributedTablePtr left,
+                                              DistributedTablePtr right,
+                                              MppJoinSpec spec,
+                                              int64_t cold_estimate) {
+  spec.policy = motion_policy_;
+  const int64_t estimate = planner_.ObservedRows(spec.label, cold_estimate);
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr out,
+      MppHashJoin(&ctx_, std::move(left), std::move(right), spec));
+  ObserveStatement(spec.label, estimate, out->NumRows());
+  return out;
+}
+
+DistributedTablePtr MppGrounder::DistributedRules(int p) const {
+  return DistributedTable::Distribute(*m_[static_cast<size_t>(p - 1)],
+                                      ctx_.num_segments(),
+                                      Distribution::Random(),
+                                      "M" + std::to_string(p));
+}
+
+std::vector<PrebuiltIndex> MppGrounder::RightIndex(
+    const DistributedTablePtr& t, const std::vector<int>& keys,
+    const std::vector<int64_t>* rows) const {
+  const std::vector<TPiIndexes>* indexes =
+      t == view_tx_ ? &tx_indexes_ : t == view_ty_ ? &ty_indexes_ : nullptr;
+  if (indexes != nullptr && indexes->empty()) indexes = nullptr;
+  if (indexes == nullptr && rows == nullptr) return {};
+  std::vector<PrebuiltIndex> out;
+  for (int s = 0; s < t->num_segments(); ++s) {
+    const size_t i = static_cast<size_t>(s);
+    PrebuiltIndex index = indexes != nullptr
+                              ? (*indexes)[i].Find(t->segment(s).get(), keys)
+                              : PrebuiltIndex{};
+    if (rows != nullptr) {
+      index.rows = (*rows)[i];
+    } else if (index.index == nullptr) {
+      index.rows = t->segment(s)->NumRows();
+    }
+    out.push_back(index);
+  }
+  return out;
+}
+
+Status MppGrounder::SyncViewIndexes() {
+  if (!KeepsIndexes() || mode_ != MppMode::kViews) return Status::OK();
+  const size_t n = static_cast<size_t>(ctx_.num_segments());
+  if (tx_indexes_.empty()) {
+    tx_indexes_.assign(n, TPiIndexes({ViewKeysTx()}));
+    ty_indexes_.assign(n, TPiIndexes({ViewKeysTy()}));
+  }
+  // Each segment extends its own indexes over the rows the view refresh
+  // appended since the last sync.
+  std::vector<Status> statuses(n);
+  ForEachSegment(&ctx_, view_tx_->PhysicalRows() + view_ty_->PhysicalRows(),
+                 [&](int s) {
+                   const size_t i = static_cast<size_t>(s);
+                   statuses[i] = tx_indexes_[i].Sync(*view_tx_->segment(s));
+                   if (statuses[i].ok()) {
+                     statuses[i] = ty_indexes_[i].Sync(*view_ty_->segment(s));
+                   }
+                 });
+  for (const Status& st : statuses) PROBKB_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
+void MppGrounder::ClearIndexes() {
+  tx_indexes_.clear();
+  ty_indexes_.clear();
+  merge_indexes_.clear();
+  delta_marks_ = {};
+}
+
 Result<DistributedTablePtr> MppGrounder::GroundAtomsPartition(int p) {
   const PartitionSpec& spec = GetPartitionSpec(p);
-  TablePtr m_local = m_[static_cast<size_t>(p - 1)];
-  auto m_dist =
-      DistributedTable::Distribute(*m_local, ctx_.num_segments(),
-                                   Distribution::Random(),
-                                   "M" + std::to_string(p));
-  DistributedTablePtr probe1 = ProbeFor(spec.t_keys1);
-
   MppJoinSpec js1;
   js1.left_keys = spec.m_keys1;
   js1.right_keys = spec.t_keys1;
-  js1.type = JoinType::kInner;
   js1.output_cols = spec.body_length == 1 ? Len2AtomOutputCols(spec)
                                           : J1OutputCols(spec);
-  js1.output_dist = Distribution::Random();
   js1.label = StrFormat("Query1-%d join1", p);
-  js1.policy = motion_policy_;
   // Cold start estimates the join at the (small) M_i side's size — the
   // paper-§5 assumption that rules, not facts, bound the intermediate;
   // warm iterations reuse the previous iteration's observation.
-  const int64_t est1 = planner_.ObservedRows(js1.label, m_local->NumRows());
-  PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr j,
-                          MppHashJoin(&ctx_, m_dist, probe1, js1));
-  ObserveStatement(js1.label, est1, j->NumRows());
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr j,
+      Join(DistributedRules(p), ProbeFor(spec.t_keys1), std::move(js1),
+           m_[static_cast<size_t>(p - 1)]->NumRows()));
   if (spec.body_length == 1) return j;
 
   DistributedTablePtr probe2 = ProbeFor(spec.t_keys2);
   MppJoinSpec js2;
   js2.left_keys = spec.j1_keys2;
   js2.right_keys = spec.t_keys2;
-  js2.type = JoinType::kInner;
   js2.output_cols = Len3AtomOutputCols(spec);
-  js2.output_dist = Distribution::Random();
   js2.label = StrFormat("Query1-%d join2", p);
-  js2.policy = motion_policy_;
-  const int64_t est2 = planner_.ObservedRows(js2.label, j->NumRows());
+  js2.right_index = RightIndex(probe2, spec.t_keys2);
+  const int64_t rows = j->NumRows();
+  return Join(std::move(j), std::move(probe2), std::move(js2), rows);
+}
+
+Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
+    int p, const DistributedTablePtr& delta, const RowMarks& marks) {
+  const PartitionSpec& spec = GetPartitionSpec(p);
+  DistributedTablePtr rules = DistributedRules(p);
+  // (Δ, full): Δ atoms matched as body 1 meet their rules, which probe
+  // body 2 over the whole view. Δ stays on its T0 segment; the rules move.
+  MppJoinSpec js1;
+  js1.left_keys = ViewKeysT0();
+  js1.right_keys = spec.m_keys1;
+  js1.output_cols = spec.body_length == 1
+                        ? DeltaLen2Cols(spec, /*order_key=*/false)
+                        : DeltaJ1Cols(spec, /*order_key=*/false);
+  js1.label = StrFormat("Query1-%d delta join1", p);
+  PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr j1,
+                          Join(delta, rules, std::move(js1), delta->NumRows()));
+  if (spec.body_length == 1) return j1;
+
+  DistributedTablePtr body2 = ProbeFor(spec.t_keys2);
+  MppJoinSpec js2;
+  js2.left_keys = spec.j1_keys2;
+  js2.right_keys = spec.t_keys2;
+  js2.output_cols = DeltaLen3Cols(spec, /*order_key=*/false);
+  js2.label = StrFormat("Query1-%d delta join2", p);
+  js2.right_index = RightIndex(body2, spec.t_keys2);
+  const int64_t j1_rows = j1->NumRows();
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr delta_full,
+      Join(std::move(j1), std::move(body2), std::move(js2), j1_rows));
+
+  // (old, Δ): Δ atoms matched as body 2 meet their rules, which probe body
+  // 1 over the rows from before Δ only, so no derivation comes from both
+  // passes.
+  MppJoinSpec js3;
+  js3.left_keys = ViewKeysT0();
+  js3.right_keys = spec.m_keys2;
+  js3.output_cols = DeltaJ2Cols(spec, /*order_key=*/false);
+  js3.label = StrFormat("Query1-%d old-delta join1", p);
   PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr j2,
-                          MppHashJoin(&ctx_, j, probe2, js2));
-  ObserveStatement(js2.label, est2, j2->NumRows());
-  return j2;
+                          Join(delta, rules, std::move(js3), delta->NumRows()));
+  DistributedTablePtr body1 = ProbeFor(spec.t2_keys1);
+  const std::vector<int64_t>& old_rows = body1 == view_tx_   ? marks.tx
+                                         : body1 == view_ty_ ? marks.ty
+                                                             : marks.t0;
+  MppJoinSpec js4;
+  js4.left_keys = spec.j2_keys1;
+  js4.right_keys = spec.t2_keys1;
+  js4.output_cols = DeltaLen3Body1Cols(spec, /*order_key=*/false);
+  js4.label = StrFormat("Query1-%d old-delta join2", p);
+  js4.right_index = RightIndex(body1, spec.t2_keys1, &old_rows);
+  const int64_t j2_rows = j2->NumRows();
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr old_delta,
+      Join(std::move(j2), std::move(body1), std::move(js4), j2_rows));
+
+  std::vector<TablePtr> segments;
+  for (int s = 0; s < ctx_.num_segments(); ++s) {
+    auto both = Table::Make(delta_full->schema());
+    both->AppendTable(*delta_full->segment(s));
+    both->AppendTable(*old_delta->segment(s));
+    segments.push_back(std::move(both));
+  }
+  return std::make_shared<DistributedTable>(
+      delta_full->schema(), std::move(segments), Distribution::Random(),
+      delta_full->name());
 }
 
 namespace {
@@ -132,6 +268,29 @@ namespace {
 uint64_t BanKey(int64_t entity, int64_t cls) {
   PROBKB_DCHECK(cls >= 0 && cls < (1 << 20));
   return (static_cast<uint64_t>(entity) << 20) | static_cast<uint64_t>(cls);
+}
+
+/// Sorts `rows` of `atoms` by content (R, x, C1, y, C2) and drops each row
+/// equal to its predecessor.
+void SortUniqueByContent(const Table& atoms, std::vector<int64_t>* rows) {
+  std::array<const int64_t*, 5> cols;
+  for (int c = atom::kR; c <= atom::kC2; ++c) {
+    cols[static_cast<size_t>(c)] = atoms.Int64Data(c);
+  }
+  std::sort(rows->begin(), rows->end(), [&cols](int64_t a, int64_t b) {
+    for (const int64_t* col : cols) {
+      if (col[a] != col[b]) return col[a] < col[b];
+    }
+    return false;
+  });
+  auto last = std::unique(rows->begin(), rows->end(),
+                          [&cols](int64_t a, int64_t b) {
+                            for (const int64_t* col : cols) {
+                              if (col[a] != col[b]) return false;
+                            }
+                            return true;
+                          });
+  rows->erase(last, rows->end());
 }
 
 }  // namespace
@@ -142,68 +301,53 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
       ctx_.Redistribute(atoms, kAtomDistKeys, "inferred_atoms"));
 
   const int n = ctx_.num_segments();
-  // Fan-out gated on the rows the phase actually touches: per-iteration
-  // deltas are often tiny, and dispatching n segment tasks for a few
-  // hundred rows costs more than the work (the fig6c regression).
-  auto for_each_segment = [&](int64_t total_rows,
-                              const std::function<void(int)>& body) {
-    if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
-        total_rows >= kSerialFanoutRowCutoff) {
-      pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
-        for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
-      });
-    } else {
-      for (int s = 0; s < n; ++s) body(s);
-    }
-  };
-
-  // Drop atoms keyed by banned entities (per-segment, no motion needed;
-  // segments only read the shared ban sets, so the fan-out is safe).
-  if (!banned_x_keys_.empty() || !banned_y_keys_.empty()) {
-    for_each_segment(collocated->PhysicalRows(), [&](int s) {
-      DeleteWhere(collocated->mutable_segment(s).get(),
-                  [this](const RowView& row) {
-                    return banned_x_keys_.count(BanKey(
-                               row[atom::kX].i64(), row[atom::kC1].i64())) >
-                               0 ||
-                           banned_y_keys_.count(BanKey(
-                               row[atom::kY].i64(), row[atom::kC2].i64())) >
-                               0;
-                  });
-    });
+  if (merge_indexes_.empty()) {
+    merge_indexes_.assign(static_cast<size_t>(n), TPiIndexes({ViewKeysTxy()}));
   }
+  const bool bans = !banned_x_keys_.empty() || !banned_y_keys_.empty();
 
-  // Two-phase merge. Phase 1 (parallel): per-segment read-only dedup
-  // selecting the new atom rows. Phase 2 (serial): append the selections
-  // in canonical segment order, drawing fact ids from the shared counter —
-  // ids come out identical to the serial engine's regardless of thread
-  // count.
-  std::vector<int64_t> old_sizes(static_cast<size_t>(n));
+  // Two-phase merge. Phase 1 (parallel): each segment drops the atoms
+  // keyed by banned entities (segments only read the shared ban sets),
+  // then selects the atoms its T0 segment lacks by probing the segment's
+  // merge index, first extended over the rows appended since its last
+  // use. Phase 2 (serial): append the selections in canonical segment
+  // order, drawing fact ids from the shared counter — ids come out
+  // identical regardless of thread count.
   std::vector<double> seg_seconds(static_cast<size_t>(n));
   std::vector<std::vector<int64_t>> selected(static_cast<size_t>(n));
-  for_each_segment(t_pi_->PhysicalRows() + collocated->PhysicalRows(),
-                   [&](int s) {
+  std::vector<Status> statuses(static_cast<size_t>(n));
+  ForEachSegment(&ctx_, t_pi_->PhysicalRows() + collocated->PhysicalRows(),
+                 [&](int s) {
+    const size_t i = static_cast<size_t>(s);
     Timer timer;
-    std::vector<int64_t>& rows = selected[static_cast<size_t>(s)];
-    rows = SelectNewAtomRows(*t_pi_->segment(s), *collocated->segment(s));
-    // Canonical append order: sort the selection by atom content. The
-    // selected rows of a segment are a policy-independent *set* (matches
-    // land on the stationary side's segment no matter how the other side
-    // moved), but their arrival order depends on the motions the planner
-    // chose — sorting makes the fact-id assignment, and hence TPi,
-    // bit-identical across broadcast/redistribute plan choices. Rows are
-    // unique after dedup, so the order is total.
-    const Table& seg = *collocated->segment(s);
-    std::sort(rows.begin(), rows.end(), [&seg](int64_t a, int64_t b) {
-      for (int c = atom::kR; c <= atom::kC2; ++c) {
-        const int64_t va = seg.row(a)[c].i64();
-        const int64_t vb = seg.row(b)[c].i64();
-        if (va != vb) return va < vb;
-      }
-      return false;
-    });
-    seg_seconds[static_cast<size_t>(s)] = timer.Seconds();
+    Table* seg = collocated->mutable_segment(s).get();
+    if (bans) {
+      DeleteWhere(seg, [this](const RowView& row) {
+        return banned_x_keys_.count(
+                   BanKey(row[atom::kX].i64(), row[atom::kC1].i64())) > 0 ||
+               banned_y_keys_.count(
+                   BanKey(row[atom::kY].i64(), row[atom::kC2].i64())) > 0;
+      });
+    }
+    Result<std::vector<int64_t>> absent =
+        merge_indexes_[i].AbsentAtoms(*t_pi_->segment(s), *seg);
+    if (!absent.ok()) {
+      statuses[i] = absent.status();
+      return;
+    }
+    // Canonical append order: the atoms a segment lacks, deduplicated, in
+    // content order. They are a policy-independent *set* (matches land on
+    // the stationary side's segment no matter how the other side moved,
+    // and Δ-driven and full passes derive the same new atoms), but their
+    // arrival order depends on the plan — sorting makes the fact-id
+    // assignment, and hence TPi, bit-identical across motion choices and
+    // evaluation modes.
+    selected[i] = absent.MoveValueOrDie();
+    SortUniqueByContent(*seg, &selected[i]);
+    seg_seconds[i] = timer.Seconds();
   });
+  for (const Status& st : statuses) PROBKB_RETURN_NOT_OK(st);
+  std::vector<int64_t> old_sizes(static_cast<size_t>(n));
   int64_t added = 0;
   for (int s = 0; s < n; ++s) {
     old_sizes[static_cast<size_t>(s)] = t_pi_->segment(s)->NumRows();
@@ -280,12 +424,38 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   // it is what makes iteration N+1's estimates warm.
   explain_lines_.clear();
   planner_.ClearDecisionLog();
+  // Semi-naive: every derivation over rows before the marks ran in an
+  // earlier iteration, so a new atom's derivations all use a Δ atom. The
+  // full pass runs instead with no earlier iteration to lean on (no marks)
+  // and under a memory budget. Taking the marks leaves a failed iteration's
+  // successor to the full pass.
+  const RowMarks marks = std::exchange(delta_marks_, RowMarks{});
+  const RowMarks start = SegmentRows();
+  const bool delta_driven = KeepsIndexes() &&
+                            options_.evaluation == EvaluationMode::kSemiNaive &&
+                            !marks.t0.empty();
+  PROBKB_RETURN_NOT_OK(SyncViewIndexes());
+  DistributedTablePtr delta;
+  if (delta_driven) {
+    std::vector<TablePtr> segments;
+    for (int s = 0; s < ctx_.num_segments(); ++s) {
+      const Table& seg = *t_pi_->segment(s);
+      auto rows = Table::Make(seg.schema());
+      rows->AppendRows(seg, marks.t0[static_cast<size_t>(s)], seg.NumRows());
+      segments.push_back(std::move(rows));
+    }
+    delta = std::make_shared<DistributedTable>(
+        TPiSchema(), std::move(segments), Distribution::Hash(ViewKeysT0()),
+        "Delta");
+  }
   std::vector<DistributedTablePtr> inferred;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
     const double partition_start = ctx_.cost().simulated_seconds();
     PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr atoms,
-                            GroundAtomsPartition(p));
+                            delta_driven
+                                ? GroundDeltaAtomsPartition(p, delta, marks)
+                                : GroundAtomsPartition(p));
     if (obs_ != nullptr) {
       obs_->RecordPartitionIteration(
           iteration, p, atoms->NumRows(),
@@ -299,6 +469,9 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
     PROBKB_ASSIGN_OR_RETURN(int64_t merged, MergeAtoms(*atoms));
     added += merged;
   }
+  delta_marks_ = start;
+  // Under a memory budget the merge index lives for one iteration only.
+  if (!KeepsIndexes()) merge_indexes_.clear();
   if (options_.apply_constraints_each_iteration) {
     PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
     stats_.constraint_deleted += deleted;
@@ -415,6 +588,9 @@ Status MppGrounder::ResumeFrom(const std::string& checkpoint_dir) {
   }
   next_fact_id_ = cp.next_fact_id;
   stats_.iterations = cp.iteration;
+  // The checkpoint carries no Δ marks: the first resumed iteration runs
+  // the full pass.
+  ClearIndexes();
   banned_x_keys_.clear();
   banned_y_keys_.clear();
   for (int64_t i = 0; i < cp.banned_x->NumRows(); ++i) {
@@ -431,57 +607,41 @@ Status MppGrounder::ResumeFrom(const std::string& checkpoint_dir) {
 Result<DistributedTablePtr> MppGrounder::GroundFactorsPartition(int p) {
   const PartitionSpec& spec = GetPartitionSpec(p);
   const bool has_i3 = spec.body_length == 2;
-  TablePtr m_local = m_[static_cast<size_t>(p - 1)];
-  auto m_dist =
-      DistributedTable::Distribute(*m_local, ctx_.num_segments(),
-                                   Distribution::Random(),
-                                   "M" + std::to_string(p));
-
-  DistributedTablePtr probe1 = ProbeFor(spec.t_keys1);
   MppJoinSpec js1;
   js1.left_keys = spec.m_keys1;
   js1.right_keys = spec.t_keys1;
-  js1.type = JoinType::kInner;
   js1.output_cols = spec.body_length == 1 ? Len2FactorCandidateCols(spec)
                                           : J1OutputCols(spec);
-  js1.output_dist = Distribution::Random();
   js1.label = StrFormat("Query2-%d join1", p);
-  js1.policy = motion_policy_;
-  const int64_t est1 = planner_.ObservedRows(js1.label, m_local->NumRows());
-  PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr candidates,
-                          MppHashJoin(&ctx_, m_dist, probe1, js1));
-  ObserveStatement(js1.label, est1, candidates->NumRows());
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr candidates,
+      Join(DistributedRules(p), ProbeFor(spec.t_keys1), std::move(js1),
+           m_[static_cast<size_t>(p - 1)]->NumRows()));
 
   if (spec.body_length == 2) {
     DistributedTablePtr probe2 = ProbeFor(spec.t_keys2);
     MppJoinSpec js2;
     js2.left_keys = spec.j1_keys2;
     js2.right_keys = spec.t_keys2;
-    js2.type = JoinType::kInner;
     js2.output_cols = Len3FactorCandidateCols(spec);
-    js2.output_dist = Distribution::Random();
     js2.label = StrFormat("Query2-%d join2", p);
-    js2.policy = motion_policy_;
-    const int64_t est2 =
-        planner_.ObservedRows(js2.label, candidates->NumRows());
-    PROBKB_ASSIGN_OR_RETURN(candidates,
-                            MppHashJoin(&ctx_, candidates, probe2, js2));
-    ObserveStatement(js2.label, est2, candidates->NumRows());
+    js2.right_index = RightIndex(probe2, spec.t_keys2);
+    const int64_t rows = candidates->NumRows();
+    PROBKB_ASSIGN_OR_RETURN(
+        candidates,
+        Join(std::move(candidates), std::move(probe2), std::move(js2), rows));
   }
 
-  DistributedTablePtr head = ProbeFor(ViewKeysTxy());
   MppJoinSpec js3;
   js3.left_keys = HeadJoinLeftKeys();
   js3.right_keys = ViewKeysTxy();
-  js3.type = JoinType::kInner;
   js3.output_cols = FactorHeadOutputCols(has_i3);
-  js3.output_dist = Distribution::Random();
   js3.label = StrFormat("Query2-%d head", p);
-  js3.policy = motion_policy_;
-  const int64_t est3 = planner_.ObservedRows(js3.label, candidates->NumRows());
-  PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr factors,
-                          MppHashJoin(&ctx_, candidates, head, js3));
-  ObserveStatement(js3.label, est3, factors->NumRows());
+  const int64_t rows = candidates->NumRows();
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr factors,
+      Join(std::move(candidates), ProbeFor(ViewKeysTxy()), std::move(js3),
+           rows));
   if (!has_i3) {
     PROBKB_ASSIGN_OR_RETURN(
         factors,
@@ -495,6 +655,7 @@ Result<DistributedTablePtr> MppGrounder::GroundFactorsPartition(int p) {
 Result<TablePtr> MppGrounder::GroundFactors() {
   const double start_cost = ctx_.cost().simulated_seconds();
   TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
+  PROBKB_RETURN_NOT_OK(SyncViewIndexes());
   auto t_phi = Table::Make(TPhiSchema());
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
@@ -614,6 +775,9 @@ Result<int64_t> MppGrounder::ApplyConstraints() {
       }
     }
   }
+  // Deletes compact the segments' row ids, so the indexes are rebuilt on
+  // next use, and the next iteration runs the full pass.
+  if (deleted > 0) ClearIndexes();
   return deleted;
 }
 

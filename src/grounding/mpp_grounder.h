@@ -26,6 +26,22 @@ enum class MppMode { kNoViews, kViews };
 /// every grounding join finds a collocated TPi instance and only the small
 /// M_i / intermediate side moves (Example 5).
 ///
+/// Query 1 honours GroundingOptions::evaluation. Under kSemiNaive (the
+/// default) an iteration after the first derives only what uses an atom
+/// the previous iteration added (its Δ, each T0 segment's rows past a row
+/// mark): Δ meets the rules and probes the full view for body 2, and for
+/// length-3 rules the rules' body 2 meets Δ and probes the view for body 1
+/// bounded to the rows from before Δ. The merge assigns ids in content
+/// order per segment, so only the derived set decides TPi, and both modes
+/// produce the same TPi, ids and row order included, and the same TPhi.
+///
+/// Unless a memory budget is armed, each segment keeps hash indexes for
+/// the whole run, extended in row order as rows are appended: Tx's and
+/// Ty's view keys (probed by the body joins of Queries 1 and 2) and T0's
+/// merge key (the merge dedup). Query 3 deletes and ResumeFrom() drop
+/// them. Under a budget every iteration runs the full pass on transient,
+/// spillable builds, and the merge index lives for one iteration.
+///
 /// With a FaultInjector the simulator's motions detect and recover
 /// injected segment failures (see MppContext); the grounder adds the
 /// layer above: iteration-level checkpoints (options.checkpoint_dir) and
@@ -92,9 +108,41 @@ class MppGrounder {
   }
 
  private:
-  /// Runs Query 1-p distributed; returns inferred atoms (distribution
-  /// Random).
+  /// Per-segment row counts of T0 and the views.
+  struct RowMarks {
+    std::vector<int64_t> t0, tx, ty;
+  };
+
+  /// True while the grounder keeps its per-segment indexes (no memory
+  /// budget armed).
+  bool KeepsIndexes() const { return !spill_session_->enabled(); }
+  /// Runs one grounding join under the grounder's motion policy, recording
+  /// its estimate (the last observation of `spec.label`, else
+  /// `cold_estimate`) and its observed rows.
+  Result<DistributedTablePtr> Join(DistributedTablePtr left,
+                                   DistributedTablePtr right,
+                                   MppJoinSpec spec, int64_t cold_estimate);
+  /// Runs Query 1-p distributed, the full pass; returns inferred atoms
+  /// (distribution Random).
   Result<DistributedTablePtr> GroundAtomsPartition(int p);
+  /// Runs Query 1-p Δ-driven: every derivation that uses an atom of
+  /// `delta` (T0's rows past `marks`). Returns inferred atoms (distribution
+  /// Random).
+  Result<DistributedTablePtr> GroundDeltaAtomsPartition(
+      int p, const DistributedTablePtr& delta, const RowMarks& marks);
+  /// M_p spread round-robin over the segments.
+  DistributedTablePtr DistributedRules(int p) const;
+  /// The per-segment right_index of a join against `t` on `keys`: `t`'s
+  /// persistent indexes, if kept, bounded at the last sync, or at `rows`
+  /// when given. Empty when there is neither an index nor a bound.
+  std::vector<PrebuiltIndex> RightIndex(
+      const DistributedTablePtr& t, const std::vector<int>& keys,
+      const std::vector<int64_t>* rows = nullptr) const;
+  /// Extends the view indexes over the views' rows and pins their bound
+  /// (no-op while no indexes are kept).
+  Status SyncViewIndexes();
+  /// Drops every per-segment index and the Δ marks.
+  void ClearIndexes();
   /// Runs Query 2-p distributed.
   Result<DistributedTablePtr> GroundFactorsPartition(int p);
   /// Merges an atom table into the distributed TPi; assigns ids; refreshes
@@ -103,6 +151,7 @@ class MppGrounder {
   /// Picks the TPi instance collocated with `t_keys` (a view under kViews;
   /// the canonical copy otherwise).
   DistributedTablePtr ProbeFor(const std::vector<int>& t_keys) const;
+  RowMarks SegmentRows() const;
   /// Records a statement's estimated/observed cardinality into the planner
   /// history and the explain log.
   void ObserveStatement(const std::string& label, int64_t estimate,
@@ -156,6 +205,18 @@ class MppGrounder {
   DistributedTablePtr view_tx_;              // hash (R, C1, x, C2)
   DistributedTablePtr view_ty_;              // hash (R, C1, C2, y)
   DistributedTablePtr view_txy_;             // hash (R, C1, x, C2, y)
+
+  /// Per-segment indexes (see the class comment): the Tx and Ty view keys
+  /// over the views' segments, and the merge key over T0's. Empty until
+  /// first use and after ClearIndexes().
+  std::vector<TPiIndexes> tx_indexes_;
+  std::vector<TPiIndexes> ty_indexes_;
+  std::vector<TPiIndexes> merge_indexes_;
+  /// Semi-naive state: the segment row counts when the last iteration
+  /// started; rows from there on are its Δ. Empty when the next iteration
+  /// must run the full pass (iteration 1, after Query 3 deleted rows,
+  /// after ResumeFrom() or a failed iteration).
+  RowMarks delta_marks_;
 };
 
 }  // namespace probkb

@@ -298,11 +298,6 @@ FlatRowIndex IndexRows(const Table& t, const std::vector<int>& keys) {
   return index;
 }
 
-// Output columns of the Δ-driven joins. A join that probes a rule index
-// has the Δ atoms on its left and the rule table on its right, the sides
-// of the M-driven join exchanged; `rule_col` is the rule table's trailing
-// row-number column.
-
 std::vector<JoinOutputCol> Swapped(std::vector<JoinOutputCol> cols) {
   for (JoinOutputCol& c : cols) {
     c.side = c.side == JoinOutputCol::Side::kLeft ? JoinOutputCol::Side::kRight
@@ -311,37 +306,49 @@ std::vector<JoinOutputCol> Swapped(std::vector<JoinOutputCol> cols) {
   return cols;
 }
 
+/// The trailing row-number column RuleIndexes appends to M_p.
+int RuleColumn(const PartitionSpec& spec) {
+  return spec.body_length == 1 ? mlen2::kW + 1 : mlen3::kW + 1;
+}
+
+}  // namespace
+
 std::vector<JoinOutputCol> DeltaLen2Cols(const PartitionSpec& spec,
-                                         int rule_col) {
+                                         bool order_key) {
   std::vector<JoinOutputCol> cols = Swapped(Len2AtomOutputCols(spec));
-  cols.push_back(JoinOutputCol::Right(rule_col, "rule"));
-  cols.push_back(JoinOutputCol::Left(tpi::kI, "I2"));
-  cols.push_back(JoinOutputCol::Left(tpi::kI, "I3"));
+  if (order_key) {
+    cols.push_back(JoinOutputCol::Right(RuleColumn(spec), "rule"));
+    cols.push_back(JoinOutputCol::Left(tpi::kI, "I2"));
+    cols.push_back(JoinOutputCol::Left(tpi::kI, "I3"));
+  }
   return cols;
 }
 
-/// J1 from a Δ atom matched as body 1, plus "rule".
 std::vector<JoinOutputCol> DeltaJ1Cols(const PartitionSpec& spec,
-                                       int rule_col) {
+                                       bool order_key) {
   std::vector<JoinOutputCol> cols = Swapped(J1OutputCols(spec));
-  cols.push_back(JoinOutputCol::Right(rule_col, "rule"));
+  if (order_key) {
+    cols.push_back(JoinOutputCol::Right(RuleColumn(spec), "rule"));
+  }
   return cols;
 }
 
-std::vector<JoinOutputCol> DeltaLen3Cols(const PartitionSpec& spec) {
+std::vector<JoinOutputCol> DeltaLen3Cols(const PartitionSpec& spec,
+                                         bool order_key) {
   std::vector<JoinOutputCol> cols = Len3AtomOutputCols(spec);
-  cols.push_back(JoinOutputCol::Left(j1::kRule, "rule"));
-  cols.push_back(JoinOutputCol::Left(j1::kI2, "I2"));
-  cols.push_back(JoinOutputCol::Right(tpi::kI, "I3"));
+  if (order_key) {
+    cols.push_back(JoinOutputCol::Left(j1::kRule, "rule"));
+    cols.push_back(JoinOutputCol::Left(j1::kI2, "I2"));
+    cols.push_back(JoinOutputCol::Right(tpi::kI, "I3"));
+  }
   return cols;
 }
 
-/// J2 from a Δ atom matched as body 2.
 std::vector<JoinOutputCol> DeltaJ2Cols(const PartitionSpec& spec,
-                                       int rule_col) {
+                                       bool order_key) {
   const int z_col = spec.r_swapped ? tpi::kY : tpi::kX;
   const int yv_col = spec.r_swapped ? tpi::kX : tpi::kY;
-  return {
+  std::vector<JoinOutputCol> cols = {
       JoinOutputCol::Right(mlen3::kR1, "R1"),
       JoinOutputCol::Right(mlen3::kR2, "R2"),
       JoinOutputCol::Right(mlen3::kC1, "C1"),
@@ -350,25 +357,30 @@ std::vector<JoinOutputCol> DeltaJ2Cols(const PartitionSpec& spec,
       JoinOutputCol::Left(yv_col, "yv"),
       JoinOutputCol::Left(z_col, "z"),
       JoinOutputCol::Left(tpi::kI, "I3"),
-      JoinOutputCol::Right(rule_col, "rule"),
   };
+  if (order_key) {
+    cols.push_back(JoinOutputCol::Right(RuleColumn(spec), "rule"));
+  }
+  return cols;
 }
 
-std::vector<JoinOutputCol> DeltaLen3Body1Cols(const PartitionSpec& spec) {
+std::vector<JoinOutputCol> DeltaLen3Body1Cols(const PartitionSpec& spec,
+                                              bool order_key) {
   const int xv_col = spec.q_swapped ? tpi::kX : tpi::kY;
-  return {
+  std::vector<JoinOutputCol> cols = {
       JoinOutputCol::Left(j2::kR1, "R"),
       JoinOutputCol::Right(xv_col, "x"),
       JoinOutputCol::Left(j2::kC1, "C1"),
       JoinOutputCol::Left(j2::kYv, "y"),
       JoinOutputCol::Left(j2::kC2, "C2"),
-      JoinOutputCol::Left(j2::kRule, "rule"),
-      JoinOutputCol::Right(tpi::kI, "I2"),
-      JoinOutputCol::Left(j2::kI3, "I3"),
   };
+  if (order_key) {
+    cols.push_back(JoinOutputCol::Left(j2::kRule, "rule"));
+    cols.push_back(JoinOutputCol::Right(tpi::kI, "I2"));
+    cols.push_back(JoinOutputCol::Left(j2::kI3, "I3"));
+  }
+  return cols;
 }
-
-}  // namespace
 
 Status RuleIndexes::Build(const std::array<TablePtr, kNumRuleStructures>& m) {
   bool rebuilt = false;
@@ -446,7 +458,7 @@ PlanNodePtr BuildDeltaAtomsPlan(int p, const RuleIndexes& rules,
                                 int64_t delta_start) {
   const PartitionSpec& spec = GetPartitionSpec(p);
   const RuleIndexes::Partition& part = rules.partition(p);
-  const int rule_col = part.rules->width() - 1;
+  PROBKB_DCHECK(part.rules->width() - 1 == RuleColumn(spec));
   // The delta rows of body atom `b` probe its rule index on their view-T0
   // key.
   auto probe_rules = [&](size_t b, const FlatRowIndex& index,
@@ -459,22 +471,24 @@ PlanNodePtr BuildDeltaAtomsPlan(int p, const RuleIndexes& rules,
   };
   if (spec.body_length == 1) {
     return probe_rules(0, part.body1, spec.m_keys1,
-                       DeltaLen2Cols(spec, rule_col));
+                       DeltaLen2Cols(spec, /*order_key=*/true));
   }
   // (Δ, full): body 2 ranges over TPi as of the last Sync().
   PlanNodePtr delta_full =
       JoinT(probe_rules(0, part.body1, spec.m_keys1,
-                        DeltaJ1Cols(spec, rule_col)),
-            t_pi, spec.j1_keys2, spec.t_keys2, DeltaLen3Cols(spec), &indexes);
+                        DeltaJ1Cols(spec, /*order_key=*/true)),
+            t_pi, spec.j1_keys2, spec.t_keys2,
+            DeltaLen3Cols(spec, /*order_key=*/true), &indexes);
   // (old, Δ): body 1 ranges over the rows before Δ only, so no derivation
   // is produced by both passes.
   PrebuiltIndex old = indexes.Find(t_pi.get(), spec.t2_keys1);
   PROBKB_CHECK(old.index != nullptr && delta_start <= old.rows);
   old.rows = delta_start;
   PlanNodePtr old_delta = JoinIndexed(
-      probe_rules(1, part.body2, spec.m_keys2, DeltaJ2Cols(spec, rule_col)),
+      probe_rules(1, part.body2, spec.m_keys2,
+                  DeltaJ2Cols(spec, /*order_key=*/true)),
       std::move(t_pi), "T", spec.j2_keys1, spec.t2_keys1,
-      DeltaLen3Body1Cols(spec), old);
+      DeltaLen3Body1Cols(spec, /*order_key=*/true), old);
   std::vector<PlanNodePtr> passes;
   passes.push_back(std::move(delta_full));
   passes.push_back(std::move(old_delta));
@@ -531,50 +545,6 @@ Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx) {
        ProjectExpr::Constant(Value::Null(), "I3"),
        ProjectExpr::Column(tpi::kW, "w", ColumnType::kFloat64)});
   return plan->Execute(ctx);
-}
-
-namespace {
-
-const std::vector<int>& TPiMergeKey() {
-  static const std::vector<int> key = {tpi::kR, tpi::kX, tpi::kC1, tpi::kY,
-                                       tpi::kC2};
-  return key;
-}
-
-const std::vector<int>& AtomMergeKey() {
-  static const std::vector<int> key = {atom::kR, atom::kX, atom::kC1,
-                                       atom::kY, atom::kC2};
-  return key;
-}
-
-}  // namespace
-
-std::vector<int64_t> SelectNewAtomRows(const Table& t_pi,
-                                       const Table& atoms) {
-  // Existing facts plus a second index over `atoms` itself for the
-  // within-batch dedup, both pre-sized so large deltas do not rehash
-  // mid-merge.
-  KeyIndex existing(&t_pi, TPiMergeKey());
-  KeyIndex pending = KeyIndex::Empty(&atoms, AtomMergeKey(), atoms.NumRows());
-  std::vector<int64_t> selected;
-  // Both indexes key on the same atom columns, so one batched hash of the
-  // atom key serves the t_pi lookup, the within-batch dedup lookup, and the
-  // insert into `pending`.
-  size_t hashes[kHashBatchRows];
-  for (int64_t base = 0; base < atoms.NumRows(); base += kHashBatchRows) {
-    const int64_t end = std::min(base + kHashBatchRows, atoms.NumRows());
-    atoms.HashRows(AtomMergeKey(), base, end, hashes);
-    for (int64_t i = base; i < end; ++i) existing.PrefetchHash(hashes[i - base]);
-    for (int64_t i = base; i < end; ++i) {
-      const size_t h = hashes[i - base];
-      RowView row = atoms.row(i);
-      if (existing.ContainsHashed(h, row, AtomMergeKey())) continue;
-      if (pending.ContainsHashed(h, row, AtomMergeKey())) continue;
-      pending.AddRowHashed(h, i);
-      selected.push_back(i);
-    }
-  }
-  return selected;
 }
 
 int64_t AppendAtomRows(Table* t_pi, const Table& atoms,

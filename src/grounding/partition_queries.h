@@ -89,6 +89,28 @@ std::vector<JoinOutputCol> Len2FactorCandidateCols(const PartitionSpec& spec);
 std::vector<JoinOutputCol> Len3FactorCandidateCols(const PartitionSpec& spec);
 std::vector<JoinOutputCol> FactorHeadOutputCols(bool has_i3);
 
+/// Output columns of the Δ-driven joins of Query 1-p, shared by the
+/// single-node and MPP executions. Each has the Δ atoms (TPi rows) on its
+/// left and the rule table M_p on its right, the sides of the M-driven
+/// join exchanged. DeltaJ1Cols is the intermediate of the (Δ, full) pass
+/// (a Δ atom matched as body 1) and DeltaLen3Cols its final join against
+/// body 2; DeltaJ2Cols and DeltaLen3Body1Cols are the same for the
+/// (old, Δ) pass (a Δ atom matched as body 2, then body 1). With
+/// `order_key` the atoms carry the derivation order key (namespace
+/// derivation) and M_p needs RuleIndexes' trailing "rule" column; without
+/// it they are the bare atom schema, all the MPP merge needs, since it
+/// orders new atoms by content.
+std::vector<JoinOutputCol> DeltaLen2Cols(const PartitionSpec& spec,
+                                         bool order_key);
+std::vector<JoinOutputCol> DeltaJ1Cols(const PartitionSpec& spec,
+                                       bool order_key);
+std::vector<JoinOutputCol> DeltaLen3Cols(const PartitionSpec& spec,
+                                         bool order_key);
+std::vector<JoinOutputCol> DeltaJ2Cols(const PartitionSpec& spec,
+                                       bool order_key);
+std::vector<JoinOutputCol> DeltaLen3Body1Cols(const PartitionSpec& spec,
+                                              bool order_key);
+
 /// Projection that nulls out I3 in length-2 factors.
 std::vector<ProjectExpr> NullI3Projection();
 
@@ -186,14 +208,6 @@ Result<TablePtr> GroundFactorsForPartition(int p, TablePtr m,
 /// \brief Singleton factors (I, NULL, NULL, w) for every fact of TPi with a
 /// non-NULL weight (Algorithm 1 line 10).
 Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx);
-
-/// \brief Dedup phase of the MPP grounder's TPi merge: the row indices of
-/// `atoms` that are new w.r.t. `t_pi` (and w.r.t. earlier `atoms` rows), in
-/// row order. Pure read-only selection — the MPP grounder runs it for all
-/// segments in parallel, then assigns fact ids serially in canonical
-/// segment order so ids come out bit-identical to the serial engine's. The
-/// single-node grounder merges through TPiIndexes::MergeAtoms instead.
-std::vector<int64_t> SelectNewAtomRows(const Table& t_pi, const Table& atoms);
 
 /// \brief Id-assignment phase of a TPi merge: appends the selected
 /// `atoms` rows to `t_pi` with consecutive ids from `*next_id` and NULL

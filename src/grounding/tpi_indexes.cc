@@ -9,8 +9,6 @@ namespace probkb {
 
 namespace {
 
-constexpr size_t kTxy = 3;
-
 /// The Txy key columns of an inferred atom, in TPi's (R, C1, x, C2, y)
 /// order, so an atom hashes exactly like the TPi row it would become.
 const std::vector<int>& AtomKeysTxy() {
@@ -21,11 +19,19 @@ const std::vector<int>& AtomKeysTxy() {
 
 }  // namespace
 
-TPiIndexes::TPiIndexes() {
-  views_[0].keys = ViewKeysT0();
-  views_[1].keys = ViewKeysTx();
-  views_[2].keys = ViewKeysTy();
-  views_[kTxy].keys = ViewKeysTxy();
+TPiIndexes::TPiIndexes()
+    : TPiIndexes({ViewKeysT0(), ViewKeysTx(), ViewKeysTy(), ViewKeysTxy()}) {}
+
+TPiIndexes::TPiIndexes(const std::vector<std::vector<int>>& key_shapes) {
+  for (const std::vector<int>& keys : key_shapes) {
+    views_.push_back(View{keys, FlatRowIndex(), 0});
+  }
+}
+
+TPiIndexes::View& TPiIndexes::TxyView() {
+  auto it = std::ranges::find(views_, ViewKeysTxy(), &View::keys);
+  PROBKB_CHECK(it != views_.end());
+  return *it;
 }
 
 void TPiIndexes::Adopt(const Table& t_pi) {
@@ -80,7 +86,7 @@ Result<int64_t> TPiIndexes::MergeAtoms(Table* t_pi, const Table& atoms,
                                        FactId* next_id,
                                        const RowPredicate& drop) {
   Adopt(*t_pi);
-  View& txy = views_[kTxy];
+  View& txy = TxyView();
   PROBKB_RETURN_NOT_OK(Extend(*t_pi, &txy));
   const int64_t base = t_pi->NumRows();
   PROBKB_RETURN_NOT_OK(
@@ -124,7 +130,7 @@ Result<int64_t> TPiIndexes::MergeAtoms(Table* t_pi, const Table& atoms,
 Result<std::vector<int64_t>> TPiIndexes::AbsentAtoms(const Table& t_pi,
                                                      const Table& atoms) {
   Adopt(t_pi);
-  View& txy = views_[kTxy];
+  View& txy = TxyView();
   PROBKB_RETURN_NOT_OK(Extend(t_pi, &txy));
   std::vector<int64_t> absent;
   const std::vector<int>& keys = AtomKeysTxy();

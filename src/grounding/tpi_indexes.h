@@ -1,7 +1,6 @@
 #ifndef PROBKB_GROUNDING_TPI_INDEXES_H_
 #define PROBKB_GROUNDING_TPI_INDEXES_H_
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -28,9 +27,15 @@ namespace probkb {
 /// The indexes belong to one table: handing Sync() or MergeAtoms() a
 /// different table, or one with fewer rows than indexed, rebuilds them.
 /// Callers that delete or rewrite TPi rows in place call Clear().
+///
+/// The MPP grounder keeps one instance per segment of each TPi instance it
+/// probes, each holding only the key shapes probed on that instance.
 class TPiIndexes {
  public:
+  /// All four view key shapes.
   TPiIndexes();
+  /// Only the given key shapes (each one of the four view key shapes).
+  explicit TPiIndexes(const std::vector<std::vector<int>>& key_shapes);
 
   /// \brief Extends every index over all of `t_pi`'s rows and pins the
   /// join bound at its current row count: every Find() until the next
@@ -55,7 +60,8 @@ class TPiIndexes {
 
   /// \brief The rows of `atoms` (AtomSchema() columns first) whose
   /// (R, x, C1, y, C2) key `t_pi` does not hold, in row order. Probes the
-  /// Txy index, extended over `t_pi` first.
+  /// Txy index, extended over `t_pi` first. MergeAtoms() and AbsentAtoms()
+  /// need the Txy key shape.
   Result<std::vector<int64_t>> AbsentAtoms(const Table& t_pi,
                                            const Table& atoms);
 
@@ -84,8 +90,10 @@ class TPiIndexes {
   void Adopt(const Table& t_pi);
   /// Indexes `t_pi`'s rows past view->rows.
   static Status Extend(const Table& t_pi, View* view);
+  /// The view on the Txy key shape.
+  View& TxyView();
 
-  std::array<View, 4> views_;  // T0, Tx, Ty, Txy
+  std::vector<View> views_;
   const Table* table_ = nullptr;
   int64_t synced_rows_ = -1;  // join bound; -1 until Sync()
   int64_t id_checked_rows_ = 0;  // rows whose id order Sync() checked

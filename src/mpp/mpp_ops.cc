@@ -1,5 +1,7 @@
 #include "mpp/mpp_ops.h"
 
+#include <algorithm>
+
 #include "engine/ops.h"
 #include "engine/tunables.h"
 #include "util/timer.h"
@@ -35,25 +37,6 @@ bool CollocatedOn(const Distribution& left, const Distribution& right,
   return true;
 }
 
-/// Runs the pool-gated fan-out shared by the per-segment operators: calls
-/// `body(s)` for every segment, concurrently when the context carries a
-/// pool of more than one thread AND the operator touches enough rows
-/// (`total_rows`, summed over every input) to amortize the dispatch,
-/// serially (in segment order) otherwise. Segments are independent units
-/// writing disjoint slots, so the two paths produce identical state.
-void ForEachSegment(MppContext* ctx, int num_segments, int64_t total_rows,
-                    const std::function<void(int)>& body) {
-  ThreadPool* pool = ctx->thread_pool();
-  if (pool != nullptr && pool->num_threads() > 1 && num_segments > 1 &&
-      total_rows >= kSerialFanoutRowCutoff) {
-    pool->ParallelFor(num_segments, 1, [&](int64_t begin, int64_t end) {
-      for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
-    });
-  } else {
-    for (int s = 0; s < num_segments; ++s) body(s);
-  }
-}
-
 /// Runs `make_plan(segment_table_a, segment_table_b)` on every segment pair,
 /// measuring per-segment time, and assembles a DistributedTable with the
 /// declared distribution. Segments fan out onto the context's thread pool;
@@ -70,7 +53,7 @@ Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
   std::vector<TablePtr> out_segments(static_cast<size_t>(num_segments));
   std::vector<double> seg_seconds(static_cast<size_t>(num_segments), 0.0);
   std::vector<Status> statuses(static_cast<size_t>(num_segments));
-  ForEachSegment(ctx, num_segments, input_rows, [&](int s) {
+  ForEachSegment(ctx, input_rows, [&](int s) {
     ExecContext ec;
     ec.set_spill(ctx->spill());
     Timer timer;
@@ -91,7 +74,41 @@ Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
                                             std::move(out_dist), label);
 }
 
+/// `t` with segment s cut to its first `bounds[s].rows` rows; segments
+/// within their bound are shared, not copied.
+DistributedTablePtr CutRows(const DistributedTable& t,
+                            const std::vector<PrebuiltIndex>& bounds) {
+  std::vector<TablePtr> segments;
+  for (int s = 0; s < t.num_segments(); ++s) {
+    const TablePtr& seg = t.segment(s);
+    const int64_t rows = bounds[static_cast<size_t>(s)].rows;
+    if (rows >= seg->NumRows()) {
+      segments.push_back(seg);
+      continue;
+    }
+    auto cut = Table::Make(seg->schema());
+    cut->AppendRows(*seg, 0, rows);
+    segments.push_back(std::move(cut));
+  }
+  return std::make_shared<DistributedTable>(t.schema(), std::move(segments),
+                                            t.distribution(), t.name());
+}
+
 }  // namespace
+
+void ForEachSegment(MppContext* ctx, int64_t total_rows,
+                    const std::function<void(int)>& body) {
+  const int n = ctx->num_segments();
+  ThreadPool* pool = ctx->thread_pool();
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1 &&
+      total_rows >= kSerialFanoutRowCutoff) {
+    pool->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
+    });
+  } else {
+    for (int s = 0; s < n; ++s) body(s);
+  }
+}
 
 Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                         DistributedTablePtr left,
@@ -101,6 +118,31 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
     return Status::InvalidArgument("join key arity mismatch");
   }
   const int n = ctx->num_segments();
+  const bool bounded = !spec.right_index.empty();
+  if (bounded && (static_cast<int>(spec.right_index.size()) != n ||
+                  right->distribution().is_replicated())) {
+    return Status::InvalidArgument(
+        "right_index needs one entry per segment of a partitioned right "
+        "input");
+  }
+  // The right input as the join sees it: cut to its bounds, copied before
+  // it moves (or up front when a segment has no index to probe).
+  const DistributedTablePtr right_in = right;
+  auto cut_right = [&] {
+    if (bounded && right == right_in) right = CutRows(*right, spec.right_index);
+  };
+  int64_t right_rows = right->NumRows();
+  if (bounded) {
+    right_rows = 0;
+    for (const PrebuiltIndex& bound : spec.right_index) {
+      right_rows += bound.rows;
+    }
+    if (std::ranges::any_of(spec.right_index, [](const PrebuiltIndex& p) {
+          return p.index == nullptr;
+        })) {
+      cut_right();
+    }
+  }
 
   // Semi/anti joins need every probe (left) row to see the *entire* build
   // side relevant to its key. A replicated left with a partitioned right
@@ -109,6 +151,7 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
   if (left->distribution().is_replicated() &&
       !right->distribution().is_replicated()) {
     if (spec.type != JoinType::kInner) {
+      cut_right();
       PROBKB_ASSIGN_OR_RETURN(right, ctx->Broadcast(*right));
     }
   }
@@ -129,7 +172,7 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
           JoinMotionQuery q;
           q.statement = spec.label;
           q.left_rows = left->NumRows();
-          q.right_rows = right->NumRows();
+          q.right_rows = right_rows;
           q.left_collocated = left->distribution().IsHashOn(spec.left_keys);
           q.right_collocated = right->distribution().IsHashOn(spec.right_keys);
           q.inner_join = spec.type == JoinType::kInner;
@@ -154,12 +197,14 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                   ctx->Redistribute(*left, spec.left_keys));
         }
         if (!right->distribution().IsHashOn(spec.right_keys)) {
+          cut_right();
           PROBKB_ASSIGN_OR_RETURN(right,
                                   ctx->Redistribute(*right, spec.right_keys));
         }
         break;
       }
       case MotionChoice::kBroadcastRight: {
+        cut_right();
         PROBKB_ASSIGN_OR_RETURN(right, ctx->Broadcast(*right));
         break;
       }
@@ -201,15 +246,22 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                               std::move(out_dist), spec.label);
   }
 
+  // Still in place and bounded: every segment has an index to probe.
+  const bool probe_index = bounded && right == right_in;
   auto left_ref = left;
   auto right_ref = right;
   return PerSegment(
-      ctx, n, left->PhysicalRows() + right->PhysicalRows(), nullptr,
-      std::move(out_dist), spec.label, [&](int s) {
-        return HashJoin(Scan(left_ref->segment(s), left_ref->name()),
-                        Scan(right_ref->segment(s), right_ref->name()),
-                        spec.left_keys, spec.right_keys, spec.type,
-                        spec.output_cols, spec.residual);
+      ctx, n, left->PhysicalRows() + (probe_index ? 0 : right->PhysicalRows()),
+      nullptr, std::move(out_dist), spec.label, [&](int s) {
+        const PrebuiltIndex index =
+            probe_index ? spec.right_index[static_cast<size_t>(s)]
+                        : PrebuiltIndex{};
+        return HashJoin(
+            Scan(left_ref->segment(s), left_ref->name()),
+            Scan(right_ref->segment(s), right_ref->name(),
+                 probe_index ? index.rows : -1),
+            spec.left_keys, spec.right_keys, spec.type, spec.output_cols,
+            spec.residual, index);
       });
 }
 
@@ -300,41 +352,6 @@ Result<DistributedTablePtr> MppAggregate(MppContext* ctx,
       });
 }
 
-Result<int64_t> MppSetUnionInto(MppContext* ctx, DistributedTable* dst,
-                                const DistributedTable& src,
-                                const std::vector<int>& key_cols) {
-  if (!dst->distribution().is_hash() ||
-      !dst->distribution().HashKeySubsetOf(key_cols)) {
-    return Status::InvalidArgument(
-        "MppSetUnionInto: destination must be hash-distributed on a subset "
-        "of the union key");
-  }
-  DistributedTablePtr src_ready;
-  if (src.distribution().IsHashOn(dst->distribution().key_cols)) {
-    src_ready = std::make_shared<DistributedTable>(src);
-  } else {
-    PROBKB_ASSIGN_OR_RETURN(
-        src_ready, ctx->Redistribute(src, dst->distribution().key_cols));
-  }
-  // Each segment unions into its own partition — disjoint writes, so the
-  // fan-out is safe; per-segment counts are summed in canonical order.
-  const int n = ctx->num_segments();
-  std::vector<double> seg_seconds(static_cast<size_t>(n));
-  std::vector<int64_t> seg_added(static_cast<size_t>(n), 0);
-  ForEachSegment(ctx, n, dst->PhysicalRows() + src_ready->PhysicalRows(),
-                 [&](int s) {
-    Timer timer;
-    seg_added[static_cast<size_t>(s)] =
-        SetUnionInto(dst->mutable_segment(s).get(), *src_ready->segment(s),
-                     key_cols);
-    seg_seconds[static_cast<size_t>(s)] = timer.Seconds();
-  });
-  int64_t added = 0;
-  for (int64_t a : seg_added) added += a;
-  ctx->RecordCompute("union into " + dst->name(), seg_seconds);
-  return added;
-}
-
 Result<int64_t> MppDeleteMatching(MppContext* ctx, DistributedTable* dst,
                                   const std::vector<int>& dst_cols,
                                   const DistributedTable& keys,
@@ -350,7 +367,7 @@ Result<int64_t> MppDeleteMatching(MppContext* ctx, DistributedTable* dst,
   const int n = ctx->num_segments();
   std::vector<double> seg_seconds(static_cast<size_t>(n));
   std::vector<int64_t> seg_deleted(static_cast<size_t>(n), 0);
-  ForEachSegment(ctx, n, dst->PhysicalRows() + keys_ready->PhysicalRows(),
+  ForEachSegment(ctx, dst->PhysicalRows() + keys_ready->PhysicalRows(),
                  [&](int s) {
     Timer timer;
     seg_deleted[static_cast<size_t>(s)] =

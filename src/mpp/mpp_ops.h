@@ -1,6 +1,7 @@
 #ifndef PROBKB_MPP_MPP_OPS_H_
 #define PROBKB_MPP_MPP_OPS_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +36,25 @@ struct MppJoinSpec {
   Distribution output_dist = Distribution::Random();
   MotionPolicy policy = MotionPolicy::kAuto;
   std::string label = "join";
+  /// Optional, one entry per segment of a partitioned right input: the
+  /// join sees right segment s cut to its first `right_index[s].rows`
+  /// rows. While the right input stays in place, segment s probes
+  /// `right_index[s].index` (on `right_keys`, chains in row order, covering
+  /// at least those rows) instead of building one. A right input that
+  /// moves, or lacks an index on some segment, is cut by copying first and
+  /// then joined exactly as without `right_index`.
+  std::vector<PrebuiltIndex> right_index;
 };
+
+/// \brief The pool-gated fan-out shared by the per-segment operators and
+/// the MPP grounder: calls `body(s)` for every segment, concurrently when
+/// the context carries a pool of more than one thread AND the work touches
+/// enough rows (`total_rows`, summed over every input) to amortize the
+/// dispatch, serially (in segment order) otherwise. Segments are
+/// independent units writing disjoint slots, so both paths produce
+/// identical state.
+void ForEachSegment(MppContext* ctx, int64_t total_rows,
+                    const std::function<void(int)>& body);
 
 /// \brief Distributed hash equi-join with motion planning.
 Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
@@ -67,14 +86,6 @@ Result<DistributedTablePtr> MppAggregate(MppContext* ctx,
                                          std::vector<AggSpec> aggs,
                                          RowPredicate having,
                                          const std::string& label);
-
-/// \brief Distributed set-semantics union: appends to `dst` the rows of
-/// `src` not already present (keyed on `key_cols`, same schema). `dst`
-/// must be hash-distributed with its key a subset of `key_cols`. Returns
-/// the number of appended rows.
-Result<int64_t> MppSetUnionInto(MppContext* ctx, DistributedTable* dst,
-                                const DistributedTable& src,
-                                const std::vector<int>& key_cols);
 
 /// \brief Distributed DELETE ... WHERE (cols) IN (keys): broadcasts the
 /// (small) key relation and deletes per segment. Returns rows deleted.

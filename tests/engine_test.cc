@@ -239,15 +239,6 @@ TEST(KeyIndexTest, ContainsAndIncrementalAdd) {
   EXPECT_TRUE(index.Contains(probe->row(1), key));
 }
 
-TEST(SetUnionIntoTest, DedupesOnKey) {
-  auto dst = MakeTable(AB(), {{1, 10}});
-  auto src = MakeTable(AB(), {{1, 99}, {2, 20}, {2, 21}});
-  // Key is column 0 only: {1,99} is a duplicate of {1,10}; {2,21} dups
-  // {2,20} within the batch.
-  EXPECT_EQ(SetUnionInto(dst.get(), *src, {0}), 1);
-  EXPECT_EQ(dst->NumRows(), 2);
-}
-
 TEST(DeleteTest, DeleteWhereAndMatching) {
   auto t = MakeTable(AB(), {{1, 0}, {2, 0}, {3, 0}});
   EXPECT_EQ(DeleteWhere(t.get(),

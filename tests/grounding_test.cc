@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <filesystem>
 #include <string>
 
@@ -17,6 +16,7 @@ namespace probkb {
 namespace {
 
 using testutil::BuildPaperExampleKB;
+using testutil::TableDigest;
 using testutil::TPiAtomSet;
 
 class PaperExampleTest : public ::testing::Test {
@@ -293,31 +293,6 @@ TEST_F(PaperExampleTest, SemiNaiveMatchesNaiveClosure) {
 }
 
 // --- Pinned outputs ----------------------------------------------------------
-
-/// FNV-1a over every cell of `table` in row order: a NULL marker byte, or
-/// the cell's 8-byte bit pattern.
-uint64_t TableDigest(const Table& table, uint64_t h = 0xcbf29ce484222325ULL) {
-  auto mix = [&h](uint64_t bits, int bytes) {
-    for (int byte = 0; byte < bytes; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (int64_t i = 0; i < table.NumRows(); ++i) {
-    RowView row = table.row(i);
-    for (int c = 0; c < row.width(); ++c) {
-      const Value v = row[c];
-      if (v.is_null()) {
-        mix(0xff, 1);
-      } else if (v.is_int64()) {
-        mix(static_cast<uint64_t>(v.i64()), 8);
-      } else {
-        mix(std::bit_cast<uint64_t>(v.f64()), 8);
-      }
-    }
-  }
-  return h;
-}
 
 /// Grounds a seeded generated KB of `scale` to `options.max_iterations`
 /// (resuming from `resume_dir` when non-empty) and digests TPi (ids

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "datagen/synthetic_kb.h"
 #include "engine/ops.h"
 #include "grounding/mpp_grounder.h"
 #include "mpp/mpp_ops.h"
 #include "tests/test_util.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace probkb {
 namespace {
@@ -224,34 +228,7 @@ TEST_P(MppOpsEquivalenceTest, DistinctAndAggregateMatchSingleNode) {
   EXPECT_TRUE(TablesEqualAsBags(*(*agg)->ToLocal(), **expected_agg));
 }
 
-TEST_P(MppOpsEquivalenceTest, SetUnionMatchesSingleNode) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 100);
-  auto dst_local = RandomTable(&rng, 60, 8);
-  auto src_local = RandomTable(&rng, 60, 8);
-  auto expected = dst_local->Clone();
-  SetUnionInto(expected.get(), *src_local, {0, 1});
-
-  MppContext ctx(4);
-  auto dst = DistributedTable::Distribute(*dst_local, 4,
-                                          Distribution::Hash({0}));
-  auto src = DistributedTable::Distribute(*src_local, 4,
-                                          Distribution::Random());
-  auto added = MppSetUnionInto(&ctx, dst.get(), *src, {0, 1});
-  ASSERT_TRUE(added.ok()) << added.status();
-  EXPECT_TRUE(TablesEqualAsBags(*dst->ToLocal(), *expected));
-  EXPECT_TRUE(dst->ValidatePlacement().ok());
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, MppOpsEquivalenceTest, ::testing::Range(0, 8));
-
-TEST(MppOpsTest, SetUnionRequiresCompatibleDistribution) {
-  auto t = MakeTable(AB(), {{1, 2}});
-  MppContext ctx(2);
-  auto dst = DistributedTable::Distribute(*t, 2, Distribution::Hash({1}));
-  auto src = DistributedTable::Distribute(*t, 2, Distribution::Random());
-  // Union key {0} does not contain dst's hash key {1}.
-  EXPECT_FALSE(MppSetUnionInto(&ctx, dst.get(), *src, {0}).ok());
-}
 
 TEST(MppOpsTest, DeleteMatchingMatchesSingleNode) {
   Rng rng(11);
@@ -397,6 +374,35 @@ TEST_P(MppGrounderRandomKbTest, MatchesSingleNode) {
   }
 }
 
+// Semi-naive MPP grounding reproduces naive MPP grounding exactly (TPi
+// with its ids and row order, and TPhi) to the fixpoint, in both modes.
+TEST_P(MppGrounderRandomKbTest, SemiNaiveMatchesNaiveExactly) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.002;
+  cfg.seed = static_cast<uint64_t>(GetParam()) * 271 + 5;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  for (MppMode mode : {MppMode::kNoViews, MppMode::kViews}) {
+    std::vector<TablePtr> outputs;
+    for (EvaluationMode evaluation :
+         {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
+      GroundingOptions options;
+      options.evaluation = evaluation;
+      options.max_iterations = 100;
+      RelationalKB rkb = BuildRelationalModel(skb->kb);
+      MppGrounder mpp(rkb, 5, mode, options);
+      ASSERT_TRUE(mpp.GroundAtoms().ok());
+      EXPECT_LT(mpp.stats().iterations, options.max_iterations);
+      auto phi = mpp.GroundFactors();
+      ASSERT_TRUE(phi.ok());
+      outputs.push_back(mpp.GatherTPi());
+      outputs.push_back(*phi);
+    }
+    EXPECT_TRUE(TablesEqualExact(*outputs[0], *outputs[2]));
+    EXPECT_TRUE(TablesEqualExact(*outputs[1], *outputs[3]));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MppGrounderRandomKbTest,
                          ::testing::Range(0, 4));
 
@@ -423,6 +429,102 @@ TEST(MppGrounderTest, InLoopConstraintsMatchSingleNode) {
   EXPECT_EQ(testutil::TPiAtomSet(*mpp.GatherTPi()),
             testutil::TPiAtomSet(*rkb_single.t_pi));
   EXPECT_EQ(mpp.stats().iterations, single.stats().iterations);
+}
+
+// --- Pinned outputs ----------------------------------------------------------
+
+/// Grounds a seeded generated KB on the simulator to the fixpoint (or the
+/// iteration cap), resuming from `resume_dir` when non-empty, and digests
+/// GatherTPi() (ids and row order included) then TPhi.
+uint64_t MppGroundedDigest(MppMode mode, int segments,
+                           const GroundingOptions& options,
+                           const std::string& resume_dir = "") {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.01;
+  cfg.seed = 5;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  EXPECT_TRUE(skb.ok());
+  RelationalKB rkb = BuildRelationalModel(skb->kb);
+  MppGrounder grounder(rkb, segments, mode, options);
+  if (!resume_dir.empty()) {
+    EXPECT_TRUE(grounder.ResumeFrom(resume_dir).ok());
+  }
+  Status st = grounder.GroundAtoms();
+  EXPECT_TRUE(st.ok()) << st;
+  auto t_phi = grounder.GroundFactors();
+  EXPECT_TRUE(t_phi.ok());
+  if (!t_phi.ok()) return 0;
+  return testutil::TableDigest(**t_phi,
+                               testutil::TableDigest(*grounder.GatherTPi()));
+}
+
+struct PinnedMppRun {
+  MppMode mode;
+  int segments;
+  bool constraints_in_loop;
+  uint64_t digest;
+};
+
+// Digests of MppGroundedDigest recorded with the naive MPP Query 1 and the
+// per-merge dedup index it used, so any change to the derived sets, the
+// merge's content order or the id assignment moves them.
+constexpr PinnedMppRun kPinnedMppRuns[] = {
+    {MppMode::kViews, 5, false, 0x18fc0627822232d5ULL},
+    {MppMode::kViews, 5, true, 0xec6c0291a6d34556ULL},
+    {MppMode::kViews, 32, false, 0xf7b853f88c3f00c5ULL},
+    {MppMode::kViews, 32, true, 0xcb1058683821a64fULL},
+    {MppMode::kNoViews, 5, false, 0xb413e3893067373bULL},
+    {MppMode::kNoViews, 5, true, 0x2397f5ecde2640ccULL},
+    {MppMode::kNoViews, 32, false, 0xe33c2d1e76709021ULL},
+    {MppMode::kNoViews, 32, true, 0x2a201256f14ff02bULL},
+};
+
+// Pins TPi and TPhi of the MPP grounder: both view modes, 5 and 32
+// segments, 1 and 4 threads, Query 3 in the loop off and on, naive and
+// semi-naive, and a checkpoint after iteration 2 resumed to the fixpoint.
+TEST(MppGrounderTest, OutputsMatchPinnedDigest) {
+  for (const PinnedMppRun& run : kPinnedMppRuns) {
+    const std::string config = StrFormat(
+        "%s, %d segments, constraints %s",
+        run.mode == MppMode::kViews ? "views" : "no views", run.segments,
+        run.constraints_in_loop ? "on" : "off");
+    for (int threads : {1, 4}) {
+      for (EvaluationMode evaluation :
+           {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
+        GroundingOptions options;
+        options.num_threads = threads;
+        options.evaluation = evaluation;
+        options.apply_constraints_each_iteration = run.constraints_in_loop;
+        const uint64_t digest =
+            MppGroundedDigest(run.mode, run.segments, options);
+        EXPECT_EQ(digest, run.digest)
+            << config << ", " << threads << " threads, "
+            << (evaluation == EvaluationMode::kNaive ? "naive" : "semi-naive")
+            << ": 0x" << std::hex << digest;
+      }
+    }
+    for (EvaluationMode first_mode :
+         {EvaluationMode::kNaive, EvaluationMode::kSemiNaive}) {
+      const std::string dir =
+          ::testing::TempDir() + "/probkb_mpp_pinned_digest";
+      std::filesystem::remove_all(dir);
+      GroundingOptions first;
+      first.max_iterations = 2;
+      first.checkpoint_dir = dir;
+      first.evaluation = first_mode;
+      first.apply_constraints_each_iteration = run.constraints_in_loop;
+      MppGroundedDigest(run.mode, run.segments, first);
+      GroundingOptions rest;
+      rest.apply_constraints_each_iteration = run.constraints_in_loop;
+      const uint64_t digest =
+          MppGroundedDigest(run.mode, run.segments, rest, dir);
+      EXPECT_EQ(digest, run.digest)
+          << config << ", resumed from a "
+          << (first_mode == EvaluationMode::kNaive ? "naive" : "semi-naive")
+          << " checkpoint: 0x" << std::hex << digest;
+      std::filesystem::remove_all(dir);
+    }
+  }
 }
 
 

@@ -390,18 +390,40 @@ TEST(GoldenExplainTest, SemiNaiveDeltaPlans) {
 TEST(GoldenExplainTest, Fig4MppMotionDecisions) {
   // Figure-4 style: the MPP grounder's EXPLAIN pins the est/obs feedback
   // lines and the full motion-decision log (choice + costed alternatives)
-  // for both execution modes.
+  // for both execution modes. Naive evaluation runs the paper's plans in
+  // every iteration.
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  GroundingOptions options;
+  options.evaluation = EvaluationMode::kNaive;
   std::string text;
   for (MppMode mode : {MppMode::kViews, MppMode::kNoViews}) {
     RelationalKB rkb = BuildRelationalModel(kb);
-    MppGrounder mpp(rkb, 3, mode, GroundingOptions{});
+    MppGrounder mpp(rkb, 3, mode, options);
     ASSERT_TRUE(mpp.GroundAtoms().ok());
     text += mode == MppMode::kViews ? "== mode: views ==\n"
                                     : "== mode: no-views ==\n";
     text += mpp.ExplainPlans();
   }
   CompareAgainstGolden("fig4_explain.txt", text);
+}
+
+TEST(GoldenExplainTest, SemiNaiveMppDeltaPlans) {
+  // The default semi-naive evaluation on the MPP grounder: the last
+  // iteration (iteration 2) runs the delta-driven statements. Pins the
+  // est/obs lines and motion decisions of the (delta, full) and
+  // (old, delta) passes for both execution modes.
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  std::string text;
+  for (MppMode mode : {MppMode::kViews, MppMode::kNoViews}) {
+    RelationalKB rkb = BuildRelationalModel(kb);
+    MppGrounder mpp(rkb, 3, mode, GroundingOptions{});
+    ASSERT_TRUE(mpp.GroundAtoms().ok());
+    ASSERT_GE(mpp.stats().iterations, 2);
+    text += mode == MppMode::kViews ? "== mode: views ==\n"
+                                    : "== mode: no-views ==\n";
+    text += mpp.ExplainPlans();
+  }
+  CompareAgainstGolden("seminaive_mpp_explain.txt", text);
 }
 
 // --- Resume with a cold planner history -------------------------------------

@@ -2,6 +2,8 @@
 #define PROBKB_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,32 @@
 
 namespace probkb {
 namespace testutil {
+
+/// FNV-1a over every cell of `table` in row order: a NULL marker byte, or
+/// the cell's 8-byte bit pattern. Chain digests by passing one as `h`.
+inline uint64_t TableDigest(const Table& table,
+                            uint64_t h = 0xcbf29ce484222325ULL) {
+  auto mix = [&h](uint64_t bits, int bytes) {
+    for (int byte = 0; byte < bytes; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int64_t i = 0; i < table.NumRows(); ++i) {
+    RowView row = table.row(i);
+    for (int c = 0; c < row.width(); ++c) {
+      const Value v = row[c];
+      if (v.is_null()) {
+        mix(0xff, 1);
+      } else if (v.is_int64()) {
+        mix(static_cast<uint64_t>(v.i64()), 8);
+      } else {
+        mix(std::bit_cast<uint64_t>(v.f64()), 8);
+      }
+    }
+  }
+  return h;
+}
 
 /// \brief Builds the ReVerb-Sherlock running example of the paper's
 /// Table 1: Ruth Gruber's born_in facts, four M1 rules (live_in /
