@@ -52,6 +52,29 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1 << 12)->Arg(1 << 15);
 
+// The grounding joins' shape: a small probe side whose rows each match
+// about 50 build rows, so the cost is the output, not the probes. Items
+// are output rows.
+void BM_HashJoinFanout(benchmark::State& state) {
+  const int64_t probe_rows = state.range(0);
+  const int64_t keys = probe_rows / 8;
+  auto left = RandomTable(probe_rows, keys - 1, 4);
+  auto right = RandomTable(keys * 50, keys - 1, 5);
+  int64_t out_rows = 0;
+  for (auto _ : state) {
+    ExecContext ctx;
+    auto plan = HashJoin(Scan(left), Scan(right), {0}, {0}, JoinType::kInner,
+                         {JoinOutputCol::Left(0, "a"),
+                          JoinOutputCol::Left(1, "lb"),
+                          JoinOutputCol::Right(1, "rb")});
+    auto result = plan->Execute(&ctx);
+    out_rows = (*result)->NumRows();
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * out_rows);
+}
+BENCHMARK(BM_HashJoinFanout)->Arg(1 << 10)->Arg(1 << 13);
+
 void BM_HashDistinct(benchmark::State& state) {
   const int64_t rows = state.range(0);
   auto t = RandomTable(rows, rows / 8, 3);

@@ -19,13 +19,6 @@ namespace probkb {
 
 namespace {
 
-// Concatenated left+right row materialized for residual predicates.
-void ConcatRow(const RowView& l, const RowView& r, std::vector<Value>* out) {
-  out->clear();
-  for (int c = 0; c < l.width(); ++c) out->push_back(l[c]);
-  for (int c = 0; c < r.width(); ++c) out->push_back(r[c]);
-}
-
 NodeStats MakeStats(std::string label, int64_t rows_in, int64_t rows_out,
                     double seconds, int num_children) {
   NodeStats ns;
@@ -120,11 +113,12 @@ Result<TablePtr> FilterNode::Execute(ExecContext* ctx) {
   PROBKB_RETURN_NOT_OK(ctx->CheckBudget(Label()));
   PROBKB_ASSIGN_OR_RETURN(TablePtr in, children_[0]->Execute(ctx));
   Timer timer;
-  auto out = Table::Make(in->schema());
+  std::vector<int64_t> selected;
   for (int64_t i = 0; i < in->NumRows(); ++i) {
-    RowView row = in->row(i);
-    if (pred_(row)) out->AppendRow(row);
+    if (pred_(in->row(i))) selected.push_back(i);
   }
+  auto out = Table::Make(in->schema());
+  out->AppendGatheredRows(*in, selected);
   PROBKB_RETURN_NOT_OK(ctx->Record(
       MakeStats(Label(), in->NumRows(), out->NumRows(), timer.Seconds(), 1)));
   set_obs_rows(out->NumRows());
@@ -137,35 +131,31 @@ Result<TablePtr> ProjectNode::Execute(ExecContext* ctx) {
   PROBKB_RETURN_NOT_OK(ctx->CheckBudget(Label()));
   PROBKB_ASSIGN_OR_RETURN(TablePtr in, children_[0]->Execute(ctx));
   Timer timer;
-  auto out = Table::Make(output_schema_);
-  // All-column projections with matching types are per-column vector
-  // copies; anything with constants (or a type rewrite) materializes rows.
-  bool all_columns = !exprs_.empty();
+  // One pass per output column: a column copy or a constant fill.
+  std::vector<Table::ColumnSource> cols;
+  cols.reserve(exprs_.size());
   for (const auto& e : exprs_) {
-    if (e.kind != ProjectExpr::Kind::kColumn ||
-        in->schema().field(e.column).type != e.type) {
-      all_columns = false;
-      break;
-    }
-  }
-  if (all_columns) {
-    std::vector<int> cols;
-    cols.reserve(exprs_.size());
-    for (const auto& e : exprs_) cols.push_back(e.column);
-    out->AppendProjectedRows(*in, cols);
-  } else {
-    out->ReserveRows(in->NumRows());
-    std::vector<Value> buf(exprs_.size());
-    for (int64_t i = 0; i < in->NumRows(); ++i) {
-      RowView row = in->row(i);
-      for (size_t c = 0; c < exprs_.size(); ++c) {
-        const auto& e = exprs_[c];
-        buf[c] = e.kind == ProjectExpr::Kind::kColumn ? row[e.column]
-                                                      : e.constant;
+    if (e.kind == ProjectExpr::Kind::kConstant) {
+      if (!e.constant.is_null() &&
+          e.constant.is_float64() != (e.type == ColumnType::kFloat64)) {
+        return Status::InvalidArgument(StrFormat(
+            "projection constant '%s' does not match its declared type %s",
+            e.name.c_str(), ColumnTypeToString(e.type)));
       }
-      out->AppendRow(buf);
+      cols.push_back(Table::ColumnSource::Constant(e.constant));
+      continue;
     }
+    if (e.column < 0 || e.column >= in->width() ||
+        in->schema().field(e.column).type != e.type) {
+      return Status::InvalidArgument(StrFormat(
+          "projection column '%s' is declared %s over input column %d of a "
+          "%d-column input",
+          e.name.c_str(), ColumnTypeToString(e.type), e.column, in->width()));
+    }
+    cols.push_back(Table::ColumnSource::Gather(*in, e.column, nullptr));
   }
+  auto out = Table::Make(output_schema_);
+  out->AppendColumns(in->NumRows(), cols);
   PROBKB_RETURN_NOT_OK(ctx->Record(
       MakeStats(Label(), in->NumRows(), out->NumRows(), timer.Seconds(), 1)));
   set_obs_rows(out->NumRows());
@@ -275,62 +265,20 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   PartitionedRowIndex built(1);
   if (!prebuilt) built = BuildRightIndex(*right, right_keys_, pool);
   const double build_seconds = build_timer.Seconds();
-  auto index_for = [&](size_t h) -> const FlatRowIndex& {
-    return prebuilt ? *prebuilt_.index : built.PartFor(h);
-  };
 
-  // Probes a left-row range into `dst` with the batched prefetch pipeline:
-  // hash a batch of probe keys, prefetch every batch member's slot, then
-  // resolve the batch serially in row order — resolution order equals the
-  // plain serial loop's, so output stays bit-identical at every thread
-  // count. Chains are in row order, so a walk stops at the first row past
-  // the build bound. Reads only shared immutable state (inputs, build
-  // index, residual), so morsels can run it concurrently.
+  // Probes a left-row range into `dst`: match pairs from the shared probe
+  // kernel (batched prefetch pipeline, chain walk bounded at build_rows),
+  // gathered into `dst` a column at a time every kJoinFlushPairs pairs.
+  const JoinProbe probe(*left, left_keys_, *right, right_keys_,
+                        prebuilt ? prebuilt_.index : nullptr, &built,
+                        build_rows, type_, output_cols_, residual_,
+                        left->width());
   auto probe_range = [&](int64_t begin, int64_t end, Table* dst) {
-    std::vector<Value> out_buf(type_ == JoinType::kInner ? output_cols_.size()
-                                                         : 0);
-    std::vector<Value> concat_buf;
-    size_t hashes[kProbeBatchRows];
-    for (int64_t base = begin; base < end; base += kProbeBatchRows) {
-      const int64_t batch = std::min(kProbeBatchRows, end - base);
-      left->HashRows(left_keys_, base, base + batch, hashes);
-      for (int64_t k = 0; k < batch; ++k) {
-        index_for(hashes[k]).PrefetchHash(hashes[k]);
-      }
-      for (int64_t k = 0; k < batch; ++k) {
-        const size_t h = hashes[k];
-        RowView lrow = left->row(base + k);
-        const FlatRowIndex& index = index_for(h);
-        bool matched = false;
-        for (int64_t e = index.Head(h); e >= 0; e = index.Next(e)) {
-          const int64_t r = index.Row(e);
-          if (r >= build_rows) break;
-          RowView rrow = right->row(r);
-          if (!RowKeyEquals(lrow, rrow, left_keys_, right_keys_)) continue;
-          if (residual_ != nullptr) {
-            ConcatRow(lrow, rrow, &concat_buf);
-            if (!residual_(RowView(concat_buf.data(),
-                                   static_cast<int>(concat_buf.size())))) {
-              continue;
-            }
-          }
-          matched = true;
-          if (type_ == JoinType::kInner) {
-            for (size_t c = 0; c < output_cols_.size(); ++c) {
-              const auto& oc = output_cols_[c];
-              out_buf[c] = oc.side == JoinOutputCol::Side::kLeft
-                               ? lrow[oc.column]
-                               : rrow[oc.column];
-            }
-            dst->AppendRow(out_buf);
-          } else {
-            break;  // semi/anti only need existence
-          }
-        }
-        if (type_ == JoinType::kLeftSemi && matched) dst->AppendRow(lrow);
-        if (type_ == JoinType::kLeftAnti && !matched) dst->AppendRow(lrow);
-      }
-    }
+    probe.Probe(begin, end,
+                [&](std::span<const int64_t> left_rows,
+                    std::span<const int64_t> right_rows) {
+                  probe.AppendOutput(left_rows, right_rows, dst);
+                });
   };
 
   // Morsel-parallel probe: fixed row ranges, one private output table per

@@ -88,6 +88,153 @@ bool TablesEqualExact(const Table& a, const Table& b) {
   return true;
 }
 
+// Join probe -----------------------------------------------------------------
+
+JoinProbe::JoinProbe(const Table& left, std::span<const int> left_keys,
+                     const Table& right, std::span<const int> right_keys,
+                     const FlatRowIndex* index,
+                     const PartitionedRowIndex* parts, int64_t build_rows,
+                     JoinType type,
+                     std::span<const JoinOutputCol> output_cols,
+                     const RowPredicate& residual, int left_width)
+    : left_(left),
+      right_(right),
+      left_keys_(left_keys),
+      right_keys_(right_keys),
+      index_(index),
+      parts_(parts),
+      build_rows_(build_rows),
+      type_(type),
+      output_cols_(output_cols),
+      residual_(residual),
+      left_width_(left_width) {
+  PROBKB_CHECK(left_keys.size() == right_keys.size());
+  PROBKB_CHECK(index != nullptr || parts != nullptr);
+  auto raw = [](const Table& t, int c) {
+    return t.schema().field(c).type == ColumnType::kInt64 &&
+           !t.ColumnHasNulls(c);
+  };
+  bool raw_keys = true;
+  for (size_t k = 0; k < left_keys.size(); ++k) {
+    raw_keys = raw_keys && raw(left, left_keys[k]) &&
+               raw(right, right_keys[k]);
+  }
+  if (!raw_keys) return;
+  for (size_t k = 0; k < left_keys.size(); ++k) {
+    left_words_.push_back(left.Int64Data(left_keys[k]));
+    right_words_.push_back(right.Int64Data(right_keys[k]));
+  }
+}
+
+void JoinProbe::Probe(int64_t begin, int64_t end,
+                      const PairSink& sink) const {
+  // An empty key list compares equal either way; it takes the raw path.
+  if (left_words_.size() == left_keys_.size()) {
+    ProbeImpl<true>(begin, end, sink);
+  } else {
+    ProbeImpl<false>(begin, end, sink);
+  }
+}
+
+template <bool kRawKeys>
+void JoinProbe::ProbeImpl(int64_t begin, int64_t end,
+                          const PairSink& sink) const {
+  const bool inner = type_ == JoinType::kInner;
+  const size_t num_keys = left_keys_.size();
+  std::vector<int64_t> left_rows(static_cast<size_t>(kJoinFlushPairs));
+  std::vector<int64_t> right_rows(
+      inner ? static_cast<size_t>(kJoinFlushPairs) : 0);
+  int64_t pairs = 0;
+  auto flush = [&] {
+    sink(std::span<const int64_t>(left_rows.data(), pairs),
+         std::span<const int64_t>(right_rows.data(), inner ? pairs : 0));
+    pairs = 0;
+  };
+  std::vector<int64_t> left_key(num_keys);
+  std::vector<Value> concat;
+  size_t hashes[kProbeBatchRows];
+  for (int64_t base = begin; base < end; base += kProbeBatchRows) {
+    const int64_t batch = std::min(kProbeBatchRows, end - base);
+    left_.HashRows(left_keys_, base, base + batch, hashes);
+    for (int64_t k = 0; k < batch; ++k) {
+      (index_ != nullptr ? *index_ : parts_->PartFor(hashes[k]))
+          .PrefetchHash(hashes[k]);
+    }
+    for (int64_t k = 0; k < batch; ++k) {
+      const size_t h = hashes[k];
+      const int64_t l = base + k;
+      const FlatRowIndex& index =
+          index_ != nullptr ? *index_ : parts_->PartFor(h);
+      if constexpr (kRawKeys) {
+        for (size_t i = 0; i < num_keys; ++i) {
+          left_key[i] = left_words_[i][l];
+        }
+      }
+      bool matched = false;
+      // Chains are in row order, so a walk stops at the first row past
+      // the build bound.
+      for (int64_t e = index.Head(h); e >= 0; e = index.Next(e)) {
+        const int64_t r = index.Row(e);
+        if (r >= build_rows_) break;
+        if constexpr (kRawKeys) {
+          size_t i = 0;
+          while (i < num_keys && right_words_[i][r] == left_key[i]) ++i;
+          if (i < num_keys) continue;
+        } else {
+          if (!RowKeyEquals(left_.row(l), right_.row(r), left_keys_,
+                            right_keys_)) {
+            continue;
+          }
+        }
+        if (residual_ != nullptr) {
+          concat.clear();
+          for (int c = 0; c < left_width_; ++c) {
+            concat.push_back(left_.ValueAt(l, c));
+          }
+          for (int c = 0; c < right_.width(); ++c) {
+            concat.push_back(right_.ValueAt(r, c));
+          }
+          if (!residual_(
+                  RowView(concat.data(), static_cast<int>(concat.size())))) {
+            continue;
+          }
+        }
+        matched = true;
+        if (!inner) break;  // semi/anti only need existence
+        left_rows[static_cast<size_t>(pairs)] = l;
+        right_rows[static_cast<size_t>(pairs)] = r;
+        if (++pairs == kJoinFlushPairs) flush();
+      }
+      if (!inner && matched == (type_ == JoinType::kLeftSemi)) {
+        left_rows[static_cast<size_t>(pairs)] = l;
+        if (++pairs == kJoinFlushPairs) flush();
+      }
+    }
+  }
+  if (pairs > 0) flush();
+}
+
+void JoinProbe::AppendOutput(std::span<const int64_t> left_rows,
+                             std::span<const int64_t> right_rows,
+                             Table* dst) const {
+  std::vector<Table::ColumnSource> cols;
+  if (type_ == JoinType::kInner) {
+    cols.reserve(output_cols_.size());
+    for (const JoinOutputCol& oc : output_cols_) {
+      cols.push_back(oc.side == JoinOutputCol::Side::kLeft
+                         ? Table::ColumnSource::Gather(left_, oc.column,
+                                                       left_rows.data())
+                         : Table::ColumnSource::Gather(right_, oc.column,
+                                                       right_rows.data()));
+    }
+  } else {
+    for (int c = 0; c < left_width_; ++c) {
+      cols.push_back(Table::ColumnSource::Gather(left_, c, left_rows.data()));
+    }
+  }
+  dst->AppendColumns(static_cast<int64_t>(left_rows.size()), cols);
+}
+
 // Grace-hash join ------------------------------------------------------------
 
 namespace {
@@ -98,10 +245,10 @@ namespace {
 /// advisory budget.
 constexpr int kMaxGraceDepth = 4;
 
-/// Joins one partition pair in memory with the batched probe pipeline
-/// (HashJoinNode's serial probe loop, verbatim semantics). `left_part`
-/// carries the hidden orig column (width = left_base_width + 1); every
-/// output row is appended to `dst` and its orig value to `origs`.
+/// Joins one partition pair in memory with JoinProbe, the probe kernel of
+/// HashJoinNode's in-memory path. `left_part` carries the hidden orig
+/// column (width = left_base_width + 1); every output row is appended to
+/// `dst` and its left row's orig value to `origs`.
 void ProbePartitionPair(const Table& left_part, int left_base_width,
                         const Table& right_part, const GraceJoinSpec& spec,
                         Table* dst, std::vector<int64_t>* origs) {
@@ -119,64 +266,19 @@ void ProbePartitionPair(const Table& left_part, int left_base_width,
     index.Insert(right_hashes[static_cast<size_t>(i)], i);
   }
 
-  const bool inner = spec.type == JoinType::kInner;
-  const int orig_col = left_base_width;
-  std::vector<Value> out_buf(inner ? spec.output_cols.size()
-                                   : static_cast<size_t>(left_base_width));
-  std::vector<Value> concat_buf;
-  size_t hashes[kProbeBatchRows];
-  const int64_t probe_rows = left_part.NumRows();
-  for (int64_t base = 0; base < probe_rows; base += kProbeBatchRows) {
-    const int64_t batch = std::min(kProbeBatchRows, probe_rows - base);
-    left_part.HashRows(spec.left_keys, base, base + batch, hashes);
-    for (int64_t k = 0; k < batch; ++k) index.PrefetchHash(hashes[k]);
-    for (int64_t k = 0; k < batch; ++k) {
-      const size_t h = hashes[k];
-      RowView lrow = left_part.row(base + k);
-      bool matched = false;
-      for (int64_t e = index.Head(h); e >= 0; e = index.Next(e)) {
-        RowView rrow = right_part.row(index.Row(e));
-        if (!RowKeyEquals(lrow, rrow, spec.left_keys, spec.right_keys)) {
-          continue;
-        }
-        if (spec.residual != nullptr) {
-          // The residual sees the concatenated logical rows — the hidden
-          // orig column must not leak into its column numbering.
-          concat_buf.clear();
-          for (int c = 0; c < left_base_width; ++c) {
-            concat_buf.push_back(lrow[c]);
-          }
-          for (int c = 0; c < rrow.width(); ++c) {
-            concat_buf.push_back(rrow[c]);
-          }
-          if (!spec.residual(RowView(concat_buf.data(),
-                                     static_cast<int>(concat_buf.size())))) {
-            continue;
-          }
-        }
-        matched = true;
-        if (inner) {
-          for (size_t c = 0; c < spec.output_cols.size(); ++c) {
-            const auto& oc = spec.output_cols[c];
-            out_buf[c] = oc.side == JoinOutputCol::Side::kLeft
-                             ? lrow[oc.column]
-                             : rrow[oc.column];
-          }
-          dst->AppendRow(out_buf);
-          origs->push_back(lrow[orig_col].i64());
-        } else {
-          break;  // semi/anti only need existence
-        }
-      }
-      // Semi/anti emit the left row without its orig column.
-      if ((spec.type == JoinType::kLeftSemi && matched) ||
-          (spec.type == JoinType::kLeftAnti && !matched)) {
-        for (int c = 0; c < left_base_width; ++c) out_buf[c] = lrow[c];
-        dst->AppendRow(out_buf);
-        origs->push_back(lrow[orig_col].i64());
-      }
-    }
-  }
+  const JoinProbe probe(left_part, spec.left_keys, right_part,
+                        spec.right_keys, &index, /*parts=*/nullptr,
+                        build_rows, spec.type, spec.output_cols,
+                        spec.residual, left_base_width);
+  const int64_t* orig = left_part.Int64Data(left_base_width);
+  probe.Probe(0, left_part.NumRows(),
+              [&](std::span<const int64_t> left_rows,
+                  std::span<const int64_t> right_rows) {
+                probe.AppendOutput(left_rows, right_rows, dst);
+                for (int64_t l : left_rows) {
+                  origs->push_back(orig[static_cast<size_t>(l)]);
+                }
+              });
 }
 
 /// Streams `src` rows [all] into `dst` partitions, hashing on `keys` in

@@ -1,6 +1,8 @@
 #ifndef PROBKB_ENGINE_OPS_H_
 #define PROBKB_ENGINE_OPS_H_
 
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +69,75 @@ bool TablesEqualAsBags(const Table& a, const Table& b);
 /// must reproduce the serial engine's output bit-identically, not just as
 /// a bag.
 bool TablesEqualExact(const Table& a, const Table& b);
+
+/// \brief The probe kernel of every hash join: HashJoinNode's in-memory
+/// path and the grace-hash leaf join.
+///
+/// Probe() walks the left rows in order with the batched prefetch pipeline
+/// (hash a batch of probe keys, prefetch each one's slot, resolve the batch
+/// in row order) and emits match pairs instead of rows: kInner emits one
+/// (left row, right row) pair per match in chain order; kLeftSemi /
+/// kLeftAnti emit the left row when it has / has no match. The pairs land
+/// in two int64 buffers that flush every kJoinFlushPairs pairs, and
+/// AppendOutput() turns a flush into output rows one column at a time
+/// (Table::AppendColumns). The pairs, and so the rows, come in the order
+/// the row-at-a-time loop produced them.
+///
+/// When every key column on both sides is int64 without NULLs, keys are
+/// compared on the raw column words; otherwise with RowKeyEquals, so NULL
+/// keys join each other and float keys keep Value semantics (-0.0 == 0.0,
+/// NaN matches nothing). A residual predicate sees the concatenated row
+/// (the first `left_width` left columns, then the right row) as Values.
+class JoinProbe {
+ public:
+  /// Receives one flush: `right_rows` parallels `left_rows` for kInner
+  /// and is empty for kLeftSemi/kLeftAnti.
+  using PairSink = std::function<void(std::span<const int64_t> left_rows,
+                                      std::span<const int64_t> right_rows)>;
+
+  /// The build side is `index` when set, else the part of `parts` a hash
+  /// routes to; either holds the right keys of the right table's first
+  /// `build_rows` rows, chains in row order. `left_width` is the number of
+  /// logical left columns (the grace leaf's probe side carries a hidden
+  /// trailing column): the residual and semi/anti output see only those.
+  /// Every argument must outlive the probe.
+  JoinProbe(const Table& left, std::span<const int> left_keys,
+            const Table& right, std::span<const int> right_keys,
+            const FlatRowIndex* index, const PartitionedRowIndex* parts,
+            int64_t build_rows, JoinType type,
+            std::span<const JoinOutputCol> output_cols,
+            const RowPredicate& residual, int left_width);
+
+  /// \brief Probes left rows [begin, end), calling `sink` each time the
+  /// pair buffers fill and once at the end. Reads only shared immutable
+  /// state, so morsels may probe concurrently.
+  void Probe(int64_t begin, int64_t end, const PairSink& sink) const;
+
+  /// \brief Appends the output rows of one flush to `dst`: the output
+  /// columns gathered from their sides (kInner), or the first
+  /// `left_width` left columns (kLeftSemi/kLeftAnti).
+  void AppendOutput(std::span<const int64_t> left_rows,
+                    std::span<const int64_t> right_rows, Table* dst) const;
+
+ private:
+  template <bool kRawKeys>
+  void ProbeImpl(int64_t begin, int64_t end, const PairSink& sink) const;
+
+  const Table& left_;
+  const Table& right_;
+  std::span<const int> left_keys_;
+  std::span<const int> right_keys_;
+  const FlatRowIndex* index_;
+  const PartitionedRowIndex* parts_;
+  int64_t build_rows_;
+  JoinType type_;
+  std::span<const JoinOutputCol> output_cols_;
+  const RowPredicate& residual_;
+  int left_width_;
+  // Key column words, one pointer per key, when the raw-key path applies.
+  std::vector<const int64_t*> left_words_;
+  std::vector<const int64_t*> right_words_;
+};
 
 /// \brief Inputs of one grace-hash join (the out-of-core rewrite of
 /// HashJoinNode::Execute). Field meanings mirror HashJoinNode exactly;

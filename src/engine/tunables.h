@@ -15,6 +15,11 @@ namespace probkb {
 /// Rows a probe batch covers in the batched prefetch pipeline: enough
 /// in-flight prefetches to hide a DRAM miss, small enough to stay in L1.
 inline constexpr int64_t kProbeBatchRows = 32;
+/// Match pairs a join probe buffers before it gathers them into its output
+/// table (Table::AppendColumns): two int64 buffers of this many entries,
+/// 64 KiB together, so they stay in L2 and bound the probe's extra memory
+/// whatever the fan-out.
+inline constexpr int64_t kJoinFlushPairs = 4096;
 /// Rows per batched Table::HashRows call in the DeleteMatching and TPi
 /// merge pipelines.
 inline constexpr int64_t kHashBatchRows = 64;

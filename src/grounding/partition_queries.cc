@@ -549,14 +549,22 @@ Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx) {
 
 int64_t AppendAtomRows(Table* t_pi, const Table& atoms,
                        const std::vector<int64_t>& rows, FactId* next_id) {
-  t_pi->ReserveRows(static_cast<int64_t>(rows.size()));
-  for (int64_t i : rows) {
-    RowView row = atoms.row(i);
-    t_pi->AppendRow({Value::Int64((*next_id)++), row[atom::kR], row[atom::kX],
-                     row[atom::kC1], row[atom::kY], row[atom::kC2],
-                     Value::Null()});
-  }
-  return static_cast<int64_t>(rows.size());
+  const int64_t n = static_cast<int64_t>(rows.size());
+  t_pi->ReserveRows(n);
+  auto gather = [&](int col) {
+    return Table::ColumnSource::Gather(atoms, col, rows.data());
+  };
+  const Table::ColumnSource cols[tpi::kWidth] = {
+      Table::ColumnSource::Sequence(*next_id),
+      gather(atom::kR),
+      gather(atom::kX),
+      gather(atom::kC1),
+      gather(atom::kY),
+      gather(atom::kC2),
+      Table::ColumnSource::Constant(Value::Null())};
+  t_pi->AppendColumns(n, cols);
+  *next_id += n;
+  return n;
 }
 
 namespace {

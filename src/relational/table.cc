@@ -1,7 +1,9 @@
 #include "relational/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 #include <sstream>
 
 namespace probkb {
@@ -105,41 +107,90 @@ void Table::AppendRows(const Table& src, int64_t begin, int64_t end) {
   num_rows_ += n;
 }
 
-void Table::AppendProjectedRows(const Table& src,
-                                std::span<const int> src_cols) {
-  PROBKB_CHECK(static_cast<int>(src_cols.size()) == width());
-  const int64_t n = src.NumRows();
+namespace {
+
+/// Appends `n` copies of `fill` to `v`. An empty vector is sized exactly
+/// (a one-shot gather or projection); a non-empty one that runs out of room
+/// grows to the next power of two, the capacities a push_back loop
+/// reaches. Repeated appends (a join's pair flushes) then copy O(total) in
+/// all and keep the row-at-a-time footprint, where reserving exactly
+/// size + n would reallocate and copy the whole column on every append.
+template <typename T>
+void AppendFill(std::vector<T>* v, int64_t n, T fill) {
+  const size_t size = v->size() + static_cast<size_t>(n);
+  if (size > v->capacity() && !v->empty()) v->reserve(std::bit_ceil(size));
+  v->resize(size, fill);
+}
+
+/// Appends `from[rows[i]]` for i in [0, n) (`from[0 .. n)` when `rows` is
+/// null) to `to`.
+template <typename T>
+void GatherInto(std::vector<T>* to, const std::vector<T>& from,
+                const int64_t* rows, int64_t n) {
+  const size_t old = to->size();
+  AppendFill(to, n, T());
+  T* out = to->data() + old;
+  if (rows == nullptr) {
+    std::copy(from.begin(), from.begin() + n, out);
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      out[i] = from[static_cast<size_t>(rows[i])];
+    }
+  }
+}
+
+}  // namespace
+
+void Table::GatherColumn(Column* dst, const Column& from, const int64_t* rows,
+                         int64_t n) {
+  PROBKB_CHECK(dst->type == from.type);
+  if (dst->type == ColumnType::kInt64) {
+    GatherInto(&dst->i64, from.i64, rows, n);
+  } else {
+    GatherInto(&dst->f64, from.f64, rows, n);
+  }
+  if (from.null_count > 0) {
+    for (int64_t i = 0; i < n; ++i) {
+      if (IsNullBit(from, rows == nullptr ? i : rows[i])) {
+        SetNullBit(dst, num_rows_ + i);
+      }
+    }
+  }
+}
+
+void Table::AppendColumns(int64_t n, std::span<const ColumnSource> cols) {
+  PROBKB_CHECK(static_cast<int>(cols.size()) == width());
   if (n == 0) return;
   ExtendNullWords(n);
   for (size_t ci = 0; ci < cols_.size(); ++ci) {
     Column& dst = Mut(static_cast<int>(ci));
-    const Column& from = *src.cols_[static_cast<size_t>(src_cols[ci])];
-    PROBKB_CHECK(dst.type == from.type);
-    if (dst.type == ColumnType::kInt64) {
-      dst.i64.insert(dst.i64.end(), from.i64.begin(), from.i64.end());
-    } else {
-      dst.f64.insert(dst.f64.end(), from.f64.begin(), from.f64.end());
+    const ColumnSource& from = cols[ci];
+    if (from.table != nullptr) {
+      PROBKB_DCHECK(from.table != this);
+      GatherColumn(&dst, *from.table->cols_[static_cast<size_t>(from.column)],
+                   from.rows, n);
+      continue;
     }
-    if (from.null_count > 0) {
-      for (int64_t r = 0; r < n; ++r) {
-        if (IsNullBit(from, r)) SetNullBit(&dst, num_rows_ + r);
+    const Value v = from.value;
+    if (dst.type == ColumnType::kInt64) {
+      PROBKB_CHECK(v.is_null() || v.is_int64());
+      const int64_t first = v.is_null() ? 0 : v.i64();
+      const size_t old = dst.i64.size();
+      AppendFill(&dst.i64, n, first);
+      if (from.sequence) {
+        std::iota(dst.i64.begin() + static_cast<ptrdiff_t>(old),
+                  dst.i64.end(), first);
       }
+    } else {
+      PROBKB_CHECK(!from.sequence && (v.is_null() || v.is_float64()));
+      AppendFill(&dst.f64, n, v.is_null() ? 0.0 : v.f64());
+    }
+    if (v.is_null()) {
+      for (int64_t i = 0; i < n; ++i) SetNullBit(&dst, num_rows_ + i);
     }
   }
   num_rows_ += n;
 }
-
-namespace {
-
-/// Gathers `rows` elements of `from` onto the end of `to`.
-template <typename T>
-void GatherInto(std::vector<T>* to, const std::vector<T>& from,
-                std::span<const int64_t> rows) {
-  to->reserve(to->size() + rows.size());
-  for (int64_t r : rows) to->push_back(from[static_cast<size_t>(r)]);
-}
-
-}  // namespace
 
 void Table::AppendGatheredRows(const Table& src,
                                std::span<const int64_t> rows) {
@@ -148,21 +199,7 @@ void Table::AppendGatheredRows(const Table& src,
   if (n == 0) return;
   ExtendNullWords(n);
   for (size_t ci = 0; ci < cols_.size(); ++ci) {
-    Column& dst = Mut(static_cast<int>(ci));
-    const Column& from = *src.cols_[ci];
-    PROBKB_DCHECK(dst.type == from.type);
-    if (dst.type == ColumnType::kInt64) {
-      GatherInto(&dst.i64, from.i64, rows);
-    } else {
-      GatherInto(&dst.f64, from.f64, rows);
-    }
-    if (from.null_count > 0) {
-      for (int64_t i = 0; i < n; ++i) {
-        if (IsNullBit(from, rows[static_cast<size_t>(i)])) {
-          SetNullBit(&dst, num_rows_ + i);
-        }
-      }
-    }
+    GatherColumn(&Mut(static_cast<int>(ci)), *src.cols_[ci], rows.data(), n);
   }
   num_rows_ += n;
 }
@@ -174,21 +211,8 @@ void Table::AppendGatheredRowsWithIds(const Table& src,
   if (n == 0) return;
   ExtendNullWords(n);
   for (int ci = 0; ci < src.width(); ++ci) {
-    Column& dst = Mut(ci);
-    const Column& from = *src.cols_[static_cast<size_t>(ci)];
-    PROBKB_DCHECK(dst.type == from.type);
-    if (dst.type == ColumnType::kInt64) {
-      GatherInto(&dst.i64, from.i64, rows);
-    } else {
-      GatherInto(&dst.f64, from.f64, rows);
-    }
-    if (from.null_count > 0) {
-      for (int64_t i = 0; i < n; ++i) {
-        if (IsNullBit(from, rows[static_cast<size_t>(i)])) {
-          SetNullBit(&dst, num_rows_ + i);
-        }
-      }
-    }
+    GatherColumn(&Mut(ci), *src.cols_[static_cast<size_t>(ci)], rows.data(),
+                 n);
   }
   Column& ids = Mut(width() - 1);
   PROBKB_CHECK(ids.type == ColumnType::kInt64);
@@ -309,13 +333,14 @@ void Table::PermuteRows(std::span<const int64_t> order) {
   PROBKB_CHECK(static_cast<int64_t>(order.size()) == NumRows());
   for (int ci = 0; ci < width(); ++ci) {
     Column& c = Mut(ci);
+    const int64_t n = static_cast<int64_t>(order.size());
     if (c.type == ColumnType::kInt64) {
       std::vector<int64_t> permuted;
-      GatherInto(&permuted, c.i64, order);
+      GatherInto(&permuted, c.i64, order.data(), n);
       c.i64 = std::move(permuted);
     } else {
       std::vector<double> permuted;
-      GatherInto(&permuted, c.f64, order);
+      GatherInto(&permuted, c.f64, order.data(), n);
       c.f64 = std::move(permuted);
     }
     if (c.null_count > 0) {

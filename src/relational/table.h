@@ -121,10 +121,6 @@ class Table {
   /// copies (no per-cell Value materialization). Column types must match.
   void AppendRows(const Table& src, int64_t begin, int64_t end);
 
-  /// \brief Appends every row of `src`, keeping only columns `src_cols`
-  /// (in order). The columnar fast path behind all-column projections.
-  void AppendProjectedRows(const Table& src, std::span<const int> src_cols);
-
   /// \brief Appends the rows of `src` at indices `rows` (in order) as
   /// per-column gathers. Schemas must have equal width and column types.
   /// The spill partitioner's scatter path: one gather per partition beats
@@ -139,6 +135,47 @@ class Table {
   /// "Out-of-core").
   void AppendGatheredRowsWithIds(const Table& src,
                                  std::span<const int64_t> rows);
+
+  /// \brief Where AppendColumns takes one column's cells from: a gather
+  /// from another table's column, a constant, or an int64 sequence.
+  struct ColumnSource {
+    /// Gather: cells of `table`'s column `column` (null bits included) at
+    /// rows `rows[i]`, or at rows [0, n) when `rows` is null.
+    const Table* table = nullptr;
+    int column = 0;
+    const int64_t* rows = nullptr;
+    /// When `table` is null: `value` in every row, or, with `sequence`,
+    /// the int64 `value + i` in row i.
+    Value value;
+    bool sequence = false;
+
+    static ColumnSource Gather(const Table& src, int col,
+                               const int64_t* rows) {
+      ColumnSource s;
+      s.table = &src;
+      s.column = col;
+      s.rows = rows;
+      return s;
+    }
+    static ColumnSource Constant(Value v) {
+      ColumnSource s;
+      s.value = v;
+      return s;
+    }
+    static ColumnSource Sequence(int64_t first) {
+      ColumnSource s;
+      s.value = Value::Int64(first);
+      s.sequence = true;
+      return s;
+    }
+  };
+
+  /// \brief Appends `n` rows one column at a time: column c takes its
+  /// cells from `cols[c]`. Gathered columns must match this column's type;
+  /// a constant must be NULL or of the column's type. The join output path
+  /// (a flush of (left row, right row) pairs gathers each output column
+  /// from its side), projections with constants, and the TPi merge.
+  void AppendColumns(int64_t n, std::span<const ColumnSource> cols);
 
   /// \brief One decoded column for AppendColumnarRows: `words` points at
   /// 8-byte cells (int64 or float64 to match the column type; NULL cells
@@ -273,6 +310,11 @@ class Table {
         uint64_t{1} << (static_cast<uint64_t>(row) & 63);
     ++c->null_count;
   }
+  /// Appends `n` cells of `from` (at `rows`, or [0, n) when null) to
+  /// `dst`, setting null bits from row num_rows_ on; callers extend the
+  /// bitmaps first and bump num_rows_ after the last column.
+  void GatherColumn(Column* dst, const Column& from, const int64_t* rows,
+                    int64_t n);
   /// Grows every column's bitmap to cover rows [0, num_rows_ + n).
   void ExtendNullWords(int64_t n);
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "engine/ops.h"
 #include "engine/plan.h"
+#include "engine/tunables.h"
+#include "util/strings.h"
+#include "util/thread_pool.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -142,6 +148,140 @@ TEST(HashJoinTest, NullKeysJoinEachOther) {
                           {JoinOutputCol::Left(1, "b"),
                            JoinOutputCol::Right(1, "d")}));
   EXPECT_EQ(out->NumRows(), 1);
+}
+
+// The inner probe emits (left row, right row) pairs and gathers the output
+// a column at a time; semi/anti gather the left rows. Checked row by row
+// (order included, cells bit for bit) against nested loops over Value ==,
+// on the raw-int64-key path and the RowKeyEquals fallback (float keys with
+// +-0.0 and NaN, NULL keys), with a transient build and with a prebuilt
+// index that holds more rows than its bound, serially and on 4 threads.
+TEST(HashJoinTest, PairGatherMatchesNestedLoopReference) {
+  // (k int64, f float64 key, n nullable int64 key, p nullable int64,
+  //  q nullable float64)
+  const Schema schema({{"k", ColumnType::kInt64},
+                       {"f", ColumnType::kFloat64},
+                       {"n", ColumnType::kInt64},
+                       {"p", ColumnType::kInt64},
+                       {"q", ColumnType::kFloat64}});
+  const double kFloats[] = {0.0, -0.0, 1.5, 2.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(20);
+  auto random_table = [&](int64_t rows) {
+    auto t = Table::Make(schema);
+    for (int64_t i = 0; i < rows; ++i) {
+      auto maybe_null = [&](Value v) {
+        return rng.UniformInt(0, 5) == 0 ? Value::Null() : v;
+      };
+      t->AppendRow({Value::Int64(rng.UniformInt(0, 39)),
+                    Value::Float64(kFloats[rng.UniformInt(0, 4)]),
+                    maybe_null(Value::Int64(rng.UniformInt(0, 3))),
+                    maybe_null(Value::Int64(rng.UniformInt(-1000, 1000))),
+                    maybe_null(Value::Float64(rng.UniformDouble()))});
+    }
+    return t;
+  };
+  const auto left = random_table(kParallelMinRows + 501);
+  const auto right = random_table(300);
+  const int64_t bound = 241;
+
+  const std::vector<JoinOutputCol> out_cols = {
+      JoinOutputCol::Left(3, "lp"),
+      JoinOutputCol::Right(4, "rq", ColumnType::kFloat64),
+      JoinOutputCol::Right(1, "rf", ColumnType::kFloat64),
+      JoinOutputCol::Left(0, "lk"),
+      JoinOutputCol::Right(3, "rp"),
+      JoinOutputCol::Left(4, "lq", ColumnType::kFloat64)};
+  std::vector<Field> out_fields;
+  for (const auto& c : out_cols) out_fields.push_back({c.name, c.type});
+  const Schema out_schema(out_fields);
+
+  auto reference = [&](const std::vector<int>& keys, JoinType type,
+                       int64_t right_rows) {
+    auto ref = Table::Make(type == JoinType::kInner ? out_schema : schema);
+    for (int64_t i = 0; i < left->NumRows(); ++i) {
+      bool matched = false;
+      for (int64_t j = 0; j < right_rows; ++j) {
+        bool eq = true;
+        for (int k : keys) eq = eq && left->row(i)[k] == right->row(j)[k];
+        if (!eq) continue;
+        matched = true;
+        if (type != JoinType::kInner) break;
+        std::vector<Value> row;
+        for (const auto& c : out_cols) {
+          row.push_back(c.side == JoinOutputCol::Side::kLeft
+                            ? left->row(i)[c.column]
+                            : right->row(j)[c.column]);
+        }
+        ref->AppendRow(row);
+      }
+      if (type != JoinType::kInner &&
+          matched == (type == JoinType::kLeftSemi)) {
+        ref->AppendRow(left->row(i));
+      }
+    }
+    return ref;
+  };
+  // Cells compare bit for bit, so NaN and -0.0 outputs count too.
+  auto expect_same_rows = [](const Table& got, const Table& want,
+                             const std::string& what) {
+    ASSERT_EQ(got.NumRows(), want.NumRows()) << what;
+    ASSERT_EQ(got.width(), want.width()) << what;
+    for (int64_t i = 0; i < want.NumRows(); ++i) {
+      for (int c = 0; c < want.width(); ++c) {
+        const Value g = got.ValueAt(i, c);
+        const Value w = want.ValueAt(i, c);
+        const bool same =
+            g.is_null() || w.is_null()
+                ? g.is_null() == w.is_null()
+                : g.is_int64() ? w.is_int64() && g.i64() == w.i64()
+                               : w.is_float64() &&
+                                     std::bit_cast<uint64_t>(g.f64()) ==
+                                         std::bit_cast<uint64_t>(w.f64());
+        ASSERT_TRUE(same) << what << ": row " << i << " col " << c << " is "
+                          << g << ", want " << w;
+      }
+    }
+  };
+
+  ThreadPool pool(4);
+  // {k} takes the raw-key path; {k, f} and {n} fall back to RowKeyEquals.
+  for (const std::vector<int>& keys :
+       {std::vector<int>{0}, std::vector<int>{0, 1}, std::vector<int>{2}}) {
+    FlatRowIndex index(right->NumRows());
+    std::vector<size_t> hashes(static_cast<size_t>(right->NumRows()));
+    right->HashRows(keys, 0, right->NumRows(), hashes.data());
+    for (int64_t r = 0; r < right->NumRows(); ++r) {
+      index.Insert(hashes[static_cast<size_t>(r)], r);
+    }
+    for (JoinType type :
+         {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      const auto want_full = reference(keys, type, right->NumRows());
+      const auto want_bounded = reference(keys, type, bound);
+      if (type == JoinType::kInner) {
+        ASSERT_GT(want_bounded->NumRows(), left->NumRows());
+      }
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (bool prebuilt : {false, true}) {
+          ExecContext ctx;
+          ctx.set_thread_pool(p);
+          auto plan = HashJoin(
+              Scan(left), Scan(right), keys, keys, type,
+              type == JoinType::kInner ? out_cols
+                                       : std::vector<JoinOutputCol>{},
+              nullptr,
+              prebuilt ? PrebuiltIndex{&index, bound} : PrebuiltIndex{});
+          auto result = plan->Execute(&ctx);
+          ASSERT_TRUE(result.ok()) << result.status();
+          expect_same_rows(
+              **result, prebuilt ? *want_bounded : *want_full,
+              StrFormat("keys=%zu type=%s threads=%d prebuilt=%d",
+                        keys.size(), JoinTypeToString(type),
+                        p == nullptr ? 1 : p->num_threads(), prebuilt));
+        }
+      }
+    }
+  }
 }
 
 TEST(DistinctTest, AllColumnsDefault) {
