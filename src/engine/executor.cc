@@ -326,33 +326,52 @@ Result<TablePtr> DistinctNode::Execute(ExecContext* ctx) {
     for (int c = 0; c < in->width(); ++c) keys.push_back(c);
   }
   PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(in->NumRows()));
-  auto out = Table::Make(in->schema());
-  // Dedup set over the output rows; chains keyed on the row-key hash.
+  // Keys compare as raw words when every key column is int64 without
+  // NULLs (JoinProbe's rule); otherwise with RowKeyEquals, so NULL keys
+  // meet, -0.0 meets 0.0 and NaN meets nothing.
+  std::vector<const int64_t*> words;
+  for (int c : keys) {
+    if (in->schema().field(c).type != ColumnType::kInt64 ||
+        in->ColumnHasNulls(c)) {
+      words.clear();
+      break;
+    }
+    words.push_back(in->Int64Data(c));
+  }
+  const bool raw_keys = words.size() == keys.size();
+  // Dedup set over the kept input rows; chains keyed on the row-key hash.
   // Batched prefetch pipeline: `seen` is pre-sized for every input row, so
   // its slot array never moves mid-scan and batch-ahead prefetches stay
   // valid even though rows are inserted during resolution.
   FlatRowIndex seen(in->NumRows());
+  std::vector<int64_t> kept;
   size_t hashes[kProbeBatchRows];
   for (int64_t base = 0; base < in->NumRows(); base += kProbeBatchRows) {
     const int64_t batch = std::min(kProbeBatchRows, in->NumRows() - base);
     in->HashRows(keys, base, base + batch, hashes);
     for (int64_t k = 0; k < batch; ++k) seen.PrefetchHash(hashes[k]);
     for (int64_t k = 0; k < batch; ++k) {
-      RowView row = in->row(base + k);
+      const int64_t i = base + k;
       const size_t h = hashes[k];
       bool dup = false;
-      for (int64_t e = seen.Head(h); e >= 0; e = seen.Next(e)) {
-        if (RowKeyEquals(row, out->row(seen.Row(e)), keys, keys)) {
-          dup = true;
-          break;
+      for (int64_t e = seen.Head(h); e >= 0 && !dup; e = seen.Next(e)) {
+        const int64_t r = seen.Row(e);
+        if (raw_keys) {
+          size_t c = 0;
+          while (c < words.size() && words[c][r] == words[c][i]) ++c;
+          dup = c == words.size();
+        } else {
+          dup = RowKeyEquals(in->row(i), in->row(r), keys, keys);
         }
       }
       if (!dup) {
-        seen.Insert(h, out->NumRows());
-        out->AppendRow(row);
+        seen.Insert(h, i);
+        kept.push_back(i);
       }
     }
   }
+  auto out = Table::Make(in->schema());
+  out->AppendGatheredRows(*in, kept);
   NodeStats ns = MakeStats(Label(), in->NumRows(), out->NumRows(),
                            timer.Seconds(), 1);
   ns.rehashes = seen.rehash_count();

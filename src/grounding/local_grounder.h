@@ -3,9 +3,12 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "engine/flat_hash.h"
+#include "grounding/partition_queries.h"
 #include "kb/relational_model.h"
 #include "relational/table.h"
 #include "util/result.h"
@@ -40,28 +43,91 @@ struct LocalGrounding {
   /// atoms keep their priors but lose their own derivations, so marginals
   /// are an approximation whose error decays with depth.
   bool truncated = false;
+  /// Hash-index chain entries the grounding walked: what it read of the
+  /// epoch, which grows with the ball, not with TPi.
+  int64_t index_probes = 0;
 };
 
-/// \brief Maps fact id -> TPi row index. Built once per published epoch
-/// and shared across the epoch's queries.
+/// \brief What local grounding probes, built once over one epoch's TPi and
+/// rule tables and then shared read-only by every query at that epoch:
+/// - TPi indexed on the Tx, Ty and Txy view keys, each built in one pass
+///   sized up front (an epoch's TPi never grows);
+/// - each rule table M_p indexed on its body atoms' keys (RuleIndexes) and
+///   on its head key (R1, C1, C2);
+/// - a fact id -> TPi row lookup: binary search over TPi's id column when
+///   ids rise with row order, else over a row permutation sorted by id.
+///
+/// Every key column must be int64 without NULLs; keys compare as raw
+/// words. The tables must not be mutated while the index lives (a pinned
+/// snapshot guarantees it).
+class LocalGroundingIndex {
+ public:
+  static Result<std::unique_ptr<const LocalGroundingIndex>> Build(
+      TablePtr t_pi, const std::array<TablePtr, kNumRuleStructures>& m);
+
+  const TablePtr& t_pi() const { return t_pi_; }
+  /// TPi row of fact `id` (its first row), or -1.
+  int64_t RowOf(FactId id) const;
+
+ private:
+  friend class LocalGroundingRound;
+
+  /// A hash index and the int64 key columns of the table it indexes, in
+  /// key order.
+  template <size_t N>
+  struct Keyed {
+    const FlatRowIndex* index = nullptr;
+    std::array<const int64_t*, N> cols{};
+  };
+  struct RuleKeys {
+    Keyed<3> head;   // (R1, C1, C2)
+    Keyed<3> body1;  // PartitionSpec::m_keys1
+    Keyed<3> body2;  // PartitionSpec::m_keys2, length-3 partitions only
+  };
+
+  LocalGroundingIndex() = default;
+
+  TablePtr t_pi_;
+  std::array<FlatRowIndex, 3> views_;  // Tx, Ty, Txy
+  RuleIndexes rules_;
+  std::array<FlatRowIndex, kNumRuleStructures> heads_;
+  Keyed<4> tx_;
+  Keyed<4> ty_;
+  Keyed<5> txy_;
+  std::array<RuleKeys, kNumRuleStructures> rule_keys_;
+  /// TPi rows sorted by fact id; empty when ids rise with row order.
+  std::vector<int64_t> rows_by_id_;
+};
+
+/// \brief Maps fact id -> TPi row index, for callers of the five-argument
+/// GroundLocalSubgraph; the grounder itself looks ids up in its index.
 std::unordered_map<FactId, int64_t> BuildFactRowIndex(const Table& t_pi);
 
 /// \brief Grounds the bounded factor-graph neighborhood of `seed_rows`
-/// (TPi row indices). Each BFS round materializes the frontier as a
-/// TPi-shaped table and runs the per-partition groundFactors query
-/// (Query 2-p) with the frontier in each slot in turn: as the
-/// head-resolution table (factors *deriving* frontier atoms — backward
-/// chaining) and as each body probe (factors *using* frontier atoms —
-/// forward incidence). Both directions matter for marginals: an atom's
-/// probability is shaped by its derivations and by the rules it feeds, so
-/// expanding only the ancestor cone would misestimate even at full depth.
-/// Every atom a collected factor references joins the subgraph (the factor
-/// set stays closed over sub_t_pi); unvisited ones become the next
-/// frontier. A factor can be rediscovered from different endpoints, so
-/// factors are deduplicated on (partition, I1, I2, I3, w).
+/// (TPi row indices) by BFS from the seeds. Each round takes the frontier
+/// in each rule slot in turn: as the head (factors *deriving* frontier
+/// atoms — backward chaining) and as each body atom (factors *using*
+/// frontier atoms — forward incidence). Both directions matter for
+/// marginals: an atom's probability is shaped by its derivations and by
+/// the rules it feeds, so expanding only the ancestor cone would
+/// misestimate even at full depth. Every atom a collected factor
+/// references joins the subgraph (the factor set stays closed over
+/// sub_t_pi); unvisited ones become the next frontier. A factor can be
+/// rediscovered from different endpoints, so factors are deduplicated on
+/// (partition, I1, I2, I3, w).
 ///
-/// `t_pi` and `m` must not be mutated during the call — the serve path
-/// passes tables from a pinned snapshot, which guarantees it.
+/// Each round probes `index` from the frontier and builds no hash table,
+/// so a query costs in proportion to its ball, not to TPi. TPhi comes out
+/// row for row as the M-driven Query 2-p over the whole TPi would order
+/// it (see DESIGN.md §13).
+Result<LocalGrounding> GroundLocalSubgraph(
+    const LocalGroundingIndex& index, const std::vector<int64_t>& seed_rows,
+    const LocalGroundingOptions& opts);
+
+/// \brief The same over `t_pi` and `m` directly: builds a transient
+/// LocalGroundingIndex (so each call pays one index build) and grounds on
+/// it. `row_of` is not read; the index carries its own id lookup. `t_pi`
+/// and `m` must not be mutated during the call.
 Result<LocalGrounding> GroundLocalSubgraph(
     TablePtr t_pi, const std::array<TablePtr, kNumRuleStructures>& m,
     const std::unordered_map<FactId, int64_t>& row_of,

@@ -285,18 +285,29 @@ PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
                spec.t_keys2, Len3AtomOutputCols(spec), indexes);
 }
 
-namespace {
-
-/// Indexes every row of `t` on `keys`, in row order.
-FlatRowIndex IndexRows(const Table& t, const std::vector<int>& keys) {
-  FlatRowIndex index(t.NumRows());
-  std::vector<size_t> hashes(static_cast<size_t>(t.NumRows()));
-  if (t.NumRows() > 0) t.HashRows(keys, 0, t.NumRows(), hashes.data());
-  for (int64_t i = 0; i < t.NumRows(); ++i) {
-    index.Insert(hashes[static_cast<size_t>(i)], i);
+FlatRowIndex IndexRows(const Table& t, std::span<const int> keys) {
+  const int64_t n = t.NumRows();
+  FlatRowIndex index(n);
+  size_t hashes[kIndexBuildChunkRows];
+  for (int64_t base = 0; base < n; base += kIndexBuildChunkRows) {
+    const int64_t end = std::min(base + kIndexBuildChunkRows, n);
+    t.HashRows(keys, base, end, hashes);
+    // The slot array is sized for every row up front and never moves, so
+    // a batch's prefetches stay valid while its rows are inserted.
+    for (int64_t batch = base; batch < end; batch += kProbeBatchRows) {
+      const int64_t batch_end = std::min(batch + kProbeBatchRows, end);
+      for (int64_t i = batch; i < batch_end; ++i) {
+        index.PrefetchHash(hashes[i - base]);
+      }
+      for (int64_t i = batch; i < batch_end; ++i) {
+        index.Insert(hashes[i - base], i);
+      }
+    }
   }
   return index;
 }
+
+namespace {
 
 std::vector<JoinOutputCol> Swapped(std::vector<JoinOutputCol> cols) {
   for (JoinOutputCol& c : cols) {

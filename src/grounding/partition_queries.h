@@ -2,6 +2,7 @@
 #define PROBKB_GROUNDING_PARTITION_QUERIES_H_
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "engine/exec_context.h"
@@ -127,6 +128,10 @@ std::vector<ProjectExpr> NullI3Projection();
 PlanNodePtr BuildAtomsPlan(int p, TablePtr m, TablePtr t_probe,
                            TablePtr t_probe2,
                            const TPiIndexes* indexes = nullptr);
+
+/// \brief Indexes every row of `t` on `keys`, in row order, in one pass
+/// sized for all of them (chains in row order, as every engine build).
+FlatRowIndex IndexRows(const Table& t, std::span<const int> keys);
 
 /// \brief The rule tables M1..M6 prepared for the Δ-driven Query 1: each
 /// copied with its row number as a trailing "rule" column and indexed on

@@ -68,14 +68,50 @@ Result<QueryPattern> ParseQueryPattern(std::string_view text) {
 KbQuery::KbQuery(const KnowledgeBase* kb, TablePtr t_pi,
                  FactId first_inferred_id)
     : kb_(kb), t_pi_(std::move(t_pi)), first_inferred_id_(first_inferred_id) {
-  for (int64_t i = 0; i < t_pi_->NumRows(); ++i) {
-    RowView row = t_pi_->row(i);
-    by_relation_[row[tpi::kR].i64()].push_back(i);
-    by_entity_[row[tpi::kX].i64()].push_back(i);
-    if (row[tpi::kY].i64() != row[tpi::kX].i64()) {
-      by_entity_[row[tpi::kY].i64()].push_back(i);
-    }
+  by_relation_ = GroupRows({tpi::kR});
+  by_entity_ = GroupRows({tpi::kX, tpi::kY});
+}
+
+std::span<const int64_t> KbQuery::RowGroups::Of(int64_t id) const {
+  if (id < 0 || id + 1 >= static_cast<int64_t>(offsets.size())) return {};
+  return std::span<const int64_t>(rows).subspan(
+      static_cast<size_t>(offsets[static_cast<size_t>(id)]),
+      static_cast<size_t>(offsets[static_cast<size_t>(id) + 1] -
+                          offsets[static_cast<size_t>(id)]));
+}
+
+KbQuery::RowGroups KbQuery::GroupRows(const std::vector<int>& cols) const {
+  const int64_t n = t_pi_->NumRows();
+  std::vector<const int64_t*> ids;
+  int64_t max_id = -1;
+  for (int c : cols) {
+    ids.push_back(t_pi_->Int64Data(c));
+    for (int64_t i = 0; i < n; ++i) max_id = std::max(max_id, ids.back()[i]);
   }
+  // Calls fn(id, row) once per distinct non-negative id of each row, rows
+  // ascending.
+  auto each = [&](auto&& fn) {
+    for (int64_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < ids.size(); ++c) {
+        const int64_t id = ids[c][i];
+        bool repeat = id < 0;
+        for (size_t d = 0; d < c && !repeat; ++d) repeat = ids[d][i] == id;
+        if (!repeat) fn(static_cast<size_t>(id), i);
+      }
+    }
+  };
+  RowGroups groups;
+  groups.offsets.assign(static_cast<size_t>(max_id + 2), 0);
+  each([&](size_t id, int64_t) { ++groups.offsets[id + 1]; });
+  for (size_t k = 1; k < groups.offsets.size(); ++k) {
+    groups.offsets[k] += groups.offsets[k - 1];
+  }
+  groups.rows.resize(static_cast<size_t>(groups.offsets.back()));
+  std::vector<int64_t> next(groups.offsets.begin(), groups.offsets.end() - 1);
+  each([&](size_t id, int64_t i) {
+    groups.rows[static_cast<size_t>(next[id]++)] = i;
+  });
+  return groups;
 }
 
 KbQuery::ScoredFact KbQuery::MakeScored(const RowView& row) const {
@@ -89,7 +125,7 @@ KbQuery::ScoredFact KbQuery::MakeScored(const RowView& row) const {
 }
 
 void KbQuery::CollectSorted(
-    const std::vector<int64_t>& rows, double min_score,
+    std::span<const int64_t> rows, double min_score,
     const std::function<bool(const RowView&)>& filter,
     std::vector<ScoredFact>* out) const {
   for (int64_t i : rows) {
@@ -123,9 +159,7 @@ std::vector<KbQuery::ScoredFact> KbQuery::Find(
     want_y = kb_->entities().Lookup(*y);
     if (want_y == kInvalidId) return out;
   }
-  auto it = by_relation_.find(rel);
-  if (it == by_relation_.end()) return out;
-  CollectSorted(it->second, min_score,
+  CollectSorted(by_relation_.Of(rel), min_score,
                 [&](const RowView& row) {
                   if (want_x != kInvalidId && row[tpi::kX].i64() != want_x) {
                     return false;
@@ -144,9 +178,7 @@ std::vector<KbQuery::ScoredFact> KbQuery::FactsAbout(
   std::vector<ScoredFact> out;
   EntityId e = kb_->entities().Lookup(entity);
   if (e == kInvalidId) return out;
-  auto it = by_entity_.find(e);
-  if (it == by_entity_.end()) return out;
-  CollectSorted(it->second, min_score, nullptr, &out);
+  CollectSorted(by_entity_.Of(e), min_score, nullptr, &out);
   return out;
 }
 
@@ -155,10 +187,8 @@ std::vector<int64_t> KbQuery::SeedRows(const QueryPattern& pattern) const {
   if (pattern.is_entity_query()) {
     EntityId e = kb_->entities().Lookup(pattern.entity);
     if (e == kInvalidId) return out;
-    auto it = by_entity_.find(e);
-    if (it == by_entity_.end()) return out;
-    out = it->second;  // built in ascending row order
-    return out;
+    const std::span<const int64_t> rows = by_entity_.Of(e);
+    return {rows.begin(), rows.end()};  // grouped in ascending row order
   }
   RelationId rel = kb_->relations().Lookup(pattern.relation);
   if (rel == kInvalidId) return out;
@@ -171,12 +201,11 @@ std::vector<int64_t> KbQuery::SeedRows(const QueryPattern& pattern) const {
     want_y = kb_->entities().Lookup(*pattern.y);
     if (want_y == kInvalidId) return out;
   }
-  auto it = by_relation_.find(rel);
-  if (it == by_relation_.end()) return out;
-  for (int64_t i : it->second) {
-    RowView row = t_pi_->row(i);
-    if (want_x != kInvalidId && row[tpi::kX].i64() != want_x) continue;
-    if (want_y != kInvalidId && row[tpi::kY].i64() != want_y) continue;
+  const int64_t* x = t_pi_->Int64Data(tpi::kX);
+  const int64_t* y = t_pi_->Int64Data(tpi::kY);
+  for (int64_t i : by_relation_.Of(rel)) {
+    if (want_x != kInvalidId && x[i] != want_x) continue;
+    if (want_y != kInvalidId && y[i] != want_y) continue;
     out.push_back(i);
   }
   return out;

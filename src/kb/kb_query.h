@@ -2,9 +2,9 @@
 #define PROBKB_KB_KB_QUERY_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kb/knowledge_base.h"
@@ -87,8 +87,19 @@ class KbQuery {
   int64_t NumFacts() const { return t_pi_->NumRows(); }
 
  private:
+  /// TPi rows grouped by a dictionary id, in CSR form: the rows of id k
+  /// are rows[offsets[k] .. offsets[k + 1]), ascending.
+  struct RowGroups {
+    std::vector<int64_t> offsets;
+    std::vector<int64_t> rows;
+    std::span<const int64_t> Of(int64_t id) const;
+  };
+  /// Groups TPi's rows by the ids in `cols`, filing a row once under each
+  /// distinct id it holds there.
+  RowGroups GroupRows(const std::vector<int>& cols) const;
+
   ScoredFact MakeScored(const RowView& row) const;
-  void CollectSorted(const std::vector<int64_t>& rows,
+  void CollectSorted(std::span<const int64_t> rows,
                      double min_score,
                      const std::function<bool(const RowView&)>& filter,
                      std::vector<ScoredFact>* out) const;
@@ -96,8 +107,8 @@ class KbQuery {
   const KnowledgeBase* kb_;
   TablePtr t_pi_;
   FactId first_inferred_id_;
-  std::unordered_map<RelationId, std::vector<int64_t>> by_relation_;
-  std::unordered_map<EntityId, std::vector<int64_t>> by_entity_;
+  RowGroups by_relation_;
+  RowGroups by_entity_;
 };
 
 }  // namespace probkb

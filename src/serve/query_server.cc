@@ -1,6 +1,7 @@
 #include "serve/query_server.h"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/trace.h"
 #include "relational/catalog.h"
@@ -60,30 +61,47 @@ Result<PinnedSnapshot> QueryServer::PinNewest() const {
   return pin;
 }
 
-Result<std::shared_ptr<const QueryServer::EpochIndex>> QueryServer::IndexFor(
-    const PinnedSnapshot& pin, bool* cache_hit) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  if (cache_hit != nullptr) *cache_hit = true;
-  for (const auto& [epoch, index] : cache_) {
-    if (epoch == pin.epoch) return index;
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto index = std::make_shared<EpochIndex>();
+Status QueryServer::BuildIndex(const PinnedSnapshot& pin,
+                               EpochIndex* index) const {
   PROBKB_ASSIGN_OR_RETURN(ConstTablePtr t_pi, pin.catalog->Get("t_pi"));
-  index->t_pi = Thaw(t_pi);
+  std::array<TablePtr, kNumRuleStructures> m;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
-    PROBKB_ASSIGN_OR_RETURN(ConstTablePtr m, pin.catalog->Get(MName(p)));
-    index->m[static_cast<size_t>(p - 1)] = Thaw(m);
+    PROBKB_ASSIGN_OR_RETURN(ConstTablePtr mp, pin.catalog->Get(MName(p)));
+    m[static_cast<size_t>(p - 1)] = Thaw(mp);
   }
-  index->query =
-      std::make_unique<KbQuery>(kb_, index->t_pi, first_inferred_id_);
-  index->row_of = BuildFactRowIndex(*index->t_pi);
-  cache_.emplace_back(pin.epoch, index);
-  while (options_.max_cached_epochs > 0 &&
-         cache_.size() > static_cast<size_t>(options_.max_cached_epochs)) {
-    cache_.pop_front();
+  PROBKB_ASSIGN_OR_RETURN(index->grounding,
+                          LocalGroundingIndex::Build(Thaw(t_pi), m));
+  index->query = std::make_unique<KbQuery>(kb_, index->grounding->t_pi(),
+                                           first_inferred_id_);
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const QueryServer::EpochIndex>> QueryServer::IndexFor(
+    const PinnedSnapshot& pin, bool* built) {
+  std::shared_ptr<EpochEntry> entry;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    std::erase_if(live_, [](const auto& weak) { return weak.expired(); });
+    for (const std::weak_ptr<EpochEntry>& weak : live_) {
+      std::shared_ptr<EpochEntry> held = weak.lock();
+      if (held != nullptr && held->epoch == pin.epoch) entry = std::move(held);
+    }
+    if (entry == nullptr) {
+      entry = std::make_shared<EpochEntry>();
+      entry->epoch = pin.epoch;
+      live_.push_back(entry);
+    }
+    // An older epoch never displaces the newest one.
+    if (newest_ == nullptr || newest_->epoch < pin.epoch) newest_ = entry;
   }
-  return std::shared_ptr<const EpochIndex>(index);
+  // A failed build is not retried: the entry keeps its status.
+  std::call_once(entry->once, [&] {
+    entry->status = BuildIndex(pin, &entry->index);
+    if (built != nullptr) *built = true;
+  });
+  PROBKB_RETURN_NOT_OK(entry->status);
+  // Shares the entry's ownership: the index outlives the query holding it.
+  return std::shared_ptr<const EpochIndex>(entry, &entry->index);
 }
 
 Result<ServeAnswer> QueryServer::Answer(const std::string& query_text) {
@@ -108,14 +126,17 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
   }
   Timer query_timer;
   TraceSpan query_span(Tracer::Global(), "serve_query", "serve", pin.epoch);
-  bool cache_hit = false;
+  bool built = false;
   std::shared_ptr<const EpochIndex> index;
+  Timer index_timer;
   {
     TraceSpan index_span(Tracer::Global(), "epoch_index", "serve",
                          pin.epoch);
-    PROBKB_ASSIGN_OR_RETURN(index, IndexFor(pin, &cache_hit));
-    index_span.set_values(pin.epoch, cache_hit ? 1 : 0, 0);
+    PROBKB_ASSIGN_OR_RETURN(index, IndexFor(pin, &built));
+    index_span.set_values(pin.epoch, index->grounding->t_pi()->NumRows(),
+                          built ? 1 : 0);
   }
+  const double index_seconds = index_timer.Seconds();
   const std::vector<int64_t> seeds = index->query->SeedRows(pattern);
 
   Timer ground_timer;
@@ -123,8 +144,7 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
                         static_cast<int64_t>(seeds.size()));
   PROBKB_ASSIGN_OR_RETURN(
       LocalGrounding grounding,
-      GroundLocalSubgraph(index->t_pi, index->m, index->row_of, seeds,
-                          options_.grounding));
+      GroundLocalSubgraph(*index->grounding, seeds, options_.grounding));
   ground_span.set_values(grounding.grounded_atoms, grounding.depth_reached,
                          grounding.truncated ? 1 : 0);
   ground_span.End();
@@ -150,7 +170,7 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
   answer.exact = marginals.exact;
   answer.entries.reserve(seeds.size());
   for (int64_t r : seeds) {
-    RowView row = index->t_pi->row(r);
+    RowView row = index->grounding->t_pi()->row(r);
     ServeAnswer::Entry entry;
     entry.id = row[tpi::kI].i64();
     entry.text = kb_->FactToString(FactFromRow(row));
@@ -184,9 +204,14 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
     stats_.RecordLatency("serve_query", query_timer.Seconds(), trace_id);
     stats_.RecordLatency("serve_ground", ground_seconds, trace_id);
     stats_.RecordLatency("serve_infer", infer_seconds, trace_id);
+    if (built) {
+      stats_.RecordLatency("serve_epoch_index", index_seconds, trace_id);
+      stats_.IncrementCounter("serve_epoch_index_builds");
+    }
     stats_.IncrementCounter("serve_queries");
     stats_.IncrementCounter("serve_grounded_atoms",
                             grounding.grounded_atoms);
+    stats_.IncrementCounter("serve_index_probes", grounding.index_probes);
     stats_.IncrementCounter("serve_answers",
                             static_cast<int64_t>(answer.entries.size()));
     if (grounding.truncated) stats_.IncrementCounter("serve_truncated");

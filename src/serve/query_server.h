@@ -2,11 +2,9 @@
 #define PROBKB_SERVE_QUERY_SERVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "grounding/local_grounder.h"
@@ -25,9 +23,6 @@ struct ServeOptions {
   SubgraphInferenceOptions inference;
   /// Answers reported per query (0 = all matches).
   int top_k = 10;
-  /// Published-epoch indexes kept cached; older ones are rebuilt on demand
-  /// if a long-pinned reader comes back for them.
-  int max_cached_epochs = 4;
 };
 
 /// \brief One answered query.
@@ -107,19 +102,29 @@ class QueryServer {
 
  private:
   /// Frozen per-epoch read amplifiers, built once and shared by every
-  /// query at that epoch: the name->row index (KbQuery) and the fact
-  /// id->row map the local grounder seeds from.
+  /// query at that epoch: the name->row index (KbQuery) and what the local
+  /// grounder probes.
   struct EpochIndex {
-    TablePtr t_pi;
-    std::array<TablePtr, kNumRuleStructures> m;
+    std::unique_ptr<const LocalGroundingIndex> grounding;
     std::unique_ptr<KbQuery> query;
-    std::unordered_map<FactId, int64_t> row_of;
+  };
+  /// One epoch's index, built by the first reader that calls for it while
+  /// any later caller at that epoch waits for that one build.
+  struct EpochEntry {
+    int64_t epoch = -1;
+    std::once_flag once;
+    Status status;
+    EpochIndex index;
   };
 
-  /// A non-null `cache_hit` reports whether the epoch's index was already
-  /// cached (the serve trace tags its "epoch_index" span with it).
-  Result<std::shared_ptr<const EpochIndex>> IndexFor(
-      const PinnedSnapshot& pin, bool* cache_hit = nullptr);
+  /// The index of `pin`'s epoch; builds it unless a live query or the
+  /// newest-epoch reference still holds it. The build runs outside
+  /// `index_mu_`, so readers at other epochs never wait for it. A
+  /// non-null `built` reports whether this call built the index (the
+  /// serve trace tags its "epoch_index" span with it).
+  Result<std::shared_ptr<const EpochIndex>> IndexFor(const PinnedSnapshot& pin,
+                                                     bool* built);
+  Status BuildIndex(const PinnedSnapshot& pin, EpochIndex* index) const;
 
   const KnowledgeBase* kb_;
   FactId first_inferred_id_;
@@ -127,8 +132,12 @@ class QueryServer {
   SnapshotStore store_;
 
   std::mutex index_mu_;
-  /// epoch -> index, newest at the back; bounded by max_cached_epochs.
-  std::deque<std::pair<int64_t, std::shared_ptr<const EpochIndex>>> cache_;
+  /// Entries some query may still hold; expired ones are pruned on the
+  /// next lookup.
+  std::vector<std::weak_ptr<EpochEntry>> live_;
+  /// The newest epoch's entry, the only one kept without a reader. An
+  /// older epoch's index lives only while queries at that epoch hold it.
+  std::shared_ptr<EpochEntry> newest_;
 
   mutable std::mutex stats_mu_;
   StatsRegistry stats_;

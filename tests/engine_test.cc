@@ -297,6 +297,55 @@ TEST(DistinctTest, KeySubsetKeepsFirst) {
   EXPECT_EQ(out->row(0)[1].i64(), 10);  // first occurrence wins
 }
 
+/// Distinct over float and nullable keys keeps exactly the rows the
+/// Value-semantics scan keeps: NULL meets NULL, -0.0 meets 0.0, and NaN
+/// meets nothing, so every NaN row stays. The reference compares each row
+/// with the rows kept before it, as Distinct did before it compared input
+/// rows; the int64 key takes the raw-word path.
+TEST(DistinctTest, MatchesValueSemanticsOnNullSignedZeroAndNaNKeys) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value cells[] = {Value::Null(),         Value::Float64(0.0),
+                         Value::Float64(-0.0),  Value::Float64(nan),
+                         Value::Float64(-nan),  Value::Float64(1.5)};
+  auto t = Table::Make(Schema({{"f", ColumnType::kFloat64},
+                               {"i", ColumnType::kInt64},
+                               {"tag", ColumnType::kInt64}}));
+  Rng rng(7);
+  for (int64_t row = 0; row < 300; ++row) {
+    const Value f = cells[rng.UniformInt(0, 5)];
+    const Value i = rng.UniformInt(0, 4) == 0
+                        ? Value::Null()
+                        : Value::Int64(rng.UniformInt(0, 3));
+    t->AppendRow({f, i, Value::Int64(row)});
+  }
+  auto ints = Table::Make(AB());
+  for (int row = 0; row < 300; ++row) {
+    ints->AppendRow({Value::Int64(rng.UniformInt(0, 5)),
+                     Value::Int64(rng.UniformInt(0, 5))});
+  }
+  const std::vector<std::pair<TablePtr, std::vector<int>>> cases = {
+      {t, {0}}, {t, {1}}, {t, {0, 1}}, {ints, {0}}, {ints, {}}};
+  for (const auto& [in, keys] : cases) {
+    std::vector<int> cols = keys;
+    if (cols.empty()) {
+      for (int c = 0; c < in->width(); ++c) cols.push_back(c);
+    }
+    auto want = Table::Make(in->schema());
+    for (int64_t r = 0; r < in->NumRows(); ++r) {
+      bool dup = false;
+      for (int64_t k = 0; k < want->NumRows() && !dup; ++k) {
+        dup = RowKeyEquals(in->row(r), want->row(k), cols, cols);
+      }
+      if (!dup) want->AppendRow(in->row(r));
+    }
+    auto got = Exec(Distinct(Scan(in), keys));
+    // Bit patterns, not ==, so NaN cells compare equal to themselves.
+    EXPECT_EQ(testutil::TableDigest(*want), testutil::TableDigest(*got))
+        << keys.size() << " key(s): " << want->NumRows() << " vs "
+        << got->NumRows() << " rows";
+  }
+}
+
 TEST(AggregateTest, CountSumMinMax) {
   auto t = MakeTable(AB(), {{1, 5}, {1, 7}, {2, 3}});
   auto out = Exec(Aggregate(Scan(t), {0},
