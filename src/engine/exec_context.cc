@@ -14,21 +14,25 @@ std::string ExecStats::ToString() const {
   return out;
 }
 
+OpRecord ToOpRecord(const NodeStats& stats) {
+  OpRecord op;
+  op.label = stats.label;
+  op.rows_in = stats.rows_in;
+  op.rows_out = stats.rows_out;
+  op.seconds = stats.seconds;
+  op.build_seconds = stats.build_seconds;
+  op.probe_seconds = stats.probe_seconds;
+  op.rehashes = stats.rehashes;
+  op.build_partitions = stats.build_partitions;
+  op.num_children = stats.num_children;
+  return op;
+}
+
 Status ExecContext::Record(NodeStats stats) {
   produced_rows_ += stats.rows_out;
   const std::string label = stats.label;
   if (stats_sink_ != nullptr) {
-    OpRecord op;
-    op.label = stats.label;
-    op.rows_in = stats.rows_in;
-    op.rows_out = stats.rows_out;
-    op.seconds = stats.seconds;
-    op.build_seconds = stats.build_seconds;
-    op.probe_seconds = stats.probe_seconds;
-    op.rehashes = stats.rehashes;
-    op.build_partitions = stats.build_partitions;
-    op.num_children = stats.num_children;
-    stats_sink_->RecordOp(stats_scope_, op);
+    stats_sink_->RecordOp(stats_scope_, ToOpRecord(stats));
   }
   stats_.nodes.push_back(std::move(stats));
   return CheckRowBudget(label);

@@ -59,6 +59,9 @@ struct ExecStats {
   std::string ToString() const;
 };
 
+/// \brief `stats` as the StatsRegistry records it.
+OpRecord ToOpRecord(const NodeStats& stats);
+
 /// \brief Resource limits of one plan execution: a wall-clock deadline and
 /// a produced-row cap (the simulator's proxy for operator memory). Zero
 /// means unlimited.

@@ -42,7 +42,9 @@ bool CollocatedOn(const Distribution& left, const Distribution& right,
 /// declared distribution. Segments fan out onto the context's thread pool;
 /// each gets a fresh ExecContext (no injector, no nested pool), and error
 /// statuses surface in canonical segment order, so the threaded path reports
-/// the same first failure as the serial one.
+/// the same first failure as the serial one. With a stats registry attached,
+/// each segment's operators are recorded under `label` after the fan-out,
+/// in segment order, so the record stream is the same at any thread count.
 template <typename MakePlan>
 Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
                                        int64_t input_rows,
@@ -53,6 +55,9 @@ Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
   std::vector<TablePtr> out_segments(static_cast<size_t>(num_segments));
   std::vector<double> seg_seconds(static_cast<size_t>(num_segments), 0.0);
   std::vector<Status> statuses(static_cast<size_t>(num_segments));
+  StatsRegistry* registry = ctx->stats_registry();
+  std::vector<std::vector<NodeStats>> seg_nodes(
+      registry != nullptr ? static_cast<size_t>(num_segments) : 0);
   ForEachSegment(ctx, input_rows, [&](int s) {
     ExecContext ec;
     ec.set_spill(ctx->spill());
@@ -60,12 +65,20 @@ Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
     PlanNodePtr plan = make_plan(s);
     Result<TablePtr> result = plan->Execute(&ec);
     seg_seconds[static_cast<size_t>(s)] = timer.Seconds();
+    if (registry != nullptr) {
+      seg_nodes[static_cast<size_t>(s)] = std::move(ec.mutable_stats()->nodes);
+    }
     if (result.ok()) {
       out_segments[static_cast<size_t>(s)] = result.MoveValueOrDie();
     } else {
       statuses[static_cast<size_t>(s)] = result.status();
     }
   });
+  for (const std::vector<NodeStats>& nodes : seg_nodes) {
+    for (const NodeStats& node : nodes) {
+      registry->RecordOp(label, ToOpRecord(node));
+    }
+  }
   for (const Status& st : statuses) PROBKB_RETURN_NOT_OK(st);
   ctx->RecordCompute(label, seg_seconds);
   Schema schema =

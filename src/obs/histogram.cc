@@ -55,25 +55,9 @@ void LatencyHistogram::Record(double seconds, uint64_t exemplar_trace) {
   ++count_;
   sum_seconds_ += seconds;
   if (seconds > max_seconds_) max_seconds_ = seconds;
-  if (exemplar_trace == 0) return;
-  // Keep one exemplar per bucket for the kMaxExemplars highest traced
-  // buckets; the latest recording in a bucket wins, and a new tail bucket
-  // evicts the lowest. `exemplars_` stays sorted ascending by bucket, so
-  // tail_exemplar() is always the worst traced latency class.
-  for (Exemplar& e : exemplars_) {
-    if (e.bucket == bucket) {
-      e.seconds = seconds;
-      e.trace_id = exemplar_trace;
-      return;
-    }
-  }
-  Exemplar fresh{bucket, seconds, exemplar_trace};
-  auto pos = std::lower_bound(
-      exemplars_.begin(), exemplars_.end(), bucket,
-      [](const Exemplar& e, int b) { return e.bucket < b; });
-  exemplars_.insert(pos, fresh);
-  if (static_cast<int>(exemplars_.size()) > kMaxExemplars) {
-    exemplars_.erase(exemplars_.begin());
+  if (exemplar_trace != 0 && bucket >= exemplar_bucket_) {
+    exemplar_bucket_ = bucket;
+    exemplar_trace_ = exemplar_trace;
   }
 }
 

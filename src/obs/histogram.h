@@ -18,37 +18,21 @@ namespace probkb {
 /// (the StatsRegistry contract).
 class LatencyHistogram {
  public:
-  /// \brief One retained (bucket, trace) pair: the trace id of a recording
-  /// that landed in one of the histogram's highest populated buckets, so a
-  /// tail latency in the report links straight to its distributed trace.
-  struct Exemplar {
-    int bucket = 0;
-    double seconds = 0.0;
-    uint64_t trace_id = 0;
-  };
-
-  /// Highest-bucket exemplars kept (replacement evicts the lowest).
-  static constexpr int kMaxExemplars = 4;
-
   LatencyHistogram();
 
   /// \brief Records one latency in seconds (negative values clamp to 0).
-  /// A non-zero `exemplar_trace` is retained when the value lands in (or
-  /// above) the histogram's current tail buckets.
+  /// A non-zero `exemplar_trace` becomes the tail exemplar when the value
+  /// lands in (or above) the bucket of the current one.
   void Record(double seconds, uint64_t exemplar_trace = 0);
 
   int64_t count() const { return count_; }
   double sum_seconds() const { return sum_seconds_; }
   double max_seconds() const { return max_seconds_; }
 
-  /// \brief Retained exemplars, ascending by bucket.
-  const std::vector<Exemplar>& exemplars() const { return exemplars_; }
-
-  /// \brief The trace id attached to the highest exemplar bucket (0 when
-  /// no traced recording has been seen).
-  uint64_t tail_exemplar() const {
-    return exemplars_.empty() ? 0 : exemplars_.back().trace_id;
-  }
+  /// \brief The trace id of the latest traced recording in the highest
+  /// bucket any traced recording reached (0 when none has been seen), so a
+  /// tail latency in the report links straight to its trace.
+  uint64_t tail_exemplar() const { return exemplar_trace_; }
 
   /// \brief Value at percentile `p` in [0, 100], in seconds, from the
   /// bucket midpoints (0 for an empty histogram). Percentile(100) reports
@@ -67,7 +51,8 @@ class LatencyHistogram {
   static double BucketMidpointUs(int index);
 
   std::vector<int64_t> buckets_;
-  std::vector<Exemplar> exemplars_;
+  int exemplar_bucket_ = -1;
+  uint64_t exemplar_trace_ = 0;
   int64_t count_ = 0;
   double sum_seconds_ = 0.0;
   double max_seconds_ = 0.0;

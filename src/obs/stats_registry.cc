@@ -501,62 +501,4 @@ Status StatsRegistry::WriteJsonFile(const std::string& path) const {
   return Status::OK();
 }
 
-namespace {
-/// Prometheus metric-name charset is [a-zA-Z0-9_:]; anything else folds to
-/// an underscore so a series name like "query2/M1" still exposes cleanly.
-std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& ch : out) {
-    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-                    (ch >= '0' && ch <= '9') || ch == '_';
-    if (!ok) ch = '_';
-  }
-  return out;
-}
-}  // namespace
-
-std::string StatsRegistry::ToPrometheusText() const {
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    const std::string metric = "probkb_" + PromName(name) + "_total";
-    out += "# TYPE " + metric + " counter\n";
-    out += StrFormat("%s %lld\n", metric.c_str(),
-                     static_cast<long long>(value));
-  }
-  if (!latencies_.empty()) {
-    out += "# TYPE probkb_latency_seconds summary\n";
-    for (const auto& [name, hist] : latencies_) {
-      const std::string series = PromName(name);
-      out += StrFormat(
-          "probkb_latency_seconds{series=\"%s\",quantile=\"0.5\"} %.9f\n",
-          series.c_str(), hist.Percentile(50));
-      out += StrFormat(
-          "probkb_latency_seconds{series=\"%s\",quantile=\"0.95\"} %.9f\n",
-          series.c_str(), hist.Percentile(95));
-      out += StrFormat(
-          "probkb_latency_seconds{series=\"%s\",quantile=\"0.99\"} %.9f\n",
-          series.c_str(), hist.Percentile(99));
-      out += StrFormat("probkb_latency_seconds_sum{series=\"%s\"} %.9f\n",
-                       series.c_str(), hist.sum_seconds());
-      out += StrFormat("probkb_latency_seconds_count{series=\"%s\"} %lld\n",
-                       series.c_str(),
-                       static_cast<long long>(hist.count()));
-    }
-    bool exemplar_header = false;
-    for (const auto& [name, hist] : latencies_) {
-      if (hist.tail_exemplar() == 0) continue;
-      if (!exemplar_header) {
-        out += "# TYPE probkb_latency_tail_exemplar_info gauge\n";
-        exemplar_header = true;
-      }
-      out += StrFormat(
-          "probkb_latency_tail_exemplar_info{series=\"%s\","
-          "trace_id=\"%016llx\"} 1\n",
-          PromName(name).c_str(),
-          static_cast<unsigned long long>(hist.tail_exemplar()));
-    }
-  }
-  return out;
-}
-
 }  // namespace probkb

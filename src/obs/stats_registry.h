@@ -208,14 +208,6 @@ class StatsRegistry {
 
   Status WriteJsonFile(const std::string& path) const;
 
-  /// \brief Counters and latency-histogram quantiles in Prometheus text
-  /// exposition format: `probkb_<counter>_total` counters, a
-  /// `probkb_latency_seconds` summary per series (quantile 0.5/0.95/0.99
-  /// labels plus _sum/_count), and one `probkb_latency_tail_exemplar_info`
-  /// line per series with a traced tail sample. The serve metrics socket
-  /// snapshots this on every poll.
-  std::string ToPrometheusText() const;
-
  private:
   std::vector<StatementTrace> statements_;
   std::unordered_map<std::string, size_t> statement_index_;

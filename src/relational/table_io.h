@@ -40,8 +40,7 @@ Result<TablePtr> DecodeTableColumnar(const Schema& schema,
 
 /// \brief Order-sensitive checksum over `len` bytes: value_hash::Mix of
 /// each 8-byte word (tail zero-padded) folded with CombineRowHash, plus
-/// the length. The spill page checksum and the metrics socket's
-/// FrameChecksum (serve/wire.h).
+/// the length. Spill pages carry it as their checksum.
 uint64_t ColumnarChecksum(const void* data, size_t len);
 
 }  // namespace probkb

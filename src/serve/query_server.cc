@@ -224,21 +224,14 @@ std::string QueryServer::StatsText() const {
   return stats_.ToText();
 }
 
+Status QueryServer::WriteStatsJson(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_.WriteJsonFile(path);
+}
+
 int64_t QueryServer::StatsCounter(const std::string& name) const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_.FindCounter(name);
-}
-
-std::string QueryServer::PrometheusText() const {
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_.ToPrometheusText();
-  }
-  out += "# TYPE probkb_serve_epoch gauge\n";
-  out += StrFormat("probkb_serve_epoch %lld\n",
-                   static_cast<long long>(current_epoch()));
-  return out;
 }
 
 }  // namespace probkb

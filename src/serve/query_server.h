@@ -93,12 +93,10 @@ class QueryServer {
   /// registry is guarded by the server's stats mutex, so this is safe
   /// while readers are in flight.
   std::string StatsText() const;
+  /// \brief Writes the serve registry as StatsRegistry JSON (what
+  /// `--stats_json` holds for every command); same locking as StatsText().
+  Status WriteStatsJson(const std::string& path) const;
   int64_t StatsCounter(const std::string& name) const;
-
-  /// \brief Prometheus-text-format snapshot of the serve metrics plus a
-  /// `probkb_serve_epoch` gauge. This is what the metrics socket ships on
-  /// every poll; same locking contract as StatsText().
-  std::string PrometheusText() const;
 
  private:
   /// Frozen per-epoch read amplifiers, built once and shared by every

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "datagen/synthetic_kb.h"
 #include "engine/ops.h"
@@ -593,6 +595,51 @@ TEST(MppGrounderStatsTest, EveryMotionReportsBytesAndSkew) {
     }
   }
   EXPECT_EQ(refreshes, 3);  // Tx, Ty, Txy
+}
+
+// Segment joins run under fresh per-segment ExecContexts; with a registry
+// attached their operators are recorded under the fan-out's label, in
+// segment order, so the record stream does not depend on the thread count.
+TEST(MppGrounderStatsTest, SegmentJoinsReportOperatorStats) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.01;
+  cfg.seed = 5;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  std::vector<std::vector<std::string>> op_labels;
+  std::vector<int64_t> probe_rows;
+  for (int threads : {1, 4}) {
+    GroundingOptions options;
+    options.num_threads = threads;
+    RelationalKB rkb = BuildRelationalModel(skb->kb);
+    MppGrounder grounder(rkb, 5, MppMode::kViews, options);
+    StatsRegistry registry;
+    grounder.set_stats_registry(&registry);
+    ASSERT_TRUE(grounder.GroundAtoms().ok());
+    ASSERT_TRUE(grounder.GroundFactors().ok());
+    std::vector<std::string> labels;
+    int64_t probed = 0;
+    for (const StatementTrace& statement : registry.statements()) {
+      // Post-order: a hash join's first child (the probe side) is the
+      // subtree finished just before its second.
+      std::vector<int64_t> finished;
+      for (const OpRecord& op : statement.ops) {
+        labels.push_back(statement.scope + "/" + op.label);
+        if (op.label.rfind("HashJoin", 0) == 0 && op.num_children == 2 &&
+            finished.size() >= 2) {
+          probed += finished[finished.size() - 2];
+        }
+        finished.resize(finished.size() -
+                        std::min<size_t>(finished.size(), op.num_children));
+        finished.push_back(op.rows_out);
+      }
+    }
+    op_labels.push_back(std::move(labels));
+    probe_rows.push_back(probed);
+  }
+  EXPECT_GT(probe_rows[0], 0);
+  EXPECT_EQ(probe_rows[1], probe_rows[0]);
+  EXPECT_EQ(op_labels[1], op_labels[0]);
 }
 
 

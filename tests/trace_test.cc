@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -13,9 +11,7 @@
 #include "obs/histogram.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"
-#include "serve/metrics_endpoint.h"
 #include "serve/query_server.h"
-#include "serve/wire.h"
 #include "tests/test_util.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -152,130 +148,14 @@ TEST(ServeTraceTest, QuerySpansNestAndExemplarLinksTailLatency) {
   const std::string hex = StrFormat(
       "%016llx", static_cast<unsigned long long>(query->trace_id));
   EXPECT_NE(stats.find("trace=" + hex), std::string::npos) << stats;
-  EXPECT_NE(server.PrometheusText().find("trace_id=\"" + hex + "\""),
-            std::string::npos);
-}
-
-// --- Metrics endpoint ----------------------------------------------------------
-
-TEST(MetricsEndpointTest, ServesPrometheusSnapshotsOverWireFrames) {
-  KnowledgeBase kb = testutil::BuildPaperExampleKB();
-  RelationalKB rkb = BuildRelationalModel(kb);
-  QueryServer server(&kb, rkb.next_fact_id, ServeOptions{});
-  ASSERT_TRUE(server.PublishEpoch(rkb).ok());
-  ASSERT_TRUE(server.Answer("born_in(Ruth Gruber, *)").ok());
-
-  const std::string path =
-      testing::TempDir() + "/probkb_metrics_test.sock";
-  MetricsEndpoint endpoint(&server, path);
-  ASSERT_TRUE(endpoint.Start().ok());
-
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-
-  for (int poll = 0; poll < 2; ++poll) {
-    ASSERT_TRUE(
-        wire::WriteFrame(fd, wire::FrameType::kMetricsRequest, {}).ok());
-    auto reply = wire::ReadFrame(fd, 10.0);
-    ASSERT_TRUE(reply.ok()) << reply.status();
-    ASSERT_EQ(reply->type, wire::FrameType::kMetricsReply);
-    EXPECT_NE(reply->payload.find("probkb_serve_queries_total 1"),
-              std::string::npos)
-        << reply->payload;
-    EXPECT_NE(reply->payload.find(
-                  "probkb_latency_seconds{series=\"serve_query\""),
-              std::string::npos);
-    EXPECT_NE(reply->payload.find("probkb_serve_epoch 0"),
-              std::string::npos);
-  }
-  ::close(fd);
-  EXPECT_GE(endpoint.polls_served(), 2);
-  endpoint.Stop();
-  // The socket file is gone; a second Stop() is harmless.
-  EXPECT_NE(access(path.c_str(), F_OK), 0);
-  endpoint.Stop();
-}
-
-// --- Metrics-socket framing ----------------------------------------------------
-
-TEST(MetricsFrameTest, FrameRoundTripsOverSocketpair) {
-  int fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string payload = "probkb_serve_queries_total 7\n";
-  ASSERT_TRUE(
-      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
-  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/5.0);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, wire::FrameType::kMetricsReply);
-  EXPECT_EQ(frame->payload, payload);
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(MetricsFrameTest, CorruptedFrameIsDetectedAsDataLoss) {
-  int fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string payload(64, 'm');
-  ASSERT_TRUE(
-      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
-  // Capture the frame's bytes, flip one payload bit after the checksum was
-  // computed, and send the damaged frame back the other way.
-  std::string bytes(sizeof(wire::FrameHeader) + payload.size(), '\0');
-  ASSERT_EQ(recv(fds[1], bytes.data(), bytes.size(), MSG_WAITALL),
-            static_cast<ssize_t>(bytes.size()));
-  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x40);
-  ASSERT_EQ(send(fds[1], bytes.data(), bytes.size(), 0),
-            static_cast<ssize_t>(bytes.size()));
-  auto frame = wire::ReadFrame(fds[0], /*deadline_seconds=*/5.0);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
-  // The damaged frame was fully consumed: the channel stays usable.
-  ASSERT_TRUE(
-      wire::WriteFrame(fds[1], wire::FrameType::kMetricsRequest, {}).ok());
-  auto request = wire::ReadFrame(fds[0], /*deadline_seconds=*/5.0);
-  ASSERT_TRUE(request.ok()) << request.status();
-  EXPECT_EQ(request->type, wire::FrameType::kMetricsRequest);
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(MetricsFrameTest, ReadDeadlineTripsOnSilentPeer) {
-  int fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/0.05);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(MetricsFrameTest, AbsurdDeadlineDoesNotOverflowPollTimeout) {
-  // A deadline decades out converts to more milliseconds than int holds;
-  // the cast used to overflow (UB — in practice a negative poll timeout,
-  // i.e. block forever). The timeout is now clamped to INT_MAX, so a
-  // frame that is already on the wire must come back promptly.
-  int fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string payload = "probkb_serve_epoch 3\n";
-  ASSERT_TRUE(
-      wire::WriteFrame(fds[0], wire::FrameType::kMetricsReply, payload).ok());
-  auto frame = wire::ReadFrame(fds[1], /*deadline_seconds=*/1e9);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->payload, payload);
-  close(fds[0]);
-  close(fds[1]);
-}
-
-TEST(MetricsFrameTest, ChecksumCoversLength) {
-  const char data[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  EXPECT_NE(wire::FrameChecksum(data, 4), wire::FrameChecksum(data, 8));
+  const std::string path = testing::TempDir() + "/probkb_serve_stats.json";
+  ASSERT_TRUE(server.WriteStatsJson(path).ok());
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"tail_exemplar\": \"" + hex + "\""),
+            std::string::npos)
+      << json;
 }
 
 // --- Satellite: monotonic timers -----------------------------------------------
@@ -312,21 +192,7 @@ TEST(HistogramExemplarTest, TailExemplarTracksHighestTracedBucket) {
   EXPECT_EQ(h.tail_exemplar(), 444u);
 }
 
-TEST(HistogramExemplarTest, EvictionKeepsHighestBucketsSortedAscending) {
-  LatencyHistogram h;
-  for (int i = 0; i < 8; ++i) {
-    h.Record(0.0001 * static_cast<double>(1 << i),
-             static_cast<uint64_t>(100 + i));
-  }
-  ASSERT_LE(h.exemplars().size(),
-            static_cast<size_t>(LatencyHistogram::kMaxExemplars));
-  EXPECT_EQ(h.tail_exemplar(), 107u);
-  for (size_t i = 1; i < h.exemplars().size(); ++i) {
-    EXPECT_LT(h.exemplars()[i - 1].bucket, h.exemplars()[i].bucket);
-  }
-}
-
-// --- Satellite: plaintext percentiles + Prometheus rendering -------------------
+// --- Satellite: plaintext percentiles ------------------------------------------
 
 TEST(StatsRenderingTest, PlaintextStatsListPercentilesForEverySeries) {
   StatsRegistry registry;
@@ -340,27 +206,6 @@ TEST(StatsRenderingTest, PlaintextStatsListPercentilesForEverySeries) {
   EXPECT_NE(text.find("alpha"), std::string::npos);
   EXPECT_NE(text.find("beta"), std::string::npos);
   EXPECT_NE(text.find("trace=000000000000abcd"), std::string::npos);
-}
-
-TEST(StatsRenderingTest, PrometheusTextCoversCountersQuantilesExemplars) {
-  StatsRegistry registry;
-  registry.IncrementCounter("serve queries", 2);  // name gets sanitized
-  registry.RecordLatency("serve_query", 0.002, 0x1234);
-  const std::string prom = registry.ToPrometheusText();
-  EXPECT_NE(prom.find("# TYPE probkb_serve_queries_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("probkb_serve_queries_total 2"), std::string::npos);
-  for (const char* q : {"0.5", "0.95", "0.99"}) {
-    EXPECT_NE(
-        prom.find(StrFormat(
-            "probkb_latency_seconds{series=\"serve_query\",quantile=\"%s\"}",
-            q)),
-        std::string::npos)
-        << q;
-  }
-  EXPECT_NE(prom.find("probkb_latency_seconds_count{series=\"serve_query\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("trace_id=\"0000000000001234\""), std::string::npos);
 }
 
 }  // namespace

@@ -44,7 +44,6 @@
 #include "obs/trace.h"
 #include "quality/rule_cleaning.h"
 #include "relational/table_io.h"
-#include "serve/metrics_endpoint.h"
 #include "serve/query_server.h"
 #include "util/logging.h"
 #include "util/mem_budget.h"
@@ -82,8 +81,6 @@ struct CliOptions {
   std::string trace_jsonl;
   std::string trace_chrome;
   // serve
-  std::string metrics_socket;
-  double metrics_linger = 0.0;
   std::vector<std::string> queries;
   int serve_depth = 3;
   int64_t serve_max_atoms = 65536;
@@ -134,10 +131,6 @@ int Usage() {
       "  --trace FILE      write trace spans as JSONL\n"
       "  --trace_chrome FILE  write spans and journal events as\n"
       "                    chrome://tracing JSON\n"
-      "  --metrics-socket PATH  serve: Prometheus-format telemetry over a\n"
-      "                    Unix socket (poll it with probkb_top)\n"
-      "  --metrics-linger S  serve: keep the metrics socket up S seconds\n"
-      "                    after serving finishes (default 0)\n"
       "  --query 'r(a, b)'   serve: query to answer (* wildcards, or a bare\n"
       "                    entity name; repeatable)\n"
       "  --serve-depth N   serve: backward-chaining depth bound (default 3)\n"
@@ -325,14 +318,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       const char* v = next();
       if (v == nullptr) return false;
       options->trace_chrome = v;
-    } else if (flag == "--metrics-socket") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->metrics_socket = v;
-    } else if (flag == "--metrics-linger") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->metrics_linger = std::atof(v);
     } else if (flag == "--query") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -426,19 +411,6 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   if (auto epoch = server.PublishEpoch(*rkb); !epoch.ok()) {
     std::fprintf(stderr, "%s\n", epoch.status().ToString().c_str());
     return 1;
-  }
-
-  // Live telemetry: Prometheus-format stats over a Unix socket for the
-  // whole serve run (and --metrics-linger seconds past it, so external
-  // pollers like probkb_top or a CI smoke job can catch the final totals).
-  std::unique_ptr<MetricsEndpoint> metrics;
-  if (!options.metrics_socket.empty()) {
-    metrics =
-        std::make_unique<MetricsEndpoint>(&server, options.metrics_socket);
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
   }
 
   const bool use_mpp = options.num_segments > 0;
@@ -625,12 +597,12 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   }
 
   if (options.stats) std::printf("%s", server.StatsText().c_str());
-  if (metrics != nullptr && options.metrics_linger > 0.0) {
-    std::printf("metrics socket %s lingering %.1fs\n",
-                metrics->socket_path().c_str(), options.metrics_linger);
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        options.metrics_linger));
+  if (!options.stats_json.empty()) {
+    if (auto st = server.WriteStatsJson(options.stats_json); !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", options.stats_json.c_str());
   }
   return writer_status.ok() ? 0 : ExitCodeFor(writer_status);
 }
