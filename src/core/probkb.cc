@@ -41,12 +41,11 @@ Result<ExpansionResult> ExpandKnowledgeBase(const KnowledgeBase& kb,
       options.fault_injection.enabled ? &injector : nullptr;
 
   // Quality control: rule cleaning, then the up-front Query 3 pass.
-  KnowledgeBase working = kb;
-  if (options.rule_cleaning_theta < 1.0) {
-    *working.mutable_rules() =
-        TopThetaRules(working.rules(), options.rule_cleaning_theta);
-  }
-  RelationalKB rkb = BuildRelationalModel(working);
+  const bool clean = options.rule_cleaning_theta < 1.0;
+  const std::vector<HornRule> kept =
+      clean ? TopThetaRules(kb.rules(), options.rule_cleaning_theta)
+            : std::vector<HornRule>{};
+  RelationalKB rkb = BuildRelationalModel(kb, clean ? kept : kb.rules());
   result.first_inferred_id = rkb.next_fact_id;
   if (options.constraints_upfront) {
     Grounder pre(&rkb, options.grounding);

@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "engine/flat_hash.h"
 #include "engine/ops.h"
@@ -89,6 +88,23 @@ PartitionedRowIndex BuildRightIndex(const Table& right,
     });
   }
   return build;
+}
+
+/// The key columns' int64 words when every key column is int64 without
+/// NULLs, so keys compare as raw words (JoinProbe's rule); empty otherwise,
+/// and keys compare with RowKeyEquals: NULL keys meet, -0.0 meets 0.0 and
+/// NaN meets nothing. An empty key list takes the raw path.
+std::vector<const int64_t*> RawKeyWords(const Table& in,
+                                        const std::vector<int>& keys) {
+  std::vector<const int64_t*> words;
+  for (int c : keys) {
+    if (in.schema().field(c).type != ColumnType::kInt64 ||
+        in.ColumnHasNulls(c)) {
+      return {};
+    }
+    words.push_back(in.Int64Data(c));
+  }
+  return words;
 }
 
 }  // namespace
@@ -182,6 +198,8 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
     std::vector<Field> fields;
     fields.reserve(output_cols_.size());
     for (const auto& c : output_cols_) {
+      fields.push_back({c.name, c.type});
+      if (c.side == JoinOutputCol::Side::kNull) continue;
       const Schema& side = c.side == JoinOutputCol::Side::kLeft
                                ? left->schema()
                                : right->schema();
@@ -199,7 +217,6 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
             ColumnTypeToString(side.field(c.column).type),
             side.field(c.column).name.c_str()));
       }
-      fields.push_back({c.name, c.type});
     }
     out_schema = Schema(std::move(fields));
   } else {
@@ -266,42 +283,58 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   if (!prebuilt) built = BuildRightIndex(*right, right_keys_, pool);
   const double build_seconds = build_timer.Seconds();
 
-  // Probes a left-row range into `dst`: match pairs from the shared probe
-  // kernel (batched prefetch pipeline, chain walk bounded at build_rows),
-  // gathered into `dst` a column at a time every kJoinFlushPairs pairs.
+  // Match pairs come from the shared probe kernel (batched prefetch
+  // pipeline, chain walk bounded at build_rows) every kJoinFlushPairs
+  // pairs, and are gathered into the output a column at a time.
   const JoinProbe probe(*left, left_keys_, *right, right_keys_,
                         prebuilt ? prebuilt_.index : nullptr, &built,
                         build_rows, type_, output_cols_, residual_,
                         left->width());
-  auto probe_range = [&](int64_t begin, int64_t end, Table* dst) {
-    probe.Probe(begin, end,
-                [&](std::span<const int64_t> left_rows,
-                    std::span<const int64_t> right_rows) {
-                  probe.AppendOutput(left_rows, right_rows, dst);
-                });
-  };
 
-  // Morsel-parallel probe: fixed row ranges, one private output table per
-  // morsel, concatenated in morsel order — the output is bit-identical to
-  // the serial probe loop regardless of scheduling. Small probe sides run
-  // serially: morsel dispatch on a tiny delta costs more than it saves.
+  // Morsel-parallel probe: fixed row ranges, each keeping its (left,
+  // right) pairs; the pairs are then gathered into `out` in morsel order,
+  // so the output is bit-identical to the serial probe loop regardless of
+  // scheduling. Small probe sides run serially: morsel dispatch on a tiny
+  // delta costs more than it saves.
   Timer probe_timer;
   if (pool != nullptr && pool->num_threads() > 1 &&
       left->NumRows() >= kParallelMinRows) {
     const int64_t morsels = (left->NumRows() + kMorselRows - 1) / kMorselRows;
-    std::vector<TablePtr> parts(static_cast<size_t>(morsels));
+    struct Pairs {
+      std::vector<int64_t> left;
+      std::vector<int64_t> right;
+    };
+    std::vector<Pairs> parts(static_cast<size_t>(morsels));
     pool->ParallelFor(morsels, 1, [&](int64_t m_begin, int64_t m_end) {
       for (int64_t m = m_begin; m < m_end; ++m) {
-        auto part = Table::Make(out_schema);
-        int64_t begin = m * kMorselRows;
-        int64_t end = std::min(begin + kMorselRows, left->NumRows());
-        probe_range(begin, end, part.get());
-        parts[static_cast<size_t>(m)] = std::move(part);
+        Pairs& part = parts[static_cast<size_t>(m)];
+        const int64_t begin = m * kMorselRows;
+        const int64_t end = std::min(begin + kMorselRows, left->NumRows());
+        probe.Probe(begin, end,
+                    [&part](std::span<const int64_t> left_rows,
+                            std::span<const int64_t> right_rows) {
+                      part.left.insert(part.left.end(), left_rows.begin(),
+                                       left_rows.end());
+                      part.right.insert(part.right.end(), right_rows.begin(),
+                                        right_rows.end());
+                    });
       }
     });
-    for (const TablePtr& part : parts) out->AppendTable(*part);
+    int64_t total = 0;
+    for (const Pairs& part : parts) {
+      total += static_cast<int64_t>(part.left.size());
+    }
+    out->ReserveRows(total);
+    for (Pairs& part : parts) {
+      probe.AppendOutput(part.left, part.right, out.get());
+      part = Pairs{};
+    }
   } else {
-    probe_range(0, left->NumRows(), out.get());
+    probe.Probe(0, left->NumRows(),
+                [&](std::span<const int64_t> left_rows,
+                    std::span<const int64_t> right_rows) {
+                  probe.AppendOutput(left_rows, right_rows, out.get());
+                });
   }
 
   NodeStats ns = MakeStats(Label(), left->NumRows() + build_rows,
@@ -326,18 +359,7 @@ Result<TablePtr> DistinctNode::Execute(ExecContext* ctx) {
     for (int c = 0; c < in->width(); ++c) keys.push_back(c);
   }
   PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(in->NumRows()));
-  // Keys compare as raw words when every key column is int64 without
-  // NULLs (JoinProbe's rule); otherwise with RowKeyEquals, so NULL keys
-  // meet, -0.0 meets 0.0 and NaN meets nothing.
-  std::vector<const int64_t*> words;
-  for (int c : keys) {
-    if (in->schema().field(c).type != ColumnType::kInt64 ||
-        in->ColumnHasNulls(c)) {
-      words.clear();
-      break;
-    }
-    words.push_back(in->Int64Data(c));
-  }
+  const std::vector<const int64_t*> words = RawKeyWords(*in, keys);
   const bool raw_keys = words.size() == keys.size();
   // Dedup set over the kept input rows; chains keyed on the row-key hash.
   // Batched prefetch pipeline: `seen` is pre-sized for every input row, so
@@ -405,119 +427,98 @@ Result<TablePtr> AggregateNode::Execute(ExecContext* ctx) {
   }
   auto out = Table::Make(Schema(std::move(fields)));
 
-  struct GroupState {
-    std::vector<Value> group;
-    std::vector<int64_t> count;
-    std::vector<double> sum_f;
-    std::vector<int64_t> sum_i;
-    std::vector<Value> min;
-    std::vector<Value> max;
-  };
-
-  std::unordered_map<size_t, std::vector<GroupState>> groups;
-  groups.reserve(1024);
-
-  // Group-key hashes for the whole input in one batched pass.
-  std::vector<size_t> row_hashes(static_cast<size_t>(in->NumRows()));
-  if (in->NumRows() > 0) {
-    in->HashRows(group_cols_, 0, in->NumRows(), row_hashes.data());
-  }
-
-  for (int64_t i = 0; i < in->NumRows(); ++i) {
-    RowView row = in->row(i);
-    size_t h = row_hashes[static_cast<size_t>(i)];
-    auto& bucket = groups[h];
-    GroupState* state = nullptr;
-    for (auto& g : bucket) {
-      bool eq = true;
-      for (size_t k = 0; k < group_cols_.size(); ++k) {
-        if (g.group[k] != row[group_cols_[k]]) {
-          eq = false;
-          break;
+  // Group ids in first-seen order: `groups` chains each group id under its
+  // key hash, and first_row[g] is group g's first input row, whose keys
+  // the chain walk compares (as Distinct does).
+  const int64_t n = in->NumRows();
+  PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(n));
+  const std::vector<const int64_t*> words = RawKeyWords(*in, group_cols_);
+  const bool raw_keys = words.size() == group_cols_.size();
+  FlatRowIndex groups;
+  std::vector<int64_t> first_row;
+  std::vector<int32_t> group_of(static_cast<size_t>(n));
+  size_t hashes[kProbeBatchRows];
+  for (int64_t base = 0; base < n; base += kProbeBatchRows) {
+    const int64_t batch = std::min(kProbeBatchRows, n - base);
+    in->HashRows(group_cols_, base, base + batch, hashes);
+    for (int64_t k = 0; k < batch; ++k) groups.PrefetchHash(hashes[k]);
+    for (int64_t k = 0; k < batch; ++k) {
+      const int64_t i = base + k;
+      int64_t g = -1;
+      for (int64_t e = groups.Head(hashes[k]); e >= 0 && g < 0;
+           e = groups.Next(e)) {
+        const int64_t r = first_row[static_cast<size_t>(groups.Row(e))];
+        bool eq;
+        if (raw_keys) {
+          size_t c = 0;
+          while (c < words.size() && words[c][r] == words[c][i]) ++c;
+          eq = c == words.size();
+        } else {
+          eq = RowKeyEquals(in->row(i), in->row(r), group_cols_, group_cols_);
         }
+        if (eq) g = groups.Row(e);
       }
-      if (eq) {
-        state = &g;
-        break;
+      if (g < 0) {
+        g = static_cast<int64_t>(first_row.size());
+        groups.Insert(hashes[k], g);
+        first_row.push_back(i);
       }
-    }
-    if (state == nullptr) {
-      bucket.emplace_back();
-      state = &bucket.back();
-      state->group.reserve(group_cols_.size());
-      for (int c : group_cols_) state->group.push_back(row[c]);
-      state->count.assign(aggs_.size(), 0);
-      state->sum_f.assign(aggs_.size(), 0.0);
-      state->sum_i.assign(aggs_.size(), 0);
-      state->min.assign(aggs_.size(), Value::Null());
-      state->max.assign(aggs_.size(), Value::Null());
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const auto& spec = aggs_[a];
-      switch (spec.kind) {
-        case AggKind::kCount:
-          ++state->count[a];
-          break;
-        case AggKind::kSum: {
-          const Value& v = row[spec.column];
-          if (v.is_float64()) {
-            state->sum_f[a] += v.f64();
-          } else if (v.is_int64()) {
-            state->sum_i[a] += v.i64();
-          }
-          ++state->count[a];
-          break;
-        }
-        case AggKind::kMin: {
-          const Value& v = row[spec.column];
-          if (!v.is_null() &&
-              (state->min[a].is_null() || v < state->min[a])) {
-            state->min[a] = v;
-          }
-          break;
-        }
-        case AggKind::kMax: {
-          const Value& v = row[spec.column];
-          if (!v.is_null() &&
-              (state->max[a].is_null() || state->max[a] < v)) {
-            state->max[a] = v;
-          }
-          break;
-        }
-      }
+      group_of[static_cast<size_t>(i)] = static_cast<int32_t>(g);
     }
   }
 
+  // Accumulators: one flat array per aggregate, indexed by group id, each
+  // filled in one pass over the input. Rows fold in row order, so a
+  // group's sum adds its cells in the order a row-at-a-time loop did.
+  const size_t num_groups = first_row.size();
+  std::vector<std::vector<Value>> acc(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const AggSpec& spec = aggs_[a];
+    std::vector<Value>& values = acc[a];
+    if (spec.kind == AggKind::kCount || spec.kind == AggKind::kSum) {
+      std::vector<int64_t> count_or_sum(num_groups, 0);
+      std::vector<double> sum_f(num_groups, 0.0);
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t g = static_cast<size_t>(group_of[static_cast<size_t>(i)]);
+        if (spec.kind == AggKind::kCount) {
+          ++count_or_sum[g];
+          continue;
+        }
+        const Value v = in->ValueAt(i, spec.column);
+        if (v.is_float64()) sum_f[g] += v.f64();
+        if (v.is_int64()) count_or_sum[g] += v.i64();
+      }
+      const bool f64 = spec.kind == AggKind::kSum &&
+                       in->schema().field(spec.column).type ==
+                           ColumnType::kFloat64;
+      for (size_t g = 0; g < num_groups; ++g) {
+        values.push_back(f64 ? Value::Float64(sum_f[g])
+                             : Value::Int64(count_or_sum[g]));
+      }
+      continue;
+    }
+    // MIN / MAX: NULL until the group's first non-NULL cell.
+    values.assign(num_groups, Value::Null());
+    for (int64_t i = 0; i < n; ++i) {
+      const Value v = in->ValueAt(i, spec.column);
+      if (v.is_null()) continue;
+      Value& best =
+          values[static_cast<size_t>(group_of[static_cast<size_t>(i)])];
+      if (best.is_null() ||
+          (spec.kind == AggKind::kMin ? v < best : best < v)) {
+        best = v;
+      }
+    }
+  }
+
+  // Output in first-seen group order.
   std::vector<Value> buf;
-  for (const auto& [h, bucket] : groups) {
-    (void)h;
-    for (const auto& g : bucket) {
-      buf.clear();
-      buf.insert(buf.end(), g.group.begin(), g.group.end());
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        switch (aggs_[a].kind) {
-          case AggKind::kCount:
-            buf.push_back(Value::Int64(g.count[a]));
-            break;
-          case AggKind::kSum:
-            if (in->schema().field(aggs_[a].column).type ==
-                ColumnType::kFloat64) {
-              buf.push_back(Value::Float64(g.sum_f[a]));
-            } else {
-              buf.push_back(Value::Int64(g.sum_i[a]));
-            }
-            break;
-          case AggKind::kMin:
-            buf.push_back(g.min[a]);
-            break;
-          case AggKind::kMax:
-            buf.push_back(g.max[a]);
-            break;
-        }
-      }
-      RowView out_row(buf.data(), static_cast<int>(buf.size()));
-      if (having_ == nullptr || having_(out_row)) out->AppendRow(out_row);
-    }
+  for (size_t g = 0; g < num_groups; ++g) {
+    buf.clear();
+    for (int c : group_cols_) buf.push_back(in->ValueAt(first_row[g], c));
+    for (const std::vector<Value>& a : acc) buf.push_back(a[g]);
+    RowView out_row(buf.data(), static_cast<int>(buf.size()));
+    if (having_ == nullptr || having_(out_row)) out->AppendRow(out_row);
   }
 
   PROBKB_RETURN_NOT_OK(ctx->Record(

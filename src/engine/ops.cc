@@ -221,11 +221,19 @@ void JoinProbe::AppendOutput(std::span<const int64_t> left_rows,
   if (type_ == JoinType::kInner) {
     cols.reserve(output_cols_.size());
     for (const JoinOutputCol& oc : output_cols_) {
-      cols.push_back(oc.side == JoinOutputCol::Side::kLeft
-                         ? Table::ColumnSource::Gather(left_, oc.column,
-                                                       left_rows.data())
-                         : Table::ColumnSource::Gather(right_, oc.column,
-                                                       right_rows.data()));
+      switch (oc.side) {
+        case JoinOutputCol::Side::kLeft:
+          cols.push_back(Table::ColumnSource::Gather(left_, oc.column,
+                                                     left_rows.data()));
+          break;
+        case JoinOutputCol::Side::kRight:
+          cols.push_back(Table::ColumnSource::Gather(right_, oc.column,
+                                                     right_rows.data()));
+          break;
+        case JoinOutputCol::Side::kNull:
+          cols.push_back(Table::ColumnSource::Constant(Value::Null()));
+          break;
+      }
     }
   } else {
     for (int c = 0; c < left_width_; ++c) {

@@ -151,9 +151,10 @@ enum class JoinType { kInner, kLeftSemi, kLeftAnti };
 
 const char* JoinTypeToString(JoinType t);
 
-/// \brief Which side/column an inner-join output column is drawn from.
+/// \brief Which side/column an inner-join output column is drawn from, or
+/// kNull for a column that is NULL in every output row.
 struct JoinOutputCol {
-  enum class Side { kLeft, kRight };
+  enum class Side { kLeft, kRight, kNull };
   Side side = Side::kLeft;
   int column = 0;
   std::string name;
@@ -166,6 +167,10 @@ struct JoinOutputCol {
   static JoinOutputCol Right(int col, std::string name,
                              ColumnType type = ColumnType::kInt64) {
     return {Side::kRight, col, std::move(name), type};
+  }
+  static JoinOutputCol Null(std::string name,
+                            ColumnType type = ColumnType::kInt64) {
+    return {Side::kNull, 0, std::move(name), type};
   }
 };
 

@@ -148,7 +148,8 @@ class FactorGraph {
   FactId fact_id(int32_t v) const {
     return fact_ids_[static_cast<size_t>(v)];
   }
-  /// \brief Maps a TPi fact id back to its variable index (-1 if unknown).
+  /// \brief Maps a TPi fact id back to its variable index (-1 if unknown):
+  /// one array read when TPi's ids are dense, a binary search otherwise.
   int32_t VariableOf(FactId id) const;
 
   /// \brief Unnormalized log-probability of an assignment: sum of
@@ -174,8 +175,17 @@ class FactorGraph {
       const std::function<std::string(FactId)>& describe) const;
 
  private:
+  /// \brief Indexes fact_ids_ (variables still numbered by TPi row) for
+  /// VariableOf; InvalidArgument on a duplicate id.
+  Status IndexFactIds();
+
   std::vector<FactId> fact_ids_;
-  /// Variables sorted by fact id; VariableOf binary-searches it.
+  /// Dense ids (the pipeline's [0, next_fact_id) less Query 3's deletes):
+  /// variable_of_id_[id - min_id_] is id's variable, or -1.
+  FactId min_id_ = 0;
+  std::vector<int32_t> variable_of_id_;
+  /// Sparse ids (serve balls, external TSVs): the variables sorted by fact
+  /// id, which VariableOf binary-searches. Empty on the dense path.
   std::vector<int32_t> by_fact_id_;
   std::vector<GroundFactor> factors_;
   /// incidences_[offsets_[v], offsets_[v + 1]) are v's records.

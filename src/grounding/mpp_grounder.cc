@@ -638,18 +638,8 @@ Result<DistributedTablePtr> MppGrounder::GroundFactorsPartition(int p) {
   js3.output_cols = FactorHeadOutputCols(has_i3);
   js3.label = StrFormat("Query2-%d head", p);
   const int64_t rows = candidates->NumRows();
-  PROBKB_ASSIGN_OR_RETURN(
-      DistributedTablePtr factors,
-      Join(std::move(candidates), ProbeFor(ViewKeysTxy()), std::move(js3),
-           rows));
-  if (!has_i3) {
-    PROBKB_ASSIGN_OR_RETURN(
-        factors,
-        MppFilterProject(&ctx_, factors, nullptr, NullI3Projection(),
-                         Distribution::Random(),
-                         StrFormat("Query2-%d null I3", p)));
-  }
-  return factors;
+  return Join(std::move(candidates), ProbeFor(ViewKeysTxy()), std::move(js3),
+              rows);
 }
 
 Result<TablePtr> MppGrounder::GroundFactors() {

@@ -219,16 +219,9 @@ std::vector<JoinOutputCol> FactorHeadOutputCols(bool has_i3) {
   return {
       JoinOutputCol::Right(tpi::kI, "I1"),
       JoinOutputCol::Left(fc::kI2, "I2"),
-      JoinOutputCol::Left(has_i3 ? fc::kI3 : fc::kI2, "I3"),
+      has_i3 ? JoinOutputCol::Left(fc::kI3, "I3") : JoinOutputCol::Null("I3"),
       JoinOutputCol::Left(fc::kW, "w", ColumnType::kFloat64),
   };
-}
-
-std::vector<ProjectExpr> NullI3Projection() {
-  return {ProjectExpr::Column(tphi::kI1, "I1"),
-          ProjectExpr::Column(tphi::kI2, "I2"),
-          ProjectExpr::Constant(Value::Null(), "I3"),
-          ProjectExpr::Column(tphi::kW, "w", ColumnType::kFloat64)};
 }
 
 namespace {
@@ -538,12 +531,7 @@ Result<TablePtr> GroundFactorsForPartition(int p, TablePtr m,
   auto plan = JoinT(std::move(candidates), std::move(t_head),
                     HeadJoinLeftKeys(), ViewKeysTxy(),
                     FactorHeadOutputCols(has_i3), indexes);
-  PROBKB_ASSIGN_OR_RETURN(TablePtr factors, plan->Execute(ctx));
-  if (!has_i3) {
-    auto null_i3 = Project(Scan(factors), NullI3Projection());
-    return null_i3->Execute(ctx);
-  }
-  return factors;
+  return plan->Execute(ctx);
 }
 
 Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx) {

@@ -88,6 +88,7 @@ std::vector<JoinOutputCol> Len2AtomOutputCols(const PartitionSpec& spec);
 std::vector<JoinOutputCol> Len3AtomOutputCols(const PartitionSpec& spec);
 std::vector<JoinOutputCol> Len2FactorCandidateCols(const PartitionSpec& spec);
 std::vector<JoinOutputCol> Len3FactorCandidateCols(const PartitionSpec& spec);
+/// TPhi's (I1, I2, I3, w) from the head join; I3 is NULL unless `has_i3`.
 std::vector<JoinOutputCol> FactorHeadOutputCols(bool has_i3);
 
 /// Output columns of the Δ-driven joins of Query 1-p, shared by the
@@ -111,9 +112,6 @@ std::vector<JoinOutputCol> DeltaJ2Cols(const PartitionSpec& spec,
                                        bool order_key);
 std::vector<JoinOutputCol> DeltaLen3Body1Cols(const PartitionSpec& spec,
                                               bool order_key);
-
-/// Projection that nulls out I3 in length-2 factors.
-std::vector<ProjectExpr> NullI3Projection();
 
 /// \brief Builds (without executing) the Query 1-p plan tree: the one- or
 /// two-join pipeline that applies every rule of partition `p` and emits

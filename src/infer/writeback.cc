@@ -18,14 +18,15 @@ Result<int64_t> WriteMarginalsToTPi(Table* t_pi, const FactorGraph& graph,
   // Validate every null-weight row before mutating anything, so an error
   // leaves the table untouched; then patch the weight column in place.
   std::vector<std::pair<int64_t, int32_t>> pending;
-  for (int64_t i = 0; i < t_pi->NumRows(); ++i) {
-    RowView row = t_pi->row(i);
-    if (!row[tpi::kW].is_null()) continue;
-    int32_t v = graph.VariableOf(row[tpi::kI].i64());
+  const int64_t n = t_pi->NumRows();
+  const FactId* ids = n > 0 ? t_pi->Int64Data(tpi::kI) : nullptr;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!t_pi->IsNull(i, tpi::kW)) continue;
+    int32_t v = graph.VariableOf(ids[i]);
     if (v < 0) {
-      return Status::InvalidArgument(StrFormat(
-          "fact id %lld is not a factor-graph variable",
-          static_cast<long long>(row[tpi::kI].i64())));
+      return Status::InvalidArgument(
+          StrFormat("fact id %lld is not a factor-graph variable",
+                    static_cast<long long>(ids[i])));
     }
     pending.emplace_back(i, v);
   }

@@ -74,6 +74,11 @@ Fact FactFromRow(const RowView& row) {
 }
 
 RelationalKB BuildRelationalModel(const KnowledgeBase& kb) {
+  return BuildRelationalModel(kb, kb.rules());
+}
+
+RelationalKB BuildRelationalModel(const KnowledgeBase& kb,
+                                  const std::vector<HornRule>& rules) {
   RelationalKB out;
   out.t_pi = Table::Make(TPiSchema());
   out.t_pi->ReserveRows(static_cast<int64_t>(kb.facts().size()));
@@ -87,7 +92,7 @@ RelationalKB BuildRelationalModel(const KnowledgeBase& kb) {
     out.m[static_cast<size_t>(i)] =
         Table::Make(i < 2 ? MLen2Schema() : MLen3Schema());
   }
-  for (const HornRule& r : kb.rules()) {
+  for (const HornRule& r : rules) {
     int idx = static_cast<int>(r.structure) - 1;
     Table* m = out.m[static_cast<size_t>(idx)].get();
     if (r.body_length() == 1) {

@@ -83,8 +83,14 @@ struct RelationalKB {
   FactId next_fact_id = 0;
 };
 
-/// \brief Encodes `kb` into relational form. Facts receive ids 0..n-1 in
-/// order; rules are routed to their partition table by structure.
+/// \brief Encodes `kb` into relational form with `rules` in place of
+/// kb.rules() (rule cleaning passes the rules it keeps, so the KB is not
+/// copied). Facts receive ids 0..n-1 in order; rules are routed to their
+/// partition table by structure.
+RelationalKB BuildRelationalModel(const KnowledgeBase& kb,
+                                  const std::vector<HornRule>& rules);
+
+/// \brief Encodes `kb` with its own rules.
 RelationalKB BuildRelationalModel(const KnowledgeBase& kb);
 
 /// \brief Decodes one TPi row into a Fact.

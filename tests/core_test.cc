@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "datagen/synthetic_kb.h"
+#include "quality/rule_cleaning.h"
 #include "tests/test_util.h"
 
 namespace probkb {
@@ -93,6 +94,32 @@ TEST(ExpandKnowledgeBaseTest, RuleCleaningHonored) {
   auto cleaned = ExpandKnowledgeBase(skb->kb, options);
   ASSERT_TRUE(cleaned.ok());
   EXPECT_LT(cleaned->t_pi->NumRows(), all_rules->t_pi->NumRows());
+}
+
+TEST(ExpandKnowledgeBaseTest, RuleCleaningMatchesACleanedCopy) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.005;
+  cfg.seed = 3;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  ExpansionOptions options = FastOptions();
+  options.grounding.max_iterations = 3;
+  options.rule_cleaning_theta = 0.4;
+  auto in_place = ExpandKnowledgeBase(skb->kb, options);
+  ASSERT_TRUE(in_place.ok());
+
+  KnowledgeBase copy = skb->kb;
+  *copy.mutable_rules() = TopThetaRules(copy.rules(), 0.4);
+  ASSERT_LT(copy.rules().size(), skb->kb.rules().size());
+  options.rule_cleaning_theta = 1.0;
+  auto from_copy = ExpandKnowledgeBase(copy, options);
+  ASSERT_TRUE(from_copy.ok());
+  // TPi carries the marginals written back, so the digest covers
+  // inference too.
+  EXPECT_EQ(testutil::TableDigest(*in_place->t_pi),
+            testutil::TableDigest(*from_copy->t_pi));
+  EXPECT_EQ(testutil::TableDigest(*in_place->t_phi),
+            testutil::TableDigest(*from_copy->t_phi));
 }
 
 TEST(ExpandKnowledgeBaseTest, UpfrontConstraintsReported) {

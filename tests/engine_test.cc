@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <limits>
+#include <map>
 
 #include "engine/ops.h"
 #include "engine/plan.h"
@@ -385,6 +386,164 @@ TEST(AggregateTest, FloatSum) {
   auto out = Exec(Aggregate(Scan(t), {0}, {{AggKind::kSum, 1, "s"}}));
   ASSERT_EQ(out->NumRows(), 1);
   EXPECT_DOUBLE_EQ(out->row(0)[1].f64(), 0.75);
+}
+
+/// The hash group-by as the unordered_map implementation computed it:
+/// groups bucketed by key hash and matched with Value ==, accumulated row
+/// at a time. Output order is not part of it; callers compare sorted.
+std::vector<std::vector<Value>> ReferenceGroupBy(
+    const Table& in, const std::vector<int>& group_cols,
+    const std::vector<AggSpec>& aggs) {
+  struct Group {
+    std::vector<Value> key;
+    std::vector<int64_t> count;
+    std::vector<double> sum_f;
+    std::vector<int64_t> sum_i;
+    std::vector<Value> min, max;
+  };
+  std::map<size_t, std::vector<Group>> buckets;
+  for (int64_t i = 0; i < in.NumRows(); ++i) {
+    RowView row = in.row(i);
+    auto& bucket = buckets[HashRowKey(row, group_cols)];
+    Group* g = nullptr;
+    for (Group& cand : bucket) {
+      bool eq = true;
+      for (size_t k = 0; k < group_cols.size(); ++k) {
+        eq = eq && cand.key[k] == row[group_cols[k]];
+      }
+      if (eq) {
+        g = &cand;
+        break;
+      }
+    }
+    if (g == nullptr) {
+      g = &bucket.emplace_back();
+      for (int c : group_cols) g->key.push_back(row[c]);
+      g->count.assign(aggs.size(), 0);
+      g->sum_f.assign(aggs.size(), 0.0);
+      g->sum_i.assign(aggs.size(), 0);
+      g->min.assign(aggs.size(), Value::Null());
+      g->max.assign(aggs.size(), Value::Null());
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Value v = aggs[a].kind == AggKind::kCount
+                          ? Value::Null()
+                          : row[aggs[a].column];
+      ++g->count[a];
+      if (v.is_float64()) g->sum_f[a] += v.f64();
+      if (v.is_int64()) g->sum_i[a] += v.i64();
+      if (!v.is_null() && (g->min[a].is_null() || v < g->min[a])) {
+        g->min[a] = v;
+      }
+      if (!v.is_null() && (g->max[a].is_null() || g->max[a] < v)) {
+        g->max[a] = v;
+      }
+    }
+  }
+  std::vector<std::vector<Value>> rows;
+  for (const auto& [h, bucket] : buckets) {
+    for (const Group& g : bucket) {
+      std::vector<Value> row = g.key;
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        switch (aggs[a].kind) {
+          case AggKind::kCount:
+            row.push_back(Value::Int64(g.count[a]));
+            break;
+          case AggKind::kSum:
+            row.push_back(in.schema().field(aggs[a].column).type ==
+                                  ColumnType::kFloat64
+                              ? Value::Float64(g.sum_f[a])
+                              : Value::Int64(g.sum_i[a]));
+            break;
+          case AggKind::kMin:
+            row.push_back(g.min[a]);
+            break;
+          case AggKind::kMax:
+            row.push_back(g.max[a]);
+            break;
+        }
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+/// Each row as its cells' bit patterns (NULL as a marker), sorted, so NaN
+/// and -0.0 cells compare exactly.
+std::vector<std::vector<uint64_t>> SortedBits(
+    const std::vector<std::vector<Value>>& rows) {
+  std::vector<std::vector<uint64_t>> out;
+  for (const auto& row : rows) {
+    std::vector<uint64_t>& bits = out.emplace_back();
+    for (const Value& v : row) {
+      bits.push_back(v.is_null() ? 1 : 0);
+      bits.push_back(v.is_null()    ? 0
+                     : v.is_int64() ? static_cast<uint64_t>(v.i64())
+                                    : std::bit_cast<uint64_t>(v.f64()));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::vector<Value>> RowsOf(const Table& t) {
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < t.NumRows(); ++i) {
+    std::vector<Value>& row = rows.emplace_back();
+    for (int c = 0; c < t.width(); ++c) row.push_back(t.row(i)[c]);
+  }
+  return rows;
+}
+
+TEST(AggregateTest, NullSignedZeroAndNanKeysGroupAsBefore) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto t = Table::Make(Schema({{"k", ColumnType::kInt64},
+                               {"f", ColumnType::kFloat64},
+                               {"v", ColumnType::kInt64},
+                               {"w", ColumnType::kFloat64}}));
+  Rng rng(17);
+  const Value floats[] = {Value::Float64(0.0), Value::Float64(-0.0),
+                          Value::Float64(nan), Value::Float64(-nan),
+                          Value::Float64(1.5), Value::Null()};
+  for (int i = 0; i < 3000; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.Next() % 7);
+    t->AppendRow({k == 6 ? Value::Null() : Value::Int64(k),
+                  floats[rng.Next() % 6],
+                  rng.Next() % 5 == 0
+                      ? Value::Null()
+                      : Value::Int64(static_cast<int64_t>(rng.Next() % 100)),
+                  rng.Next() % 9 == 0 ? Value::Float64(nan)
+                                      : Value::Float64(static_cast<double>(
+                                            rng.Next() % 1000) / 8.0)});
+  }
+  const std::vector<AggSpec> aggs = {
+      {AggKind::kCount, 0, "cnt"}, {AggKind::kSum, 2, "si"},
+      {AggKind::kSum, 3, "sf"},    {AggKind::kMin, 2, "mini"},
+      {AggKind::kMax, 3, "maxf"},  {AggKind::kMin, 1, "minf"}};
+  for (const std::vector<int>& keys :
+       {std::vector<int>{0}, std::vector<int>{1}, std::vector<int>{0, 1},
+        std::vector<int>{1, 0}, std::vector<int>{2}, std::vector<int>{}}) {
+    auto out = Exec(Aggregate(Scan(t), keys, aggs));
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(SortedBits(RowsOf(*out)),
+              SortedBits(ReferenceGroupBy(*t, keys, aggs)))
+        << keys.size() << " key(s)";
+  }
+}
+
+TEST(AggregateTest, GroupsComeOutInFirstSeenOrder) {
+  auto t = MakeTable(AB(), {{5, 1}, {3, 2}, {5, 3}, {9, 4}, {3, 5}, {1, 6}});
+  auto out = Exec(Aggregate(Scan(t), {0},
+                           {{AggKind::kCount, 0, "cnt"},
+                            {AggKind::kSum, 1, "sum"}}));
+  ASSERT_EQ(out->NumRows(), 4);
+  const int64_t want[][3] = {{5, 2, 4}, {3, 2, 7}, {9, 1, 4}, {1, 1, 6}};
+  for (int64_t i = 0; i < 4; ++i) {
+    for (int c = 0; c < 3; ++c) {
+      EXPECT_EQ(out->row(i)[c].i64(), want[i][c]) << i << "," << c;
+    }
+  }
 }
 
 TEST(UnionAllTest, ConcatenatesBags) {
