@@ -11,6 +11,7 @@
 #include "infer/gibbs.h"
 #include "kb/kb_query.h"
 #include "kb/knowledge_base.h"
+#include "obs/stats_registry.h"
 #include "util/result.h"
 
 namespace probkb {
@@ -43,6 +44,10 @@ struct ExpansionOptions {
   /// Resume grounding from grounding.checkpoint_dir when that directory
   /// holds a complete checkpoint from an earlier (interrupted) run.
   bool resume_from_checkpoint = false;
+  /// Execution-stats sink (not owned; may be nullptr) for the grounder's
+  /// statements and, unless gibbs.stats names its own, the sampler.
+  /// Purely observational — outputs are bit-identical with or without it.
+  StatsRegistry* stats = nullptr;
 };
 
 /// \brief How many statements each pipeline stage abandoned to a budget
@@ -69,6 +74,8 @@ struct ExpansionResult {
   FactId first_inferred_id = 0;
   int64_t constraints_deleted_upfront = 0;
   GroundingStats grounding_stats;
+  /// The grounder's ExplainPlans() after factor grounding.
+  std::string explain_plans;
   /// Inference record (marginals indexed by graph variable); default-
   /// constructed when run_inference was false.
   GibbsResult inference;
@@ -86,7 +93,10 @@ struct ExpansionResult {
 };
 
 /// \brief Runs the whole ProbKB pipeline over `kb` and returns the
-/// expanded knowledge base artifacts. `kb` is not modified.
+/// expanded knowledge base artifacts. `kb` is not modified. With the
+/// global tracer on, the run is one `expand` span with `rule_cleaning`,
+/// `load`, `query3`, `factor_graph`, `gibbs` and `writeback` children; the
+/// grounder's `iteration` and `ground_factors` spans nest under it too.
 ///
 ///   auto kb = ParseMlnFile("program.mln");
 ///   auto result = ExpandKnowledgeBase(*kb);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "engine/ops.h"
 #include "obs/trace.h"
@@ -10,15 +11,6 @@
 #include "util/timer.h"
 
 namespace probkb {
-
-namespace {
-
-uint64_t BanKey(int64_t entity, int64_t cls) {
-  PROBKB_DCHECK(cls >= 0 && cls < (1 << 20));
-  return (static_cast<uint64_t>(entity) << 20) | static_cast<uint64_t>(cls);
-}
-
-}  // namespace
 
 std::string GroundingStats::ToString() const {
   std::string out = StrFormat(
@@ -36,20 +28,162 @@ std::string GroundingStats::ToString() const {
   return out;
 }
 
-Grounder::Grounder(RelationalKB* rkb, GroundingOptions options)
-    : rkb_(rkb), options_(options) {
-  stats_.initial_atoms = rkb_->t_pi->NumRows();
+void GroundingStats::RecordIteration(double seconds, int64_t new_atoms) {
+  iteration_seconds.push_back(seconds);
+  iteration_new_atoms.push_back(new_atoms);
+  ground_atoms_seconds += seconds;
+  ++iterations;
+}
+
+bool BanSet::IsBanned(const RowView& atom) const {
+  return x_.count(Key(atom[atom::kX].i64(), atom[atom::kC1].i64())) > 0 ||
+         y_.count(Key(atom[atom::kY].i64(), atom[atom::kC2].i64())) > 0;
+}
+
+void BanSet::Dump(GroundingCheckpoint* cp) const {
+  auto rows = [](const std::unordered_set<uint64_t>& keys) {
+    std::vector<uint64_t> sorted(keys.begin(), keys.end());
+    std::sort(sorted.begin(), sorted.end());
+    auto out = Table::Make(BannedEntitySchema());
+    for (uint64_t k : sorted) {
+      out->AppendRow({Value::Int64(static_cast<int64_t>(k >> 20)),
+                      Value::Int64(static_cast<int64_t>(
+                          k & ((uint64_t{1} << 20) - 1)))});
+    }
+    return out;
+  };
+  cp->banned_x = rows(x_);
+  cp->banned_y = rows(y_);
+}
+
+void BanSet::Restore(const GroundingCheckpoint& cp) {
+  x_.clear();
+  y_.clear();
+  for (const bool x_side : {true, false}) {
+    const Table& rows = x_side ? *cp.banned_x : *cp.banned_y;
+    for (int64_t i = 0; i < rows.NumRows(); ++i) {
+      Add(x_side, rows.row(i)[0].i64(), rows.row(i)[1].i64());
+    }
+  }
+}
+
+FixpointGrounder::FixpointGrounder(GroundingOptions options,
+                                   int64_t initial_atoms)
+    : options_(std::move(options)) {
+  stats_.initial_atoms = initial_atoms;
   const int threads = ThreadPool::ResolveThreads(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   spill_session_ = std::make_unique<SpillSession>(options_.mem_budget_bytes,
                                                   options_.spill_dir);
 }
 
-std::string Grounder::ExplainPlans() const {
+std::string FixpointGrounder::ExplainPlans() const {
   std::string out;
-  for (const std::string& tree : explain_lines_) out += tree;
+  for (const std::string& line : explain_lines_) out += line;
   return out;
 }
+
+Status FixpointGrounder::CheckDeadline() const {
+  if (options_.deadline_seconds > 0 &&
+      ElapsedSeconds() > options_.deadline_seconds) {
+    return Status::DeadlineExceeded(StrFormat(
+        "grounding exceeded its %.3fs deadline", options_.deadline_seconds));
+  }
+  return Status::OK();
+}
+
+Status FixpointGrounder::GroundAtoms() {
+  // `stats_.iterations` starts above zero after ResumeFrom, so a resumed
+  // run honours the same iteration cap as an uninterrupted one. A budget
+  // or fault error propagates out of the iteration with the last completed
+  // iteration's checkpoint intact on disk.
+  while (stats_.iterations < options_.max_iterations) {
+    PROBKB_RETURN_NOT_OK(CheckDeadline());
+    PROBKB_ASSIGN_OR_RETURN(int64_t added, GroundAtomsIteration());
+    PROBKB_RETURN_NOT_OK(MaybeCheckpoint());
+    if (added == 0) break;
+  }
+  stats_.final_atoms = NumAtoms();
+  SnapshotWorkerStats();
+  return Status::OK();
+}
+
+Result<int64_t> FixpointGrounder::GroundAtomsIteration() {
+  const double start = ElapsedSeconds();
+  // Every statement and motion span of the iteration nests under this one.
+  TraceSpan span(Tracer::Global(), "iteration", "grounding",
+                 stats_.iterations + 1);
+  // Fresh explain log per iteration: ExplainPlans() reports the plans the
+  // latest deltas produced.
+  explain_lines_.clear();
+  PROBKB_ASSIGN_OR_RETURN(int64_t added, RunIteration());
+  if (options_.apply_constraints_each_iteration) {
+    PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
+    stats_.constraint_deleted += deleted;
+  }
+  const double secs = ElapsedSeconds() - start;
+  stats_.RecordIteration(secs, added);
+  if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
+  span.set_values(stats_.iterations, added, NumAtoms());
+  Tracer::Global()->Event(EventKind::kIterationBoundary, JournalSource(),
+                          stats_.iterations, added, NumAtoms());
+  return added;
+}
+
+Result<TablePtr> FixpointGrounder::GroundFactors() {
+  const double start = ElapsedSeconds();
+  TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
+  PROBKB_ASSIGN_OR_RETURN(TablePtr t_phi, RunFactorStatements());
+  stats_.ground_factors_seconds += ElapsedSeconds() - start;
+  stats_.factors = t_phi->NumRows();
+  stats_.final_atoms = NumAtoms();
+  SnapshotWorkerStats();
+  return t_phi;
+}
+
+Status FixpointGrounder::ResumeFrom(const std::string& checkpoint_dir) {
+  PROBKB_ASSIGN_OR_RETURN(GroundingCheckpoint cp,
+                          ReadGroundingCheckpoint(TPiSchema(),
+                                                  checkpoint_dir));
+  PROBKB_RETURN_NOT_OK(RestoreState(&cp));
+  stats_.iterations = cp.iteration;
+  bans_.Restore(cp);
+  return Status::OK();
+}
+
+Status FixpointGrounder::MaybeCheckpoint() {
+  if (options_.checkpoint_dir.empty()) return Status::OK();
+  const int every = options_.checkpoint_every > 0 ? options_.checkpoint_every
+                                                  : 1;
+  if (stats_.iterations % every != 0) return Status::OK();
+  GroundingCheckpoint cp;
+  cp.iteration = stats_.iterations;
+  SaveState(&cp);
+  bans_.Dump(&cp);
+  return WriteGroundingCheckpoint(cp, options_.checkpoint_dir);
+}
+
+void FixpointGrounder::SnapshotWorkerStats() {
+  // Phase boundary: surface spill-layer counter deltas alongside the
+  // worker totals (no-op without a registry or a budget).
+  spill_session_->FlushCountersInto(obs_);
+  if (obs_ != nullptr && pool_ != nullptr) {
+    std::vector<WorkerTotals> totals;
+    for (const PoolWorkerStats& w : pool_->WorkerStats()) {
+      WorkerTotals t;
+      t.worker = w.worker;
+      t.tasks_run = w.tasks_run;
+      t.steals = w.steals;
+      t.busy_seconds = w.busy_seconds;
+      t.idle_seconds = w.idle_seconds;
+      totals.push_back(t);
+    }
+    obs_->RecordWorkers(totals);
+  }
+}
+
+Grounder::Grounder(RelationalKB* rkb, GroundingOptions options)
+    : FixpointGrounder(std::move(options), rkb->t_pi->NumRows()), rkb_(rkb) {}
 
 Status Grounder::ArmStatement(ExecContext* ec) {
   ec->set_fault_injector(injector_);
@@ -61,7 +195,7 @@ Status Grounder::ArmStatement(ExecContext* ec) {
     budget.max_produced_rows = options_.max_rows_per_statement;
     if (options_.deadline_seconds > 0) {
       budget.deadline_seconds =
-          options_.deadline_seconds - lifetime_timer_.Seconds();
+          options_.deadline_seconds - ElapsedSeconds();
       if (budget.deadline_seconds <= 0) {
         return Status::DeadlineExceeded(StrFormat(
             "grounding exceeded its %.3fs deadline",
@@ -75,8 +209,8 @@ Status Grounder::ArmStatement(ExecContext* ec) {
 
 Status Grounder::MergeInferred(const Table& atoms, int64_t* added) {
   RowPredicate drop;
-  if (!banned_x_keys_.empty() || !banned_y_keys_.empty()) {
-    drop = [this](const RowView& row) { return IsBanned(row); };
+  if (!bans_.empty()) {
+    drop = [this](const RowView& row) { return bans_.IsBanned(row); };
   }
   PROBKB_ASSIGN_OR_RETURN(
       int64_t merged, indexes_.MergeAtoms(rkb_->t_pi.get(), atoms,
@@ -180,11 +314,7 @@ Status Grounder::RunIterationStatements(int64_t* added) {
   return Status::OK();
 }
 
-Result<int64_t> Grounder::GroundAtomsIteration() {
-  Timer timer;
-  TraceSpan span(Tracer::Global(), "iteration", "grounding",
-                 stats_.iterations + 1);
-  explain_lines_.clear();
+Result<int64_t> Grounder::RunIteration() {
   const int64_t start_rows = rkb_->t_pi->NumRows();
   const FactId start_id = rkb_->next_fact_id;
   int64_t added = 0;
@@ -201,113 +331,24 @@ Result<int64_t> Grounder::GroundAtomsIteration() {
     return st;
   }
   delta_start_ = start_rows;
-  if (options_.apply_constraints_each_iteration) {
-    PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
-    stats_.constraint_deleted += deleted;
-  }
-  double secs = timer.Seconds();
-  stats_.iteration_seconds.push_back(secs);
-  stats_.iteration_new_atoms.push_back(added);
-  stats_.ground_atoms_seconds += secs;
-  ++stats_.iterations;
-  if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
-  span.set_values(stats_.iterations, added, rkb_->t_pi->NumRows());
-  Tracer::Global()->Event(EventKind::kIterationBoundary, "grounder",
-                          stats_.iterations, added, rkb_->t_pi->NumRows());
   return added;
 }
 
-Status Grounder::MaybeCheckpoint() {
-  if (options_.checkpoint_dir.empty()) return Status::OK();
-  const int every = options_.checkpoint_every > 0 ? options_.checkpoint_every
-                                                  : 1;
-  if (stats_.iterations % every != 0) return Status::OK();
-  GroundingCheckpoint cp;
-  cp.iteration = stats_.iterations;
-  cp.next_fact_id = rkb_->next_fact_id;
-  cp.delta_start = delta_start_;
-  cp.t_pi = rkb_->t_pi;
-  cp.banned_x = Table::Make(BannedEntitySchema());
-  cp.banned_y = Table::Make(BannedEntitySchema());
-  for (const auto& [e, c] : banned_x_) {
-    cp.banned_x->AppendRow({Value::Int64(e), Value::Int64(c)});
-  }
-  for (const auto& [e, c] : banned_y_) {
-    cp.banned_y->AppendRow({Value::Int64(e), Value::Int64(c)});
-  }
-  return WriteGroundingCheckpoint(cp, options_.checkpoint_dir);
+void Grounder::SaveState(GroundingCheckpoint* cp) const {
+  cp->next_fact_id = rkb_->next_fact_id;
+  cp->delta_start = delta_start_;
+  cp->t_pi = rkb_->t_pi;
 }
 
-Status Grounder::ResumeFrom(const std::string& checkpoint_dir) {
-  PROBKB_ASSIGN_OR_RETURN(GroundingCheckpoint cp,
-                          ReadGroundingCheckpoint(TPiSchema(),
-                                                  checkpoint_dir));
-  *rkb_->t_pi = std::move(*cp.t_pi);
-  rkb_->next_fact_id = cp.next_fact_id;
+Status Grounder::RestoreState(GroundingCheckpoint* cp) {
+  *rkb_->t_pi = std::move(*cp->t_pi);
+  rkb_->next_fact_id = cp->next_fact_id;
   indexes_.Clear();
-  delta_start_ = cp.delta_start;
-  stats_.iterations = cp.iteration;
-  banned_x_.clear();
-  banned_y_.clear();
-  banned_x_keys_.clear();
-  banned_y_keys_.clear();
-  for (int64_t i = 0; i < cp.banned_x->NumRows(); ++i) {
-    RowView row = cp.banned_x->row(i);
-    banned_x_.emplace_back(row[0].i64(), row[1].i64());
-    banned_x_keys_.insert(BanKey(row[0].i64(), row[1].i64()));
-  }
-  for (int64_t i = 0; i < cp.banned_y->NumRows(); ++i) {
-    RowView row = cp.banned_y->row(i);
-    banned_y_.emplace_back(row[0].i64(), row[1].i64());
-    banned_y_keys_.insert(BanKey(row[0].i64(), row[1].i64()));
-  }
+  delta_start_ = cp->delta_start;
   return Status::OK();
 }
 
-Status Grounder::GroundAtoms() {
-  // `stats_.iterations` starts above zero after ResumeFrom, so a resumed
-  // run honours the same iteration cap as an uninterrupted one.
-  while (stats_.iterations < options_.max_iterations) {
-    PROBKB_ASSIGN_OR_RETURN(int64_t added, GroundAtomsIteration());
-    PROBKB_RETURN_NOT_OK(MaybeCheckpoint());
-    if (added == 0) break;
-    if (options_.deadline_seconds > 0 &&
-        lifetime_timer_.Seconds() > options_.deadline_seconds) {
-      stats_.final_atoms = rkb_->t_pi->NumRows();
-      return Status::DeadlineExceeded(StrFormat(
-          "grounding exceeded its %.3fs deadline after iteration %d",
-          options_.deadline_seconds, stats_.iterations));
-    }
-  }
-  stats_.final_atoms = rkb_->t_pi->NumRows();
-  SnapshotWorkerStats();
-  return Status::OK();
-}
-
-void Grounder::SnapshotWorkerStats() {
-  // Phase boundary: surface spill-layer counter deltas alongside the
-  // worker totals (no-op without a registry or a budget).
-  spill_session_->FlushCountersInto(obs_);
-  if (obs_ != nullptr && pool_ != nullptr) {
-    const std::vector<PoolWorkerStats> workers = pool_->WorkerStats();
-    std::vector<WorkerTotals> totals;
-    totals.reserve(workers.size());
-    for (const PoolWorkerStats& w : workers) {
-      WorkerTotals t;
-      t.worker = w.worker;
-      t.tasks_run = w.tasks_run;
-      t.steals = w.steals;
-      t.busy_seconds = w.busy_seconds;
-      t.idle_seconds = w.idle_seconds;
-      totals.push_back(t);
-    }
-    obs_->RecordWorkers(totals);
-  }
-}
-
-Result<TablePtr> Grounder::GroundFactors() {
-  Timer timer;
-  TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
+Result<TablePtr> Grounder::RunFactorStatements() {
   auto t_phi = Table::Make(TPhiSchema());
   const TPiIndexes* indexes = nullptr;
   if (KeepsIndexes()) {
@@ -340,18 +381,7 @@ Result<TablePtr> Grounder::GroundFactors() {
     t_phi->AppendTable(*singletons);
     ++stats_.statements;
   }
-  stats_.ground_factors_seconds += timer.Seconds();
-  stats_.factors = t_phi->NumRows();
-  stats_.final_atoms = rkb_->t_pi->NumRows();
-  SnapshotWorkerStats();
   return t_phi;
-}
-
-bool Grounder::IsBanned(const RowView& atom) const {
-  return banned_x_keys_.count(
-             BanKey(atom[atom::kX].i64(), atom[atom::kC1].i64())) > 0 ||
-         banned_y_keys_.count(
-             BanKey(atom[atom::kY].i64(), atom[atom::kC2].i64())) > 0;
 }
 
 Result<int64_t> Grounder::ApplyConstraints() {
@@ -367,19 +397,9 @@ Result<int64_t> Grounder::ApplyConstraints() {
   auto viol_y = Table::Make(violators->schema());
   for (int64_t i = 0; i < violators->NumRows(); ++i) {
     RowView row = violators->row(i);
-    EntityId e = row[0].i64();
-    ClassId c = row[1].i64();
-    if (row[2].i64() == 1) {
-      if (banned_x_keys_.insert(BanKey(e, c)).second) {
-        banned_x_.emplace_back(e, c);
-      }
-      viol_x->AppendRow(row);
-    } else {
-      if (banned_y_keys_.insert(BanKey(e, c)).second) {
-        banned_y_.emplace_back(e, c);
-      }
-      viol_y->AppendRow(row);
-    }
+    const bool x_side = row[2].i64() == 1;
+    bans_.Add(x_side, row[0].i64(), row[1].i64());
+    (x_side ? viol_x : viol_y)->AppendRow(row);
   }
   int64_t deleted = 0;
   deleted += DeleteMatching(rkb_->t_pi.get(), {tpi::kX, tpi::kC1}, *viol_x,

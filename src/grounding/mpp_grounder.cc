@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "engine/ops.h"
-#include "obs/trace.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -25,9 +24,9 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
                          MppMode mode, GroundingOptions options,
                          CostParams cost_params, FaultInjector* injector,
                          RetryPolicy retry)
-    : ctx_(num_segments, cost_params),
+    : FixpointGrounder(std::move(options), rkb.t_pi->NumRows()),
+      ctx_(num_segments, cost_params),
       mode_(mode),
-      options_(options),
       planner_(MotionCostModel{cost_params.seconds_per_shipped_tuple,
                                cost_params.broadcast_tuple_discount,
                                cost_params.motion_latency, num_segments}),
@@ -38,15 +37,11 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
   ctx_.set_fault_injector(injector);
   ctx_.set_retry_policy(retry);
   ctx_.set_deadline_seconds(options_.deadline_seconds);
-  const int threads = ThreadPool::ResolveThreads(options_.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-    ctx_.set_thread_pool(pool_.get());
-  }
-  spill_session_ = std::make_unique<SpillSession>(options_.mem_budget_bytes,
-                                                  options_.spill_dir);
+  // Motions and per-segment operators run on the shared pool and spill
+  // session; results merge in canonical segment order, so the thread count
+  // never changes any output.
+  ctx_.set_thread_pool(pool_.get());
   ctx_.set_spill(spill_session_->context());
-  stats_.initial_atoms = rkb.t_pi->NumRows();
   t_pi_ = DistributedTable::Distribute(*rkb.t_pi, num_segments,
                                        Distribution::Hash(ViewKeysT0()), "T0");
   if (mode_ == MppMode::kViews) {
@@ -91,10 +86,7 @@ void MppGrounder::ObserveStatement(const std::string& label, int64_t estimate,
 }
 
 std::string MppGrounder::ExplainPlans() const {
-  std::string out;
-  for (const std::string& line : explain_lines_) out += line;
-  out += planner_.ExplainDecisions();
-  return out;
+  return FixpointGrounder::ExplainPlans() + planner_.ExplainDecisions();
 }
 
 Result<DistributedTablePtr> MppGrounder::Join(DistributedTablePtr left,
@@ -265,11 +257,6 @@ Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
 
 namespace {
 
-uint64_t BanKey(int64_t entity, int64_t cls) {
-  PROBKB_DCHECK(cls >= 0 && cls < (1 << 20));
-  return (static_cast<uint64_t>(entity) << 20) | static_cast<uint64_t>(cls);
-}
-
 /// Sorts `rows` of `atoms` by content (R, x, C1, y, C2) and drops each row
 /// equal to its predecessor.
 void SortUniqueByContent(const Table& atoms, std::vector<int64_t>* rows) {
@@ -304,7 +291,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
   if (merge_indexes_.empty()) {
     merge_indexes_.assign(static_cast<size_t>(n), TPiIndexes({ViewKeysTxy()}));
   }
-  const bool bans = !banned_x_keys_.empty() || !banned_y_keys_.empty();
+  const bool bans = !bans_.empty();
 
   // Two-phase merge. Phase 1 (parallel): each segment drops the atoms
   // keyed by banned entities (segments only read the shared ban sets),
@@ -323,10 +310,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
     Table* seg = collocated->mutable_segment(s).get();
     if (bans) {
       DeleteWhere(seg, [this](const RowView& row) {
-        return banned_x_keys_.count(
-                   BanKey(row[atom::kX].i64(), row[atom::kC1].i64())) > 0 ||
-               banned_y_keys_.count(
-                   BanKey(row[atom::kY].i64(), row[atom::kC2].i64())) > 0;
+        return bans_.IsBanned(row);
       });
     }
     Result<std::vector<int64_t>> absent =
@@ -414,15 +398,11 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
   return added;
 }
 
-Result<int64_t> MppGrounder::GroundAtomsIteration() {
-  const double start_cost = ctx_.cost().simulated_seconds();
+Result<int64_t> MppGrounder::RunIteration() {
   const int iteration = stats_.iterations + 1;
-  // Root span of the iteration's trace: every motion span nests under it.
-  TraceSpan span(Tracer::Global(), "iteration", "grounding", iteration);
-  // Fresh explain/decision log per iteration: ExplainPlans() reports the
-  // plans the *latest* deltas produced. The observation history persists —
-  // it is what makes iteration N+1's estimates warm.
-  explain_lines_.clear();
+  // Fresh decision log per iteration, like the explain lines. The
+  // observation history persists — it is what makes iteration N+1's
+  // estimates warm.
   planner_.ClearDecisionLog();
   // Semi-naive: every derivation over rows before the marks ran in an
   // earlier iteration, so a new atom's derivations all use a Δ atom. The
@@ -472,135 +452,53 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   delta_marks_ = start;
   // Under a memory budget the merge index lives for one iteration only.
   if (!KeepsIndexes()) merge_indexes_.clear();
-  if (options_.apply_constraints_each_iteration) {
-    PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
-    stats_.constraint_deleted += deleted;
-  }
-  double secs = ctx_.cost().simulated_seconds() - start_cost;
-  stats_.iteration_seconds.push_back(secs);
-  stats_.iteration_new_atoms.push_back(added);
-  stats_.ground_atoms_seconds += secs;
-  ++stats_.iterations;
-  if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
-  span.set_values(stats_.iterations, added, t_pi_->NumRows());
-  Tracer::Global()->Event(EventKind::kIterationBoundary, "mpp_grounder",
-                          stats_.iterations, added, t_pi_->NumRows());
   return added;
 }
 
-Status MppGrounder::GroundAtoms() {
-  // `stats_.iterations` starts above zero after ResumeFrom, so a resumed
-  // run honours the same iteration cap as an uninterrupted one. A deadline
-  // or fault error propagates out of the iteration with the last completed
-  // iteration's checkpoint intact on disk.
-  while (stats_.iterations < options_.max_iterations) {
-    PROBKB_RETURN_NOT_OK(ctx_.CheckDeadline());
-    PROBKB_ASSIGN_OR_RETURN(int64_t added, GroundAtomsIteration());
-    PROBKB_RETURN_NOT_OK(MaybeCheckpoint());
-    if (added == 0) break;
-  }
-  stats_.final_atoms = t_pi_->NumRows();
-  SnapshotWorkerStats();
-  return Status::OK();
-}
-
-void MppGrounder::SnapshotWorkerStats() {
-  // Phase boundary: surface spill-layer counter deltas alongside the
-  // worker totals (no-op without a registry or a budget).
-  spill_session_->FlushCountersInto(obs_);
-  if (obs_ != nullptr && pool_ != nullptr) {
-    std::vector<WorkerTotals> totals;
-    for (const PoolWorkerStats& w : pool_->WorkerStats()) {
-      WorkerTotals t;
-      t.worker = w.worker;
-      t.tasks_run = w.tasks_run;
-      t.steals = w.steals;
-      t.busy_seconds = w.busy_seconds;
-      t.idle_seconds = w.idle_seconds;
-      totals.push_back(t);
-    }
-    obs_->RecordWorkers(totals);
-  }
-}
-
-Status MppGrounder::MaybeCheckpoint() {
-  if (options_.checkpoint_dir.empty()) return Status::OK();
-  const int every =
-      options_.checkpoint_every > 0 ? options_.checkpoint_every : 1;
-  if (stats_.iterations % every != 0) return Status::OK();
-  GroundingCheckpoint cp;
-  cp.iteration = stats_.iterations;
-  cp.next_fact_id = next_fact_id_;
-  cp.num_segments = ctx_.num_segments();
+void MppGrounder::SaveState(GroundingCheckpoint* cp) const {
+  cp->next_fact_id = next_fact_id_;
+  cp->num_segments = ctx_.num_segments();
   // The gathered copy is informational (and lets the single-node reader
   // inspect it); the per-segment files are what resume restores.
-  cp.t_pi = t_pi_->ToLocal();
+  cp->t_pi = t_pi_->ToLocal();
   for (int s = 0; s < ctx_.num_segments(); ++s) {
-    cp.t0_segments.push_back(t_pi_->segment(s));
+    cp->t0_segments.push_back(t_pi_->segment(s));
   }
   if (mode_ == MppMode::kViews) {
     for (int s = 0; s < ctx_.num_segments(); ++s) {
-      cp.tx_segments.push_back(view_tx_->segment(s));
-      cp.ty_segments.push_back(view_ty_->segment(s));
-      cp.txy_segments.push_back(view_txy_->segment(s));
+      cp->tx_segments.push_back(view_tx_->segment(s));
+      cp->ty_segments.push_back(view_ty_->segment(s));
+      cp->txy_segments.push_back(view_txy_->segment(s));
     }
   }
-  cp.banned_x = Table::Make(BannedEntitySchema());
-  cp.banned_y = Table::Make(BannedEntitySchema());
-  auto dump = [](const std::unordered_set<uint64_t>& keys, Table* out) {
-    std::vector<uint64_t> sorted(keys.begin(), keys.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (uint64_t k : sorted) {
-      out->AppendRow({Value::Int64(static_cast<int64_t>(k >> 20)),
-                      Value::Int64(static_cast<int64_t>(
-                          k & ((uint64_t{1} << 20) - 1)))});
-    }
-  };
-  dump(banned_x_keys_, cp.banned_x.get());
-  dump(banned_y_keys_, cp.banned_y.get());
-  return WriteGroundingCheckpoint(cp, options_.checkpoint_dir);
 }
 
-Status MppGrounder::ResumeFrom(const std::string& checkpoint_dir) {
-  PROBKB_ASSIGN_OR_RETURN(
-      GroundingCheckpoint cp,
-      ReadGroundingCheckpoint(TPiSchema(), checkpoint_dir));
-  if (cp.num_segments != ctx_.num_segments()) {
+Status MppGrounder::RestoreState(GroundingCheckpoint* cp) {
+  if (cp->num_segments != ctx_.num_segments()) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint was taken with %d segments but the grounder has %d",
-        cp.num_segments, ctx_.num_segments()));
+        cp->num_segments, ctx_.num_segments()));
   }
-  const bool has_views = !cp.tx_segments.empty();
+  const bool has_views = !cp->tx_segments.empty();
   if ((mode_ == MppMode::kViews) != has_views) {
     return Status::InvalidArgument(
         "checkpoint view mode does not match the grounder's MppMode");
   }
   t_pi_ = std::make_shared<DistributedTable>(
-      TPiSchema(), cp.t0_segments, Distribution::Hash(ViewKeysT0()), "T0");
+      TPiSchema(), cp->t0_segments, Distribution::Hash(ViewKeysT0()), "T0");
   if (mode_ == MppMode::kViews) {
     view_tx_ = std::make_shared<DistributedTable>(
-        TPiSchema(), cp.tx_segments, Distribution::Hash(ViewKeysTx()), "Tx");
+        TPiSchema(), cp->tx_segments, Distribution::Hash(ViewKeysTx()), "Tx");
     view_ty_ = std::make_shared<DistributedTable>(
-        TPiSchema(), cp.ty_segments, Distribution::Hash(ViewKeysTy()), "Ty");
+        TPiSchema(), cp->ty_segments, Distribution::Hash(ViewKeysTy()), "Ty");
     view_txy_ = std::make_shared<DistributedTable>(
-        TPiSchema(), cp.txy_segments, Distribution::Hash(ViewKeysTxy()),
+        TPiSchema(), cp->txy_segments, Distribution::Hash(ViewKeysTxy()),
         "Txy");
   }
-  next_fact_id_ = cp.next_fact_id;
-  stats_.iterations = cp.iteration;
+  next_fact_id_ = cp->next_fact_id;
   // The checkpoint carries no Δ marks: the first resumed iteration runs
   // the full pass.
   ClearIndexes();
-  banned_x_keys_.clear();
-  banned_y_keys_.clear();
-  for (int64_t i = 0; i < cp.banned_x->NumRows(); ++i) {
-    RowView row = cp.banned_x->row(i);
-    banned_x_keys_.insert(BanKey(row[0].i64(), row[1].i64()));
-  }
-  for (int64_t i = 0; i < cp.banned_y->NumRows(); ++i) {
-    RowView row = cp.banned_y->row(i);
-    banned_y_keys_.insert(BanKey(row[0].i64(), row[1].i64()));
-  }
   return Status::OK();
 }
 
@@ -642,9 +540,7 @@ Result<DistributedTablePtr> MppGrounder::GroundFactorsPartition(int p) {
               rows);
 }
 
-Result<TablePtr> MppGrounder::GroundFactors() {
-  const double start_cost = ctx_.cost().simulated_seconds();
-  TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
+Result<TablePtr> MppGrounder::RunFactorStatements() {
   PROBKB_RETURN_NOT_OK(SyncViewIndexes());
   auto t_phi = Table::Make(TPhiSchema());
   for (int p = 1; p <= kNumRuleStructures; ++p) {
@@ -671,11 +567,6 @@ Result<TablePtr> MppGrounder::GroundFactors() {
     t_phi->AppendTable(*local);
     ++stats_.statements;
   }
-  stats_.ground_factors_seconds +=
-      ctx_.cost().simulated_seconds() - start_cost;
-  stats_.factors = t_phi->NumRows();
-  stats_.final_atoms = t_pi_->NumRows();
-  SnapshotWorkerStats();
   return t_phi;
 }
 
@@ -741,11 +632,10 @@ Result<int64_t> MppGrounder::ApplyConstraints() {
 
     // Record permanent bans (same convergence argument as the single-node
     // grounder).
-    auto& banned = type1 ? banned_x_keys_ : banned_y_keys_;
     for (int s = 0; s < ctx_.num_segments(); ++s) {
       const Table& seg = *violators->segment(s);
       for (int64_t i = 0; i < seg.NumRows(); ++i) {
-        banned.insert(BanKey(seg.row(i)[0].i64(), seg.row(i)[1].i64()));
+        bans_.Add(type1, seg.row(i)[0].i64(), seg.row(i)[1].i64());
       }
     }
 

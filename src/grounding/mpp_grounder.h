@@ -4,7 +4,7 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "grounding/grounder.h"
@@ -47,33 +47,19 @@ enum class MppMode { kNoViews, kViews };
 /// layer above: iteration-level checkpoints (options.checkpoint_dir) and
 /// ResumeFrom(), so a run aborted by a deadline or an unrecoverable
 /// motion restarts from the last completed iteration instead of scratch.
-class MppGrounder {
+class MppGrounder : public FixpointGrounder {
  public:
   MppGrounder(const RelationalKB& rkb, int num_segments, MppMode mode,
               GroundingOptions options, CostParams cost_params = {},
               FaultInjector* injector = nullptr, RetryPolicy retry = {});
 
-  /// \brief Algorithm 1 lines 2-7 on the simulator.
-  Status GroundAtoms();
-
-  /// \brief One iteration; returns new atoms merged.
-  Result<int64_t> GroundAtomsIteration();
-
-  /// \brief Algorithm 1 lines 8-10; the factor table is gathered to the
-  /// coordinator.
-  Result<TablePtr> GroundFactors();
-
   /// \brief Query 3 on the simulator; keeps the views consistent.
-  Result<int64_t> ApplyConstraints();
+  Result<int64_t> ApplyConstraints() override;
 
-  /// \brief Restores TPi (and its views), the fact-id counter, the bans,
-  /// and the iteration count from a checkpoint; call before GroundAtoms().
-  Status ResumeFrom(const std::string& checkpoint_dir);
-
-  /// \brief Gathered copy of the current TPi (for verification).
+  /// \brief Gathered copy of the current TPi.
+  TablePtr TPi() const override { return GatherTPi(); }
   TablePtr GatherTPi() const;
 
-  const GroundingStats& stats() const { return stats_; }
   const MppCost& cost() const { return ctx_.cost(); }
   MppMode mode() const { return mode_; }
   int num_segments() const { return ctx_.num_segments(); }
@@ -83,8 +69,9 @@ class MppGrounder {
   /// are the previous iteration's observation for the same statement, or
   /// the input-size cold-start heuristic), followed by the planner's
   /// motion-decision log (chosen motion + the costed alternatives). Stable
-  /// text — no timings — so goldens can pin it.
-  std::string ExplainPlans() const;
+  /// text — no timings — so goldens can pin it. GroundFactors() appends
+  /// its joins' lines.
+  std::string ExplainPlans() const override;
 
   /// \brief The grounder-owned adaptive planner (attached to the context;
   /// kAuto joins consult it). Exposed for tests.
@@ -98,14 +85,22 @@ class MppGrounder {
   /// route-independent canonical order.
   void set_motion_policy(MotionPolicy policy) { motion_policy_ = policy; }
 
-  /// \brief Attaches an execution-stats registry (not owned; may be
-  /// nullptr): the context reports motions and compute phases, and the
-  /// fixpoint reports per-iteration per-partition delta sizes and
-  /// simulated join times. Purely observational.
-  void set_stats_registry(StatsRegistry* registry) {
+  /// \brief Also reports the context's motions and compute phases.
+  void set_stats_registry(StatsRegistry* registry) override {
     obs_ = registry;
     ctx_.set_stats_registry(registry);
   }
+
+ protected:
+  Result<int64_t> RunIteration() override;
+  Result<TablePtr> RunFactorStatements() override;
+  int64_t NumAtoms() const override { return t_pi_->NumRows(); }
+  double ElapsedSeconds() const override {
+    return ctx_.cost().simulated_seconds();
+  }
+  void SaveState(GroundingCheckpoint* cp) const override;
+  Status RestoreState(GroundingCheckpoint* cp) override;
+  const char* JournalSource() const override { return "mpp_grounder"; }
 
  private:
   /// Per-segment row counts of T0 and the views.
@@ -113,9 +108,6 @@ class MppGrounder {
     std::vector<int64_t> t0, tx, ty;
   };
 
-  /// True while the grounder keeps its per-segment indexes (no memory
-  /// budget armed).
-  bool KeepsIndexes() const { return !spill_session_->enabled(); }
   /// Runs one grounding join under the grounder's motion policy, recording
   /// its estimate (the last observation of `spec.label`, else
   /// `cold_estimate`) and its observed rows.
@@ -156,17 +148,9 @@ class MppGrounder {
   /// history and the explain log.
   void ObserveStatement(const std::string& label, int64_t estimate,
                         int64_t observed);
-  /// Writes an iteration checkpoint when options call for one.
-  Status MaybeCheckpoint();
-  /// Snapshots the pool's worker counters into the registry (no-op without
-  /// a registry or a pool).
-  void SnapshotWorkerStats();
 
   mutable MppContext ctx_;
   MppMode mode_;
-  GroundingOptions options_;
-  GroundingStats stats_;
-  StatsRegistry* obs_ = nullptr;
 
   /// Cost-based motion planner fed by per-statement observations; attached
   /// to ctx_ so every MotionPolicy::kAuto join consults it. Decisions are
@@ -174,28 +158,9 @@ class MppGrounder {
   /// counts — identical across thread counts), so plan choice
   /// never breaks bit-identity.
   AdaptivePlanner planner_;
-  /// Per-statement est/obs lines since the last iteration boundary (see
-  /// ExplainPlans).
-  std::vector<std::string> explain_lines_;
   /// Motion policy stamped on every grounding join spec (see
   /// set_motion_policy).
   MotionPolicy motion_policy_ = MotionPolicy::kAuto;
-
-  /// Executor for per-segment fan-out (options_.num_threads; see
-  /// GroundingOptions). Null when resolved to one thread — the exact
-  /// serial path. Attached to ctx_, which hands it to motions and
-  /// per-segment operators; results always merge in canonical segment
-  /// order, so thread count never changes any output.
-  std::unique_ptr<ThreadPool> pool_;
-
-  /// Out-of-core state shared by every segment's ExecContext via
-  /// MppContext::set_spill; disabled when no memory budget resolves.
-  std::unique_ptr<SpillSession> spill_session_;
-
-  /// Constraint bans, mirroring the single-node grounder: entities deleted
-  /// by Query 3 must not be re-derived, or the fixpoint never converges.
-  std::unordered_set<uint64_t> banned_x_keys_;
-  std::unordered_set<uint64_t> banned_y_keys_;
 
   std::array<TablePtr, kNumRuleStructures> m_;
   TablePtr t_omega_;

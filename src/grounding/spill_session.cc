@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <utility>
 
@@ -14,11 +15,14 @@ namespace probkb {
 SpillSession::SpillSession(int64_t mem_budget_bytes, std::string spill_dir) {
   if (mem_budget_bytes <= 0) return;  // pure in-memory execution
   if (spill_dir.empty()) {
+    static std::atomic<int64_t> sessions{0};
     std::error_code ec;
     std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
     if (ec) tmp = ".";
-    spill_dir = (tmp / ("probkb_spill." + std::to_string(::getpid())))
+    spill_dir = (tmp / ("probkb_spill." + std::to_string(::getpid()) + "." +
+                        std::to_string(sessions.fetch_add(1))))
                     .string();
+    owns_dir_ = true;
   }
   // Partition buffers are part of the working set the budget governs: a
   // page buffer larger than a slice of the budget would keep everything
@@ -43,7 +47,13 @@ SpillSession::SpillSession(int64_t mem_budget_bytes, std::string spill_dir) {
 }
 
 SpillSession::~SpillSession() {
-  if (spill_ != nullptr) spill_->RemoveOwnedFiles();
+  if (spill_ == nullptr) return;
+  const std::string dir = spill_->dir();
+  spill_.reset();  // removes every file this run committed
+  if (owns_dir_) {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
 }
 
 void SpillSession::FlushCountersInto(StatsRegistry* registry) {

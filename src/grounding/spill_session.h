@@ -18,11 +18,12 @@ namespace probkb {
 ///
 /// The budget is taken as given: 0 turns spilling off, a positive byte
 /// count arms it (GroundingOptions::mem_budget_bytes, `--mem-budget`).
-/// The directory defaults to `<system temp>/probkb_spill.<pid>` when
-/// unset, so concurrent runs on one host never sweep each other's files.
-/// Construction prepares the directory and sweeps debris a crashed
-/// predecessor left behind; destruction removes every file this run
-/// committed.
+/// The directory defaults to `<system temp>/probkb_spill.<pid>.<n>`, one
+/// per session (n counts the process's sessions), so no two runs or
+/// grounders on one host share it; the session removes that directory when
+/// it ends. Construction prepares the directory and sweeps debris a
+/// crashed predecessor left behind; destruction removes every file this
+/// run committed, and never a directory the caller named.
 class SpillSession {
  public:
   SpillSession(int64_t mem_budget_bytes, std::string spill_dir);
@@ -48,6 +49,8 @@ class SpillSession {
  private:
   std::unique_ptr<MemoryBudget> budget_;
   std::unique_ptr<SpillContext> spill_;
+  /// The directory is the per-session default, removed with the session.
+  bool owns_dir_ = false;
   // Last-flushed snapshot, so FlushCountersInto emits deltas.
   int64_t flushed_partitions_ = 0;
   int64_t flushed_pages_ = 0;

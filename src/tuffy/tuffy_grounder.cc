@@ -159,11 +159,7 @@ Result<int64_t> TuffyGrounder::GroundAtomsIteration() {
     added += MergeAtomsIntoPredicate(PredicateTable(head).get(), *atoms,
                                      &next_fact_id_);
   }
-  double secs = timer.Seconds();
-  stats_.iteration_seconds.push_back(secs);
-  stats_.iteration_new_atoms.push_back(added);
-  stats_.ground_atoms_seconds += secs;
-  ++stats_.iterations;
+  stats_.RecordIteration(timer.Seconds(), added);
   return added;
 }
 

@@ -4,6 +4,7 @@
 // every thread and segment count.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "engine/plan.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
+#include "grounding/spill_session.h"
 #include "obs/stats_registry.h"
 #include "relational/spill.h"
 #include "tests/test_util.h"
@@ -436,6 +438,54 @@ TEST_F(SpillTest, CheckpointResumeWithActiveSpillFiles) {
     EXPECT_TRUE(TablesEqualExact(*reference, *rkb.t_pi));
     EXPECT_EQ((*phi)->NumRows(), ref_factors);
   }
+}
+
+// --- Spill directory lifetime ------------------------------------------------
+
+/// This process's default spill directories under the system temp dir.
+int DefaultSpillDirs() {
+  const std::string prefix = "probkb_spill." + std::to_string(::getpid()) + ".";
+  int n = 0;
+  for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST_F(SpillTest, DefaultDirectoryIsPerSessionAndRemovedWithIt) {
+  const int before = DefaultSpillDirs();
+  std::string first_dir;
+  {
+    SpillSession first(/*mem_budget_bytes=*/64 << 10, /*spill_dir=*/"");
+    SpillSession second(64 << 10, "");
+    ASSERT_TRUE(first.enabled());
+    ASSERT_TRUE(second.enabled());
+    first_dir = first.context()->dir();
+    EXPECT_NE(first_dir, second.context()->dir());
+    EXPECT_TRUE(fs::is_directory(first_dir));
+  }
+  EXPECT_FALSE(fs::exists(first_dir));
+
+  // A budgeted grounding that really spills leaves no directory behind.
+  SyntheticKbConfig config;
+  config.scale = 0.004;
+  auto skb = GenerateReverbSherlockKb(config);
+  ASSERT_TRUE(skb.ok());
+  StatsRegistry stats;
+  int64_t factors = 0;
+  GroundWithBudget(skb->kb, /*budget=*/64 << 10, /*spill_dir=*/"", 1,
+                   &factors, &stats);
+  EXPECT_GT(stats.FindCounter("spill_bytes_written"), 0);
+  EXPECT_EQ(DefaultSpillDirs(), before);
+}
+
+TEST_F(SpillTest, CallerDirectoryOutlivesTheSession) {
+  {
+    SpillSession session(/*mem_budget_bytes=*/64 << 10, dir_);
+    ASSERT_TRUE(session.enabled());
+    EXPECT_EQ(session.context()->dir(), dir_);
+  }
+  EXPECT_TRUE(fs::is_directory(dir_));
 }
 
 // --- Datagen scaler (satellite: --scale-facts) ------------------------------

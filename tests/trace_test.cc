@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/probkb.h"
 #include "grounding/mpp_grounder.h"
 #include "kb/relational_model.h"
 #include "obs/histogram.h"
@@ -190,6 +191,59 @@ TEST(HistogramExemplarTest, TailExemplarTracksHighestTracedBucket) {
   // Untraced recordings never disturb the exemplars.
   h.Record(2.0, 0);
   EXPECT_EQ(h.tail_exemplar(), 444u);
+}
+
+// --- Pipeline phase spans --------------------------------------------------------
+
+TEST(PipelineTraceTest, ExpandIsOneRootOverEveryPhase) {
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  ExpansionOptions options;
+  options.rule_cleaning_theta = 0.9;
+  options.gibbs.burn_in_sweeps = 20;
+  options.gibbs.sample_sweeps = 50;
+  for (const bool mpp : {false, true}) {
+    SCOPED_TRACE(mpp ? "mpp" : "single-node");
+    options.use_mpp = mpp;
+    options.mpp_segments = 2;
+    Tracer* tracer = Tracer::Global();
+    tracer->Reset();
+    Result<ExpansionResult> untraced = ExpandKnowledgeBase(kb, options);
+    ASSERT_TRUE(untraced.ok());
+    EXPECT_TRUE(tracer->CollectSpans().empty());
+    tracer->set_enabled(true);
+    Result<ExpansionResult> traced = ExpandKnowledgeBase(kb, options);
+    tracer->set_enabled(false);
+    ASSERT_TRUE(traced.ok());
+    EXPECT_EQ(testutil::TableDigest(*traced->t_pi),
+              testutil::TableDigest(*untraced->t_pi));
+    EXPECT_EQ(testutil::TableDigest(*traced->t_phi),
+              testutil::TableDigest(*untraced->t_phi));
+
+    const std::vector<SpanRecord> spans = tracer->CollectSpans();
+    std::vector<const SpanRecord*> roots;
+    for (const SpanRecord& span : spans) {
+      if (span.parent_id == 0) roots.push_back(&span);
+    }
+    ASSERT_EQ(roots.size(), 1u);
+    const SpanRecord& root = *roots[0];
+    EXPECT_STREQ(root.name, "expand");
+    auto children_named = [&](const char* name) {
+      int n = 0;
+      for (const SpanRecord& span : spans) {
+        if (std::strcmp(span.name, name) != 0) continue;
+        EXPECT_EQ(span.parent_id, root.span_id) << name;
+        ++n;
+      }
+      return n;
+    };
+    for (const char* phase : {"rule_cleaning", "query3", "factor_graph",
+                              "gibbs", "writeback", "ground_factors"}) {
+      EXPECT_EQ(children_named(phase), 1) << phase;
+    }
+    // The model, then the engine (the MPP one distributes TPi).
+    EXPECT_EQ(children_named("load"), 2);
+    EXPECT_EQ(children_named("iteration"), traced->grounding_stats.iterations);
+  }
 }
 
 // --- Satellite: plaintext percentiles ------------------------------------------

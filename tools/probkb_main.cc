@@ -28,16 +28,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "factor/factor_graph.h"
-#include "grounding/grounder.h"
-#include "grounding/mpp_grounder.h"
-#include "infer/gibbs.h"
+#include "core/probkb.h"
 #include "infer/map_inference.h"
 #include "mln/parser.h"
 #include "obs/stats_registry.h"
@@ -109,8 +107,9 @@ int Usage() {
       "                    (e.g. 256M, 2G; default 0 = in-memory only).\n"
       "                    Over-budget joins run grace-hash with disk\n"
       "                    spill; output is bit-identical either way\n"
-      "  --spill-dir DIR   spill-file directory (default: a per-process\n"
-      "                    directory under the system temp dir)\n"
+      "  --spill-dir DIR   spill-file directory (default: a per-run\n"
+      "                    directory under the system temp dir, removed\n"
+      "                    at exit)\n"
       "  --segments N      ground on the N-segment MPP engine instead of\n"
       "                    the single-node grounder (ProbKB-p views plan)\n"
       "  --sweeps N        Gibbs sample sweeps (infer; default 2000)\n"
@@ -209,7 +208,39 @@ int64_t FlagInt64(const char* flag, const char* text, int64_t fallback,
   return parsed.value;
 }
 
+// Strict intake for the run's own knobs: a malformed or out-of-range
+// value is a usage error (exit 2), never a silent default ("--max-rows
+// 1e6" must not read as a 1-row cap, nor "--deadline abc" as none).
+template <typename T>
+bool IntFlag(const char* flag, const char* text, int64_t lo, int64_t hi,
+             T* out) {
+  int64_t v = 0;
+  if (text == nullptr) return false;
+  if (!ParseInt64(text, &v) || v < lo || v > hi) {
+    std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 text);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+bool RealFlag(const char* flag, const char* text, double lo, double hi,
+              double* out) {
+  double v = 0.0;
+  if (text == nullptr) return false;
+  if (!ParseDouble(text, &v) || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "%s wants a number in [%g, %g], got '%s'\n", flag,
+                 lo, hi, text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
   if (argc < 3) return false;
   options->command = argv[1];
   options->program_path = argv[2];
@@ -219,23 +250,26 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (flag == "--iterations") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->iterations = std::atoi(v);
+      if (!IntFlag(flag.c_str(), next(), 0, kMaxInt, &options->iterations)) {
+        return false;
+      }
     } else if (flag == "--constraints") {
       options->constraints = true;
     } else if (flag == "--rule-theta") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->rule_theta = std::atof(v);
+      if (!RealFlag(flag.c_str(), next(), 0.0, 1.0, &options->rule_theta)) {
+        return false;
+      }
     } else if (flag == "--deadline") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->deadline_seconds = std::atof(v);
+      if (!RealFlag(flag.c_str(), next(), 0.0,
+                    std::numeric_limits<double>::max(),
+                    &options->deadline_seconds)) {
+        return false;
+      }
     } else if (flag == "--max-rows") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->max_rows = std::atoll(v);
+      if (!IntFlag(flag.c_str(), next(), 0,
+                   std::numeric_limits<int64_t>::max(), &options->max_rows)) {
+        return false;
+      }
     } else if (flag == "--checkpoint") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -257,25 +291,18 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (v == nullptr) return false;
       options->spill_dir = v;
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->num_threads = std::atoi(v);
-      if (options->num_threads <= 0) {
-        std::fprintf(stderr, "--threads wants a positive integer\n");
+      if (!IntFlag(flag.c_str(), next(), 1, kMaxInt, &options->num_threads)) {
         return false;
       }
     } else if (flag == "--segments") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->num_segments = std::atoi(v);
-      if (options->num_segments <= 0) {
-        std::fprintf(stderr, "--segments wants a positive integer\n");
+      if (!IntFlag(flag.c_str(), next(), 1, kMaxInt,
+                   &options->num_segments)) {
         return false;
       }
     } else if (flag == "--sweeps") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->sweeps = std::atoi(v);
+      if (!IntFlag(flag.c_str(), next(), 1, kMaxInt, &options->sweeps)) {
+        return false;
+      }
     } else if (flag == "--map") {
       options->map_inference = true;
     } else if (flag == "--tpi") {
@@ -369,12 +396,21 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
-std::string DescribeFact(const KnowledgeBase& kb, const RelationalKB& rkb,
+// Row `row` of the expanded facts table as grounded: an inferred fact's
+// written-back marginal is its P= column, not a weight.
+std::string GroundedFact(const KnowledgeBase& kb, const ExpansionResult& r,
+                         int64_t row) {
+  Fact fact = FactFromRow(r.t_pi->row(row));
+  if (r.t_pi->row(row)[tpi::kI].i64() >= r.first_inferred_id) {
+    fact.weight = std::nan("");
+  }
+  return kb.FactToString(fact);
+}
+
+std::string DescribeFact(const KnowledgeBase& kb, const ExpansionResult& r,
                          FactId id) {
-  for (int64_t j = 0; j < rkb.t_pi->NumRows(); ++j) {
-    if (rkb.t_pi->row(j)[tpi::kI].i64() == id) {
-      return kb.FactToString(FactFromRow(rkb.t_pi->row(j)));
-    }
+  for (int64_t j = 0; j < r.t_pi->NumRows(); ++j) {
+    if (r.t_pi->row(j)[tpi::kI].i64() == id) return GroundedFact(kb, r, j);
   }
   return "?";
 }
@@ -413,12 +449,10 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
     return 1;
   }
 
-  const bool use_mpp = options.num_segments > 0;
-  std::unique_ptr<Grounder> grounder;
-  std::unique_ptr<MppGrounder> mpp;
-  if (use_mpp) {
-    mpp = std::make_unique<MppGrounder>(*rkb, options.num_segments,
-                                        MppMode::kViews, grounding);
+  std::unique_ptr<FixpointGrounder> grounder;
+  if (options.num_segments > 0) {
+    grounder = std::make_unique<MppGrounder>(*rkb, options.num_segments,
+                                             MppMode::kViews, grounding);
   } else {
     grounder = std::make_unique<Grounder>(rkb, grounding);
   }
@@ -430,20 +464,20 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   Status writer_status;
   std::thread writer([&] {
     while (true) {
-      Result<int64_t> added = use_mpp ? mpp->GroundAtomsIteration()
-                                      : grounder->GroundAtomsIteration();
+      Result<int64_t> added = grounder->GroundAtomsIteration();
       if (!added.ok()) {
         writer_status = added.status();
         break;
       }
-      if (use_mpp) rkb->t_pi = mpp->GatherTPi();
+      // The single-node grounder expands rkb->t_pi in place.
+      rkb->t_pi = grounder->TPi();
       if (auto epoch = server.PublishEpoch(*rkb); !epoch.ok()) {
         writer_status = epoch.status();
         break;
       }
-      const int iterations =
-          use_mpp ? mpp->stats().iterations : grounder->stats().iterations;
-      if (*added == 0 || iterations >= options.iterations) break;
+      if (*added == 0 || grounder->stats().iterations >= options.iterations) {
+        break;
+      }
     }
     done.store(true);
   });
@@ -544,8 +578,7 @@ int RunServe(const CliOptions& options, const KnowledgeBase& kb,
   }
 
   if (options.verify_batch) {
-    Result<TablePtr> t_phi =
-        use_mpp ? mpp->GroundFactors() : grounder->GroundFactors();
+    Result<TablePtr> t_phi = grounder->GroundFactors();
     if (!t_phi.ok()) {
       std::fprintf(stderr, "%s\n", t_phi.status().ToString().c_str());
       return 1;
@@ -623,7 +656,6 @@ int Run(const CliOptions& options) {
     std::printf("rule cleaning kept %zu rules\n", kb->rules().size());
   }
 
-  RelationalKB rkb = BuildRelationalModel(*kb);
   GroundingOptions grounding;
   grounding.max_iterations = options.iterations;
   grounding.apply_constraints_each_iteration = options.constraints;
@@ -635,6 +667,7 @@ int Run(const CliOptions& options) {
   grounding.spill_dir = options.spill_dir;
 
   if (options.command == "serve") {
+    RelationalKB rkb = BuildRelationalModel(*kb);
     return RunServe(options, *kb, &rkb, grounding);
   }
 
@@ -660,142 +693,75 @@ int Run(const CliOptions& options) {
     std::fprintf(stderr, "--resume requires --checkpoint DIR\n");
     return 2;
   }
-
-  // Budget failures degrade to a partial expansion: counters below say
-  // which stage gave up, the dumps still happen, and the exit code tells
-  // callers why the run stopped short.
-  bool partial = false;
-  std::string explain_text;
-  Status stop_reason;
-  int grounding_failures = 0;
-  int factor_failures = 0;
-  int iterations = 0;
-  TablePtr t_phi = Table::Make(TPhiSchema());
-  auto absorb_budget_failure = [&](const Status& st, int* failures) -> bool {
-    if (!IsBudgetFailure(st.code())) return false;
-    partial = true;
-    stop_reason = st;
-    ++*failures;
-    return true;
-  };
-
-  if (options.num_segments > 0) {
-    // MPP path: ground on the shared-nothing engine (ProbKB-p views plan)
-    // and gather TPi back so the downstream stages see the same tables the
-    // single-node grounder would produce.
-    MppGrounder mpp(rkb, options.num_segments, MppMode::kViews, grounding);
-    if (want_stats) mpp.set_stats_registry(&registry);
-    if (options.resume && GroundingCheckpointExists(options.checkpoint_dir)) {
-      if (auto st = mpp.ResumeFrom(options.checkpoint_dir); !st.ok()) {
-        std::fprintf(stderr, "resume: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("resumed from %s at iteration %d\n",
-                  options.checkpoint_dir.c_str(), mpp.stats().iterations);
-    }
-    if (auto st = mpp.GroundAtoms();
-        !st.ok() && !absorb_budget_failure(st, &grounding_failures)) {
-      std::fprintf(stderr, "grounding: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    if (!partial) {
-      auto factors = mpp.GroundFactors();
-      if (factors.ok()) {
-        t_phi = factors.MoveValueOrDie();
-      } else if (!absorb_budget_failure(factors.status(),
-                                        &factor_failures)) {
-        std::fprintf(stderr, "%s\n", factors.status().ToString().c_str());
-        return 1;
-      }
-    }
-    rkb.t_pi = mpp.GatherTPi();
-    iterations = mpp.stats().iterations;
-    if (options.explain_plans) explain_text = mpp.ExplainPlans();
-  } else {
-    Grounder grounder(&rkb, grounding);
-    if (want_stats) grounder.set_stats_registry(&registry);
-    if (options.resume && GroundingCheckpointExists(options.checkpoint_dir)) {
-      if (auto st = grounder.ResumeFrom(options.checkpoint_dir); !st.ok()) {
-        std::fprintf(stderr, "resume: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("resumed from %s at iteration %d\n",
-                  options.checkpoint_dir.c_str(),
-                  grounder.stats().iterations);
-    }
-    if (auto st = grounder.GroundAtoms();
-        !st.ok() && !absorb_budget_failure(st, &grounding_failures)) {
-      std::fprintf(stderr, "grounding: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    if (!partial) {
-      auto factors = grounder.GroundFactors();
-      if (factors.ok()) {
-        t_phi = factors.MoveValueOrDie();
-      } else if (!absorb_budget_failure(factors.status(),
-                                        &factor_failures)) {
-        std::fprintf(stderr, "%s\n", factors.status().ToString().c_str());
-        return 1;
-      }
-    }
-    iterations = grounder.stats().iterations;
-    if (options.explain_plans) explain_text = grounder.ExplainPlans();
+  if (options.command == "explain" && options.fact_query.empty()) {
+    std::fprintf(stderr, "explain requires --fact 'relation(x, y)'\n");
+    return 2;
   }
+
+  // The pipeline. Rules were cleaned above; Query 3 runs only inside the
+  // fixpoint (--constraints).
+  ExpansionOptions expansion;
+  expansion.constraints_upfront = false;
+  expansion.grounding = grounding;
+  expansion.run_inference =
+      options.command == "infer" && !options.map_inference;
+  expansion.gibbs.sample_sweeps = options.sweeps;
+  expansion.gibbs.num_threads = options.num_threads;
+  expansion.use_mpp = options.num_segments > 0;
+  expansion.mpp_segments = options.num_segments;
+  expansion.resume_from_checkpoint = options.resume;
+  if (want_stats) expansion.stats = &registry;
+  Result<ExpansionResult> expanded = ExpandKnowledgeBase(*kb, expansion);
+  if (!expanded.ok()) {
+    std::fprintf(stderr, "%s\n", expanded.status().ToString().c_str());
+    return ExitCodeFor(expanded.status());
+  }
+  const ExpansionResult& r = *expanded;
+
+  // Budget failures degrade to a partial expansion: the counters say which
+  // stage gave up, the dumps still happen, and the exit code tells callers
+  // why the run stopped short.
   std::printf("grounded: %lld atoms, %lld factors, %d iterations%s\n",
-              static_cast<long long>(rkb.t_pi->NumRows()),
-              static_cast<long long>(t_phi->NumRows()),
-              iterations, partial ? " (partial)" : "");
-  if (options.explain_plans) std::printf("%s", explain_text.c_str());
-  if (partial) {
-    std::printf("partial expansion: %s\n",
-                stop_reason.ToString().c_str());
+              static_cast<long long>(r.t_pi->NumRows()),
+              static_cast<long long>(r.t_phi->NumRows()),
+              r.grounding_stats.iterations, r.partial ? " (partial)" : "");
+  if (options.explain_plans) std::printf("%s", r.explain_plans.c_str());
+  if (r.partial) {
+    std::printf("partial expansion: %s\n", r.stop_reason.ToString().c_str());
     std::printf("stage failures: grounding %d, factor grounding %d\n",
-                grounding_failures, factor_failures);
+                r.failures.grounding, r.failures.factor_grounding);
   }
-
-  if (!options.tpi_out.empty()) {
-    if (auto st = WriteTableTsvFile(*rkb.t_pi, options.tpi_out); !st.ok()) {
+  for (const auto& [path, table] :
+       {std::pair{&options.tpi_out, r.t_pi},
+        std::pair{&options.tphi_out, r.t_phi}}) {
+    if (path->empty()) continue;
+    if (auto st = WriteTableTsvFile(*table, *path); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s\n", options.tpi_out.c_str());
+    std::printf("wrote %s\n", path->c_str());
   }
-  if (!options.tphi_out.empty()) {
-    if (auto st = WriteTableTsvFile(*t_phi, options.tphi_out); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", options.tphi_out.c_str());
-  }
-  if (partial) {
+  if (r.partial) {
     emit_stats();
-    return ExitCodeFor(stop_reason);
+    return ExitCodeFor(r.stop_reason);
   }
   if (options.command == "ground") return emit_stats();
 
-  auto graph = FactorGraph::FromTables(*rkb.t_pi, *t_phi);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-
+  const FactorGraph& graph = *r.graph;
   if (options.command == "explain") {
-    if (options.fact_query.empty()) {
-      std::fprintf(stderr, "explain requires --fact 'relation(x, y)'\n");
-      return 2;
-    }
-    for (int64_t i = 0; i < rkb.t_pi->NumRows(); ++i) {
-      std::string rendered =
-          kb->FactToString(FactFromRow(rkb.t_pi->row(i)));
-      if (rendered.find(options.fact_query) == std::string::npos) continue;
-      int32_t v = graph->VariableOf(rkb.t_pi->row(i)[tpi::kI].i64());
-      std::printf("%s\n",
-                  graph
-                      ->ExplainLineage(v, 6,
-                                       [&](FactId id) {
-                                         return DescribeFact(*kb, rkb, id);
-                                       })
-                      .c_str());
+    for (int64_t i = 0; i < r.t_pi->NumRows(); ++i) {
+      if (GroundedFact(*kb, r, i).find(options.fact_query) ==
+          std::string::npos) {
+        continue;
+      }
+      int32_t v = graph.VariableOf(r.t_pi->row(i)[tpi::kI].i64());
+      std::printf("%s\n", graph
+                              .ExplainLineage(v, 6,
+                                              [&](FactId id) {
+                                                return DescribeFact(*kb, r,
+                                                                    id);
+                                              })
+                              .c_str());
       return emit_stats();
     }
     std::fprintf(stderr, "no fact matching '%s'\n",
@@ -803,38 +769,25 @@ int Run(const CliOptions& options) {
     return 1;
   }
 
-  if (options.command != "infer") return Usage();
   if (options.map_inference) {
-    auto map = IcmMap(*graph);
+    auto map = IcmMap(graph);
     if (!map.ok()) {
       std::fprintf(stderr, "%s\n", map.status().ToString().c_str());
       return 1;
     }
     std::printf("MAP log-score %.3f\n", map->log_score);
-    for (int64_t i = 0; i < rkb.t_pi->NumRows(); ++i) {
-      int32_t v = graph->VariableOf(rkb.t_pi->row(i)[tpi::kI].i64());
-      std::printf("  %d  %s\n",
-                  map->assignment[static_cast<size_t>(v)],
-                  kb->FactToString(FactFromRow(rkb.t_pi->row(i))).c_str());
+    for (int64_t i = 0; i < r.t_pi->NumRows(); ++i) {
+      int32_t v = graph.VariableOf(r.t_pi->row(i)[tpi::kI].i64());
+      std::printf("  %d  %s\n", map->assignment[static_cast<size_t>(v)],
+                  GroundedFact(*kb, r, i).c_str());
     }
     return emit_stats();
   }
-  GibbsOptions gibbs;
-  gibbs.sample_sweeps = options.sweeps;
-  gibbs.num_threads = options.num_threads;
-  // The sampler now reports its own chains (and a per-sweep latency
-  // histogram) straight into the registry.
-  if (want_stats) gibbs.stats = &registry;
-  auto result = GibbsMarginals(*graph, gibbs);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return ExitCodeFor(result.status());
-  }
-  for (int64_t i = 0; i < rkb.t_pi->NumRows(); ++i) {
-    int32_t v = graph->VariableOf(rkb.t_pi->row(i)[tpi::kI].i64());
+  for (int64_t i = 0; i < r.t_pi->NumRows(); ++i) {
+    int32_t v = graph.VariableOf(r.t_pi->row(i)[tpi::kI].i64());
     std::printf("  P=%.3f  %s\n",
-                result->marginals[static_cast<size_t>(v)],
-                kb->FactToString(FactFromRow(rkb.t_pi->row(i))).c_str());
+                r.inference.marginals[static_cast<size_t>(v)],
+                GroundedFact(*kb, r, i).c_str());
   }
   return emit_stats();
 }
