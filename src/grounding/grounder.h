@@ -59,7 +59,8 @@ struct GroundingOptions {
   /// iteration checkpointed (when checkpointing is on).
   double deadline_seconds = 0.0;
   /// Memory proxy: kResourceExhausted once a single statement's operators
-  /// have produced this many rows. 0 = unlimited.
+  /// have produced this many rows. On MPP the cap applies to each
+  /// segment's plan. 0 = unlimited.
   int64_t max_rows_per_statement = 0;
   /// Executor threads for per-segment / morsel parallelism. 0 = auto
   /// (PROBKB_THREADS, else hardware_concurrency); 1 = the exact serial

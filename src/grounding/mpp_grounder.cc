@@ -37,6 +37,7 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
   ctx_.set_fault_injector(injector);
   ctx_.set_retry_policy(retry);
   ctx_.set_deadline_seconds(options_.deadline_seconds);
+  ctx_.set_max_rows_per_statement(options_.max_rows_per_statement);
   // Motions and per-segment operators run on the shared pool and spill
   // session; results merge in canonical segment order, so the thread count
   // never changes any output.
@@ -554,15 +555,10 @@ Result<TablePtr> MppGrounder::RunFactorStatements() {
   {
     PROBKB_ASSIGN_OR_RETURN(
         DistributedTablePtr singles,
-        MppFilterProject(
-            &ctx_, t_pi_,
-            [](const RowView& row) { return !row[tpi::kW].is_null(); },
-            std::vector<ProjectExpr>{
-                ProjectExpr::Column(tpi::kI, "I1"),
-                ProjectExpr::Constant(Value::Null(), "I2"),
-                ProjectExpr::Constant(Value::Null(), "I3"),
-                ProjectExpr::Column(tpi::kW, "w", ColumnType::kFloat64)},
-            Distribution::Random(), "singleton factors"));
+        PerSegment(&ctx_, t_pi_->PhysicalRows(), Distribution::Random(),
+                   "singleton factors", [this](int s, ExecContext* ec) {
+                     return SingletonFactors(t_pi_->segment(s), ec);
+                   }));
     PROBKB_ASSIGN_OR_RETURN(TablePtr local, ctx_.Gather(*singles));
     t_phi->AppendTable(*local);
     ++stats_.statements;
@@ -572,86 +568,51 @@ Result<TablePtr> MppGrounder::RunFactorStatements() {
 
 Result<int64_t> MppGrounder::ApplyConstraints() {
   ++stats_.statements;
-  auto omega_dist = DistributedTable::Distribute(
-      *t_omega_, ctx_.num_segments(), Distribution::Replicated(), "FC");
-
-  int64_t deleted = 0;
-  for (FunctionalityType type :
-       {FunctionalityType::kTypeI, FunctionalityType::kTypeII}) {
-    const bool type1 = type == FunctionalityType::kTypeI;
-    const int64_t arg = type1 ? 1 : 2;
-    PROBKB_ASSIGN_OR_RETURN(
-        DistributedTablePtr fc_filtered,
-        MppFilterProject(&ctx_, omega_dist,
-                         [arg](const RowView& row) {
-                           return row[tomega::kArg].i64() == arg;
-                         },
-                         std::nullopt, Distribution::Replicated(),
-                         type1 ? "FC arg=1" : "FC arg=2"));
-
-    MppJoinSpec js;
-    js.left_keys = {tpi::kR};
-    js.right_keys = {tomega::kR};
-    js.type = JoinType::kInner;
-    js.output_cols = {
-        JoinOutputCol::Left(tpi::kR, "R"),
-        JoinOutputCol::Left(type1 ? tpi::kX : tpi::kY, "e"),
-        JoinOutputCol::Left(type1 ? tpi::kC1 : tpi::kC2, "Ce"),
-        JoinOutputCol::Left(type1 ? tpi::kC2 : tpi::kC1, "Cother"),
-        JoinOutputCol::Right(tomega::kDeg, "deg"),
-    };
-    // Rows stay on their TPi segment, which hashed (R, C1, C2) — those
-    // values live at output positions (0, 2, 3) for Type I and (0, 3, 2)
-    // for Type II.
-    js.output_dist = type1 ? Distribution::Hash({0, 2, 3})
-                           : Distribution::Hash({0, 3, 2});
-    js.policy = MotionPolicy::kAuto;  // right side replicated: no motion
-    js.label = type1 ? "Query3 join (Type I)" : "Query3 join (Type II)";
-    PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr joined,
-                            MppHashJoin(&ctx_, t_pi_, fc_filtered, js));
-
-    PROBKB_ASSIGN_OR_RETURN(
-        DistributedTablePtr grouped,
-        MppAggregate(&ctx_, joined, {0, 1, 2, 3},
-                     {{AggKind::kCount, 0, "cnt"},
-                      {AggKind::kMin, 4, "mindeg"}},
-                     [](const RowView& row) {
-                       return row[4].i64() > row[5].i64();
-                     },
-                     "Query3 group/having"));
-    PROBKB_ASSIGN_OR_RETURN(
-        DistributedTablePtr projected,
-        MppFilterProject(&ctx_, grouped, nullptr,
-                         std::vector<ProjectExpr>{
-                             ProjectExpr::Column(1, "e"),
-                             ProjectExpr::Column(2, "Ce")},
-                         Distribution::Random(), "Query3 project"));
-    PROBKB_ASSIGN_OR_RETURN(
-        DistributedTablePtr violators,
-        MppDistinct(&ctx_, projected, {0, 1}, "Query3 distinct"));
-
-    // Record permanent bans (same convergence argument as the single-node
-    // grounder).
-    for (int s = 0; s < ctx_.num_segments(); ++s) {
-      const Table& seg = *violators->segment(s);
-      for (int64_t i = 0; i < seg.NumRows(); ++i) {
-        bans_.Add(type1, seg.row(i)[0].i64(), seg.row(i)[1].i64());
-      }
+  // T0 is hashed on (R, C1, C2), which lies inside both of Query 3's group
+  // keys (R, e, Ce, Cother), so every group sits on one segment and each
+  // segment runs the single-node statement over its own rows.
+  PROBKB_ASSIGN_OR_RETURN(
+      DistributedTablePtr violators,
+      PerSegment(&ctx_, t_pi_->PhysicalRows(), Distribution::Random(),
+                 "query3", [this](int s, ExecContext* ec) {
+                   return FindConstraintViolators(t_pi_->segment(s),
+                                                  t_omega_, ec);
+                 }));
+  // Record permanent bans so deleted entities are not re-derived, and
+  // split the keys by side. A key may come from several segments; bans are
+  // a set and the deletes only test membership, so repeats change nothing.
+  std::vector<TablePtr> x_keys, y_keys;
+  for (int s = 0; s < ctx_.num_segments(); ++s) {
+    const Table& seg = *violators->segment(s);
+    x_keys.push_back(Table::Make(seg.schema()));
+    y_keys.push_back(Table::Make(seg.schema()));
+    for (int64_t i = 0; i < seg.NumRows(); ++i) {
+      RowView row = seg.row(i);
+      const bool x_side = row[2].i64() == 1;
+      bans_.Add(x_side, row[0].i64(), row[1].i64());
+      (x_side ? x_keys : y_keys).back()->AppendRow(row);
     }
-
+  }
+  int64_t deleted = 0;
+  for (const bool x_side : {true, false}) {
+    // One broadcast per side serves T0 and every view.
+    const DistributedTable side_keys(
+        violators->schema(), x_side ? x_keys : y_keys, Distribution::Random(),
+        x_side ? "violators x" : "violators y");
+    PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr keys,
+                            ctx_.Broadcast(side_keys));
     const std::vector<int> dst_cols =
-        type1 ? std::vector<int>{tpi::kX, tpi::kC1}
-              : std::vector<int>{tpi::kY, tpi::kC2};
+        x_side ? std::vector<int>{tpi::kX, tpi::kC1}
+               : std::vector<int>{tpi::kY, tpi::kC2};
     PROBKB_ASSIGN_OR_RETURN(
-        int64_t n, MppDeleteMatching(&ctx_, t_pi_.get(), dst_cols,
-                                     *violators, {0, 1}));
+        int64_t n,
+        MppDeleteMatching(&ctx_, t_pi_.get(), dst_cols, *keys, {0, 1}));
     deleted += n;
     if (mode_ == MppMode::kViews) {
-      for (DistributedTablePtr view : {view_tx_, view_ty_, view_txy_}) {
-        PROBKB_ASSIGN_OR_RETURN(
-            int64_t ignored, MppDeleteMatching(&ctx_, view.get(), dst_cols,
-                                               *violators, {0, 1}));
-        (void)ignored;
+      for (const DistributedTablePtr& view : {view_tx_, view_ty_, view_txy_}) {
+        PROBKB_RETURN_NOT_OK(
+            MppDeleteMatching(&ctx_, view.get(), dst_cols, *keys, {0, 1})
+                .status());
       }
     }
   }

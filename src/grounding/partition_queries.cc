@@ -603,25 +603,6 @@ Result<TablePtr> ViolatorsForType(TablePtr t_pi, TablePtr t_omega,
 
 }  // namespace
 
-Result<int64_t> ApplyFunctionalConstraints(Table* t_pi, const Table& t_omega,
-                                           ExecContext* ctx) {
-  // Non-owning aliases: Scan nodes require shared_ptrs but must not take
-  // ownership of the caller's tables.
-  TablePtr t_pi_ref(t_pi, [](Table*) {});
-  TablePtr t_omega_ref(const_cast<Table*>(&t_omega), [](Table*) {});
-
-  PROBKB_ASSIGN_OR_RETURN(
-      TablePtr viol1,
-      ViolatorsForType(t_pi_ref, t_omega_ref, FunctionalityType::kTypeI, ctx));
-  PROBKB_ASSIGN_OR_RETURN(
-      TablePtr viol2, ViolatorsForType(t_pi_ref, t_omega_ref,
-                                       FunctionalityType::kTypeII, ctx));
-  int64_t deleted = 0;
-  deleted += DeleteMatching(t_pi, {tpi::kX, tpi::kC1}, *viol1, {0, 1});
-  deleted += DeleteMatching(t_pi, {tpi::kY, tpi::kC2}, *viol2, {0, 1});
-  return deleted;
-}
-
 Result<TablePtr> FindConstraintViolators(TablePtr t_pi, TablePtr t_omega,
                                          ExecContext* ctx) {
   PROBKB_ASSIGN_OR_RETURN(

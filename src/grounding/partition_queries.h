@@ -218,15 +218,11 @@ Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx);
 int64_t AppendAtomRows(Table* t_pi, const Table& atoms,
                        const std::vector<int64_t>& rows, FactId* next_id);
 
-/// \brief Query 3: deletes from `t_pi` all facts keyed by entities that
-/// violate a functional constraint of `t_omega` (both Type I and Type II).
-/// Returns the number of facts deleted.
-Result<int64_t> ApplyFunctionalConstraints(Table* t_pi, const Table& t_omega,
-                                           ExecContext* ctx);
-
-/// \brief Detects the violating entity keys without deleting: returns a
-/// table (entity, class, arg) where arg is 1 for Type I (x side) and 2 for
-/// Type II (y side). Quality control uses this for ambiguity analysis.
+/// \brief Query 3 without its deletes: returns the violating entity keys
+/// as a table (entity, class, arg) where arg is 1 for Type I (x side) and
+/// 2 for Type II (y side). Both grounders delete the facts these keys name
+/// (the MPP grounder runs it on each T0 segment), and quality control uses
+/// it for ambiguity analysis.
 Result<TablePtr> FindConstraintViolators(TablePtr t_pi, TablePtr t_omega,
                                          ExecContext* ctx);
 

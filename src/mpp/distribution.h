@@ -37,23 +37,6 @@ struct Distribution {
     return true;
   }
 
-  /// \brief True if the hash key is a subset of `cols`; rows equal on
-  /// `cols` are then guaranteed collocated (enough for GROUP BY / DISTINCT).
-  bool HashKeySubsetOf(std::span<const int> cols) const {
-    if (kind != Kind::kHash) return false;
-    for (int k : key_cols) {
-      bool found = false;
-      for (int c : cols) {
-        if (c == k) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    return true;
-  }
-
   std::string ToString() const;
 };
 

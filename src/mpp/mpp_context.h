@@ -68,6 +68,14 @@ class MppContext {
   void set_spill(SpillContext* spill) { spill_ = spill; }
   SpillContext* spill() const { return spill_; }
 
+  /// \brief Row cap of every segment plan (0 = unlimited): PerSegment arms
+  /// each segment's ExecContext with it, so a segment plan that produces
+  /// more rows fails with kResourceExhausted.
+  void set_max_rows_per_statement(int64_t rows) {
+    max_rows_per_statement_ = rows;
+  }
+  int64_t max_rows_per_statement() const { return max_rows_per_statement_; }
+
   /// \brief Attaches an execution-stats registry (not owned; may be
   /// nullptr). Motions then report their shipped tuple/byte volume and
   /// post-motion per-segment row distribution, and compute phases their
@@ -167,6 +175,7 @@ class MppContext {
   SpillContext* spill_ = nullptr;
   RetryPolicy retry_;
   double deadline_seconds_ = 0.0;
+  int64_t max_rows_per_statement_ = 0;
   int64_t next_motion_index_ = 0;
 };
 

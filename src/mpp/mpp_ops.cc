@@ -37,56 +37,6 @@ bool CollocatedOn(const Distribution& left, const Distribution& right,
   return true;
 }
 
-/// Runs `make_plan(segment_table_a, segment_table_b)` on every segment pair,
-/// measuring per-segment time, and assembles a DistributedTable with the
-/// declared distribution. Segments fan out onto the context's thread pool;
-/// each gets a fresh ExecContext (no injector, no nested pool), and error
-/// statuses surface in canonical segment order, so the threaded path reports
-/// the same first failure as the serial one. With a stats registry attached,
-/// each segment's operators are recorded under `label` after the fan-out,
-/// in segment order, so the record stream is the same at any thread count.
-template <typename MakePlan>
-Result<DistributedTablePtr> PerSegment(MppContext* ctx, int num_segments,
-                                       int64_t input_rows,
-                                       const Schema* out_schema_hint,
-                                       Distribution out_dist,
-                                       const std::string& label,
-                                       MakePlan make_plan) {
-  std::vector<TablePtr> out_segments(static_cast<size_t>(num_segments));
-  std::vector<double> seg_seconds(static_cast<size_t>(num_segments), 0.0);
-  std::vector<Status> statuses(static_cast<size_t>(num_segments));
-  StatsRegistry* registry = ctx->stats_registry();
-  std::vector<std::vector<NodeStats>> seg_nodes(
-      registry != nullptr ? static_cast<size_t>(num_segments) : 0);
-  ForEachSegment(ctx, input_rows, [&](int s) {
-    ExecContext ec;
-    ec.set_spill(ctx->spill());
-    Timer timer;
-    PlanNodePtr plan = make_plan(s);
-    Result<TablePtr> result = plan->Execute(&ec);
-    seg_seconds[static_cast<size_t>(s)] = timer.Seconds();
-    if (registry != nullptr) {
-      seg_nodes[static_cast<size_t>(s)] = std::move(ec.mutable_stats()->nodes);
-    }
-    if (result.ok()) {
-      out_segments[static_cast<size_t>(s)] = result.MoveValueOrDie();
-    } else {
-      statuses[static_cast<size_t>(s)] = result.status();
-    }
-  });
-  for (const std::vector<NodeStats>& nodes : seg_nodes) {
-    for (const NodeStats& node : nodes) {
-      registry->RecordOp(label, ToOpRecord(node));
-    }
-  }
-  for (const Status& st : statuses) PROBKB_RETURN_NOT_OK(st);
-  ctx->RecordCompute(label, seg_seconds);
-  Schema schema =
-      out_schema_hint != nullptr ? *out_schema_hint : out_segments[0]->schema();
-  return std::make_shared<DistributedTable>(schema, std::move(out_segments),
-                                            std::move(out_dist), label);
-}
-
 /// `t` with segment s cut to its first `bounds[s].rows` rows; segments
 /// within their bound are shared, not copied.
 DistributedTablePtr CutRows(const DistributedTable& t,
@@ -123,6 +73,60 @@ void ForEachSegment(MppContext* ctx, int64_t total_rows,
   }
 }
 
+Result<DistributedTablePtr> PerSegment(MppContext* ctx, int64_t input_rows,
+                                       Distribution out_dist,
+                                       const std::string& label,
+                                       const SegmentStatement& statement) {
+  const bool once = out_dist.is_replicated();
+  const size_t n = once ? 1 : static_cast<size_t>(ctx->num_segments());
+  std::vector<TablePtr> out_segments(n);
+  std::vector<double> seg_seconds(n, 0.0);
+  std::vector<Status> statuses(n);
+  StatsRegistry* registry = ctx->stats_registry();
+  std::vector<std::vector<NodeStats>> seg_nodes(registry != nullptr ? n : 0);
+  auto run = [&](int s) {
+    const size_t i = static_cast<size_t>(s);
+    ExecContext ec;
+    ec.set_spill(ctx->spill());
+    if (ctx->max_rows_per_statement() > 0) {
+      ExecBudget budget;
+      budget.max_produced_rows = ctx->max_rows_per_statement();
+      ec.set_budget(budget);
+    }
+    Timer timer;
+    Result<TablePtr> result = statement(s, &ec);
+    seg_seconds[i] = timer.Seconds();
+    if (registry != nullptr) {
+      seg_nodes[i] = std::move(ec.mutable_stats()->nodes);
+    }
+    if (result.ok()) {
+      out_segments[i] = result.MoveValueOrDie();
+    } else {
+      statuses[i] = result.status();
+    }
+  };
+  if (once) {
+    run(0);
+  } else {
+    ForEachSegment(ctx, input_rows, run);
+  }
+  for (const std::vector<NodeStats>& nodes : seg_nodes) {
+    for (const NodeStats& node : nodes) {
+      registry->RecordOp(label, ToOpRecord(node));
+    }
+  }
+  for (const Status& st : statuses) PROBKB_RETURN_NOT_OK(st);
+  ctx->RecordCompute(label, seg_seconds);
+  if (once) {
+    out_segments.assign(static_cast<size_t>(ctx->num_segments()),
+                        out_segments[0]);
+  }
+  Schema schema = out_segments[0]->schema();
+  return std::make_shared<DistributedTable>(std::move(schema),
+                                            std::move(out_segments),
+                                            std::move(out_dist), label);
+}
+
 Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                         DistributedTablePtr left,
                                         DistributedTablePtr right,
@@ -130,9 +134,9 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
   if (spec.left_keys.size() != spec.right_keys.size()) {
     return Status::InvalidArgument("join key arity mismatch");
   }
-  const int n = ctx->num_segments();
   const bool bounded = !spec.right_index.empty();
-  if (bounded && (static_cast<int>(spec.right_index.size()) != n ||
+  if (bounded && (static_cast<int>(spec.right_index.size()) !=
+                      ctx->num_segments() ||
                   right->distribution().is_replicated())) {
     return Status::InvalidArgument(
         "right_index needs one entry per segment of a partitioned right "
@@ -232,136 +236,29 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
     }
   }
 
-  // Both replicated: run the join once and replicate the result.
+  // Both replicated: PerSegment runs the join once and replicates the
+  // result. If only the left is replicated (inner join), each left copy
+  // joins its local right fragment exactly once, since the right side is
+  // partitioned.
   const bool both_replicated = left->distribution().is_replicated() &&
                                right->distribution().is_replicated();
-
-  // If only the left is replicated (inner join), each left copy must join
-  // against its local right fragment exactly once — that already works per
-  // segment because the right side is partitioned.
-
   Distribution out_dist = both_replicated ? Distribution::Replicated()
                                           : spec.output_dist;
 
-  if (both_replicated) {
-    ExecContext ec;
-    ec.set_spill(ctx->spill());
-    Timer timer;
-    auto plan = HashJoin(Scan(left->segment(0), left->name()),
-                         Scan(right->segment(0), right->name()),
-                         spec.left_keys, spec.right_keys, spec.type,
-                         spec.output_cols, spec.residual);
-    PROBKB_ASSIGN_OR_RETURN(TablePtr result, plan->Execute(&ec));
-    ctx->RecordCompute(spec.label, {timer.Seconds()});
-    std::vector<TablePtr> segments(static_cast<size_t>(n), result);
-    return std::make_shared<DistributedTable>(result->schema(),
-                                              std::move(segments),
-                                              std::move(out_dist), spec.label);
-  }
-
   // Still in place and bounded: every segment has an index to probe.
   const bool probe_index = bounded && right == right_in;
-  auto left_ref = left;
-  auto right_ref = right;
   return PerSegment(
-      ctx, n, left->PhysicalRows() + (probe_index ? 0 : right->PhysicalRows()),
-      nullptr, std::move(out_dist), spec.label, [&](int s) {
+      ctx, left->PhysicalRows() + (probe_index ? 0 : right->PhysicalRows()),
+      std::move(out_dist), spec.label, [&](int s, ExecContext* ec) {
         const PrebuiltIndex index =
             probe_index ? spec.right_index[static_cast<size_t>(s)]
                         : PrebuiltIndex{};
-        return HashJoin(
-            Scan(left_ref->segment(s), left_ref->name()),
-            Scan(right_ref->segment(s), right_ref->name(),
-                 probe_index ? index.rows : -1),
-            spec.left_keys, spec.right_keys, spec.type, spec.output_cols,
-            spec.residual, index);
-      });
-}
-
-Result<DistributedTablePtr> MppFilterProject(
-    MppContext* ctx, DistributedTablePtr input, RowPredicate pred,
-    std::optional<std::vector<ProjectExpr>> exprs, Distribution output_dist,
-    const std::string& label) {
-  return PerSegment(
-      ctx, ctx->num_segments(), input->PhysicalRows(), nullptr,
-      std::move(output_dist), label, [&](int s) {
-        PlanNodePtr plan = Scan(input->segment(s), input->name());
-        if (pred != nullptr) plan = Filter(std::move(plan), pred);
-        if (exprs.has_value()) plan = Project(std::move(plan), *exprs);
-        return plan;
-      });
-}
-
-Result<DistributedTablePtr> MppDistinct(MppContext* ctx,
-                                        DistributedTablePtr input,
-                                        std::vector<int> key_cols,
-                                        const std::string& label) {
-  if (!input->distribution().is_replicated() &&
-      !input->distribution().HashKeySubsetOf(key_cols)) {
-    PROBKB_ASSIGN_OR_RETURN(input, ctx->Redistribute(*input, key_cols));
-  }
-  if (input->distribution().is_replicated()) {
-    // Distinct of a replicated table stays replicated; run once.
-    ExecContext ec;
-    ec.set_spill(ctx->spill());
-    Timer timer;
-    auto plan = Distinct(Scan(input->segment(0), input->name()), key_cols);
-    PROBKB_ASSIGN_OR_RETURN(TablePtr result, plan->Execute(&ec));
-    ctx->RecordCompute(label, {timer.Seconds()});
-    std::vector<TablePtr> segments(
-        static_cast<size_t>(ctx->num_segments()), result);
-    return std::make_shared<DistributedTable>(result->schema(),
-                                              std::move(segments),
-                                              Distribution::Replicated(),
-                                              label);
-  }
-  Distribution out_dist = input->distribution();
-  auto input_ref = input;
-  return PerSegment(ctx, ctx->num_segments(), input->PhysicalRows(), nullptr,
-                    std::move(out_dist), label, [&](int s) {
-                      return Distinct(
-                          Scan(input_ref->segment(s), input_ref->name()),
-                          key_cols);
-                    });
-}
-
-Result<DistributedTablePtr> MppAggregate(MppContext* ctx,
-                                         DistributedTablePtr input,
-                                         std::vector<int> group_cols,
-                                         std::vector<AggSpec> aggs,
-                                         RowPredicate having,
-                                         const std::string& label) {
-  if (!input->distribution().is_replicated() &&
-      !input->distribution().HashKeySubsetOf(group_cols)) {
-    PROBKB_ASSIGN_OR_RETURN(input, ctx->Redistribute(*input, group_cols));
-  }
-  if (input->distribution().is_replicated()) {
-    return Status::InvalidArgument(
-        "MppAggregate over a replicated input is not supported; gather it");
-  }
-  // Output groups keyed by group columns 0..k-1 of the output schema.
-  std::vector<int> out_keys;
-  for (size_t i = 0; i < group_cols.size(); ++i) {
-    out_keys.push_back(static_cast<int>(i));
-  }
-  // The input hash key (a subset of group_cols) maps to output positions.
-  std::vector<int> out_dist_keys;
-  for (int k : input->distribution().key_cols) {
-    for (size_t i = 0; i < group_cols.size(); ++i) {
-      if (group_cols[i] == k) {
-        out_dist_keys.push_back(static_cast<int>(i));
-        break;
-      }
-    }
-  }
-  auto input_ref = input;
-  return PerSegment(
-      ctx, ctx->num_segments(), input->PhysicalRows(), nullptr,
-      out_dist_keys.empty() ? Distribution::Random()
-                            : Distribution::Hash(out_dist_keys),
-      label, [&](int s) {
-        return Aggregate(Scan(input_ref->segment(s), input_ref->name()),
-                         group_cols, aggs, having);
+        return HashJoin(Scan(left->segment(s), left->name()),
+                        Scan(right->segment(s), right->name(),
+                             probe_index ? index.rows : -1),
+                        spec.left_keys, spec.right_keys, spec.type,
+                        spec.output_cols, spec.residual, index)
+            ->Execute(ec);
       });
 }
 

@@ -2,7 +2,6 @@
 #define PROBKB_MPP_MPP_OPS_H_
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,39 +55,40 @@ struct MppJoinSpec {
 void ForEachSegment(MppContext* ctx, int64_t total_rows,
                     const std::function<void(int)>& body);
 
+/// \brief One segment's plan: runs over segment `segment`'s rows of its
+/// inputs under `ec` and returns that segment's output rows.
+using SegmentStatement =
+    std::function<Result<TablePtr>(int segment, ExecContext* ec)>;
+
+/// \brief The one per-segment statement runner of the MPP layer: runs
+/// `statement` on every segment (through ForEachSegment; `input_rows`
+/// gates the pool as there) and assembles the outputs into a table
+/// distributed as `out_dist`. A replicated `out_dist` runs the statement
+/// once, on segment 0, and every segment shares the result.
+///
+/// Each segment gets its own ExecContext armed from `ctx`: the spill
+/// context and the per-statement row cap (`max_rows_per_statement`), so a
+/// segment plan trips kResourceExhausted exactly as a single-node
+/// statement does. Errors surface in segment order, so a threaded run
+/// reports the same first failure as a serial one. The measured segment
+/// times are charged as one compute phase under `label`, and with a stats
+/// registry attached each segment's operators are recorded under `label`
+/// after the fan-out, in segment order, so the record stream is the same
+/// at any thread count.
+Result<DistributedTablePtr> PerSegment(MppContext* ctx, int64_t input_rows,
+                                       Distribution out_dist,
+                                       const std::string& label,
+                                       const SegmentStatement& statement);
+
 /// \brief Distributed hash equi-join with motion planning.
 Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                         DistributedTablePtr left,
                                         DistributedTablePtr right,
                                         MppJoinSpec spec);
 
-/// \brief Per-segment filter and/or projection. Filtering preserves the
-/// input distribution; when `exprs` is set the caller declares the output
-/// distribution in terms of the new column positions.
-Result<DistributedTablePtr> MppFilterProject(
-    MppContext* ctx, DistributedTablePtr input, RowPredicate pred,
-    std::optional<std::vector<ProjectExpr>> exprs, Distribution output_dist,
-    const std::string& label);
-
-/// \brief Distributed DISTINCT on `key_cols`; redistributes first unless
-/// rows equal on the keys are already collocated.
-Result<DistributedTablePtr> MppDistinct(MppContext* ctx,
-                                        DistributedTablePtr input,
-                                        std::vector<int> key_cols,
-                                        const std::string& label);
-
-/// \brief Distributed GROUP BY; redistributes on the group columns unless
-/// already collocated. HAVING runs per segment (safe: groups never span
-/// segments after collocation).
-Result<DistributedTablePtr> MppAggregate(MppContext* ctx,
-                                         DistributedTablePtr input,
-                                         std::vector<int> group_cols,
-                                         std::vector<AggSpec> aggs,
-                                         RowPredicate having,
-                                         const std::string& label);
-
 /// \brief Distributed DELETE ... WHERE (cols) IN (keys): broadcasts the
-/// (small) key relation and deletes per segment. Returns rows deleted.
+/// (small) key relation unless it is replicated already, and deletes per
+/// segment. Returns rows deleted.
 Result<int64_t> MppDeleteMatching(MppContext* ctx, DistributedTable* dst,
                                   const std::vector<int>& dst_cols,
                                   const DistributedTable& keys,

@@ -887,6 +887,33 @@ TEST(PipelinePartialTest, RowBudgetYieldsPartialResultSingleNode) {
   EXPECT_EQ(result->t_pi->NumRows(), 2);
 }
 
+// The MPP grounder arms every segment plan with the same row cap, so the
+// budget trips there too, with the same partial result at any thread count.
+TEST(PipelinePartialTest, RowBudgetYieldsPartialResultMpp) {
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  std::vector<std::string> digests;
+  for (int threads : {1, 4}) {
+    ExpansionOptions options;
+    options.use_mpp = true;
+    options.mpp_segments = kSegments;
+    options.constraints_upfront = false;  // the budget governs expansion only
+    options.grounding.max_rows_per_statement = 1;
+    options.grounding.num_threads = threads;
+    auto result = ExpandKnowledgeBase(kb, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->partial);
+    EXPECT_EQ(result->stop_reason.code(), StatusCode::kResourceExhausted)
+        << result->stop_reason;
+    EXPECT_EQ(result->failures.grounding, 1);
+    ASSERT_NE(result->t_pi, nullptr);
+    // Nothing was expanded, but the extracted facts survive.
+    EXPECT_EQ(result->t_pi->NumRows(), 2);
+    digests.push_back(result->stop_reason.ToString() + "|" +
+                      std::to_string(testutil::TableDigest(*result->t_pi)));
+  }
+  EXPECT_EQ(digests[1], digests[0]);
+}
+
 TEST(PipelinePartialTest, CheckpointedPipelineResumesAcrossCalls) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
 

@@ -69,10 +69,6 @@ TEST(DistributionTest, KeyPredicates) {
   EXPECT_TRUE(h.IsHashOn(same));
   EXPECT_FALSE(h.IsHashOn(super));
   EXPECT_FALSE(h.IsHashOn(other));  // order matters
-  EXPECT_TRUE(h.HashKeySubsetOf(super));
-  EXPECT_TRUE(h.HashKeySubsetOf(other));  // subset ignores order
-  std::vector<int> just_one = {1};
-  EXPECT_FALSE(h.HashKeySubsetOf(just_one));
 }
 
 // --- Motions -------------------------------------------------------------------
@@ -206,30 +202,6 @@ TEST_P(MppOpsEquivalenceTest, SemiAntiJoinMatchesSingleNode) {
   }
 }
 
-TEST_P(MppOpsEquivalenceTest, DistinctAndAggregateMatchSingleNode) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 70);
-  auto local = RandomTable(&rng, 150, 6);
-  ExecContext ec;
-  auto expected_distinct = Distinct(Scan(local), {0, 1})->Execute(&ec);
-  auto expected_agg =
-      Aggregate(Scan(local), {0}, {{AggKind::kCount, 0, "cnt"}})
-          ->Execute(&ec);
-  ASSERT_TRUE(expected_distinct.ok());
-  ASSERT_TRUE(expected_agg.ok());
-
-  MppContext ctx(6);
-  auto dist = DistributedTable::Distribute(*local, 6, Distribution::Random());
-  auto distinct = MppDistinct(&ctx, dist, {0, 1}, "distinct");
-  ASSERT_TRUE(distinct.ok());
-  EXPECT_TRUE(
-      TablesEqualAsBags(*(*distinct)->ToLocal(), **expected_distinct));
-
-  auto agg = MppAggregate(&ctx, dist, {0}, {{AggKind::kCount, 0, "cnt"}},
-                          nullptr, "agg");
-  ASSERT_TRUE(agg.ok());
-  EXPECT_TRUE(TablesEqualAsBags(*(*agg)->ToLocal(), **expected_agg));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, MppOpsEquivalenceTest, ::testing::Range(0, 8));
 
 TEST(MppOpsTest, DeleteMatchingMatchesSingleNode) {
@@ -340,6 +312,75 @@ TEST(MppGrounderTest, ConstraintApplicationMatchesSingleNode) {
             testutil::TPiAtomSet(*rkb_single.t_pi));
 }
 
+// An MppGrounder that exposes its per-segment state (T0 and the views).
+class SegmentStateProbe : public MppGrounder {
+ public:
+  using MppGrounder::MppGrounder;
+  GroundingCheckpoint State() const {
+    GroundingCheckpoint cp;
+    SaveState(&cp);
+    return cp;
+  }
+};
+
+TablePtr Concat(const std::vector<TablePtr>& segments) {
+  auto out = Table::Make(TPiSchema());
+  for (const TablePtr& seg : segments) out->AppendTable(*seg);
+  return out;
+}
+
+// Query 3 runs the single-node statement on each T0 segment: after two
+// iterations on a generated KB it deletes the same rows, records the same
+// bans and leaves the same TPi as the single-node grounder, on any segment
+// count and in both view modes, and the views keep T0's rows.
+class MppGrounderConstraintTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MppGrounderConstraintTest, ConstraintApplicationMatchesSingleNode) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.004;
+  cfg.seed = static_cast<uint64_t>(GetParam()) * 7919 + 3;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  GroundingOptions options;
+  options.max_iterations = 2;
+
+  RelationalKB rkb_single = BuildRelationalModel(skb->kb);
+  Grounder single(&rkb_single, options);
+  ASSERT_TRUE(single.GroundAtoms().ok());
+  auto deleted_single = single.ApplyConstraints();
+  ASSERT_TRUE(deleted_single.ok());
+  EXPECT_GT(*deleted_single, 0);
+
+  for (MppMode mode : {MppMode::kNoViews, MppMode::kViews}) {
+    for (int segments : {1, 3, 5}) {
+      SCOPED_TRACE(StrFormat("%s, %d segments",
+                             mode == MppMode::kViews ? "views" : "no views",
+                             segments));
+      RelationalKB rkb_mpp = BuildRelationalModel(skb->kb);
+      SegmentStateProbe mpp(rkb_mpp, segments, mode, options);
+      ASSERT_TRUE(mpp.GroundAtoms().ok());
+      auto deleted_mpp = mpp.ApplyConstraints();
+      ASSERT_TRUE(deleted_mpp.ok()) << deleted_mpp.status();
+      EXPECT_EQ(*deleted_mpp, *deleted_single);
+      EXPECT_EQ(mpp.banned_x(), single.banned_x());
+      EXPECT_EQ(mpp.banned_y(), single.banned_y());
+      EXPECT_EQ(testutil::TPiAtomSet(*mpp.GatherTPi()),
+                testutil::TPiAtomSet(*rkb_single.t_pi));
+      const GroundingCheckpoint state = mpp.State();
+      const TablePtr t0 = Concat(state.t0_segments);
+      for (const auto* view :
+           {&state.tx_segments, &state.ty_segments, &state.txy_segments}) {
+        EXPECT_EQ(view->empty(), mode == MppMode::kNoViews);
+        if (!view->empty()) {
+          EXPECT_TRUE(TablesEqualAsBags(*Concat(*view), *t0));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MppGrounderConstraintTest,
+                         ::testing::Range(0, 3));
 
 // Property: MPP and single-node grounders agree on random synthetic KBs
 // (both modes), including the factor multiset.
@@ -656,15 +697,6 @@ TEST(MppOpsErrorTest, BroadcastLeftInvalidForSemiJoin) {
   EXPECT_FALSE(MppHashJoin(&ctx, left, right, spec).ok());
 }
 
-TEST(MppOpsErrorTest, AggregateOverReplicatedRejected) {
-  auto t = MakeTable(AB(), {{1, 2}});
-  MppContext ctx(2);
-  auto dist = DistributedTable::Distribute(*t, 2, Distribution::Replicated());
-  EXPECT_FALSE(MppAggregate(&ctx, dist, {0}, {{AggKind::kCount, 0, "c"}},
-                            nullptr, "agg")
-                   .ok());
-}
-
 TEST(MppOpsErrorTest, RedistributeKeyOutOfRange) {
   auto t = MakeTable(AB(), {{1, 2}});
   MppContext ctx(2);
@@ -672,10 +704,14 @@ TEST(MppOpsErrorTest, RedistributeKeyOutOfRange) {
   EXPECT_FALSE(ctx.Redistribute(*dist, {5}).ok());
 }
 
+// The join of replicated inputs runs once, through the per-segment runner
+// like every segment join, so it also records its operators.
 TEST(MppOpsTest, JoinOfReplicatedInputsStaysReplicated) {
   auto left = MakeTable(AB(), {{1, 10}, {2, 20}});
   auto right = MakeTable(AB(), {{1, 100}});
   MppContext ctx(3);
+  StatsRegistry registry;
+  ctx.set_stats_registry(&registry);
   auto dl = DistributedTable::Distribute(*left, 3, Distribution::Replicated());
   auto dr = DistributedTable::Distribute(*right, 3,
                                          Distribution::Replicated());
@@ -690,6 +726,13 @@ TEST(MppOpsTest, JoinOfReplicatedInputsStaysReplicated) {
   EXPECT_TRUE((*result)->distribution().is_replicated());
   EXPECT_EQ((*result)->NumRows(), 1);  // logical count, not x3
   EXPECT_EQ(ctx.cost().tuples_shipped(), 0);
+  // One plan, run once: two scans, then the join over them.
+  ASSERT_EQ(registry.statements().size(), 1u);
+  const StatementTrace& statement = registry.statements()[0];
+  EXPECT_EQ(statement.scope, spec.label);
+  ASSERT_EQ(statement.ops.size(), 3u);
+  EXPECT_EQ(statement.ops[2].num_children, 2);
+  EXPECT_EQ(statement.ops[2].rows_out, 1);
 }
 
 }  // namespace
