@@ -295,7 +295,24 @@ void BM_RedistributeMotion(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_RedistributeMotion)->Arg(1 << 14);
+// 1 << 8 is a tail-iteration Δ; 1 << 14 a full-pass intermediate.
+BENCHMARK(BM_RedistributeMotion)->Arg(1 << 8)->Arg(1 << 14);
+
+// Placement of a local table on 32 segments: the view builds of every
+// MppGrounder (hash) and the rule tables (round-robin). Arguments: rows,
+// hash (1) or round-robin (0).
+void BM_DistributeTable(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  auto local = RandomTable(rows, rows, 9);
+  const Distribution dist = state.range(1) != 0 ? Distribution::Hash({0, 1})
+                                                : Distribution::Random();
+  for (auto _ : state) {
+    auto result = DistributedTable::Distribute(*local, 32, dist);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_DistributeTable)->Args({1 << 16, 1})->Args({1 << 16, 0});
 
 void BM_BroadcastMotion(benchmark::State& state) {
   const int64_t rows = state.range(0);

@@ -222,6 +222,14 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
   } else {
     out_schema = left->schema();
   }
+  // An empty probe side joins nothing, whatever the join type: no build.
+  if (left->NumRows() == 0) {
+    auto out = Table::Make(out_schema);
+    PROBKB_RETURN_NOT_OK(
+        ctx->Record(MakeStats(Label(), build_rows, 0, timer.Seconds(), 2)));
+    set_obs_rows(0);
+    return out;
+  }
   // Out-of-core path: when a memory budget is armed, no prebuilt index
   // exists, and the headroom cannot hold this join's working set (both
   // inputs plus the build index), rewrite to the grace-hash join:

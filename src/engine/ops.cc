@@ -58,9 +58,12 @@ int64_t DeleteWhere(Table* table,
 
 int64_t DeleteMatching(Table* table, const std::vector<int>& table_cols,
                        const Table& keys, const std::vector<int>& key_cols) {
+  if (keys.NumRows() == 0) return 0;
   KeyIndex index(&keys, key_cols);
-  // Batch-hash the probe keys and mark survivors directly.
+  // Batch-hash the probe keys and mark survivors directly; a table with
+  // no matching row is left as it is.
   std::vector<bool> keep(static_cast<size_t>(table->NumRows()));
+  bool matched = false;
   size_t hashes[kHashBatchRows];
   const int64_t n = table->NumRows();
   for (int64_t base = 0; base < n; base += kHashBatchRows) {
@@ -68,11 +71,13 @@ int64_t DeleteMatching(Table* table, const std::vector<int>& table_cols,
     table->HashRows(table_cols, base, end, hashes);
     for (int64_t i = base; i < end; ++i) index.PrefetchHash(hashes[i - base]);
     for (int64_t i = base; i < end; ++i) {
-      keep[static_cast<size_t>(i)] =
-          !index.ContainsHashed(hashes[i - base], table->row(i), table_cols);
+      const bool hit =
+          index.ContainsHashed(hashes[i - base], table->row(i), table_cols);
+      keep[static_cast<size_t>(i)] = !hit;
+      matched = matched || hit;
     }
   }
-  return table->FilterInPlace(keep);
+  return matched ? table->FilterInPlace(keep) : 0;
 }
 
 bool TablesEqualAsBags(const Table& a, const Table& b) {

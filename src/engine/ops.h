@@ -55,7 +55,8 @@ int64_t DeleteWhere(Table* table, const std::function<bool(const RowView&)>& pre
 
 /// \brief Deletes rows of `table` whose `table_cols` key appears among
 /// `keys`' `key_cols` values (SQL `DELETE ... WHERE (..) IN (SELECT ..)`).
-/// Returns the number deleted.
+/// Returns the number deleted. `table` is not rewritten when no row
+/// matches, nor even hashed when `keys` is empty.
 int64_t DeleteMatching(Table* table, const std::vector<int>& table_cols,
                        const Table& keys, const std::vector<int>& key_cols);
 

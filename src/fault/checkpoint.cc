@@ -23,6 +23,7 @@ namespace {
 constexpr const char kManifestName[] = "MANIFEST";
 constexpr const char kStagingName[] = ".staging";
 constexpr const char kFormatLine[] = "probkb-grounding-checkpoint 1";
+constexpr const char kDeltaMarksName[] = "delta_marks.tsv";
 
 std::function<void(const std::string&)>& FsyncObserver() {
   static std::function<void(const std::string&)> observer;
@@ -114,6 +115,35 @@ Result<std::vector<TablePtr>> ReadSegmentGroup(
   return segments;
 }
 
+/// A resumed MPP grounder takes each segment's Δ from the rows past its
+/// marks, so every mark must lie within its segment.
+Status ValidateDeltaMarks(const GroundingCheckpoint& cp) {
+  const Table& marks = *cp.delta_marks;
+  if (marks.NumRows() != cp.num_segments) {
+    return Status::ParseError(StrFormat(
+        "checkpoint delta marks have %lld rows for %d segments",
+        static_cast<long long>(marks.NumRows()), cp.num_segments));
+  }
+  const std::vector<TablePtr>* groups[] = {&cp.t0_segments, &cp.tx_segments,
+                                           &cp.ty_segments};
+  for (int64_t s = 0; s < marks.NumRows(); ++s) {
+    for (int c = 0; c < marks.width(); ++c) {
+      const std::vector<TablePtr>& group = *groups[c];
+      const int64_t rows =
+          group.empty() ? 0 : group[static_cast<size_t>(s)]->NumRows();
+      const Value mark = marks.ValueAt(s, c);
+      if (!mark.is_int64() || mark.i64() < 0 || mark.i64() > rows) {
+        return Status::ParseError(StrFormat(
+            "checkpoint delta mark %s of segment %lld is outside its %lld "
+            "rows",
+            marks.schema().field(c).name.c_str(), static_cast<long long>(s),
+            static_cast<long long>(rows)));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void SetCheckpointFsyncObserverForTest(
@@ -123,6 +153,12 @@ void SetCheckpointFsyncObserverForTest(
 
 Schema BannedEntitySchema() {
   return Schema({{"e", ColumnType::kInt64}, {"c", ColumnType::kInt64}});
+}
+
+Schema DeltaMarksSchema() {
+  return Schema({{"t0", ColumnType::kInt64},
+                 {"tx", ColumnType::kInt64},
+                 {"ty", ColumnType::kInt64}});
 }
 
 bool GroundingCheckpointExists(const std::string& dir) {
@@ -147,6 +183,11 @@ Status WriteGroundingCheckpoint(const GroundingCheckpoint& cp,
          static_cast<int>(cp.txy_segments.size()) != cp.num_segments)) {
       return Status::InvalidArgument(
           "checkpoint view segment counts do not match num_segments");
+    }
+    if (cp.delta_marks != nullptr &&
+        cp.delta_marks->NumRows() != cp.num_segments) {
+      return Status::InvalidArgument(
+          "checkpoint delta marks do not match num_segments");
     }
   }
 
@@ -190,6 +231,10 @@ Status WriteGroundingCheckpoint(const GroundingCheckpoint& cp,
           StageSegmentGroup(staging, "ty", cp.ty_segments, &staged));
       PROBKB_RETURN_NOT_OK(
           StageSegmentGroup(staging, "txy", cp.txy_segments, &staged));
+    }
+    if (cp.delta_marks != nullptr) {
+      PROBKB_RETURN_NOT_OK(
+          StageTable(*cp.delta_marks, staging, kDeltaMarksName, &staged));
     }
   }
 
@@ -370,6 +415,12 @@ Result<GroundingCheckpoint> ReadGroundingCheckpoint(
       PROBKB_ASSIGN_OR_RETURN(
           cp.txy_segments, ReadSegmentGroup(t_pi_schema, dir, "txy",
                                             cp.num_segments, manifest_rows));
+    }
+    if (manifest_rows.contains(kDeltaMarksName)) {
+      PROBKB_ASSIGN_OR_RETURN(
+          cp.delta_marks, ReadCheckpointTable(DeltaMarksSchema(), dir,
+                                              kDeltaMarksName, manifest_rows));
+      PROBKB_RETURN_NOT_OK(ValidateDeltaMarks(cp));
     }
   }
   return cp;

@@ -41,10 +41,18 @@ struct GroundingCheckpoint {
   std::vector<TablePtr> tx_segments;
   std::vector<TablePtr> ty_segments;
   std::vector<TablePtr> txy_segments;
+  /// MPP semi-naive state: one (t0, tx, ty) row per segment, the row counts
+  /// of T0 and the Tx/Ty views (0 under kNoViews) when the last iteration
+  /// started. Null when the next iteration must run the full pass, and in
+  /// checkpoints written before the marks were kept.
+  TablePtr delta_marks;
 };
 
 /// \brief Schema of the banned-entity tables: (e, c).
 Schema BannedEntitySchema();
+
+/// \brief Schema of the MPP Δ-marks table: (t0, tx, ty).
+Schema DeltaMarksSchema();
 
 /// \brief Writes `cp` under `dir` (created if missing), atomically with
 /// respect to the MANIFEST.

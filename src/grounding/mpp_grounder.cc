@@ -30,7 +30,6 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
       planner_(MotionCostModel{cost_params.seconds_per_shipped_tuple,
                                cost_params.broadcast_tuple_discount,
                                cost_params.motion_latency, num_segments}),
-      m_(rkb.m),
       t_omega_(rkb.t_omega),
       next_fact_id_(rkb.next_fact_id) {
   ctx_.set_planner(&planner_);
@@ -43,15 +42,22 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
   // never changes any output.
   ctx_.set_thread_pool(pool_.get());
   ctx_.set_spill(spill_session_->context());
-  t_pi_ = DistributedTable::Distribute(*rkb.t_pi, num_segments,
-                                       Distribution::Hash(ViewKeysT0()), "T0");
+  auto distribute = [&](const Table& t, Distribution dist, std::string name) {
+    return DistributedTable::Distribute(t, num_segments, std::move(dist),
+                                        std::move(name));
+  };
+  t_pi_ = distribute(*rkb.t_pi, Distribution::Hash(ViewKeysT0()), "T0");
   if (mode_ == MppMode::kViews) {
-    view_tx_ = DistributedTable::Distribute(
-        *rkb.t_pi, num_segments, Distribution::Hash(ViewKeysTx()), "Tx");
-    view_ty_ = DistributedTable::Distribute(
-        *rkb.t_pi, num_segments, Distribution::Hash(ViewKeysTy()), "Ty");
-    view_txy_ = DistributedTable::Distribute(
-        *rkb.t_pi, num_segments, Distribution::Hash(ViewKeysTxy()), "Txy");
+    view_tx_ = distribute(*rkb.t_pi, Distribution::Hash(ViewKeysTx()), "Tx");
+    view_ty_ = distribute(*rkb.t_pi, Distribution::Hash(ViewKeysTy()), "Ty");
+    view_txy_ =
+        distribute(*rkb.t_pi, Distribution::Hash(ViewKeysTxy()), "Txy");
+  }
+  // M never changes during the fixpoint: spread each M_p round-robin once.
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    rules_[static_cast<size_t>(p - 1)] =
+        distribute(*rkb.m[static_cast<size_t>(p - 1)], Distribution::Random(),
+                   "M" + std::to_string(p));
   }
 }
 
@@ -101,13 +107,6 @@ Result<DistributedTablePtr> MppGrounder::Join(DistributedTablePtr left,
       MppHashJoin(&ctx_, std::move(left), std::move(right), spec));
   ObserveStatement(spec.label, estimate, out->NumRows());
   return out;
-}
-
-DistributedTablePtr MppGrounder::DistributedRules(int p) const {
-  return DistributedTable::Distribute(*m_[static_cast<size_t>(p - 1)],
-                                      ctx_.num_segments(),
-                                      Distribution::Random(),
-                                      "M" + std::to_string(p));
 }
 
 std::vector<PrebuiltIndex> MppGrounder::RightIndex(
@@ -175,8 +174,8 @@ Result<DistributedTablePtr> MppGrounder::GroundAtomsPartition(int p) {
   // warm iterations reuse the previous iteration's observation.
   PROBKB_ASSIGN_OR_RETURN(
       DistributedTablePtr j,
-      Join(DistributedRules(p), ProbeFor(spec.t_keys1), std::move(js1),
-           m_[static_cast<size_t>(p - 1)]->NumRows()));
+      Join(Rules(p), ProbeFor(spec.t_keys1), std::move(js1),
+           Rules(p)->NumRows()));
   if (spec.body_length == 1) return j;
 
   DistributedTablePtr probe2 = ProbeFor(spec.t_keys2);
@@ -193,7 +192,7 @@ Result<DistributedTablePtr> MppGrounder::GroundAtomsPartition(int p) {
 Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
     int p, const DistributedTablePtr& delta, const RowMarks& marks) {
   const PartitionSpec& spec = GetPartitionSpec(p);
-  DistributedTablePtr rules = DistributedRules(p);
+  DistributedTablePtr rules = Rules(p);
   // (Δ, full): Δ atoms matched as body 1 meet their rules, which probe
   // body 2 over the whole view. Δ stays on its T0 segment; the rules move.
   MppJoinSpec js1;
@@ -344,56 +343,40 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
   ctx_.RecordCompute("union into T0", seg_seconds);
 
   if (mode_ == MppMode::kViews && added > 0) {
-    // Incremental view maintenance: ship only the delta rows to each view.
-    // Each delta row remembers its T0 origin segment so an injected fault
-    // can replay exactly the victim's contribution.
-    Table delta(TPiSchema());
-    std::vector<int> origin;
-    for (int s = 0; s < n; ++s) {
-      const Table& seg = *t_pi_->segment(s);
-      const int64_t from = old_sizes[static_cast<size_t>(s)];
-      delta.AppendRows(seg, from, seg.NumRows());
-      origin.insert(origin.end(), static_cast<size_t>(seg.NumRows() - from),
-                    s);
-    }
-    for (DistributedTablePtr view : {view_tx_, view_ty_, view_txy_}) {
-      const auto& keys = view->distribution().key_cols;
-      std::vector<int> targets(static_cast<size_t>(delta.NumRows()));
-      if (delta.NumRows() > 0) {
-        DistributedTable::TargetSegments(delta, keys, n, 0, delta.NumRows(),
-                                         targets.data());
-      }
-      std::vector<std::vector<int64_t>> sent(
-          static_cast<size_t>(n),
-          std::vector<int64_t>(static_cast<size_t>(n)));
+    // Incremental view maintenance: each T0 segment ships only its new rows
+    // to each view, so an injected fault replays exactly the victim's
+    // contribution.
+    std::vector<const Table*> senders;
+    for (int s = 0; s < n; ++s) senders.push_back(t_pi_->segment(s).get());
+    for (const DistributedTablePtr& view : {view_tx_, view_ty_, view_txy_}) {
+      std::vector<SegmentRouting> routes(static_cast<size_t>(n));
+      ForEachSegment(&ctx_, added, [&](int s) {
+        const size_t i = static_cast<size_t>(s);
+        routes[i] = DistributedTable::Route(*senders[i], view->distribution(),
+                                            n, old_sizes[i],
+                                            senders[i]->NumRows());
+      });
       std::vector<int64_t> received(static_cast<size_t>(n), 0);
-      for (int64_t r = 0; r < delta.NumRows(); ++r) {
-        const int target = targets[static_cast<size_t>(r)];
-        ++sent[static_cast<size_t>(origin[static_cast<size_t>(r)])]
-              [static_cast<size_t>(target)];
-        ++received[static_cast<size_t>(target)];
+      for (const SegmentRouting& route : routes) {
+        for (int t = 0; t < n; ++t) {
+          received[static_cast<size_t>(t)] += route.Count(t);
+        }
       }
       auto resend = [&](const FaultEvent& f) -> int64_t {
-        if (f.kind == FaultKind::kSegmentFailure) {
-          int64_t t = 0;
-          for (int64_t batch : sent[static_cast<size_t>(f.segment)]) {
-            t += batch;
-          }
-          return t;
-        }
-        return sent[static_cast<size_t>(f.segment)][
-            static_cast<size_t>(f.target)];
+        const SegmentRouting& route = routes[static_cast<size_t>(f.segment)];
+        return f.kind == FaultKind::kSegmentFailure
+                   ? static_cast<int64_t>(route.rows.size())
+                   : route.Count(f.target);
       };
       // The refresh is a real motion: it consumes a motion index, can be
       // struck by injected faults, and only mutates the view once the
       // (possibly recovered) shipment succeeded.
       PROBKB_RETURN_NOT_OK(ctx_.AccountMotion(
-          MppStep::Kind::kRedistribute, "refresh " + view->name(),
-          delta.NumRows(), delta.schema().num_fields(), received, resend));
-      for (int64_t r = 0; r < delta.NumRows(); ++r) {
-        view->mutable_segment(targets[static_cast<size_t>(r)])
-            ->AppendRows(delta, r, r + 1);
-      }
+          MppStep::Kind::kRedistribute, "refresh " + view->name(), added,
+          t_pi_->schema().num_fields(), received, resend));
+      std::vector<TablePtr> segments;
+      for (int t = 0; t < n; ++t) segments.push_back(view->mutable_segment(t));
+      DistributedTable::Scatter(senders, routes, segments, ctx_.thread_pool());
     }
   }
   return added;
@@ -431,7 +414,7 @@ Result<int64_t> MppGrounder::RunIteration() {
   }
   std::vector<DistributedTablePtr> inferred;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
-    if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
+    if (Rules(p)->NumRows() == 0) continue;
     const double partition_start = ctx_.cost().simulated_seconds();
     PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr atoms,
                             delta_driven
@@ -472,6 +455,16 @@ void MppGrounder::SaveState(GroundingCheckpoint* cp) const {
       cp->txy_segments.push_back(view_txy_->segment(s));
     }
   }
+  if (!delta_marks_.t0.empty()) {
+    cp->delta_marks = Table::Make(DeltaMarksSchema());
+    const bool views = !delta_marks_.tx.empty();
+    for (size_t s = 0; s < delta_marks_.t0.size(); ++s) {
+      cp->delta_marks->AppendRow(
+          {Value::Int64(delta_marks_.t0[s]),
+           Value::Int64(views ? delta_marks_.tx[s] : 0),
+           Value::Int64(views ? delta_marks_.ty[s] : 0)});
+    }
+  }
 }
 
 Status MppGrounder::RestoreState(GroundingCheckpoint* cp) {
@@ -497,9 +490,18 @@ Status MppGrounder::RestoreState(GroundingCheckpoint* cp) {
         "Txy");
   }
   next_fact_id_ = cp->next_fact_id;
-  // The checkpoint carries no Δ marks: the first resumed iteration runs
-  // the full pass.
+  // The indexes are rebuilt on first use. With its Δ marks restored, the
+  // first resumed iteration stays Δ-driven; a checkpoint without them
+  // resumes through the full pass.
   ClearIndexes();
+  const Table* marks = cp->delta_marks.get();
+  for (int64_t s = 0; marks != nullptr && s < marks->NumRows(); ++s) {
+    delta_marks_.t0.push_back(marks->ValueAt(s, 0).i64());
+    if (mode_ == MppMode::kViews) {
+      delta_marks_.tx.push_back(marks->ValueAt(s, 1).i64());
+      delta_marks_.ty.push_back(marks->ValueAt(s, 2).i64());
+    }
+  }
   return Status::OK();
 }
 
@@ -514,8 +516,8 @@ Result<DistributedTablePtr> MppGrounder::GroundFactorsPartition(int p) {
   js1.label = StrFormat("Query2-%d join1", p);
   PROBKB_ASSIGN_OR_RETURN(
       DistributedTablePtr candidates,
-      Join(DistributedRules(p), ProbeFor(spec.t_keys1), std::move(js1),
-           m_[static_cast<size_t>(p - 1)]->NumRows()));
+      Join(Rules(p), ProbeFor(spec.t_keys1), std::move(js1),
+           Rules(p)->NumRows()));
 
   if (spec.body_length == 2) {
     DistributedTablePtr probe2 = ProbeFor(spec.t_keys2);
@@ -545,7 +547,7 @@ Result<TablePtr> MppGrounder::RunFactorStatements() {
   PROBKB_RETURN_NOT_OK(SyncViewIndexes());
   auto t_phi = Table::Make(TPhiSchema());
   for (int p = 1; p <= kNumRuleStructures; ++p) {
-    if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
+    if (Rules(p)->NumRows() == 0) continue;
     PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr factors,
                             GroundFactorsPartition(p));
     PROBKB_ASSIGN_OR_RETURN(TablePtr local, ctx_.Gather(*factors));

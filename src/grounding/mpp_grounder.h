@@ -123,7 +123,9 @@ class MppGrounder : public FixpointGrounder {
   Result<DistributedTablePtr> GroundDeltaAtomsPartition(
       int p, const DistributedTablePtr& delta, const RowMarks& marks);
   /// M_p spread round-robin over the segments.
-  DistributedTablePtr DistributedRules(int p) const;
+  const DistributedTablePtr& Rules(int p) const {
+    return rules_[static_cast<size_t>(p - 1)];
+  }
   /// The per-segment right_index of a join against `t` on `keys`: `t`'s
   /// persistent indexes, if kept, bounded at the last sync, or at `rows`
   /// when given. Empty when there is neither an index nor a bound.
@@ -162,7 +164,7 @@ class MppGrounder : public FixpointGrounder {
   /// set_motion_policy).
   MotionPolicy motion_policy_ = MotionPolicy::kAuto;
 
-  std::array<TablePtr, kNumRuleStructures> m_;
+  std::array<DistributedTablePtr, kNumRuleStructures> rules_;
   TablePtr t_omega_;
   FactId next_fact_id_;
 
@@ -179,8 +181,9 @@ class MppGrounder : public FixpointGrounder {
   std::vector<TPiIndexes> merge_indexes_;
   /// Semi-naive state: the segment row counts when the last iteration
   /// started; rows from there on are its Δ. Empty when the next iteration
-  /// must run the full pass (iteration 1, after Query 3 deleted rows,
-  /// after ResumeFrom() or a failed iteration).
+  /// must run the full pass (iteration 1, after Query 3 deleted rows or a
+  /// failed iteration, or resumed from a checkpoint without marks).
+  /// Checkpoints carry them.
   RowMarks delta_marks_;
 };
 

@@ -8,6 +8,18 @@
 
 namespace probkb {
 
+void FanOut(ThreadPool* pool, int n, int64_t rows,
+            const std::function<void(int)>& body) {
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1 &&
+      rows >= kSerialFanoutRowCutoff) {
+    pool->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) body(static_cast<int>(i));
+    });
+  } else {
+    for (int i = 0; i < n; ++i) body(i);
+  }
+}
+
 DistributedTable::DistributedTable(Schema schema,
                                    std::vector<TablePtr> segments,
                                    Distribution dist, std::string name)
@@ -16,13 +28,6 @@ DistributedTable::DistributedTable(Schema schema,
       dist_(std::move(dist)),
       name_(std::move(name)) {
   PROBKB_CHECK(!segments_.empty());
-}
-
-int DistributedTable::TargetSegment(const RowView& row,
-                                    std::span<const int> key_cols,
-                                    int num_segments) {
-  return static_cast<int>(HashRowKey(row, key_cols) %
-                          static_cast<size_t>(num_segments));
 }
 
 void DistributedTable::TargetSegments(const Table& table,
@@ -38,6 +43,54 @@ void DistributedTable::TargetSegments(const Table& table,
                                         static_cast<size_t>(num_segments));
     }
   }
+}
+
+SegmentRouting DistributedTable::Route(const Table& table,
+                                       const Distribution& dist,
+                                       int num_segments, int64_t begin,
+                                       int64_t end) {
+  const size_t n = static_cast<size_t>(num_segments);
+  std::vector<int> targets(static_cast<size_t>(end - begin));
+  if (dist.is_hash()) {
+    TargetSegments(table, dist.key_cols, num_segments, begin, end,
+                   targets.data());
+  } else {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      targets[i] = static_cast<int>(i % n);
+    }
+  }
+  SegmentRouting out;
+  out.offsets.assign(n + 1, 0);
+  for (int t : targets) ++out.offsets[static_cast<size_t>(t) + 1];
+  for (size_t t = 0; t < n; ++t) out.offsets[t + 1] += out.offsets[t];
+  std::vector<int64_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  out.rows.resize(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    out.rows[static_cast<size_t>(next[static_cast<size_t>(targets[i])]++)] =
+        begin + static_cast<int64_t>(i);
+  }
+  return out;
+}
+
+void DistributedTable::Scatter(std::span<const Table* const> senders,
+                               std::span<const SegmentRouting> routes,
+                               const std::vector<TablePtr>& targets,
+                               ThreadPool* pool) {
+  int64_t rows = 0;
+  for (const SegmentRouting& route : routes) {
+    rows += static_cast<int64_t>(route.rows.size());
+  }
+  FanOut(pool, static_cast<int>(targets.size()), rows, [&](int t) {
+    Table* dst = targets[static_cast<size_t>(t)].get();
+    if (dst->NumRows() == 0) {
+      int64_t incoming = 0;
+      for (const SegmentRouting& route : routes) incoming += route.Count(t);
+      dst->ReserveRows(incoming);
+    }
+    for (size_t s = 0; s < senders.size(); ++s) {
+      dst->AppendGatheredRows(*senders[s], routes[s].To(t));
+    }
+  });
 }
 
 DistributedTablePtr DistributedTable::Distribute(const Table& local,
@@ -56,20 +109,13 @@ DistributedTablePtr DistributedTable::Distribute(const Table& local,
     for (int i = 0; i < num_segments; ++i) {
       segments.push_back(Table::Make(local.schema()));
     }
-    if (dist.is_hash()) {
-      std::vector<int> targets(static_cast<size_t>(local.NumRows()));
-      TargetSegments(local, dist.key_cols, num_segments, 0, local.NumRows(),
-                     targets.data());
-      for (int64_t r = 0; r < local.NumRows(); ++r) {
-        segments[static_cast<size_t>(targets[static_cast<size_t>(r)])]
-            ->AppendRows(local, r, r + 1);
-      }
-    } else {
-      for (int64_t r = 0; r < local.NumRows(); ++r) {
-        segments[static_cast<size_t>(r % num_segments)]->AppendRows(local, r,
-                                                                    r + 1);
-      }
-    }
+    // Serial: on the pool, the segments (T0 and the views, which live for
+    // the whole run) would come from the workers' malloc arenas and raise
+    // the run's peak RSS.
+    const Table* sender = &local;
+    const SegmentRouting route =
+        Route(local, dist, num_segments, 0, local.NumRows());
+    Scatter({&sender, 1}, {&route, 1}, segments, nullptr);
   }
   return std::make_shared<DistributedTable>(local.schema(),
                                             std::move(segments),

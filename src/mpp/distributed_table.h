@@ -1,18 +1,44 @@
 #ifndef PROBKB_MPP_DISTRIBUTED_TABLE_H_
 #define PROBKB_MPP_DISTRIBUTED_TABLE_H_
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mpp/distribution.h"
 #include "relational/table.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace probkb {
 
 class DistributedTable;
 using DistributedTablePtr = std::shared_ptr<DistributedTable>;
+
+/// \brief Calls `body(i)` for i in [0, n): on `pool` (may be nullptr) when
+/// it has threads to spare and `rows` reach kSerialFanoutRowCutoff, else
+/// in order. Bodies write disjoint slots, so both leave identical state.
+void FanOut(ThreadPool* pool, int n, int64_t rows,
+            const std::function<void(int)>& body);
+
+/// \brief One sender's rows counting-sorted by target segment: segment t
+/// gets `rows[offsets[t] .. offsets[t + 1])`, ascending.
+struct SegmentRouting {
+  std::vector<int64_t> offsets;  // num_segments + 1 entries
+  std::vector<int64_t> rows;
+
+  int64_t Count(int t) const {
+    return offsets[static_cast<size_t>(t) + 1] -
+           offsets[static_cast<size_t>(t)];
+  }
+  std::span<const int64_t> To(int t) const {
+    return std::span<const int64_t>(rows).subspan(
+        static_cast<size_t>(offsets[static_cast<size_t>(t)]),
+        static_cast<size_t>(Count(t)));
+  }
+};
 
 /// \brief A relation horizontally partitioned over N shared-nothing
 /// segments.
@@ -59,17 +85,25 @@ class DistributedTable {
   /// no cost accounting; use MppContext::Gather in measured code).
   TablePtr ToLocal() const;
 
-  /// \brief Segment index a row belongs to under a hash distribution.
-  static int TargetSegment(const RowView& row, std::span<const int> key_cols,
-                           int num_segments);
-
-  /// \brief Batched TargetSegment over rows [begin, end) of `table`,
-  /// filling `out[0 .. end-begin)`. Uses Table::HashRows, which matches
-  /// HashRowKey bit for bit, so placement is identical to the scalar path
-  /// (and to pre-existing checkpoints).
+  /// \brief Hash-distribution segment of each row in [begin, end) of
+  /// `table`, filling `out[0 .. end-begin)`: HashRowKey (through
+  /// Table::HashRows, bit for bit) modulo `num_segments`.
   static void TargetSegments(const Table& table, std::span<const int> key_cols,
                              int num_segments, int64_t begin, int64_t end,
                              int* out);
+
+  /// \brief Routes rows [begin, end) of `table` by `dist`'s hash keys
+  /// (as TargetSegments), or else round-robin (row begin + i to i % N).
+  static SegmentRouting Route(const Table& table, const Distribution& dist,
+                              int num_segments, int64_t begin, int64_t end);
+
+  /// \brief The scatter kernel under every row-moving motion: target t
+  /// gathers the rows each sender routes to it, senders in order, so
+  /// placement and in-segment order equal a row-at-a-time loop. An empty
+  /// target first reserves exactly. Targets fill through FanOut on `pool`.
+  static void Scatter(std::span<const Table* const> senders,
+                      std::span<const SegmentRouting> routes,
+                      const std::vector<TablePtr>& targets, ThreadPool* pool);
 
   /// \brief Verifies every row is on the segment its distribution demands.
   Status ValidatePlacement() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "engine/tunables.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -215,102 +214,49 @@ Result<DistributedTablePtr> MppContext::Redistribute(
   segments.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) segments.push_back(Table::Make(input.schema()));
 
+  // The scatter kernel assembles targets canonically (sender-major), so a
+  // recovered or threaded run is bit-identical to a serial fault-free
+  // one. A replicated input has one sender, its copy: each segment keeps
+  // the slice that hashes to it, with no traffic (and no motion faults).
+  const Distribution dist = Distribution::Hash(key_cols);
+  const int senders = input.distribution().is_replicated() ? 1 : n;
+  std::vector<const Table*> from;
+  for (int s = 0; s < senders; ++s) from.push_back(input.segment(s).get());
+  std::vector<SegmentRouting> routes(static_cast<size_t>(senders));
+  FanOut(pool_, senders, input.PhysicalRows(), [&](int s) {
+    const Table& src = *from[static_cast<size_t>(s)];
+    routes[static_cast<size_t>(s)] =
+        DistributedTable::Route(src, dist, n, 0, src.NumRows());
+  });
+  DistributedTable::Scatter(from, routes, segments, pool_);
+
+  // sent(s, t) tuples cross from segment s to t. They double as the
+  // recovery bookkeeping: a victim's whole contribution (segment failure)
+  // or one batch (drop/duplicate) is replayed from its input partition.
+  auto sent = [&](int s, int t) -> int64_t {
+    if (senders == 1 || s == t) return 0;
+    return routes[static_cast<size_t>(s)].Count(t);
+  };
   int64_t shipped = 0;
-  if (input.distribution().is_replicated()) {
-    // Each segment keeps only the slice of its copy that hashes to it; no
-    // interconnect traffic (and hence no motion faults) is involved.
-    const Table& src = *input.segment(0);
-    std::vector<int> targets(static_cast<size_t>(src.NumRows()));
-    DistributedTable::TargetSegments(src, key_cols, n, 0, src.NumRows(),
-                                     targets.data());
-    for (int64_t r = 0; r < src.NumRows(); ++r) {
-      segments[static_cast<size_t>(targets[static_cast<size_t>(r)])]
-          ->AppendRows(src, r, r + 1);
-    }
-  } else {
-    // Per-sender batch counts: sent[s][t] tuples cross from segment s to
-    // segment t. They double as the recovery bookkeeping — a victim's
-    // whole contribution (segment failure) or one batch (drop/duplicate)
-    // can be replayed from the surviving input partition.
-    std::vector<std::vector<int64_t>> sent(
-        static_cast<size_t>(n), std::vector<int64_t>(static_cast<size_t>(n)));
-    // Phase 1: route. Each sender's rows hash to their targets; senders
-    // are independent, so the pool fans them out.
-    std::vector<std::vector<int>> targets(static_cast<size_t>(n));
-    auto route_sender = [&](int s) {
-      const Table& src = *input.segment(s);
-      std::vector<int>& tgt = targets[static_cast<size_t>(s)];
-      tgt.resize(static_cast<size_t>(src.NumRows()));
-      if (src.NumRows() > 0) {
-        DistributedTable::TargetSegments(src, key_cols, n, 0, src.NumRows(),
-                                         tgt.data());
+  for (int s = 0; s < senders; ++s) {
+    for (int t = 0; t < n; ++t) shipped += sent(s, t);
+  }
+  // Like Broadcast/Gather, only a redistribute that actually touched the
+  // interconnect can fault: when every row hashed to its home segment
+  // there is no traffic to strike.
+  if (injector_ != nullptr && shipped > 0) {
+    auto resend = [&](const FaultEvent& f) -> int64_t {
+      if (f.kind != FaultKind::kSegmentFailure) {
+        return sent(f.segment, f.target);
       }
-      std::vector<int64_t>& row_sent = sent[static_cast<size_t>(s)];
-      for (int64_t r = 0; r < src.NumRows(); ++r) {
-        const int target = tgt[static_cast<size_t>(r)];
-        if (target != s) ++row_sent[static_cast<size_t>(target)];
-      }
+      // Everything the victim shipped anywhere must be replayed.
+      int64_t t = 0;
+      for (int target = 0; target < n; ++target) t += sent(f.segment, target);
+      return t;
     };
-    // Phase 2: assemble. Each target segment scans the senders in order
-    // and appends its rows; targets write disjoint output tables, and the
-    // sender-major scan keeps assembly canonical — recovery recomputes a
-    // victim's rows into exactly these positions, so a recovered (or
-    // threaded) run is bit-identical to a serial fault-free one.
-    auto fill_target = [&](int t) {
-      Table* dst = segments[static_cast<size_t>(t)].get();
-      int64_t expected = 0;
-      for (int s = 0; s < n; ++s) {
-        expected += sent[static_cast<size_t>(s)][static_cast<size_t>(t)];
-      }
-      expected += input.segment(t)->NumRows();  // upper bound: local rows
-      dst->ReserveRows(expected);
-      for (int s = 0; s < n; ++s) {
-        const Table& src = *input.segment(s);
-        const std::vector<int>& tgt = targets[static_cast<size_t>(s)];
-        for (int64_t r = 0; r < src.NumRows(); ++r) {
-          if (tgt[static_cast<size_t>(r)] == t) dst->AppendRows(src, r, r + 1);
-        }
-      }
-    };
-    if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1 &&
-        input.PhysicalRows() >= kSerialFanoutRowCutoff) {
-      pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
-        for (int64_t s = begin; s < end; ++s) {
-          route_sender(static_cast<int>(s));
-        }
-      });
-      pool_->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
-        for (int64_t t = begin; t < end; ++t) {
-          fill_target(static_cast<int>(t));
-        }
-      });
-    } else {
-      for (int s = 0; s < n; ++s) route_sender(s);
-      for (int t = 0; t < n; ++t) fill_target(t);
-    }
-    for (int s = 0; s < n; ++s) {
-      for (int64_t batch : sent[static_cast<size_t>(s)]) shipped += batch;
-    }
-    // Like Broadcast/Gather, only a redistribute that actually touched the
-    // interconnect can fault: when every row hashed to its home segment
-    // there is no traffic to strike.
-    if (injector_ != nullptr && shipped > 0) {
-      auto resend = [&](const FaultEvent& f) -> int64_t {
-        if (f.kind == FaultKind::kSegmentFailure) {
-          // Everything the victim shipped anywhere must be replayed.
-          int64_t t = 0;
-          for (int64_t batch : sent[static_cast<size_t>(f.segment)]) {
-            t += batch;
-          }
-          return t;
-        }
-        return sent[static_cast<size_t>(f.segment)][
-            static_cast<size_t>(f.target)];
-      };
-      PROBKB_RETURN_NOT_OK(RecoverMotion(
-          motion_index, label, injector_->MotionFaults(motion_index, 0, n),
-          resend));
-    }
+    PROBKB_RETURN_NOT_OK(RecoverMotion(
+        motion_index, label, injector_->MotionFaults(motion_index, 0, n),
+        resend));
   }
 
   motion_span.set_values(motion_index, shipped, 0);
@@ -332,7 +278,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
   }
 
   return std::make_shared<DistributedTable>(
-      input.schema(), std::move(segments), Distribution::Hash(key_cols),
+      input.schema(), std::move(segments), dist,
       name.empty() ? input.name() + "_redist" : std::move(name));
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "engine/ops.h"
-#include "engine/tunables.h"
 #include "util/timer.h"
 
 namespace probkb {
@@ -61,16 +60,7 @@ DistributedTablePtr CutRows(const DistributedTable& t,
 
 void ForEachSegment(MppContext* ctx, int64_t total_rows,
                     const std::function<void(int)>& body) {
-  const int n = ctx->num_segments();
-  ThreadPool* pool = ctx->thread_pool();
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1 &&
-      total_rows >= kSerialFanoutRowCutoff) {
-    pool->ParallelFor(n, 1, [&](int64_t begin, int64_t end) {
-      for (int64_t s = begin; s < end; ++s) body(static_cast<int>(s));
-    });
-  } else {
-    for (int s = 0; s < n; ++s) body(s);
-  }
+  FanOut(ctx->thread_pool(), ctx->num_segments(), total_rows, body);
 }
 
 Result<DistributedTablePtr> PerSegment(MppContext* ctx, int64_t input_rows,

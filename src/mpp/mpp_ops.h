@@ -46,12 +46,8 @@ struct MppJoinSpec {
 };
 
 /// \brief The pool-gated fan-out shared by the per-segment operators and
-/// the MPP grounder: calls `body(s)` for every segment, concurrently when
-/// the context carries a pool of more than one thread AND the work touches
-/// enough rows (`total_rows`, summed over every input) to amortize the
-/// dispatch, serially (in segment order) otherwise. Segments are
-/// independent units writing disjoint slots, so both paths produce
-/// identical state.
+/// the MPP grounder: FanOut over the context's segments on its pool, gated
+/// by `total_rows` summed over every input.
 void ForEachSegment(MppContext* ctx, int64_t total_rows,
                     const std::function<void(int)>& body);
 

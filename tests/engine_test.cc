@@ -285,6 +285,45 @@ TEST(HashJoinTest, PairGatherMatchesNestedLoopReference) {
   }
 }
 
+// An empty probe (left) side returns an empty output without building,
+// for every join type, with a transient build and with a prebuilt index;
+// rows_in still counts the build rows.
+TEST(HashJoinTest, EmptyProbeSideSkipsTheBuild) {
+  auto left = Table::Make(AB());
+  auto right = MakeTable(CD(), {{1, 10}, {2, 20}, {2, 21}});
+  FlatRowIndex index(right->NumRows());
+  std::vector<size_t> hashes(static_cast<size_t>(right->NumRows()));
+  const std::vector<int> key = {0};
+  right->HashRows(key, 0, right->NumRows(), hashes.data());
+  for (int64_t r = 0; r < right->NumRows(); ++r) {
+    index.Insert(hashes[static_cast<size_t>(r)], r);
+  }
+  for (JoinType type :
+       {JoinType::kInner, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    for (bool prebuilt : {false, true}) {
+      SCOPED_TRACE(StrFormat("%s prebuilt=%d", JoinTypeToString(type),
+                             prebuilt));
+      ExecContext ctx;
+      auto plan = HashJoin(
+          Scan(left), Scan(right), {0}, {0}, type,
+          type == JoinType::kInner
+              ? std::vector<JoinOutputCol>{JoinOutputCol::Left(1, "b"),
+                                           JoinOutputCol::Right(1, "d")}
+              : std::vector<JoinOutputCol>{},
+          nullptr, prebuilt ? PrebuiltIndex{&index, 2} : PrebuiltIndex{});
+      auto result = plan->Execute(&ctx);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ((*result)->NumRows(), 0);
+      EXPECT_EQ((*result)->width(), 2);
+      const NodeStats& join = ctx.stats().nodes.back();
+      EXPECT_EQ(join.rows_in, prebuilt ? 2 : 3);
+      EXPECT_EQ(join.rows_out, 0);
+      EXPECT_EQ(join.build_partitions, 0);  // no index was built
+      EXPECT_EQ(join.build_seconds, 0.0);
+    }
+  }
+}
+
 TEST(DistinctTest, AllColumnsDefault) {
   auto t = MakeTable(AB(), {{1, 2}, {1, 2}, {1, 3}});
   auto out = Exec(Distinct(Scan(t)));
@@ -597,6 +636,22 @@ TEST(DeleteTest, DeleteWhereAndMatching) {
   EXPECT_EQ(DeleteMatching(t.get(), {0}, *keys, {0}), 1);
   ASSERT_EQ(t->NumRows(), 1);
   EXPECT_EQ(t->row(0)[0].i64(), 1);
+}
+
+// With no key rows, or no row matching one, DeleteMatching leaves the
+// table unwritten: its columns stay shared with a snapshot taken before.
+TEST(DeleteTest, NoMatchLeavesTableUnwritten) {
+  auto t = MakeTable(AB(), {{1, 0}, {2, 0}, {3, 0}});
+  const Schema k({{"k", ColumnType::kInt64}});
+  const ConstTablePtr before = t->Snapshot();
+  EXPECT_EQ(DeleteMatching(t.get(), {0}, Table(k), {0}), 0);
+  EXPECT_EQ(DeleteMatching(t.get(), {0}, *MakeTable(k, {{7}, {8}}), {0}), 0);
+  EXPECT_EQ(t->NumRows(), 3);
+  EXPECT_EQ(t->Int64Data(0), before->Int64Data(0));
+  // A match rewrites the table; the snapshot keeps its rows.
+  EXPECT_EQ(DeleteMatching(t.get(), {0}, *MakeTable(k, {{2}}), {0}), 1);
+  EXPECT_NE(t->Int64Data(0), before->Int64Data(0));
+  EXPECT_EQ(before->NumRows(), 3);
 }
 
 // Property test: HashJoin agrees with a nested-loop reference on random

@@ -547,6 +547,48 @@ TEST(CheckpointTest, ManifestScalarsOutsideTPiAreRejected) {
   }
 }
 
+// MPP Δ marks round-trip with the segments, and a marks file that does not
+// fit its segments comes back as a ParseError, never a resume.
+TEST(CheckpointTest, DeltaMarksRoundTripAndAreValidated) {
+  GroundingCheckpoint cp;
+  cp.iteration = 1;
+  cp.next_fact_id = 3;
+  cp.t_pi = MakeTPiRows(3);
+  cp.num_segments = 2;
+  cp.t0_segments = {MakeTPiRows(1), MakeTPiRows(2)};
+  cp.delta_marks = testutil::MakeTable(DeltaMarksSchema(), {{1, 0, 0}});
+  const std::string dir = FreshDir("delta_marks");
+  EXPECT_EQ(WriteGroundingCheckpoint(cp, dir).code(),
+            StatusCode::kInvalidArgument);  // one row per segment
+  cp.delta_marks =
+      testutil::MakeTable(DeltaMarksSchema(), {{1, 0, 0}, {1, 0, 0}});
+  ASSERT_TRUE(WriteGroundingCheckpoint(cp, dir).ok());
+  auto loaded = ReadGroundingCheckpoint(TPiSchema(), dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_NE(loaded->delta_marks, nullptr);
+  EXPECT_TRUE(TablesIdentical(*loaded->delta_marks, *cp.delta_marks));
+
+  // Segment 1 holds 2 rows and there are no views: t0 3, a negative mark, a
+  // NULL mark and a tx mark are all outside.
+  const std::vector<std::vector<Value>> bad_rows = {
+      {Value::Int64(3), Value::Int64(0), Value::Int64(0)},
+      {Value::Int64(-1), Value::Int64(0), Value::Int64(0)},
+      {Value::Null(), Value::Int64(0), Value::Int64(0)},
+      {Value::Int64(1), Value::Int64(1), Value::Int64(0)},
+  };
+  for (const std::vector<Value>& bad : bad_rows) {
+    auto marks = testutil::MakeTable(DeltaMarksSchema(), {{0, 0, 0}});
+    marks->AppendRow(bad);
+    ASSERT_TRUE(WriteTableTsvFile(*marks, dir + "/delta_marks.tsv").ok());
+    auto rejected = ReadGroundingCheckpoint(TPiSchema(), dir);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kParseError)
+        << rejected.status();
+  }
+  std::ofstream(dir + "/delta_marks.tsv") << "not\ta\tmarks\nfile\n";
+  EXPECT_FALSE(ReadGroundingCheckpoint(TPiSchema(), dir).ok());
+}
+
 // --- Single-node checkpoint/resume ---------------------------------------------
 
 TEST(CheckpointResumeTest, SingleNodeResumeMatchesUninterruptedRun) {
@@ -759,6 +801,69 @@ TEST(MppChaosTest, RecoversScheduledFaultsAndResumesBitIdentically) {
 
   EXPECT_TRUE(TablesIdentical(*resumed.GatherTPi(), *tpi_base));
   EXPECT_TRUE(TablesIdentical(**phi_resumed, **phi_base));
+}
+
+/// Removes the MANIFEST lines starting with `prefix` from the checkpoint
+/// under `dir`.
+void DropManifestLines(const std::string& dir, const std::string& prefix) {
+  const std::string path = dir + "/MANIFEST";
+  std::ifstream in(path);
+  std::string text;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) != 0) text += line + "\n";
+  }
+  in.close();
+  std::ofstream(path) << text;
+}
+
+// An iteration-1 MPP checkpoint carries the Δ marks, so the first resumed
+// iteration runs Δ-driven and the run ends with the uninterrupted TPi and
+// TPhi. A checkpoint without marks (as written before they were kept)
+// resumes through the full pass to the same outputs.
+TEST(MppCheckpointResumeTest, ResumedIterationStaysDeltaDriven) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.004;
+  cfg.seed = 11;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  for (MppMode mode : {MppMode::kNoViews, MppMode::kViews}) {
+    SCOPED_TRACE(mode == MppMode::kViews ? "views" : "no views");
+    RelationalKB rkb_base = BuildRelationalModel(skb->kb);
+    MppGrounder baseline(rkb_base, kSegments, mode, GroundingOptions{});
+    ASSERT_TRUE(baseline.GroundAtoms().ok());
+    ASSERT_GE(baseline.stats().iterations, 3);
+    auto phi_base = baseline.GroundFactors();
+    ASSERT_TRUE(phi_base.ok());
+
+    const std::string dir = FreshDir("mpp_delta_resume");
+    GroundingOptions first;
+    first.max_iterations = 1;
+    first.checkpoint_dir = dir;
+    RelationalKB rkb_first = BuildRelationalModel(skb->kb);
+    MppGrounder interrupted(rkb_first, kSegments, mode, first);
+    ASSERT_TRUE(interrupted.GroundAtoms().ok());
+
+    for (bool marks : {true, false}) {
+      SCOPED_TRACE(marks ? "with marks" : "without marks");
+      if (!marks) {
+        DropManifestLines(dir, "rows delta_marks.tsv");
+        std::filesystem::remove(dir + "/delta_marks.tsv");
+      }
+      RelationalKB rkb = BuildRelationalModel(skb->kb);
+      MppGrounder resumed(rkb, kSegments, mode, GroundingOptions{});
+      ASSERT_TRUE(resumed.ResumeFrom(dir).ok());
+      ASSERT_TRUE(resumed.GroundAtomsIteration().ok());
+      EXPECT_EQ(resumed.ExplainPlans().find("delta join1") !=
+                    std::string::npos,
+                marks);
+      ASSERT_TRUE(resumed.GroundAtoms().ok());
+      auto phi = resumed.GroundFactors();
+      ASSERT_TRUE(phi.ok());
+      EXPECT_TRUE(TablesIdentical(*resumed.GatherTPi(),
+                                  *baseline.GatherTPi()));
+      EXPECT_TRUE(TablesIdentical(**phi, **phi_base));
+    }
+  }
 }
 
 TEST(MppChaosTest, ResumeRejectsSegmentCountMismatch) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -136,6 +137,195 @@ TEST(MotionTest, GatherCollectsEverything) {
   auto gathered = ctx.Gather(*dist);
   ASSERT_TRUE(gathered.ok());
   EXPECT_TRUE(TablesEqualAsBags(**gathered, *local));
+}
+
+// --- Scatter kernel ----------------------------------------------------------
+
+// The row-at-a-time loops the scatter kernel replaced, kept as its
+// reference: Distribute's placement loop, and Redistribute's routing and
+// per-target assembly with its per-sender batch counts sent[s][t].
+std::vector<TablePtr> ReferenceDistribute(const Table& local, int n,
+                                          const Distribution& dist) {
+  std::vector<TablePtr> segments;
+  for (int i = 0; i < n; ++i) segments.push_back(Table::Make(local.schema()));
+  std::vector<int> targets(static_cast<size_t>(local.NumRows()));
+  if (dist.is_hash()) {
+    DistributedTable::TargetSegments(local, dist.key_cols, n, 0,
+                                     local.NumRows(), targets.data());
+  }
+  for (int64_t r = 0; r < local.NumRows(); ++r) {
+    const int t = dist.is_hash() ? targets[static_cast<size_t>(r)]
+                                 : static_cast<int>(r % n);
+    segments[static_cast<size_t>(t)]->AppendRows(local, r, r + 1);
+  }
+  return segments;
+}
+
+struct ReferenceRedistribution {
+  std::vector<TablePtr> segments;
+  std::vector<std::vector<int64_t>> sent;
+};
+
+ReferenceRedistribution ReferenceRedistribute(const DistributedTable& input,
+                                              const std::vector<int>& keys,
+                                              int n) {
+  if (input.distribution().is_replicated()) {
+    return {ReferenceDistribute(*input.segment(0), n, Distribution::Hash(keys)),
+            {}};
+  }
+  ReferenceRedistribution out;
+  out.sent.assign(static_cast<size_t>(n),
+                  std::vector<int64_t>(static_cast<size_t>(n)));
+  std::vector<std::vector<int>> targets(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    const Table& src = *input.segment(s);
+    std::vector<int>& tgt = targets[static_cast<size_t>(s)];
+    tgt.resize(static_cast<size_t>(src.NumRows()));
+    DistributedTable::TargetSegments(src, keys, n, 0, src.NumRows(),
+                                     tgt.data());
+    for (int64_t r = 0; r < src.NumRows(); ++r) {
+      const int target = tgt[static_cast<size_t>(r)];
+      if (target != s) {
+        ++out.sent[static_cast<size_t>(s)][static_cast<size_t>(target)];
+      }
+    }
+  }
+  for (int t = 0; t < n; ++t) {
+    auto dst = Table::Make(input.schema());
+    for (int s = 0; s < n; ++s) {
+      const Table& src = *input.segment(s);
+      for (int64_t r = 0; r < src.NumRows(); ++r) {
+        if (targets[static_cast<size_t>(s)][static_cast<size_t>(r)] == t) {
+          dst->AppendRows(src, r, r + 1);
+        }
+      }
+    }
+    out.segments.push_back(std::move(dst));
+  }
+  return out;
+}
+
+/// Cell-for-cell equality of two segment lists: NULL bits, int64 values
+/// and float64 bit patterns, in row order.
+void ExpectSameSegments(const std::vector<TablePtr>& got,
+                        const std::vector<TablePtr>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t s = 0; s < want.size(); ++s) {
+    const Table& g = *got[s];
+    const Table& w = *want[s];
+    ASSERT_EQ(g.NumRows(), w.NumRows()) << what << ": segment " << s;
+    for (int64_t r = 0; r < w.NumRows(); ++r) {
+      for (int c = 0; c < w.width(); ++c) {
+        const Value gv = g.ValueAt(r, c);
+        const Value wv = w.ValueAt(r, c);
+        const bool same =
+            gv.is_null() || wv.is_null() ? gv.is_null() == wv.is_null()
+            : gv.is_int64()
+                ? wv.is_int64() && gv.i64() == wv.i64()
+                : wv.is_float64() && std::bit_cast<uint64_t>(gv.f64()) ==
+                                         std::bit_cast<uint64_t>(wv.f64());
+        ASSERT_TRUE(same) << what << ": segment " << s << " row " << r
+                          << " col " << c;
+      }
+    }
+  }
+}
+
+/// (k int64 with NULLs, f float64, n int64 with NULLs); `domain` distinct
+/// k values, so a small domain leaves segments empty.
+TablePtr MixedTable(Rng* rng, int64_t rows, int64_t domain) {
+  auto t = Table::Make(Schema({{"k", ColumnType::kInt64},
+                               {"f", ColumnType::kFloat64},
+                               {"n", ColumnType::kInt64}}));
+  for (int64_t i = 0; i < rows; ++i) {
+    const Value key = rng->Bernoulli(0.1)
+                          ? Value::Null()
+                          : Value::Int64(rng->UniformInt(0, domain));
+    t->AppendRow({key,
+                  Value::Float64(rng->UniformDouble(-1.0, 1.0)),
+                  rng->Bernoulli(0.3) ? Value::Null() : Value::Int64(i)});
+  }
+  return t;
+}
+
+std::vector<TablePtr> Segments(const DistributedTable& t) {
+  std::vector<TablePtr> out;
+  for (int s = 0; s < t.num_segments(); ++s) out.push_back(t.segment(s));
+  return out;
+}
+
+// Distribute and Redistribute through the scatter kernel place every row
+// on the same segment, in the same in-segment order, as the row-at-a-time
+// loops; Redistribute's per-sender batch counts and tuples_shipped are the
+// reference's. Hash keys with NULLs and float64 columns, empty segments,
+// 1 and 32 segments; Redistribute serial and pooled (the large tables
+// cross the pool's row cutoff).
+TEST(ScatterKernelTest, MatchesRowAtATimeReference) {
+  ThreadPool pool(4);
+  Rng rng(17);
+  const std::vector<std::vector<int>> key_sets = {{0}, {1, 2}};
+  for (int64_t rows : {int64_t{0}, int64_t{5}, int64_t{20000}}) {
+    for (int64_t domain : {int64_t{3}, int64_t{1000}}) {
+      const TablePtr local = MixedTable(&rng, rows, domain);
+      for (int n : {1, 32}) {
+        const std::string table =
+            StrFormat("rows=%lld domain=%lld segments=%d",
+                      static_cast<long long>(rows),
+                      static_cast<long long>(domain), n);
+        for (const Distribution& dist :
+             {Distribution::Random(), Distribution::Hash({0}),
+              Distribution::Hash({1, 2})}) {
+          ExpectSameSegments(
+              Segments(*DistributedTable::Distribute(*local, n, dist)),
+              ReferenceDistribute(*local, n, dist),
+              table + " distribute " + dist.ToString());
+        }
+        const DistributedTable partitioned(
+            local->schema(),
+            ReferenceDistribute(*local, n, Distribution::Random()),
+            Distribution::Random(), "in");
+        const DistributedTablePtr replicated =
+            DistributedTable::Distribute(*local, n, Distribution::Replicated(),
+                                         "in");
+        const DistributedTable* const inputs[] = {&partitioned,
+                                                  replicated.get()};
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const std::string config =
+              StrFormat("%s threads=%d", table.c_str(),
+                        p == nullptr ? 1 : p->num_threads());
+          for (const std::vector<int>& keys : key_sets) {
+            for (const DistributedTable* input : inputs) {
+              const std::string what =
+                  config + " redistribute " +
+                  input->distribution().ToString() + " on " +
+                  Distribution::Hash(keys).ToString();
+              MppContext ctx(n);
+              ctx.set_thread_pool(p);
+              auto redist = ctx.Redistribute(*input, keys);
+              ASSERT_TRUE(redist.ok()) << redist.status();
+              const ReferenceRedistribution want =
+                  ReferenceRedistribute(*input, keys, n);
+              ExpectSameSegments(Segments(**redist), want.segments, what);
+              int64_t shipped = 0;
+              for (int s = 0; s < n && !want.sent.empty(); ++s) {
+                const Table& src = *input->segment(s);
+                const SegmentRouting route = DistributedTable::Route(
+                    src, Distribution::Hash(keys), n, 0, src.NumRows());
+                for (int t = 0; t < n; ++t) {
+                  const int64_t batch =
+                      want.sent[static_cast<size_t>(s)][static_cast<size_t>(t)];
+                  EXPECT_EQ(t == s ? 0 : route.Count(t), batch) << what;
+                  shipped += batch;
+                }
+              }
+              EXPECT_EQ(ctx.cost().tuples_shipped(), shipped) << what;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Distributed operators vs single-node reference ----------------------------
