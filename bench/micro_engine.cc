@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "engine/flat_hash.h"
@@ -349,45 +350,64 @@ void BM_GroundAtomsIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundAtomsIteration);
 
-// Argument: GibbsOptions::num_threads. The KB is large enough (scale
-// 0.02) that its largest color gives four threads work each.
-void BM_GibbsSweep(benchmark::State& state) {
-  SyntheticKbConfig config;
-  config.scale = 0.02;
-  auto skb = GenerateReverbSherlockKb(config);
-  if (!skb.ok()) {
-    state.SkipWithError("generator failed");
+/// The factor graph of a scale-0.02 KB after two grounding iterations,
+/// built once: its largest color gives four threads work each.
+const FactorGraph* GibbsBenchGraph() {
+  static const std::unique_ptr<FactorGraph> graph =
+      []() -> std::unique_ptr<FactorGraph> {
+    SyntheticKbConfig config;
+    config.scale = 0.02;
+    auto skb = GenerateReverbSherlockKb(config);
+    if (!skb.ok()) return nullptr;
+    RelationalKB rkb = BuildRelationalModel(skb->kb);
+    GroundingOptions options;
+    options.max_iterations = 2;
+    Grounder grounder(&rkb, options);
+    if (!grounder.GroundAtoms().ok()) return nullptr;
+    auto phi = grounder.GroundFactors();
+    if (!phi.ok()) return nullptr;
+    auto built = FactorGraph::FromTables(*rkb.t_pi, **phi);
+    if (!built.ok()) return nullptr;
+    return std::make_unique<FactorGraph>(std::move(*built));
+  }();
+  return graph.get();
+}
+
+/// `sweeps` sweeps per GibbsMarginals call on GibbsBenchGraph(), at
+/// state.range(0) threads; items are variable updates.
+void RunGibbs(benchmark::State& state, int sweeps) {
+  const FactorGraph* graph = GibbsBenchGraph();
+  if (graph == nullptr) {
+    state.SkipWithError("building the graph failed");
     return;
   }
-  RelationalKB rkb = BuildRelationalModel(skb->kb);
-  GroundingOptions options;
-  options.max_iterations = 2;
-  Grounder grounder(&rkb, options);
-  if (!grounder.GroundAtoms().ok()) {
-    state.SkipWithError("grounding failed");
-    return;
-  }
-  auto phi = grounder.GroundFactors();
-  auto graph = FactorGraph::FromTables(*rkb.t_pi, **phi);
-  // Enough sweeps per call that the kernel, not per-call set-up, dominates;
-  // items are variable updates, so items/s is the kernel's updates/s.
-  constexpr int kSweeps = 50;
   int threads = 0;
   for (auto _ : state) {
     GibbsOptions gibbs;
     gibbs.burn_in_sweeps = 0;
-    gibbs.sample_sweeps = kSweeps;
+    gibbs.sample_sweeps = sweeps;
     gibbs.num_threads = static_cast<int>(state.range(0));
     auto result = GibbsMarginals(*graph, gibbs);
     if (result.ok()) threads = result->threads;
     benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(state.iterations() * kSweeps *
+  state.SetItemsProcessed(state.iterations() * sweeps *
                           graph->num_variables());
   state.counters["threads"] = threads;
   state.counters["variables"] = graph->num_variables();
 }
+
+// Argument: GibbsOptions::num_threads. 50 sweeps per call: items/s is
+// the sampler's updates/s, the per-call set-up that BM_GibbsOneSweep
+// isolates included.
+void BM_GibbsSweep(benchmark::State& state) { RunGibbs(state, 50); }
 BENCHMARK(BM_GibbsSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Argument: GibbsOptions::num_threads. One sweep per call, so the time
+// per call is mostly the per-call set-up: compiling the conditional
+// tables, the cuts and the team.
+void BM_GibbsOneSweep(benchmark::State& state) { RunGibbs(state, 1); }
+BENCHMARK(BM_GibbsOneSweep)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace probkb

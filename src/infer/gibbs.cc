@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <new>
@@ -40,17 +41,95 @@ double Sigmoid(double x) {
   return e / (1.0 + e);
 }
 
-/// A variable's last conditional and its probability: a repeated
-/// conditional (always, for a variable with only singleton factors)
+/// A hub's last conditional and its probability: a repeated conditional
 /// skips the exp().
 struct ConditionalMemo {
   double log_odds = std::numeric_limits<double>::quiet_NaN();
   double p1 = 0.0;
 };
 
+/// Every variable's P(x_v = 1 | the rest), compiled for one call. A
+/// variable whose records read k <= kGibbsTableNeighbours distinct other
+/// atoms (the true slot aside) gets a table of 2^k probabilities, entry i
+/// being Sigmoid(ConditionalLogOdds) with neighbour j set to bit j of i:
+/// the value the record walk computes from the same bytes, so a lookup
+/// draws exactly the sample the walk would. The other variables, the
+/// hubs, keep the walk and a memo.
+struct ConditionalTables {
+  struct Slot {
+    /// v's neighbours are neighbours[slots[v].first, slots[v + 1].first).
+    int32_t first;
+    /// Offset of v's 2^k entries in p1, or ~h for the h-th hub.
+    int32_t table;
+  };
+  std::vector<Slot> slots;
+  std::vector<int32_t> neighbours;
+  std::vector<double> p1;
+  int32_t hubs = 0;
+};
+
+ConditionalTables CompileConditionals(const FactorGraph& graph) {
+  constexpr size_t kTableNeighbours = kGibbsTableNeighbours;
+  const int32_t n = graph.num_variables();
+  ConditionalTables t;
+  t.slots.resize(static_cast<size_t>(n) + 1);
+  // Zero but for the true slot, between variables; the counting pass
+  // marks the neighbours it has seen in it.
+  std::vector<uint8_t> scratch(static_cast<size_t>(n) + 1, 0);
+  scratch[static_cast<size_t>(n)] = 1;
+  int64_t entries = 0;
+  for (int32_t v = 0; v < n; ++v) {
+    const size_t first = t.neighbours.size();
+    t.slots[static_cast<size_t>(v)].first = static_cast<int32_t>(first);
+    for (const Incidence& r : graph.IncidencesOf(v)) {
+      for (const int32_t o : {r.o1, r.o2}) {
+        if (scratch[static_cast<size_t>(o)] == 0) {
+          scratch[static_cast<size_t>(o)] = 1;
+          t.neighbours.push_back(o);
+        }
+      }
+      if (t.neighbours.size() - first > kTableNeighbours) break;
+    }
+    for (size_t i = first; i < t.neighbours.size(); ++i) {
+      scratch[static_cast<size_t>(t.neighbours[i])] = 0;
+    }
+    // Table offsets are int32: past that, variables sample as hubs.
+    const size_t k = t.neighbours.size() - first;
+    if (k <= kTableNeighbours &&
+        entries + (int64_t{1} << k) <= std::numeric_limits<int32_t>::max()) {
+      t.slots[static_cast<size_t>(v)].table = static_cast<int32_t>(entries);
+      entries += int64_t{1} << k;
+    } else {
+      t.slots[static_cast<size_t>(v)].table = ~t.hubs++;
+      t.neighbours.resize(first);
+    }
+  }
+  t.slots[static_cast<size_t>(n)].first =
+      static_cast<int32_t>(t.neighbours.size());
+
+  t.p1.resize(static_cast<size_t>(entries));
+  for (int32_t v = 0; v < n; ++v) {
+    const ConditionalTables::Slot slot = t.slots[static_cast<size_t>(v)];
+    if (slot.table < 0) continue;
+    const int32_t* nb = t.neighbours.data() + slot.first;
+    const int k = t.slots[static_cast<size_t>(v) + 1].first - slot.first;
+    double* out = t.p1.data() + slot.table;
+    // Gray-code order: step i flips neighbour countr_zero(i), so each
+    // entry costs one byte write, and the walk ends with only neighbour
+    // k - 1 set.
+    out[0] = Sigmoid(ConditionalLogOdds(graph, v, scratch.data()));
+    for (uint32_t i = 1; i < (uint32_t{1} << k); ++i) {
+      scratch[static_cast<size_t>(nb[std::countr_zero(i)])] ^= 1;
+      out[i ^ (i >> 1)] = Sigmoid(ConditionalLogOdds(graph, v, scratch.data()));
+    }
+    if (k > 0) scratch[static_cast<size_t>(nb[k - 1])] = 0;
+  }
+  return t;
+}
+
 /// Variables per cut: a thread's part of a color starts at a multiple of
 /// 64 variables, so with 64-byte aligned arrays no two threads write the
-/// same cache line of the assignment, the memo or the counts.
+/// same cache line of the assignment or the counts.
 constexpr int32_t kCutVariables = 64;
 constexpr size_t kCacheLine = 64;
 
@@ -148,7 +227,9 @@ struct Team {
   int begin_sweep;
   int end_sweep;
   std::vector<int32_t> cuts;
-  CacheLineVector<ConditionalMemo> memo;
+  const ConditionalTables& tables;
+  /// One per hub. Hubs are rare, so two threads seldom share a line.
+  std::vector<ConditionalMemo> memo;
   std::vector<ChainWork> chains;
   SpinBarrier barrier;
   /// Written by thread 0 only.
@@ -163,14 +244,28 @@ struct Team {
                                 static_cast<uint64_t>(graph.num_variables()));
     const int64_t counting = sweep >= options.burn_in_sweeps ? 1 : 0;
     uint8_t* a = w.a.data();
+    const ConditionalTables::Slot* slots = tables.slots.data();
+    const int32_t* neighbours = tables.neighbours.data();
+    const double* table_p1 = tables.p1.data();
     for (int32_t v = begin; v < end; ++v) {
-      const double log_odds = ConditionalLogOdds(graph, v, a);
-      ConditionalMemo& m = memo[static_cast<size_t>(v)];
-      if (log_odds != m.log_odds) m = {log_odds, Sigmoid(log_odds)};
+      const ConditionalTables::Slot slot = slots[v];
+      double p1;
+      if (slot.table >= 0) [[likely]] {
+        const int32_t* nb = neighbours + slot.first;
+        const int k = slots[v + 1].first - slot.first;
+        uint32_t index = 0;
+        for (int j = 0; j < k; ++j) index |= uint32_t{a[nb[j]]} << j;
+        p1 = table_p1[slot.table + index];
+      } else {
+        const double log_odds = ConditionalLogOdds(graph, v, a);
+        ConditionalMemo& m = memo[static_cast<size_t>(~slot.table)];
+        if (log_odds != m.log_odds) m = {log_odds, Sigmoid(log_odds)};
+        p1 = m.p1;
+      }
       const uint64_t draw =
           Mix64(base + kGoldenGamma * static_cast<uint64_t>(v));
       const uint8_t x =
-          static_cast<double>(draw >> 11) * 0x1.0p-53 < m.p1 ? 1 : 0;
+          static_cast<double>(draw >> 11) * 0x1.0p-53 < p1 ? 1 : 0;
       a[v] = x;
       w.ones[static_cast<size_t>(v)] += x & counting;
     }
@@ -304,6 +399,10 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   if (options.burn_in_sweeps < 0 || options.sample_sweeps <= 0) {
     return Status::InvalidArgument("sweep counts must be positive");
   }
+  if (options.burn_in_sweeps >
+      std::numeric_limits<int>::max() - options.sample_sweeps) {
+    return Status::InvalidArgument("burn-in plus sample sweeps exceed INT_MAX");
+  }
   if (options.num_chains < 1) {
     return Status::InvalidArgument("num_chains must be >= 1");
   }
@@ -351,17 +450,19 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   const int threads =
       std::clamp(largest / kGibbsVariablesPerThread, 1,
                  ThreadPool::ResolveThreads(options.num_threads));
+  const ConditionalTables tables = CompileConditionals(graph);
   Team team{.graph = graph,
             .options = options,
             .threads = threads,
             .begin_sweep = sweeps_before,
             .end_sweep = end_sweep,
             .cuts = ColorCuts(graph, threads),
+            .tables = tables,
             .memo = {},
             .chains = {},
             .barrier = SpinBarrier(threads),
             .chain_seconds = {}};
-  team.memo.resize(static_cast<size_t>(n));
+  team.memo.resize(static_cast<size_t>(tables.hubs));
   team.chains.resize(state->chains.size());
   for (size_t chain = 0; chain < state->chains.size(); ++chain) {
     const GibbsChainState& st = state->chains[chain];

@@ -24,6 +24,13 @@ class StatsRegistry;
 /// it the barrier after each color costs more than the thread saves.
 inline constexpr int kGibbsVariablesPerThread = 2048;
 
+/// Most distinct other atoms (the true slot aside) a variable's
+/// conditional may read and still be compiled: before sampling,
+/// GibbsMarginals tabulates such a variable's P(x_v = 1 | the rest) for
+/// all 2^k values of those atoms, so an update is one table read. A hub,
+/// over the cap, walks its records (ConditionalLogOdds) on every update.
+inline constexpr int kGibbsTableNeighbours = 6;
+
 struct GibbsOptions {
   int burn_in_sweeps = 200;
   int sample_sweeps = 800;
@@ -98,6 +105,9 @@ struct GibbsResult {
 /// that state, enabling interrupted-and-resumed runs; with
 /// options.max_sweeps_per_call set it returns after that many additional
 /// sweeps with result.complete == false until the schedule finishes.
+/// Each call first compiles the conditional tables (see
+/// kGibbsTableNeighbours), which costs about as much as a few sweeps.
+/// InvalidArgument when burn-in plus sample sweeps exceed INT_MAX.
 Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
                                    const GibbsOptions& options,
                                    GibbsCheckpoint* checkpoint = nullptr);
@@ -106,7 +116,9 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
 /// `a` (indexed by variable, ending with the graph's true slot): the sum
 /// over v's incidence records of log phi(x_v=1) - log phi(x_v=0), taken in
 /// incidence order and bit-identical to flipping x_v in place and
-/// evaluating each incident factor with GroundFactor::LogValue.
+/// evaluating each incident factor with GroundFactor::LogValue. The
+/// sampler's tables hold Sigmoid of exactly this value, so a table read
+/// and a record walk draw the same sample.
 double ConditionalLogOdds(const FactorGraph& graph, int32_t v,
                           const uint8_t* a);
 

@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <ranges>
 
 #include "core/probkb.h"
 #include "datagen/synthetic_kb.h"
@@ -56,6 +58,18 @@ TEST(GibbsTest, RejectsBadOptions) {
   GibbsOptions bad;
   bad.sample_sweeps = 0;
   EXPECT_FALSE(GibbsMarginals(g, bad).ok());
+  // Burn-in plus sample sweeps would overflow an int.
+  GibbsOptions overflow;
+  overflow.sample_sweeps = std::numeric_limits<int>::max();
+  EXPECT_EQ(GibbsMarginals(g, overflow).status().code(),
+            StatusCode::kInvalidArgument);
+  // A sum of exactly INT_MAX is valid; one sweep of it runs.
+  overflow.burn_in_sweeps = 1;
+  overflow.sample_sweeps = std::numeric_limits<int>::max() - 1;
+  overflow.max_sweeps_per_call = 1;
+  auto one_sweep = GibbsMarginals(g, overflow);
+  ASSERT_TRUE(one_sweep.ok()) << one_sweep.status();
+  EXPECT_FALSE(one_sweep->complete);
 }
 
 TEST(GibbsTest, DeterministicForSeed) {
@@ -473,6 +487,220 @@ TEST(GibbsThreadsTest, MarginalsBitIdenticalAcrossThreadCounts) {
   auto result = GibbsMarginals(*graph, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->threads, 4);
+}
+
+/// The sampler the conditional tables replaced, on one thread: every
+/// update walks the variable's records and takes Sigmoid of the sum, and
+/// variables go in index order (colors in order; within a color the
+/// order cannot matter). Variable v's draw in sweep s is SplitMix64 at
+/// counter s * n + v of the chain's stream, as in GibbsMarginals. Fills
+/// `final_state` with each chain's assignment.
+std::vector<double> RecordWalkGibbs(
+    const FactorGraph& graph, const GibbsOptions& options,
+    std::vector<std::vector<uint8_t>>* final_state) {
+  constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+  auto mix64 = [](uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  };
+  auto sigmoid = [](double x) {
+    if (x >= 0) return 1.0 / (1.0 + std::exp(-x));
+    const double e = std::exp(x);
+    return e / (1.0 + e);
+  };
+  const int32_t n = graph.num_variables();
+  const int sweeps = options.burn_in_sweeps + options.sample_sweeps;
+  std::vector<int64_t> total(static_cast<size_t>(n), 0);
+  final_state->clear();
+  for (int chain = 0; chain < options.num_chains; ++chain) {
+    const uint64_t key =
+        mix64(options.seed + kGamma * (static_cast<uint64_t>(chain) + 1));
+    std::vector<uint8_t> a(static_cast<size_t>(n) + 1, 0);
+    a.back() = 1;
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+      for (int32_t v = 0; v < n; ++v) {
+        const double p1 = sigmoid(ConditionalLogOdds(graph, v, a.data()));
+        const uint64_t draw =
+            mix64(key + kGamma * (static_cast<uint64_t>(sweep) *
+                                      static_cast<uint64_t>(n) +
+                                  static_cast<uint64_t>(v)));
+        const uint8_t x =
+            static_cast<double>(draw >> 11) * 0x1.0p-53 < p1 ? 1 : 0;
+        a[static_cast<size_t>(v)] = x;
+        if (sweep >= options.burn_in_sweeps) total[static_cast<size_t>(v)] += x;
+      }
+    }
+    final_state->emplace_back(a.begin(), a.end() - 1);
+  }
+  std::vector<double> marginals(static_cast<size_t>(n));
+  const double denom = static_cast<double>(options.sample_sweeps) *
+                       static_cast<double>(options.num_chains);
+  for (size_t v = 0; v < marginals.size(); ++v) {
+    marginals[v] = static_cast<double>(total[v]) / denom;
+  }
+  return marginals;
+}
+
+/// Distinct other atoms (the true slot aside) that v's records read.
+int NeighbourCount(const FactorGraph& graph, int32_t v) {
+  std::vector<int32_t> seen;
+  for (const Incidence& r : graph.IncidencesOf(v)) {
+    for (int32_t o : {r.o1, r.o2}) {
+      if (o != graph.true_slot() && std::ranges::find(seen, o) == seen.end()) {
+        seen.push_back(o);
+      }
+    }
+  }
+  return static_cast<int>(seen.size());
+}
+
+/// A seeded graph of 20,000 variables: centers 0..2999 with 0 to
+/// kGibbsTableNeighbours + 2 other atoms each, in every clause shape
+/// (self-loops and twin body atoms included), some factors repeated,
+/// weights zero, negative or of mixed magnitude, one hub of 40 other
+/// atoms, and enough isolated variables that the largest color gives
+/// four threads work.
+FactorGraph TableCoverageGraph(uint64_t seed) {
+  constexpr int kVariables = 20000;
+  constexpr int kCenters = 3000;
+  Rng rng(seed);
+  auto t_pi = Table::Make(TPiSchema());
+  for (int i = 0; i < kVariables; ++i) {
+    AppendFactRow(t_pi.get(), i, {1, i, 3, i + 100000, 5, 0.5});
+  }
+  auto t_phi = Table::Make(TPhiSchema());
+  auto weight = [&rng]() {
+    switch (rng.Uniform(4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -rng.UniformDouble(0.0, 3.0);
+      default:
+        return rng.UniformDouble(-1.0, 3.0) *
+               std::pow(10.0, rng.UniformDouble(-3.0, 1.0));
+    }
+  };
+  auto atom = [](int v) { return Value::Int64(v); };
+  auto add = [&](Value h, Value b1, Value b2) {
+    t_phi->AppendRow({h, b1, b2, Value::Float64(weight())});
+    if (rng.Bernoulli(0.15)) {  // a repeated factor
+      RowView last = t_phi->row(t_phi->NumRows() - 1);
+      t_phi->AppendRow({last[0], last[1], last[2], last[3]});
+    }
+  };
+  auto other = [&rng]() {
+    return kCenters + static_cast<int>(rng.Uniform(kVariables - kCenters));
+  };
+  for (int c = 0; c < kCenters; ++c) {
+    std::vector<int> others;
+    const int d = c % (kGibbsTableNeighbours + 3);
+    while (static_cast<int>(others.size()) < d) {
+      const int o = other();
+      if (std::ranges::find(others, o) == others.end()) others.push_back(o);
+    }
+    for (size_t i = 0; i < others.size(); ++i) {
+      const Value o = atom(others[i]);
+      const bool pair = i + 1 < others.size();
+      switch (rng.Uniform(6)) {
+        case 0:
+          add(atom(c), o, Value::Null());
+          break;
+        case 1:
+          add(o, atom(c), Value::Null());
+          break;
+        case 2:  // self-loop
+          add(atom(c), atom(c), o);
+          break;
+        case 3:  // twin body atoms
+          add(o, atom(c), atom(c));
+          break;
+        case 4:
+          if (pair) {
+            add(atom(c), o, atom(others[++i]));
+          } else {
+            add(o, o, atom(c));
+          }
+          break;
+        default:
+          if (pair) {
+            add(o, atom(c), atom(others[++i]));
+          } else {
+            add(o, atom(c), o);
+          }
+          break;
+      }
+    }
+    if (rng.Bernoulli(0.5)) add(atom(c), Value::Null(), Value::Null());
+  }
+  for (int i = 0; i < 40; ++i) {  // a hub, over the cap
+    add(atom(kCenters), atom(other()), Value::Null());
+  }
+  for (int i = 0; i < 2000; ++i) {  // singleton priors
+    add(atom(other()), Value::Null(), Value::Null());
+  }
+  auto graph = FactorGraph::FromTables(*t_pi, *t_phi);
+  EXPECT_TRUE(graph.ok()) << graph.status();
+  return std::move(*graph);
+}
+
+// Compiling each conditional into a table over its neighbours' values
+// must not move a sample: marginals and every chain's final state equal
+// the record-walking sampler's bit for bit, at 1 and 4 threads, with 1
+// and 2 chains, in one call and sliced across calls.
+TEST(GibbsKernelTest, ConditionalTablesMatchRecordWalk) {
+  for (uint64_t seed : {1, 2}) {
+    const FactorGraph graph = TableCoverageGraph(seed);
+    std::vector<int> counts(kGibbsTableNeighbours + 4, 0);
+    for (int32_t v = 0; v < graph.num_variables(); ++v) {
+      ++counts[static_cast<size_t>(std::min(NeighbourCount(graph, v),
+                                            kGibbsTableNeighbours + 3))];
+    }
+    for (size_t k = 0; k < counts.size(); ++k) {
+      EXPECT_GT(counts[k], 0) << "no variable reads " << k << " atoms";
+    }
+    int32_t largest = 0;
+    for (int c = 0; c < graph.num_colors(); ++c) {
+      largest = std::max(largest, graph.color_ranges()[c + 1] -
+                                      graph.color_ranges()[c]);
+    }
+    ASSERT_GE(largest, 4 * kGibbsVariablesPerThread);
+
+    for (int chains : {1, 2}) {
+      GibbsOptions options;
+      options.burn_in_sweeps = 6;
+      options.sample_sweeps = 14;
+      options.num_chains = chains;
+      options.seed = seed + 17;
+      std::vector<std::vector<uint8_t>> walk_state;
+      const std::vector<double> walk =
+          RecordWalkGibbs(graph, options, &walk_state);
+      for (int threads : {1, 4}) {
+        for (int slice : {0, 3}) {
+          options.num_threads = threads;
+          options.max_sweeps_per_call = slice;
+          GibbsCheckpoint state;
+          Result<GibbsResult> result = GibbsMarginals(graph, options, &state);
+          for (int calls = 1; result.ok() && !result->complete; ++calls) {
+            ASSERT_LE(calls, 10);
+            result = GibbsMarginals(graph, options, &state);
+          }
+          ASSERT_TRUE(result.ok()) << result.status();
+          EXPECT_EQ(result->threads, threads);
+          EXPECT_EQ(MarginalsDigest(result->marginals),
+                    MarginalsDigest(walk))
+              << "seed " << seed << ", " << chains << " chains, " << threads
+              << " threads, slices of " << slice;
+          ASSERT_EQ(state.chains.size(), walk_state.size());
+          for (size_t c = 0; c < walk_state.size(); ++c) {
+            EXPECT_EQ(state.chains[c].assignment, walk_state[c])
+                << "chain " << c << ", seed " << seed << ", " << threads
+                << " threads, slices of " << slice;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GibbsTest, MultiChainValidation) {

@@ -300,7 +300,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
     } else if (flag == "--sweeps") {
-      if (!IntFlag(flag.c_str(), next(), 1, kMaxInt, &options->sweeps)) {
+      // Burn-in plus sample sweeps must fit in an int.
+      if (!IntFlag(flag.c_str(), next(), 1,
+                   kMaxInt - GibbsOptions{}.burn_in_sweeps,
+                   &options->sweeps)) {
         return false;
       }
     } else if (flag == "--map") {
