@@ -374,7 +374,9 @@ const FactorGraph* GibbsBenchGraph() {
 }
 
 /// `sweeps` sweeps per GibbsMarginals call on GibbsBenchGraph(), at
-/// state.range(0) threads; items are variable updates.
+/// state.range(0) threads; items are variable updates, the solved
+/// variables included: exact_share is their share, so the sampled
+/// updates/s are items/s x (1 - exact_share).
 void RunGibbs(benchmark::State& state, int sweeps) {
   const FactorGraph* graph = GibbsBenchGraph();
   if (graph == nullptr) {
@@ -382,19 +384,25 @@ void RunGibbs(benchmark::State& state, int sweeps) {
     return;
   }
   int threads = 0;
+  int exact = 0;
   for (auto _ : state) {
     GibbsOptions gibbs;
     gibbs.burn_in_sweeps = 0;
     gibbs.sample_sweeps = sweeps;
     gibbs.num_threads = static_cast<int>(state.range(0));
     auto result = GibbsMarginals(*graph, gibbs);
-    if (result.ok()) threads = result->threads;
+    if (result.ok()) {
+      threads = result->threads;
+      exact = result->exact_variables;
+    }
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * sweeps *
                           graph->num_variables());
   state.counters["threads"] = threads;
   state.counters["variables"] = graph->num_variables();
+  state.counters["exact_share"] =
+      static_cast<double>(exact) / std::max(1, graph->num_variables());
 }
 
 // Argument: GibbsOptions::num_threads. 50 sweeps per call: items/s is
@@ -404,8 +412,8 @@ void BM_GibbsSweep(benchmark::State& state) { RunGibbs(state, 50); }
 BENCHMARK(BM_GibbsSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // Argument: GibbsOptions::num_threads. One sweep per call, so the time
-// per call is mostly the per-call set-up: compiling the conditional
-// tables, the cuts and the team.
+// per call is mostly the per-call set-up: the exact component solve,
+// the conditional tables (filled by the team), the cuts and the team.
 void BM_GibbsOneSweep(benchmark::State& state) { RunGibbs(state, 1); }
 BENCHMARK(BM_GibbsOneSweep)->Arg(1)->Arg(4)->UseRealTime();
 

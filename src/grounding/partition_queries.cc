@@ -549,7 +549,6 @@ Result<TablePtr> SingletonFactors(TablePtr t_pi, ExecContext* ctx) {
 int64_t AppendAtomRows(Table* t_pi, const Table& atoms,
                        const std::vector<int64_t>& rows, FactId* next_id) {
   const int64_t n = static_cast<int64_t>(rows.size());
-  t_pi->ReserveRows(n);
   auto gather = [&](int col) {
     return Table::ColumnSource::Gather(atoms, col, rows.data());
   };

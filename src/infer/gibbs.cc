@@ -1,12 +1,14 @@
 #include "infer/gibbs.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <new>
 #include <ranges>
+#include <span>
 #include <system_error>
 #include <thread>
 
@@ -48,18 +50,18 @@ struct ConditionalMemo {
   double p1 = 0.0;
 };
 
-/// Every variable's P(x_v = 1 | the rest), compiled for one call. A
-/// variable whose records read k <= kGibbsTableNeighbours distinct other
-/// atoms (the true slot aside) gets a table of 2^k probabilities, entry i
-/// being Sigmoid(ConditionalLogOdds) with neighbour j set to bit j of i:
-/// the value the record walk computes from the same bytes, so a lookup
-/// draws exactly the sample the walk would. The other variables, the
-/// hubs, keep the walk and a memo.
+/// P(x_v = 1 | the rest) of every sampled variable, compiled for one
+/// call. A variable whose records read k <= kGibbsTableNeighbours
+/// distinct other atoms (the true slot aside) gets a table of 2^k
+/// probabilities, entry i being Sigmoid(ConditionalLogOdds) with neighbour
+/// j set to bit j of i: the value the record walk computes from the same
+/// bytes, so a lookup draws exactly the sample the walk would. The other
+/// variables, the hubs, keep the walk and a memo.
 struct ConditionalTables {
   struct Slot {
-    /// v's neighbours are neighbours[slots[v].first, slots[v + 1].first).
+    /// active[i]'s neighbours: neighbours[slots[i].first, slots[i+1].first).
     int32_t first;
-    /// Offset of v's 2^k entries in p1, or ~h for the h-th hub.
+    /// Offset of its 2^k entries in p1, or ~h for the h-th hub.
     int32_t table;
   };
   std::vector<Slot> slots;
@@ -68,20 +70,21 @@ struct ConditionalTables {
   int32_t hubs = 0;
 };
 
-ConditionalTables CompileConditionals(const FactorGraph& graph) {
+/// The counting pass over `active`; the team then fills the tables.
+ConditionalTables CountConditionals(const FactorGraph& graph,
+                                    std::span<const int32_t> active) {
   constexpr size_t kTableNeighbours = kGibbsTableNeighbours;
   const int32_t n = graph.num_variables();
   ConditionalTables t;
-  t.slots.resize(static_cast<size_t>(n) + 1);
-  // Zero but for the true slot, between variables; the counting pass
-  // marks the neighbours it has seen in it.
+  t.slots.resize(active.size() + 1, {0, 0});
+  // Marks the neighbours the current variable has seen.
   std::vector<uint8_t> scratch(static_cast<size_t>(n) + 1, 0);
   scratch[static_cast<size_t>(n)] = 1;
   int64_t entries = 0;
-  for (int32_t v = 0; v < n; ++v) {
+  for (size_t i = 0; i < active.size(); ++i) {
     const size_t first = t.neighbours.size();
-    t.slots[static_cast<size_t>(v)].first = static_cast<int32_t>(first);
-    for (const Incidence& r : graph.IncidencesOf(v)) {
+    t.slots[i].first = static_cast<int32_t>(first);
+    for (const Incidence& r : graph.IncidencesOf(active[i])) {
       for (const int32_t o : {r.o1, r.o2}) {
         if (scratch[static_cast<size_t>(o)] == 0) {
           scratch[static_cast<size_t>(o)] = 1;
@@ -90,41 +93,197 @@ ConditionalTables CompileConditionals(const FactorGraph& graph) {
       }
       if (t.neighbours.size() - first > kTableNeighbours) break;
     }
-    for (size_t i = first; i < t.neighbours.size(); ++i) {
-      scratch[static_cast<size_t>(t.neighbours[i])] = 0;
+    for (size_t j = first; j < t.neighbours.size(); ++j) {
+      scratch[static_cast<size_t>(t.neighbours[j])] = 0;
     }
     // Table offsets are int32: past that, variables sample as hubs.
     const size_t k = t.neighbours.size() - first;
     if (k <= kTableNeighbours &&
         entries + (int64_t{1} << k) <= std::numeric_limits<int32_t>::max()) {
-      t.slots[static_cast<size_t>(v)].table = static_cast<int32_t>(entries);
+      t.slots[i].table = static_cast<int32_t>(entries);
       entries += int64_t{1} << k;
     } else {
-      t.slots[static_cast<size_t>(v)].table = ~t.hubs++;
+      t.slots[i].table = ~t.hubs++;
       t.neighbours.resize(first);
     }
+    t.slots[i + 1].first = static_cast<int32_t>(t.neighbours.size());
   }
-  t.slots[static_cast<size_t>(n)].first =
-      static_cast<int32_t>(t.neighbours.size());
-
   t.p1.resize(static_cast<size_t>(entries));
-  for (int32_t v = 0; v < n; ++v) {
-    const ConditionalTables::Slot slot = t.slots[static_cast<size_t>(v)];
+  return t;
+}
+
+/// Fills the tables of active[begin, end) in `scratch`, 0 but the true slot.
+void FillConditionals(const FactorGraph& graph, ConditionalTables& t,
+                      std::span<const int32_t> active, int32_t begin,
+                      int32_t end, uint8_t* scratch) {
+  for (int32_t p = begin; p < end; ++p) {
+    const int32_t v = active[static_cast<size_t>(p)];
+    const ConditionalTables::Slot slot = t.slots[static_cast<size_t>(p)];
     if (slot.table < 0) continue;
     const int32_t* nb = t.neighbours.data() + slot.first;
-    const int k = t.slots[static_cast<size_t>(v) + 1].first - slot.first;
+    const int k = t.slots[static_cast<size_t>(p) + 1].first - slot.first;
     double* out = t.p1.data() + slot.table;
     // Gray-code order: step i flips neighbour countr_zero(i), so each
     // entry costs one byte write, and the walk ends with only neighbour
     // k - 1 set.
-    out[0] = Sigmoid(ConditionalLogOdds(graph, v, scratch.data()));
+    out[0] = Sigmoid(ConditionalLogOdds(graph, v, scratch));
     for (uint32_t i = 1; i < (uint32_t{1} << k); ++i) {
-      scratch[static_cast<size_t>(nb[std::countr_zero(i)])] ^= 1;
-      out[i ^ (i >> 1)] = Sigmoid(ConditionalLogOdds(graph, v, scratch.data()));
+      scratch[nb[std::countr_zero(i)]] ^= 1;
+      out[i ^ (i >> 1)] = Sigmoid(ConditionalLogOdds(graph, v, scratch));
     }
-    if (k > 0) scratch[static_cast<size_t>(nb[k - 1])] = 0;
+    if (k > 0) scratch[nb[k - 1]] = 0;
   }
-  return t;
+}
+
+/// A factor node of a tree component: the factors over one scope (`key`,
+/// sorted and padded with the true slot) multiplied into one potential.
+/// It hangs from vars[0], nearer the component's root; the others hang
+/// from it.
+struct ScopeNode {
+  std::array<int32_t, 3> key;
+  std::array<int32_t, 3> vars;
+  int k = 0;
+  /// log phi, with bit j of the index the value of vars[j].
+  std::array<double, 8> log_phi{};
+  /// The log-odds message to vars[0].
+  double up = 0.0;
+
+  /// The log-odds message to vars[i], given the log-odds message from
+  /// vars[0] and, from the others, `total` (see SolveForests); each half
+  /// is summed relative to its largest term.
+  double Message(const std::vector<double>& total, double from_parent,
+                 int i) const {
+    double x[8];
+    double top[2] = {-std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()};
+    double sum[2] = {0.0, 0.0};
+    for (unsigned b = 0; b < (1u << k); ++b) {
+      x[b] = log_phi[b];
+      for (int j = 0; j < k; ++j) {
+        if (j == i || (b >> j & 1) == 0) continue;
+        const int32_t v = vars[static_cast<size_t>(j)];
+        x[b] += j == 0 ? from_parent : total[static_cast<size_t>(v)];
+      }
+      top[b >> i & 1] = std::max(top[b >> i & 1], x[b]);
+    }
+    for (unsigned b = 0; b < (1u << k); ++b) {
+      sum[b >> i & 1] += std::exp(x[b] - top[b >> i & 1]);
+    }
+    return top[1] - top[0] + std::log(sum[1] / sum[0]);
+  }
+};
+
+/// Writes the exact marginals of each component whose variable-scope graph
+/// is a tree (walked breadth-first from its lowest variable) into
+/// `marginals`; returns the other components' variables, ascending.
+std::vector<int32_t> SolveForests(const FactorGraph& graph,
+                                  std::vector<double>* marginals) {
+  const int32_t n = graph.num_variables();
+  const int32_t true_slot = graph.true_slot();
+  // Zero but for a scope's members while its potential is tabulated.
+  std::vector<uint8_t> a(static_cast<size_t>(n) + 1, 0);
+  // 1 once reached, 2 once its component is left to sample.
+  std::vector<uint8_t> seen(static_cast<size_t>(n), 0);
+  // Per variable: its own factors' log-odds plus the messages received so
+  // far (the true slot's entry absorbs absent members'), and its node.
+  std::vector<double> total(static_cast<size_t>(n) + 1, 0.0);
+  std::vector<int32_t> parent(static_cast<size_t>(n), -1);
+  std::vector<int32_t> queue;
+  std::vector<ScopeNode> nodes;
+  std::vector<std::pair<std::array<int32_t, 3>, int32_t>> scopes;
+  for (int32_t root = 0; root < n; ++root) {
+    if (seen[static_cast<size_t>(root)]) continue;
+    queue.assign(1, root);
+    seen[static_cast<size_t>(root)] = 1;
+    nodes.clear();
+    bool tree = true;
+    for (size_t qi = 0; qi < queue.size(); ++qi) {
+      const int32_t u = queue[qi];
+      if (!tree) {  // a cycle: only label the rest of the component
+        for (const Incidence& r : graph.IncidencesOf(u)) {
+          for (const int32_t o : {r.o1, r.o2}) {
+            if (o == true_slot || seen[static_cast<size_t>(o)]) continue;
+            seen[static_cast<size_t>(o)] = 1;
+            queue.push_back(o);
+          }
+        }
+        continue;
+      }
+      // u's factors (their records are adjacent) by scope; see ScopeNode.
+      scopes.clear();
+      for (const Incidence& r : graph.IncidencesOf(u)) {
+        if (!scopes.empty() && scopes.back().second == r.factor) continue;
+        std::array<int32_t, 3> key = {u, r.o1, r.o2};
+        std::ranges::sort(key);
+        std::ranges::fill(std::ranges::unique(key), true_slot);
+        scopes.emplace_back(key, r.factor);
+      }
+      std::ranges::sort(scopes);
+      const int32_t up = parent[static_cast<size_t>(u)];
+      for (size_t i = 0, end = 0; i < scopes.size(); i = end) {
+        const std::array<int32_t, 3> key = scopes[i].first;
+        while (end < scopes.size() && scopes[end].first == key) ++end;
+        if (up >= 0 && nodes[static_cast<size_t>(up)].key == key) continue;
+        // A new node; a member reached before closes a cycle.
+        ScopeNode node{.key = key, .vars = {u, true_slot, true_slot}};
+        for (const int32_t m : key) {
+          if (m == u || m == true_slot) continue;
+          node.vars[static_cast<size_t>(++node.k)] = m;
+          uint8_t& reached = seen[static_cast<size_t>(m)];
+          tree = tree && !reached;
+          if (!reached) queue.push_back(m);
+          reached = 1;
+          parent[static_cast<size_t>(m)] = static_cast<int32_t>(nodes.size());
+        }
+        if (!tree) continue;
+        // Sum the log values of the scope's factors over its assignments.
+        for (++node.k; i < end; ++i) {
+          const GroundFactor& f =
+              graph.factors()[static_cast<size_t>(scopes[i].second)];
+          for (unsigned b = 0; b < (1u << node.k); ++b) {
+            for (int j = 0; j < node.k; ++j) {
+              a[static_cast<size_t>(node.vars[static_cast<size_t>(j)])] =
+                  static_cast<uint8_t>(b >> j & 1);
+            }
+            node.log_phi[b] += f.LogValue(a);
+          }
+        }
+        for (const int32_t m : node.vars) a[static_cast<size_t>(m)] = 0;
+        if (node.k == 1) {  // a one-atom scope is u's own potential
+          total[static_cast<size_t>(u)] += node.log_phi[1] - node.log_phi[0];
+        } else {
+          nodes.push_back(node);
+        }
+      }
+    }
+    if (!tree) {
+      for (const int32_t v : queue) seen[static_cast<size_t>(v)] = 2;
+      continue;
+    }
+    // Nodes come after the node their variable hangs from, so upward
+    // messages go in reverse order and downward ones in order.
+    for (ScopeNode& node : std::views::reverse(nodes)) {
+      node.up = node.Message(total, 0.0, 0);
+      total[static_cast<size_t>(node.vars[0])] += node.up;
+    }
+    for (const ScopeNode& node : nodes) {
+      const double from_parent =
+          total[static_cast<size_t>(node.vars[0])] - node.up;
+      const double to1 = node.Message(total, from_parent, 1);
+      const double to2 = node.k > 2 ? node.Message(total, from_parent, 2) : 0;
+      total[static_cast<size_t>(node.vars[1])] += to1;
+      total[static_cast<size_t>(node.vars[2])] += to2;
+    }
+    for (const int32_t v : queue) {
+      (*marginals)[static_cast<size_t>(v)] =
+          Sigmoid(total[static_cast<size_t>(v)]);
+    }
+  }
+  std::vector<int32_t> active;
+  for (int32_t v = 0; v < n; ++v) {
+    if (seen[static_cast<size_t>(v)] == 2) active.push_back(v);
+  }
+  return active;
 }
 
 /// Variables per cut: a thread's part of a color starts at a multiple of
@@ -218,16 +377,18 @@ struct ChainWork {
 };
 
 /// Everything the thread team shares for one GibbsMarginals call. Thread
-/// t sweeps [cuts[c * (threads + 1) + t], cuts[c * (threads + 1) + t + 1])
-/// of color c, then meets the others at the barrier.
+/// t sweeps active[cuts[c * (threads + 1) + t], cuts[c * (threads + 1) +
+/// t + 1]) of the c-th color with sampled variables, then meets the
+/// others at the barrier.
 struct Team {
   const FactorGraph& graph;
   const GibbsOptions& options;
   int threads;
   int begin_sweep;
   int end_sweep;
+  std::span<const int32_t> active;
   std::vector<int32_t> cuts;
-  const ConditionalTables& tables;
+  ConditionalTables& tables;
   /// One per hub. Hubs are rare, so two threads seldom share a line.
   std::vector<ConditionalMemo> memo;
   std::vector<ChainWork> chains;
@@ -235,9 +396,9 @@ struct Team {
   /// Written by thread 0 only.
   std::vector<double> chain_seconds;
 
-  /// Samples variables [begin, end) of sweep `sweep`. Variable v's draw
-  /// is SplitMix64 at counter (sweep * n + v) of the chain's stream, so it
-  /// does not depend on which thread updates v, or when.
+  /// Samples active[begin, end) in sweep `sweep`. Variable v's draw is
+  /// SplitMix64 at counter (sweep * n + v) of the chain's stream, n all
+  /// variables: no thread, timing or exact solve moves it.
   void Update(ChainWork& w, int sweep, int32_t begin, int32_t end) {
     const uint64_t base =
         w.key + kGoldenGamma * (static_cast<uint64_t>(sweep) *
@@ -247,12 +408,13 @@ struct Team {
     const ConditionalTables::Slot* slots = tables.slots.data();
     const int32_t* neighbours = tables.neighbours.data();
     const double* table_p1 = tables.p1.data();
-    for (int32_t v = begin; v < end; ++v) {
-      const ConditionalTables::Slot slot = slots[v];
+    for (int32_t i = begin; i < end; ++i) {
+      const int32_t v = active[static_cast<size_t>(i)];
+      const ConditionalTables::Slot slot = slots[i];
       double p1;
       if (slot.table >= 0) [[likely]] {
         const int32_t* nb = neighbours + slot.first;
-        const int k = slots[v + 1].first - slot.first;
+        const int k = slots[i + 1].first - slot.first;
         uint32_t index = 0;
         for (int j = 0; j < k; ++j) index |= uint32_t{a[nb[j]]} << j;
         p1 = table_p1[slot.table + index];
@@ -271,10 +433,17 @@ struct Team {
     }
   }
 
-  /// Thread t's share of every chain, sweep and color. Thread 0 (the
-  /// caller) also keeps the clocks and the stats.
+  /// Thread t's share of the tables, then of every chain, sweep and
+  /// color. Thread 0 (the caller) also keeps the clocks and the stats.
   void Run(int t) {
-    const int num_colors = graph.num_colors();
+    const int num_colors = static_cast<int>(cuts.size()) / (threads + 1);
+    std::vector<uint8_t> scratch(static_cast<size_t>(graph.num_variables()));
+    scratch.push_back(1);
+    for (int c = 0; c < num_colors; ++c) {
+      const int32_t* cut = &cuts[static_cast<size_t>(c * (threads + 1) + t)];
+      FillConditionals(graph, tables, active, cut[0], cut[1], scratch.data());
+    }
+    if (threads > 1) barrier.Wait();
     const bool timed = t == 0 && options.stats != nullptr;
     for (size_t chain = 0; chain < chains.size(); ++chain) {
       Timer chain_timer;
@@ -303,33 +472,45 @@ struct Team {
   }
 };
 
-/// Cut points of every color for a team of `threads` threads: one contiguous
-/// part per thread, of about equal work (a variable costs one unit plus
-/// one per incidence record), each boundary rounded up to a multiple of
-/// kCutVariables (empty parts allowed). The cuts never change a sample.
-std::vector<int32_t> ColorCuts(const FactorGraph& graph, int threads) {
-  const std::vector<int32_t>& ranges = graph.color_ranges();
-  auto work = [&graph](int32_t v) {
-    return static_cast<int64_t>(v) + graph.incidence_offset(v);
+/// Cut points (positions in `active`) of each color with sampled variables
+/// for `threads` threads: one part per thread, of about equal work (a
+/// variable costs one unit plus one per incidence record), each boundary
+/// moved up to the first variable at a multiple of kCutVariables (empty
+/// parts allowed). The cuts never change a sample.
+std::vector<int32_t> ColorCuts(const FactorGraph& graph,
+                               std::span<const int32_t> active, int threads) {
+  // work[i] is the work of active[0, i).
+  std::vector<int64_t> work(active.size() + 1, 0);
+  for (size_t i = 0; i < active.size(); ++i) {
+    work[i + 1] = work[i] + 1 +
+                  static_cast<int64_t>(graph.IncidencesOf(active[i]).size());
+  }
+  auto first_at = [&active](int32_t v) {
+    return static_cast<int32_t>(std::ranges::lower_bound(active, v) -
+                                active.begin());
   };
+  const std::vector<int32_t>& ranges = graph.color_ranges();
   std::vector<int32_t> cuts;
-  cuts.reserve(static_cast<size_t>(graph.num_colors()) *
-               static_cast<size_t>(threads + 1));
   for (int c = 0; c < graph.num_colors(); ++c) {
-    const int32_t begin = ranges[static_cast<size_t>(c)];
-    const int32_t end = ranges[static_cast<size_t>(c) + 1];
+    const int32_t begin = first_at(ranges[static_cast<size_t>(c)]);
+    const int32_t end = first_at(ranges[static_cast<size_t>(c) + 1]);
+    if (begin == end) continue;
     cuts.push_back(begin);
     for (int t = 1; t < threads; ++t) {
-      const int64_t target =
-          work(begin) + (work(end) - work(begin)) * t / threads;
-      // The first variable whose prefix work reaches the target; `end`
+      const int64_t target = work[static_cast<size_t>(begin)] +
+                             (work[static_cast<size_t>(end)] -
+                              work[static_cast<size_t>(begin)]) *
+                                 t / threads;
+      // The first position whose prefix work reaches the target; `end`
       // always does.
       const int32_t first = *std::ranges::partition_point(
           std::views::iota(begin, end + 1),
-          [&](int32_t v) { return work(v) < target; });
-      const int32_t rounded = (first + kCutVariables - 1) /
-                              kCutVariables * kCutVariables;
-      cuts.push_back(std::clamp(rounded, begin, end));
+          [&](int32_t i) { return work[static_cast<size_t>(i)] < target; });
+      const int32_t v = first < end ? active[static_cast<size_t>(first)]
+                                    : ranges[static_cast<size_t>(c) + 1];
+      cuts.push_back(std::min(
+          first_at((v + kCutVariables - 1) / kCutVariables * kCutVariables),
+          end));
     }
     cuts.push_back(end);
   }
@@ -338,8 +519,8 @@ std::vector<int32_t> ColorCuts(const FactorGraph& graph, int threads) {
 
 /// Runs `team` on team.threads threads, the caller as thread 0. Started
 /// threads wait at a gate until the whole team exists; if one cannot be
-/// started, the others leave without sweeping and the caller sweeps
-/// alone, which draws the same samples.
+/// started, the others leave without sweeping and the caller fills the
+/// tables and sweeps alone, which draws the same samples.
 void RunTeam(Team& team) {
   enum : int { kPending, kGo, kAbort };
   std::atomic<int> gate{kPending};
@@ -356,7 +537,7 @@ void RunTeam(Team& team) {
   } catch (const std::system_error&) {
     gate.store(kAbort);
     team.threads = 1;
-    team.cuts = ColorCuts(team.graph, 1);
+    team.cuts = ColorCuts(team.graph, team.active, 1);
   }
   gate.notify_all();
   team.Run(0);
@@ -440,23 +621,35 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
                          sweeps_before + options.max_sweeps_per_call);
   }
 
+  // Solve the acyclic components; the team samples the rest.
+  GibbsResult result;
+  result.marginals.assign(static_cast<size_t>(n), 0.0);
+  const std::vector<int32_t> active = SolveForests(graph, &result.marginals);
+  result.exact_variables = n - static_cast<int>(active.size());
+  if (options.stats != nullptr) {
+    options.stats->IncrementCounter("gibbs_exact_variables",
+                                    result.exact_variables);
+  }
+
   // The team: at most one thread per kGibbsVariablesPerThread variables
-  // of the largest color, the caller included, for the whole call.
+  // of the graph's largest color, the caller included, for the whole
+  // call; one thread when nothing is left to sample.
   const std::vector<int32_t>& ranges = graph.color_ranges();
   int32_t largest = 0;
   for (size_t c = 0; c + 1 < ranges.size(); ++c) {
     largest = std::max(largest, ranges[c + 1] - ranges[c]);
   }
   const int threads =
-      std::clamp(largest / kGibbsVariablesPerThread, 1,
+      std::clamp(active.empty() ? 1 : largest / kGibbsVariablesPerThread, 1,
                  ThreadPool::ResolveThreads(options.num_threads));
-  const ConditionalTables tables = CompileConditionals(graph);
+  ConditionalTables tables = CountConditionals(graph, active);
   Team team{.graph = graph,
             .options = options,
             .threads = threads,
             .begin_sweep = sweeps_before,
             .end_sweep = end_sweep,
-            .cuts = ColorCuts(graph, threads),
+            .active = active,
+            .cuts = ColorCuts(graph, active, threads),
             .tables = tables,
             .memo = {},
             .chains = {},
@@ -486,7 +679,6 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   }
   const std::vector<double>& chain_seconds = team.chain_seconds;
 
-  GibbsResult result;
   result.chain_seconds = chain_seconds;
   {
     const double updates =
@@ -499,13 +691,12 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
   }
   result.sweeps_done = end_sweep;
   result.complete = end_sweep == total_sweeps;
-  result.marginals.assign(static_cast<size_t>(n), 0.0);
   const int64_t sampled =
       std::max(0, end_sweep - options.burn_in_sweeps);
   const double denom = static_cast<double>(sampled) *
                        static_cast<double>(options.num_chains);
   if (sampled > 0) {
-    for (int32_t v = 0; v < n; ++v) {
+    for (const int32_t v : active) {
       int64_t total = 0;
       for (const GibbsChainState& st : state->chains) {
         total += st.ones[static_cast<size_t>(v)];
@@ -515,11 +706,11 @@ Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,
     }
   }
 
-  // Convergence diagnostic across chains.
+  // Convergence diagnostic across chains, over the sampled variables.
   result.max_psrf = 1.0;
   if (options.num_chains > 1 && sampled > 0) {
     std::vector<int64_t> chain_ones(static_cast<size_t>(options.num_chains));
-    for (int32_t v = 0; v < n; ++v) {
+    for (const int32_t v : active) {
       for (int c = 0; c < options.num_chains; ++c) {
         chain_ones[static_cast<size_t>(c)] =
             state->chains[static_cast<size_t>(c)].ones[static_cast<size_t>(v)];

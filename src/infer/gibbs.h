@@ -24,11 +24,11 @@ class StatsRegistry;
 /// it the barrier after each color costs more than the thread saves.
 inline constexpr int kGibbsVariablesPerThread = 2048;
 
-/// Most distinct other atoms (the true slot aside) a variable's
-/// conditional may read and still be compiled: before sampling,
-/// GibbsMarginals tabulates such a variable's P(x_v = 1 | the rest) for
-/// all 2^k values of those atoms, so an update is one table read. A hub,
-/// over the cap, walks its records (ConditionalLogOdds) on every update.
+/// Most distinct other atoms (the true slot aside) a sampled variable's
+/// conditional may read and still be compiled: before sampling, the team
+/// tabulates such a variable's P(x_v = 1 | the rest) for all 2^k values
+/// of those atoms, so an update is one table read. A hub, over the cap,
+/// walks its records (ConditionalLogOdds) on every update.
 inline constexpr int kGibbsTableNeighbours = 6;
 
 struct GibbsOptions {
@@ -51,15 +51,16 @@ struct GibbsOptions {
   /// ThreadPool::ResolveThreads (PROBKB_THREADS, else all cores). The
   /// marginals are bit-identical at any thread count. The sampler uses at
   /// most one thread per kGibbsVariablesPerThread variables of the
-  /// largest color.
+  /// graph's largest color, and one when every component is solved.
   int num_threads = 0;
-  /// Optional execution-stats sink: per-chain throughput plus a
-  /// "gibbs_sweep" latency histogram (per-sweep timing is only taken when
-  /// attached). Never affects the sample path.
+  /// Optional execution-stats sink: per-chain throughput, a "gibbs_sweep"
+  /// latency histogram (timed only when attached) and the
+  /// "gibbs_exact_variables" counter. Never affects the sample path.
   StatsRegistry* stats = nullptr;
 };
 
-/// \brief Resumable state of one Gibbs chain at a sweep boundary.
+/// \brief Resumable state of one Gibbs chain at a sweep boundary. Entries
+/// of exactly solved variables are never written.
 struct GibbsChainState {
   int sweeps_done = 0;
   std::vector<uint8_t> assignment;
@@ -76,15 +77,18 @@ struct GibbsCheckpoint {
 };
 
 struct GibbsResult {
-  /// Marginal P(X_v = 1) per variable (averaged over chains).
+  /// Marginal P(X_v = 1) per variable: exact on acyclic components,
+  /// else averaged over chains.
   std::vector<double> marginals;
+  /// Variables in acyclic components, whose marginals are exact.
+  int exact_variables = 0;
   /// Measured wall-clock seconds (all chains).
   double seconds = 0.0;
   int num_colors = 1;
   /// Threads that swept each color (see GibbsOptions::num_threads).
   int threads = 1;
   /// Max potential-scale-reduction factor (Gelman-Rubin R-hat) over
-  /// variables; ~1.0 indicates the chains mixed. 1.0 when num_chains == 1.
+  /// sampled variables; ~1.0 means the chains mixed. 1.0 with one chain.
   double max_psrf = 1.0;
   /// False when max_sweeps_per_call stopped the run early; call again with
   /// the same checkpoint to continue. Marginals then cover only the
@@ -92,20 +96,26 @@ struct GibbsResult {
   bool complete = true;
   int sweeps_done = 0;
   /// Per-chain throughput of *this call*: wall-clock seconds spent
-  /// advancing chain i and its sampling rate in variable updates per
-  /// second (sweeps_run x num_variables / seconds).
+  /// advancing chain i and its rate in variable updates per second
+  /// (sweeps_run x num_variables / seconds, solved variables included).
   std::vector<double> chain_seconds;
   std::vector<double> chain_samples_per_sec;
 };
 
-/// \brief Gibbs sampling for marginal inference over the ground factor
-/// graph (the MLN marginal-inference step, Eq. (4)).
+/// \brief Marginal inference over the ground factor graph (the MLN
+/// marginal-inference step, Eq. (4)): exact on forests, Gibbs elsewhere.
+///
+/// Each call first solves by a two-pass sum-product every component whose
+/// variable-factor graph is a tree once the factors over one scope (set of
+/// distinct variables) multiply into one potential; an isolated variable
+/// is one. Gibbs samples the rest, its draws keyed on the whole graph's
+/// numbering, so they are the ones an all-sampled run would draw.
 ///
 /// With a non-null `checkpoint` the sampler initializes from (and updates)
 /// that state, enabling interrupted-and-resumed runs; with
 /// options.max_sweeps_per_call set it returns after that many additional
 /// sweeps with result.complete == false until the schedule finishes.
-/// Each call first compiles the conditional tables (see
+/// Each call also compiles the sampled variables' conditional tables (see
 /// kGibbsTableNeighbours), which costs about as much as a few sweeps.
 /// InvalidArgument when burn-in plus sample sweeps exceed INT_MAX.
 Result<GibbsResult> GibbsMarginals(const FactorGraph& graph,

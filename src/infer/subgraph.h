@@ -32,8 +32,8 @@ struct SubgraphMarginals {
 
 /// \brief Marginal inference over one query's local subgraph: builds the
 /// factor graph from (sub_t_pi, t_phi) and runs exact enumeration or
-/// seeded Gibbs. The serve path calls this per query against a pinned
-/// snapshot's neighborhood.
+/// GibbsMarginals, exact on acyclic components. The serve path calls this
+/// per query against a pinned snapshot's neighborhood.
 Result<SubgraphMarginals> ComputeSubgraphMarginals(
     const Table& sub_t_pi, const Table& t_phi,
     const SubgraphInferenceOptions& opts);

@@ -226,6 +226,33 @@ TEST(MergeAtomsTest, AssignsFreshIdsAndDedupes) {
   EXPECT_EQ(next, 3);
 }
 
+// Merges grow TPi's columns geometrically (Table::AppendColumns): a run of
+// one-atom merges moves the id column's buffer O(log N) times, where an
+// exact reserve before each merge would move it on every merge.
+TEST(MergeAtomsTest, OneRowMergesMoveTheColumnsLogarithmicallyOften) {
+  constexpr int kMerges = 1000;
+  auto t_pi = Table::Make(TPiSchema());
+  AppendFactRow(t_pi.get(), 0, {7, 1, 2, 3, 4, 0.5});
+  FactId next = 1;
+  auto atoms = Table::Make(AtomSchema());
+  atoms->AppendRow({Value::Int64(8), Value::Int64(1), Value::Int64(2),
+                    Value::Int64(3), Value::Int64(4)});
+  const std::vector<int64_t> first_row = {0};
+  int moves = 0;
+  const FactId* ids = t_pi->Int64Data(tpi::kI);
+  for (int i = 0; i < kMerges; ++i) {
+    ASSERT_EQ(AppendAtomRows(t_pi.get(), *atoms, first_row, &next), 1);
+    if (t_pi->Int64Data(tpi::kI) != ids) {
+      ids = t_pi->Int64Data(tpi::kI);
+      ++moves;
+    }
+  }
+  EXPECT_EQ(t_pi->NumRows(), kMerges + 1);
+  EXPECT_EQ(t_pi->row(kMerges)[tpi::kI].i64(), kMerges);
+  EXPECT_LE(moves, 12) << "the id column moved on " << moves << " of "
+                       << kMerges << " merges";
+}
+
 // Every TPi join probes one of the persistent indexes bounded to the rows
 // pinned by Sync(): rows merged afterwards stay invisible to the join, even
 // through Txy, which the merge extends at once.

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <ranges>
+#include <vector>
 
 #include "core/probkb.h"
 #include "datagen/synthetic_kb.h"
@@ -402,9 +404,11 @@ std::shared_ptr<FactorGraph> PaperExampleGraph() {
 }
 
 // Pins the exact sample path: any change to the conditional's arithmetic,
-// the color-major numbering or the counter-based draws moves these
-// digests. The constants were recorded when the draws became
-// counter-based; they hold at every thread count.
+// the color-major numbering, the counter-based draws or the exact solve of
+// acyclic components moves these digests. The constants were recorded
+// when the draws became counter-based; the synthetic graph's was
+// re-recorded when its acyclic components became exact (the paper
+// example is one cyclic component). They hold at every thread count.
 TEST(GibbsTest, SamplePathMatchesPinnedDigest) {
   {
     std::shared_ptr<FactorGraph> graph = PaperExampleGraph();
@@ -435,7 +439,7 @@ TEST(GibbsTest, SamplePathMatchesPinnedDigest) {
       result = GibbsMarginals(*graph, options, &state);
     }
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(MarginalsDigest(result->marginals), 0x5bb6d67d33cbec37ULL)
+    EXPECT_EQ(MarginalsDigest(result->marginals), 0x9cff67ffd83c64bbULL)
         << std::hex << MarginalsDigest(result->marginals);
   }
 }
@@ -644,20 +648,124 @@ FactorGraph TableCoverageGraph(uint64_t seed) {
   return std::move(*graph);
 }
 
+/// The variables of each component, by label.
+std::map<int32_t, std::vector<int32_t>> Components(const FactorGraph& graph) {
+  std::map<int32_t, std::vector<int32_t>> components;
+  const std::vector<int32_t> label = testutil::ComponentLabels(graph);
+  for (int32_t v = 0; v < graph.num_variables(); ++v) {
+    components[label[static_cast<size_t>(v)]].push_back(v);
+  }
+  return components;
+}
+
+/// Enumerated marginals of one component, built as a graph of its own,
+/// indexed like `vars`.
+std::vector<double> ComponentExactMarginals(const FactorGraph& graph,
+                                            const std::vector<int32_t>& vars) {
+  auto t_pi = Table::Make(TPiSchema());
+  for (int32_t v : vars) {
+    AppendFactRow(t_pi.get(), graph.fact_id(v), {1, v, 3, v, 5, 0.5});
+  }
+  auto id = [&graph](int32_t v) {
+    return v < 0 ? Value::Null() : Value::Int64(graph.fact_id(v));
+  };
+  auto t_phi = Table::Make(TPhiSchema());
+  for (const GroundFactor& f : graph.factors()) {
+    if (std::ranges::find(vars, f.head) == vars.end()) continue;
+    t_phi->AppendRow(
+        {id(f.head), id(f.body1), id(f.body2), Value::Float64(f.weight)});
+  }
+  auto sub = FactorGraph::FromTables(*t_pi, *t_phi);
+  EXPECT_TRUE(sub.ok()) << sub.status();
+  auto exact = ExactMarginals(*sub);
+  EXPECT_TRUE(exact.ok()) << exact.status();
+  std::vector<double> out;
+  for (int32_t v : vars) {
+    const int32_t w = sub->VariableOf(graph.fact_id(v));
+    out.push_back((*exact)[static_cast<size_t>(w)]);
+  }
+  return out;
+}
+
+/// `values` at the variables whose `acyclic` flag is `flag`.
+template <typename T>
+std::vector<T> Select(const std::vector<T>& values,
+                      const std::vector<uint8_t>& acyclic, uint8_t flag) {
+  std::vector<T> out;
+  for (size_t v = 0; v < values.size(); ++v) {
+    if (acyclic[v] == flag) out.push_back(values[v]);
+  }
+  return out;
+}
+
+/// Runs GibbsMarginals on `graph` at 1 and 4 threads, with 1 and 2
+/// chains, in one call and sliced across calls, and expects every sampled
+/// variable (one outside an acyclic component) to match the
+/// record-walking sampler bit for bit, in its marginal and in every
+/// chain's final state; the solved ones are counted in exact_variables.
+void ExpectSampledMatchRecordWalk(const FactorGraph& graph, uint64_t seed) {
+  const std::vector<uint8_t> acyclic = testutil::AcyclicVariables(graph);
+  const int solved =
+      static_cast<int>(std::ranges::count(acyclic, uint8_t{1}));
+  ASSERT_LT(solved, graph.num_variables()) << "nothing left to sample";
+  for (int chains : {1, 2}) {
+    GibbsOptions options;
+    options.burn_in_sweeps = 6;
+    options.sample_sweeps = 14;
+    options.num_chains = chains;
+    options.seed = seed + 17;
+    std::vector<std::vector<uint8_t>> walk_state;
+    const std::vector<double> walk =
+        RecordWalkGibbs(graph, options, &walk_state);
+    for (int threads : {1, 4}) {
+      for (int slice : {0, 3}) {
+        options.num_threads = threads;
+        options.max_sweeps_per_call = slice;
+        GibbsCheckpoint state;
+        Result<GibbsResult> result = GibbsMarginals(graph, options, &state);
+        for (int calls = 1; result.ok() && !result->complete; ++calls) {
+          ASSERT_LE(calls, 10);
+          result = GibbsMarginals(graph, options, &state);
+        }
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(result->threads, threads);
+        EXPECT_EQ(result->exact_variables, solved);
+        EXPECT_EQ(MarginalsDigest(Select(result->marginals, acyclic, 0)),
+                  MarginalsDigest(Select(walk, acyclic, 0)))
+            << "seed " << seed << ", " << chains << " chains, " << threads
+            << " threads, slices of " << slice;
+        ASSERT_EQ(state.chains.size(), walk_state.size());
+        for (size_t c = 0; c < walk_state.size(); ++c) {
+          EXPECT_EQ(Select(state.chains[c].assignment, acyclic, 0),
+                    Select(walk_state[c], acyclic, 0))
+              << "chain " << c << ", seed " << seed << ", " << threads
+              << " threads, slices of " << slice;
+        }
+      }
+    }
+  }
+}
+
 // Compiling each conditional into a table over its neighbours' values
-// must not move a sample: marginals and every chain's final state equal
-// the record-walking sampler's bit for bit, at 1 and 4 threads, with 1
-// and 2 chains, in one call and sliced across calls.
+// must not move a sample: every sampled variable's marginal and chain
+// state equal the record-walking sampler's bit for bit, at 1 and 4
+// threads, with 1 and 2 chains, in one call and sliced across calls. The
+// solved variables' marginals equal enumeration over their component.
 TEST(GibbsKernelTest, ConditionalTablesMatchRecordWalk) {
   for (uint64_t seed : {1, 2}) {
     const FactorGraph graph = TableCoverageGraph(seed);
+    const std::vector<uint8_t> acyclic = testutil::AcyclicVariables(graph);
     std::vector<int> counts(kGibbsTableNeighbours + 4, 0);
     for (int32_t v = 0; v < graph.num_variables(); ++v) {
+      if (acyclic[static_cast<size_t>(v)]) continue;
       ++counts[static_cast<size_t>(std::min(NeighbourCount(graph, v),
                                             kGibbsTableNeighbours + 3))];
     }
-    for (size_t k = 0; k < counts.size(); ++k) {
-      EXPECT_GT(counts[k], 0) << "no variable reads " << k << " atoms";
+    // A variable that reads no other atom is isolated, so solved.
+    EXPECT_EQ(counts[0], 0);
+    for (size_t k = 1; k < counts.size(); ++k) {
+      EXPECT_GT(counts[k], 0) << "no sampled variable reads " << k
+                              << " atoms";
     }
     int32_t largest = 0;
     for (int c = 0; c < graph.num_colors(); ++c) {
@@ -665,42 +773,188 @@ TEST(GibbsKernelTest, ConditionalTablesMatchRecordWalk) {
                                       graph.color_ranges()[c]);
     }
     ASSERT_GE(largest, 4 * kGibbsVariablesPerThread);
+    ExpectSampledMatchRecordWalk(graph, seed);
 
-    for (int chains : {1, 2}) {
-      GibbsOptions options;
-      options.burn_in_sweeps = 6;
-      options.sample_sweeps = 14;
-      options.num_chains = chains;
-      options.seed = seed + 17;
-      std::vector<std::vector<uint8_t>> walk_state;
-      const std::vector<double> walk =
-          RecordWalkGibbs(graph, options, &walk_state);
-      for (int threads : {1, 4}) {
-        for (int slice : {0, 3}) {
-          options.num_threads = threads;
-          options.max_sweeps_per_call = slice;
-          GibbsCheckpoint state;
-          Result<GibbsResult> result = GibbsMarginals(graph, options, &state);
-          for (int calls = 1; result.ok() && !result->complete; ++calls) {
-            ASSERT_LE(calls, 10);
-            result = GibbsMarginals(graph, options, &state);
-          }
-          ASSERT_TRUE(result.ok()) << result.status();
-          EXPECT_EQ(result->threads, threads);
-          EXPECT_EQ(MarginalsDigest(result->marginals),
-                    MarginalsDigest(walk))
-              << "seed " << seed << ", " << chains << " chains, " << threads
-              << " threads, slices of " << slice;
-          ASSERT_EQ(state.chains.size(), walk_state.size());
-          for (size_t c = 0; c < walk_state.size(); ++c) {
-            EXPECT_EQ(state.chains[c].assignment, walk_state[c])
-                << "chain " << c << ", seed " << seed << ", " << threads
-                << " threads, slices of " << slice;
-          }
-        }
+    GibbsOptions options;
+    options.burn_in_sweeps = 1;
+    options.sample_sweeps = 1;
+    auto result = GibbsMarginals(graph, options);
+    ASSERT_TRUE(result.ok());
+    int checked = 0;
+    for (const auto& [label, vars] : Components(graph)) {
+      if (!acyclic[static_cast<size_t>(label)] || vars.size() > 16) continue;
+      const std::vector<double> exact = ComponentExactMarginals(graph, vars);
+      for (size_t i = 0; i < vars.size(); ++i) {
+        EXPECT_NEAR(result->marginals[static_cast<size_t>(vars[i])], exact[i],
+                    1e-12)
+            << "seed " << seed << " variable " << vars[i];
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 1000);
+  }
+}
+
+// The component solve moves no sample on a grounded KB either.
+TEST(GibbsExactTest, SampledVariablesMatchRecordWalk) {
+  std::shared_ptr<FactorGraph> graph = SyntheticGraph(0.02);
+  ASSERT_NE(graph, nullptr);
+  ExpectSampledMatchRecordWalk(*graph, 3);
+}
+
+/// A seeded graph of small components, each a tree of scopes with one
+/// factor shape per scope (2- and 3-atom clauses in each orientation,
+/// self-loops, twin body atoms), then more factors over scopes it
+/// already has, exact duplicates, one-atom factors (singletons and
+/// self-loops over one atom), and in every third component one factor
+/// that may close a cycle. Weights are zero, negative or of mixed
+/// magnitude.
+FactorGraph MixedComponentsGraph(uint64_t seed) {
+  Rng rng(seed);
+  auto t_pi = Table::Make(TPiSchema());
+  auto t_phi = Table::Make(TPhiSchema());
+  auto weight = [&rng]() {
+    switch (rng.Uniform(4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -rng.UniformDouble(0.0, 3.0);
+      default:
+        return rng.UniformDouble(-1.0, 3.0) *
+               std::pow(10.0, rng.UniformDouble(-3.0, 0.7));
+    }
+  };
+  auto atom = [](int v) { return Value::Int64(v); };
+  const Value none = Value::Null();
+  auto add = [&](Value h, Value b1, Value b2) {
+    t_phi->AppendRow({h, b1, b2, Value::Float64(weight())});
+    if (rng.Bernoulli(0.1)) {  // an exact duplicate
+      RowView last = t_phi->row(t_phi->NumRows() - 1);
+      t_phi->AppendRow({last[0], last[1], last[2], last[3]});
+    }
+  };
+  // One factor over the scope {a, b}, in a random shape.
+  auto pair = [&](int a, int b) {
+    if (rng.Bernoulli(0.5)) std::swap(a, b);
+    switch (rng.Uniform(4)) {
+      case 0:
+        add(atom(a), atom(b), none);
+        break;
+      case 1:  // self-loop
+        add(atom(a), atom(a), atom(b));
+        break;
+      case 2:  // twin body atoms
+        add(atom(a), atom(b), atom(b));
+        break;
+      default:  // self-loop in the second body atom
+        add(atom(a), atom(b), atom(a));
+        break;
+    }
+  };
+  // One factor over the scope {a, b, c}, with a random head.
+  auto triple = [&](int a, int b, int c) {
+    switch (rng.Uniform(3)) {
+      case 0:
+        add(atom(a), atom(b), atom(c));
+        break;
+      case 1:
+        add(atom(b), atom(c), atom(a));
+        break;
+      default:
+        add(atom(c), atom(a), atom(b));
+        break;
+    }
+  };
+  int next = 0;
+  for (int c = 0; c < 30; ++c) {
+    const int size = 1 + static_cast<int>(rng.Uniform(10));
+    const int base = next;
+    next += size;
+    for (int v = base; v < next; ++v) {
+      AppendFactRow(t_pi.get(), v, {1, v, 3, v + 1000, 5, 0.5});
+    }
+    std::vector<std::array<int, 3>> scopes;
+    for (int v = base + 1; v < next;) {
+      const int parent = base + static_cast<int>(rng.Uniform(v - base));
+      if (v + 1 < next && rng.Bernoulli(0.4)) {
+        triple(parent, v, v + 1);
+        scopes.push_back({parent, v, v + 1});
+        v += 2;
+      } else {
+        pair(parent, v);
+        scopes.push_back({parent, v, -1});
+        v += 1;
+      }
+    }
+    for (const std::array<int, 3>& s : scopes) {  // repeated scopes
+      if (!rng.Bernoulli(0.5)) continue;
+      if (s[2] < 0) {
+        pair(s[0], s[1]);
+      } else {
+        triple(s[0], s[1], s[2]);
+      }
+    }
+    for (int v = base; v < next; ++v) {  // one-atom factors
+      switch (rng.Uniform(4)) {
+        case 0:
+          add(atom(v), none, none);
+          break;
+        case 1:
+          add(atom(v), atom(v), none);
+          break;
+        case 2:
+          add(atom(v), atom(v), atom(v));
+          break;
+        default:
+          break;
+      }
+    }
+    if (c % 3 == 2 && size >= 3) {
+      const int a = base + static_cast<int>(rng.Uniform(size));
+      int b = base + static_cast<int>(rng.Uniform(size - 1));
+      if (b >= a) ++b;
+      pair(a, b);
+    }
+  }
+  auto graph = FactorGraph::FromTables(*t_pi, *t_phi);
+  EXPECT_TRUE(graph.ok()) << graph.status();
+  return std::move(*graph);
+}
+
+// Acyclic components are solved exactly inside GibbsMarginals: their
+// marginals equal enumeration over the component, whatever the sweep
+// count, and exact_variables counts exactly them.
+TEST(GibbsExactTest, AcyclicComponentsMatchEnumeration) {
+  int trees = 0;
+  int cycles = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const FactorGraph graph = MixedComponentsGraph(seed);
+    const std::vector<uint8_t> acyclic = testutil::AcyclicVariables(graph);
+    GibbsOptions options;
+    options.burn_in_sweeps = 2;
+    options.sample_sweeps = 3;
+    options.num_chains = 2;
+    options.seed = seed;
+    auto result = GibbsMarginals(graph, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->exact_variables, std::ranges::count(acyclic, 1));
+    for (const auto& [label, vars] : Components(graph)) {
+      if (!acyclic[static_cast<size_t>(label)]) {
+        ++cycles;
+        continue;
+      }
+      ++trees;
+      const std::vector<double> exact = ComponentExactMarginals(graph, vars);
+      for (size_t i = 0; i < vars.size(); ++i) {
+        EXPECT_NEAR(result->marginals[static_cast<size_t>(vars[i])], exact[i],
+                    1e-12)
+            << "seed " << seed << " variable " << vars[i] << " of a "
+            << vars.size() << "-variable tree";
       }
     }
   }
+  EXPECT_GT(trees, 300);
+  EXPECT_GT(cycles, 100);
 }
 
 TEST(GibbsTest, MultiChainValidation) {

@@ -725,8 +725,10 @@ TEST(LocalGroundingTest, MatchesMDrivenReferenceRowForRow) {
 
 /// Digest of (sub-TPi, TPhi, served probabilities) over a fixed query set
 /// on a generated KB, recorded with the M-driven local grounder: any change
-/// to which factors a ball holds, or to their order, moves it.
-constexpr uint64_t kPinnedLocalGroundingDigest = 0x08a59c8bac55847eULL;
+/// to which factors a ball holds, or to their order, moves it. Re-recorded
+/// when GibbsMarginals began solving acyclic components exactly, which
+/// moved the probabilities served on them.
+constexpr uint64_t kPinnedLocalGroundingDigest = 0x070a9ec091409d67ULL;
 
 TEST(LocalGroundingTest, OutputsMatchPinnedDigest) {
   auto ekb = MakeExpandedKb(11, 3, 0.01);
@@ -768,6 +770,92 @@ TEST(LocalGroundingTest, OutputsMatchPinnedDigest) {
   }
   EXPECT_GT(sampled, 0) << "no query took the Gibbs path";
   EXPECT_EQ(digest, kPinnedLocalGroundingDigest) << "0x" << std::hex << digest;
+}
+
+// A ball above exact_max_vars samples through GibbsMarginals, which
+// solves acyclic components exactly: on every acyclic component a ball
+// holds whole (all its atoms and factors), the served marginal equals the
+// batch GibbsMarginals over the whole KB's factor graph.
+TEST(ServeExactComponentsTest, AcyclicComponentsMatchBatchGibbs) {
+  auto ekb = MakeExpandedKb(11, 50, 0.01);
+  ASSERT_NE(ekb, nullptr);
+  ServeOptions options;
+  options.top_k = 0;
+  options.grounding.max_depth = 16;
+  options.inference.exact_max_vars = 4;  // larger balls take Gibbs
+  options.inference.gibbs.sample_sweeps = 50;
+  QueryServer server(&ekb->kb, ekb->first_inferred, options);
+  ASSERT_TRUE(server.PublishEpoch(ekb->rkb).ok());
+  auto pin = server.PinNewest();
+  ASSERT_TRUE(pin.ok());
+
+  Grounder grounder(&ekb->rkb, GroundingOptions{});
+  auto phi = grounder.GroundFactors();
+  ASSERT_TRUE(phi.ok()) << phi.status();
+  auto graph = FactorGraph::FromTables(*ekb->rkb.t_pi, **phi);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto batch = GibbsMarginals(*graph, options.inference.gibbs);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_GT(batch->exact_variables, 0);
+  const std::vector<uint8_t> acyclic = testutil::AcyclicVariables(*graph);
+  // (variables, factors) of each component, by label.
+  auto sizes = [](const FactorGraph& g, const std::vector<int32_t>& label) {
+    std::map<int32_t, std::pair<int64_t, int64_t>> out;
+    for (int32_t l : label) ++out[l].first;
+    for (const GroundFactor& f : g.factors()) {
+      ++out[label[static_cast<size_t>(f.head)]].second;
+    }
+    return out;
+  };
+  const std::vector<int32_t> label = testutil::ComponentLabels(*graph);
+  const auto batch_sizes = sizes(*graph, label);
+
+  const TablePtr t_pi = ekb->rkb.t_pi;
+  const auto row_of = BuildFactRowIndex(*t_pi);
+  KbQuery kb_query(&ekb->kb, t_pi, ekb->first_inferred);
+  int sampled_balls = 0;
+  int compared = 0;
+  int compared_in_trees = 0;
+  const auto& facts = ekb->kb.facts();
+  for (size_t i = 0; i < facts.size(); i += facts.size() / 40) {
+    QueryPattern pattern;
+    pattern.entity = ekb->kb.entities().NameOrPlaceholder(facts[i].x);
+    auto answer = server.AnswerAt(pattern, *pin);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    if (answer->exact || answer->truncated) continue;
+    ++sampled_balls;
+    auto local = GroundLocalSubgraph(t_pi, ekb->rkb.m, row_of,
+                                     kb_query.SeedRows(pattern),
+                                     options.grounding);
+    ASSERT_TRUE(local.ok()) << local.status();
+    auto ball = FactorGraph::FromTables(*local->sub_t_pi, *local->t_phi);
+    ASSERT_TRUE(ball.ok()) << ball.status();
+    const std::vector<int32_t> ball_label = testutil::ComponentLabels(*ball);
+    const auto ball_sizes = sizes(*ball, ball_label);
+    for (const ServeAnswer::Entry& e : answer->entries) {
+      const int32_t v = graph->VariableOf(e.id);
+      const int32_t b = ball->VariableOf(e.id);
+      ASSERT_GE(v, 0);
+      ASSERT_GE(b, 0);
+      // A ball component lies inside one batch component; the same
+      // counts make them equal.
+      if (!acyclic[static_cast<size_t>(v)] ||
+          ball_sizes.at(ball_label[static_cast<size_t>(b)]) !=
+              batch_sizes.at(label[static_cast<size_t>(v)])) {
+        continue;
+      }
+      EXPECT_NEAR(e.probability, batch->marginals[static_cast<size_t>(v)],
+                  1e-12)
+          << "fact " << e.id;
+      ++compared;
+      if (batch_sizes.at(label[static_cast<size_t>(v)]).first > 1) {
+        ++compared_in_trees;
+      }
+    }
+  }
+  EXPECT_GT(sampled_balls, 5);
+  EXPECT_GT(compared, 100);
+  EXPECT_GT(compared_in_trees, 50) << "too few multi-variable trees";
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "factor/factor_graph.h"
 #include "kb/knowledge_base.h"
 #include "kb/relational_model.h"
 #include "relational/table.h"
@@ -174,6 +176,61 @@ inline TablePtr MakeTable(const Schema& schema,
     t->AppendRow(values);
   }
   return t;
+}
+
+/// Each variable's component, by union-find over the factors' atoms: the
+/// label is the component's lowest variable.
+inline std::vector<int32_t> ComponentLabels(const FactorGraph& graph) {
+  std::vector<int32_t> up(static_cast<size_t>(graph.num_variables()));
+  std::iota(up.begin(), up.end(), 0);
+  auto find = [&up](int32_t v) {
+    while (up[static_cast<size_t>(v)] != v) {
+      v = up[static_cast<size_t>(v)] =
+          up[static_cast<size_t>(up[static_cast<size_t>(v)])];
+    }
+    return v;
+  };
+  for (const GroundFactor& f : graph.factors()) {
+    for (int32_t b : {f.body1, f.body2}) {
+      if (b < 0) continue;
+      const int32_t x = find(f.head);
+      const int32_t y = find(b);
+      up[static_cast<size_t>(std::max(x, y))] = std::min(x, y);
+    }
+  }
+  std::vector<int32_t> label(up.size());
+  for (int32_t v = 0; v < graph.num_variables(); ++v) {
+    label[static_cast<size_t>(v)] = find(v);
+  }
+  return label;
+}
+
+/// Whether each variable's component is a tree once factors over one
+/// scope (set of distinct atoms) merge into one node: a connected
+/// variable-scope graph is a tree when it has one edge fewer than nodes.
+inline std::vector<uint8_t> AcyclicVariables(const FactorGraph& graph) {
+  const std::vector<int32_t> label = ComponentLabels(graph);
+  std::set<std::vector<int32_t>> scopes;
+  for (const GroundFactor& f : graph.factors()) {
+    std::set<int32_t> atoms = {f.head};
+    for (int32_t b : {f.body1, f.body2}) {
+      if (b >= 0) atoms.insert(b);
+    }
+    if (atoms.size() > 1) scopes.emplace(atoms.begin(), atoms.end());
+  }
+  std::map<int32_t, int64_t> nodes;
+  std::map<int32_t, int64_t> edges;
+  for (int32_t l : label) ++nodes[l];
+  for (const std::vector<int32_t>& scope : scopes) {
+    const int32_t l = label[static_cast<size_t>(scope.front())];
+    ++nodes[l];
+    edges[l] += static_cast<int64_t>(scope.size());
+  }
+  std::vector<uint8_t> acyclic(label.size());
+  for (size_t v = 0; v < label.size(); ++v) {
+    acyclic[v] = edges[label[v]] == nodes[label[v]] - 1 ? 1 : 0;
+  }
+  return acyclic;
 }
 
 }  // namespace testutil
