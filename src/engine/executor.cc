@@ -189,16 +189,12 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
       prebuilt_.index != nullptr ? prebuilt_.rows : right->NumRows();
   PROBKB_RETURN_NOT_OK(FlatRowIndex::CheckCapacity(build_rows));
 
-  Schema out_schema;
   if (type_ == JoinType::kInner) {
     if (output_cols_.empty()) {
       return Status::InvalidArgument(
           "inner hash join requires explicit output columns");
     }
-    std::vector<Field> fields;
-    fields.reserve(output_cols_.size());
     for (const auto& c : output_cols_) {
-      fields.push_back({c.name, c.type});
       if (c.side == JoinOutputCol::Side::kNull) continue;
       const Schema& side = c.side == JoinOutputCol::Side::kLeft
                                ? left->schema()
@@ -218,10 +214,9 @@ Result<TablePtr> HashJoinNode::Execute(ExecContext* ctx) {
             side.field(c.column).name.c_str()));
       }
     }
-    out_schema = Schema(std::move(fields));
-  } else {
-    out_schema = left->schema();
   }
+  const Schema out_schema =
+      JoinOutputSchema(type_, output_cols_, left->schema());
   // An empty probe side joins nothing, whatever the join type: no build.
   if (left->NumRows() == 0) {
     auto out = Table::Make(out_schema);

@@ -27,6 +27,16 @@ std::string PlanNode::Explain(int indent) const {
   return out;
 }
 
+Schema JoinOutputSchema(JoinType type,
+                        const std::vector<JoinOutputCol>& output_cols,
+                        const Schema& left) {
+  if (type != JoinType::kInner) return left;
+  std::vector<Field> fields;
+  fields.reserve(output_cols.size());
+  for (const JoinOutputCol& c : output_cols) fields.push_back({c.name, c.type});
+  return Schema(std::move(fields));
+}
+
 const char* JoinTypeToString(JoinType t) {
   switch (t) {
     case JoinType::kInner:

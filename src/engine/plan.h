@@ -174,6 +174,12 @@ struct JoinOutputCol {
   }
 };
 
+/// \brief The schema of a hash join's output: the left input's for
+/// kLeftSemi/kLeftAnti, else one field per output column.
+Schema JoinOutputSchema(JoinType type,
+                        const std::vector<JoinOutputCol>& output_cols,
+                        const Schema& left);
+
 /// \brief A join build index prepared outside the plan: keyed on the join's
 /// right keys, chains in row order (see FlatRowIndex), valid for the right
 /// table's first `rows` rows.

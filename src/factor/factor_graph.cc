@@ -1,6 +1,7 @@
 #include "factor/factor_graph.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <numeric>
 
@@ -9,6 +10,12 @@
 namespace probkb {
 
 namespace {
+
+/// The variables of `f`, each once, head first, then the body atoms.
+std::array<int32_t, 3> DistinctVariables(const GroundFactor& f) {
+  return {f.head, f.body1 != f.head ? f.body1 : -1,
+          f.body2 != f.head && f.body2 != f.body1 ? f.body2 : -1};
+}
 
 /// The record of variable `v` in factor `f` (index `fi`); `true_slot`
 /// replaces an absent atom and a second occurrence of `v`.
@@ -120,7 +127,9 @@ Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
   };
 
   // One pass over TPhi's columns reads the factors (variables numbered by
-  // TPi row for now) and counts each variable's occurrences.
+  // TPi row for now) and counts each variable's factors. A variable
+  // occurring twice in a factor (a twin body atom, a self-loop) counts it
+  // once: its record's role and true slot already say how it occurs.
   const int64_t m = t_phi.NumRows();
   std::vector<int32_t> degree(static_cast<size_t>(n) + 1, 0);
   g.factors_.reserve(static_cast<size_t>(m));
@@ -149,7 +158,7 @@ Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
         }
       }
       f.weight = t_phi.IsNull(i, tphi::kW) ? 0.0 : w[i];
-      for (int32_t v : {f.head, f.body1, f.body2}) {
+      for (int32_t v : DistinctVariables(f)) {
         if (v >= 0) ++degree[static_cast<size_t>(v) + 1];
       }
       g.factors_.push_back(f);
@@ -158,14 +167,14 @@ Result<FactorGraph> FactorGraph::FromTables(const Table& t_pi,
   for (size_t v = 1; v < degree.size(); ++v) degree[v] += degree[v - 1];
 
   // factors_of[degree[r], degree[r + 1]) lists row r's factors in factor
-  // order, one entry per occurrence. The coloring walks it, and so does
-  // the emission of the incidence records below.
+  // order, each once. The coloring walks it, and so does the emission of
+  // the incidence records below.
   std::vector<int32_t> factors_of(static_cast<size_t>(degree.back()));
   {
     std::vector<int32_t> cursor(degree.begin(), degree.end() - 1);
     for (size_t fi = 0; fi < g.factors_.size(); ++fi) {
       const GroundFactor& f = g.factors_[fi];
-      for (int32_t r : {f.head, f.body1, f.body2}) {
+      for (int32_t r : DistinctVariables(f)) {
         if (r >= 0) {
           factors_of[static_cast<size_t>(cursor[static_cast<size_t>(r)]++)] =
               static_cast<int32_t>(fi);

@@ -100,7 +100,7 @@ struct Incidence {
 /// \brief The ground factor graph produced by grounding (Definition 7),
 /// compiled for inference: each variable's incident factors are one
 /// contiguous run of Incidence records (CSR), in factor order with one
-/// record per occurrence.
+/// record per factor, however often the variable occurs in it.
 ///
 /// Variables are numbered color-major: a greedy coloring of the
 /// variable-interaction graph (variables sharing a factor get different

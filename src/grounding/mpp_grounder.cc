@@ -30,6 +30,7 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
       planner_(MotionCostModel{cost_params.seconds_per_shipped_tuple,
                                cost_params.broadcast_tuple_discount,
                                cost_params.motion_latency, num_segments}),
+      m_(rkb.m),
       t_omega_(rkb.t_omega),
       next_fact_id_(rkb.next_fact_id) {
   ctx_.set_planner(&planner_);
@@ -161,6 +162,30 @@ void MppGrounder::ClearIndexes() {
   delta_marks_ = {};
 }
 
+Status MppGrounder::PlaceDeltaRules() {
+  if (delta_rules_[0] != nullptr) return Status::OK();
+  PROBKB_RETURN_NOT_OK(rule_indexes_.Build(m_));
+  // Placement is free in the model, like T0's and the views' at
+  // construction: every segment aliases the one indexed copy.
+  for (int p = 1; p <= kNumRuleStructures; ++p) {
+    const TablePtr& rules = rule_indexes_.partition(p).rules;
+    delta_rules_[static_cast<size_t>(p - 1)] =
+        std::make_shared<DistributedTable>(
+            rules->schema(),
+            std::vector<TablePtr>(static_cast<size_t>(ctx_.num_segments()),
+                                  rules),
+            Distribution::Replicated(), "M" + std::to_string(p));
+  }
+  return Status::OK();
+}
+
+std::vector<PrebuiltIndex> MppGrounder::RuleProbe(
+    int p, const FlatRowIndex& index) const {
+  return std::vector<PrebuiltIndex>(
+      static_cast<size_t>(ctx_.num_segments()),
+      {&index, rule_indexes_.partition(p).rules->NumRows()});
+}
+
 Result<DistributedTablePtr> MppGrounder::GroundAtomsPartition(int p) {
   const PartitionSpec& spec = GetPartitionSpec(p);
   MppJoinSpec js1;
@@ -192,9 +217,11 @@ Result<DistributedTablePtr> MppGrounder::GroundAtomsPartition(int p) {
 Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
     int p, const DistributedTablePtr& delta, const RowMarks& marks) {
   const PartitionSpec& spec = GetPartitionSpec(p);
-  DistributedTablePtr rules = Rules(p);
+  const RuleIndexes::Partition& part = rule_indexes_.partition(p);
+  const DistributedTablePtr& rules = delta_rules_[static_cast<size_t>(p - 1)];
   // (Δ, full): Δ atoms matched as body 1 meet their rules, which probe
-  // body 2 over the whole view. Δ stays on its T0 segment; the rules move.
+  // body 2 over the whole view. Δ stays on its T0 segment and probes the
+  // replicated rules' body-1 index in place: nothing moves.
   MppJoinSpec js1;
   js1.left_keys = ViewKeysT0();
   js1.right_keys = spec.m_keys1;
@@ -202,6 +229,7 @@ Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
                         ? DeltaLen2Cols(spec, /*order_key=*/false)
                         : DeltaJ1Cols(spec, /*order_key=*/false);
   js1.label = StrFormat("Query1-%d delta join1", p);
+  js1.right_index = RuleProbe(p, part.body1);
   PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr j1,
                           Join(delta, rules, std::move(js1), delta->NumRows()));
   if (spec.body_length == 1) return j1;
@@ -226,6 +254,7 @@ Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
   js3.right_keys = spec.m_keys2;
   js3.output_cols = DeltaJ2Cols(spec, /*order_key=*/false);
   js3.label = StrFormat("Query1-%d old-delta join1", p);
+  js3.right_index = RuleProbe(p, part.body2);
   PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr j2,
                           Join(delta, rules, std::move(js3), delta->NumRows()));
   DistributedTablePtr body1 = ProbeFor(spec.t2_keys1);
@@ -243,11 +272,19 @@ Result<DistributedTablePtr> MppGrounder::GroundDeltaAtomsPartition(
       DistributedTablePtr old_delta,
       Join(std::move(j2), std::move(body1), std::move(js4), j2_rows));
 
+  // Both passes' atoms per segment; a pass whose segment is empty leaves
+  // the other's as it is.
   std::vector<TablePtr> segments;
   for (int s = 0; s < ctx_.num_segments(); ++s) {
-    auto both = Table::Make(delta_full->schema());
-    both->AppendTable(*delta_full->segment(s));
-    both->AppendTable(*old_delta->segment(s));
+    const TablePtr& full = delta_full->segment(s);
+    const TablePtr& old = old_delta->segment(s);
+    if (old->NumRows() == 0 || full->NumRows() == 0) {
+      segments.push_back(old->NumRows() == 0 ? full : old);
+      continue;
+    }
+    auto both = Table::Make(full->schema());
+    both->AppendTable(*full);
+    both->AppendTable(*old);
     segments.push_back(std::move(both));
   }
   return std::make_shared<DistributedTable>(
@@ -401,6 +438,7 @@ Result<int64_t> MppGrounder::RunIteration() {
   PROBKB_RETURN_NOT_OK(SyncViewIndexes());
   DistributedTablePtr delta;
   if (delta_driven) {
+    PROBKB_RETURN_NOT_OK(PlaceDeltaRules());
     std::vector<TablePtr> segments;
     for (int s = 0; s < ctx_.num_segments(); ++s) {
       const Table& seg = *t_pi_->segment(s);

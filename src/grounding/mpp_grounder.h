@@ -126,6 +126,12 @@ class MppGrounder : public FixpointGrounder {
   const DistributedTablePtr& Rules(int p) const {
     return rules_[static_cast<size_t>(p - 1)];
   }
+  /// Indexes the rule tables for the Δ-driven statements and places each
+  /// on every segment, once per grounder (a no-op after the first call).
+  Status PlaceDeltaRules();
+  /// The right_index of a Δ statement's join against the replicated M_p:
+  /// `index` on every segment, over all of M_p's rows.
+  std::vector<PrebuiltIndex> RuleProbe(int p, const FlatRowIndex& index) const;
   /// The per-segment right_index of a join against `t` on `keys`: `t`'s
   /// persistent indexes, if kept, bounded at the last sync, or at `rows`
   /// when given. Empty when there is neither an index nor a bound.
@@ -164,7 +170,14 @@ class MppGrounder : public FixpointGrounder {
   /// set_motion_policy).
   MotionPolicy motion_policy_ = MotionPolicy::kAuto;
 
+  std::array<TablePtr, kNumRuleStructures> m_;
   std::array<DistributedTablePtr, kNumRuleStructures> rules_;
+  /// The Δ-driven statements' rule tables: the single-node RuleIndexes
+  /// (M_p plus its "rule" column, indexed on each body atom's view-T0
+  /// key), each table replicated by aliasing it on every segment, so Δ
+  /// probes it in place and M never moves. Built by PlaceDeltaRules().
+  RuleIndexes rule_indexes_;
+  std::array<DistributedTablePtr, kNumRuleStructures> delta_rules_;
   TablePtr t_omega_;
   FactId next_fact_id_;
 

@@ -209,10 +209,9 @@ std::vector<int32_t> SolveForests(const FactorGraph& graph,
         }
         continue;
       }
-      // u's factors (their records are adjacent) by scope; see ScopeNode.
+      // u's factors (one record each) by scope; see ScopeNode.
       scopes.clear();
       for (const Incidence& r : graph.IncidencesOf(u)) {
-        if (!scopes.empty() && scopes.back().second == r.factor) continue;
         std::array<int32_t, 3> key = {u, r.o1, r.o2};
         std::ranges::sort(key);
         std::ranges::fill(std::ranges::unique(key), true_slot);

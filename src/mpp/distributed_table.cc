@@ -49,6 +49,8 @@ SegmentRouting DistributedTable::Route(const Table& table,
                                        const Distribution& dist,
                                        int num_segments, int64_t begin,
                                        int64_t end) {
+  SegmentRouting out;
+  if (begin == end) return out;
   const size_t n = static_cast<size_t>(num_segments);
   std::vector<int> targets(static_cast<size_t>(end - begin));
   if (dist.is_hash()) {
@@ -59,7 +61,6 @@ SegmentRouting DistributedTable::Route(const Table& table,
       targets[i] = static_cast<int>(i % n);
     }
   }
-  SegmentRouting out;
   out.offsets.assign(n + 1, 0);
   for (int t : targets) ++out.offsets[static_cast<size_t>(t) + 1];
   for (size_t t = 0; t < n; ++t) out.offsets[t + 1] += out.offsets[t];
@@ -81,14 +82,15 @@ void DistributedTable::Scatter(std::span<const Table* const> senders,
     rows += static_cast<int64_t>(route.rows.size());
   }
   FanOut(pool, static_cast<int>(targets.size()), rows, [&](int t) {
+    int64_t incoming = 0;
+    for (const SegmentRouting& route : routes) incoming += route.Count(t);
+    if (incoming == 0) return;
     Table* dst = targets[static_cast<size_t>(t)].get();
-    if (dst->NumRows() == 0) {
-      int64_t incoming = 0;
-      for (const SegmentRouting& route : routes) incoming += route.Count(t);
-      dst->ReserveRows(incoming);
-    }
+    if (dst->NumRows() == 0) dst->ReserveRows(incoming);
     for (size_t s = 0; s < senders.size(); ++s) {
-      dst->AppendGatheredRows(*senders[s], routes[s].To(t));
+      if (routes[s].Count(t) > 0) {
+        dst->AppendGatheredRows(*senders[s], routes[s].To(t));
+      }
     }
   });
 }

@@ -24,16 +24,19 @@ void FanOut(ThreadPool* pool, int n, int64_t rows,
             const std::function<void(int)>& body);
 
 /// \brief One sender's rows counting-sorted by target segment: segment t
-/// gets `rows[offsets[t] .. offsets[t + 1])`, ascending.
+/// gets `rows[offsets[t] .. offsets[t + 1])`, ascending. A sender with no
+/// rows has no offsets either.
 struct SegmentRouting {
-  std::vector<int64_t> offsets;  // num_segments + 1 entries
+  std::vector<int64_t> offsets;  // num_segments + 1 entries, or none
   std::vector<int64_t> rows;
 
   int64_t Count(int t) const {
+    if (offsets.empty()) return 0;
     return offsets[static_cast<size_t>(t) + 1] -
            offsets[static_cast<size_t>(t)];
   }
   std::span<const int64_t> To(int t) const {
+    if (offsets.empty()) return {};
     return std::span<const int64_t>(rows).subspan(
         static_cast<size_t>(offsets[static_cast<size_t>(t)]),
         static_cast<size_t>(Count(t)));
@@ -94,13 +97,15 @@ class DistributedTable {
 
   /// \brief Routes rows [begin, end) of `table` by `dist`'s hash keys
   /// (as TargetSegments), or else round-robin (row begin + i to i % N).
+  /// An empty range allocates nothing.
   static SegmentRouting Route(const Table& table, const Distribution& dist,
                               int num_segments, int64_t begin, int64_t end);
 
   /// \brief The scatter kernel under every row-moving motion: target t
   /// gathers the rows each sender routes to it, senders in order, so
   /// placement and in-segment order equal a row-at-a-time loop. An empty
-  /// target first reserves exactly. Targets fill through FanOut on `pool`.
+  /// target first reserves exactly; a target no sender routes a row to is
+  /// not touched. Targets fill through FanOut on `pool`.
   static void Scatter(std::span<const Table* const> senders,
                       std::span<const SegmentRouting> routes,
                       const std::vector<TablePtr>& targets, ThreadPool* pool);

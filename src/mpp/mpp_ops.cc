@@ -1,6 +1,7 @@
 #include "mpp/mpp_ops.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "engine/ops.h"
 #include "util/timer.h"
@@ -66,16 +67,21 @@ void ForEachSegment(MppContext* ctx, int64_t total_rows,
 Result<DistributedTablePtr> PerSegment(MppContext* ctx, int64_t input_rows,
                                        Distribution out_dist,
                                        const std::string& label,
-                                       const SegmentStatement& statement) {
+                                       const SegmentStatement& statement,
+                                       std::vector<TablePtr> preset) {
+  PROBKB_CHECK(preset.empty() ||
+               static_cast<int>(preset.size()) == ctx->num_segments());
   const bool once = out_dist.is_replicated();
   const size_t n = once ? 1 : static_cast<size_t>(ctx->num_segments());
-  std::vector<TablePtr> out_segments(n);
+  std::vector<TablePtr> out_segments = std::move(preset);
+  out_segments.resize(n);
   std::vector<double> seg_seconds(n, 0.0);
   std::vector<Status> statuses(n);
   StatsRegistry* registry = ctx->stats_registry();
   std::vector<std::vector<NodeStats>> seg_nodes(registry != nullptr ? n : 0);
   auto run = [&](int s) {
     const size_t i = static_cast<size_t>(s);
+    if (out_segments[i] != nullptr) return;
     ExecContext ec;
     ec.set_spill(ctx->spill());
     if (ctx->max_rows_per_statement() > 0) {
@@ -125,12 +131,10 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
     return Status::InvalidArgument("join key arity mismatch");
   }
   const bool bounded = !spec.right_index.empty();
-  if (bounded && (static_cast<int>(spec.right_index.size()) !=
-                      ctx->num_segments() ||
-                  right->distribution().is_replicated())) {
+  if (bounded &&
+      static_cast<int>(spec.right_index.size()) != ctx->num_segments()) {
     return Status::InvalidArgument(
-        "right_index needs one entry per segment of a partitioned right "
-        "input");
+        "right_index needs one entry per segment of the right input");
   }
   // The right input as the join sees it: cut to its bounds, copied before
   // it moves (or up front when a segment has no index to probe).
@@ -237,6 +241,17 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
 
   // Still in place and bounded: every segment has an index to probe.
   const bool probe_index = bounded && right == right_in;
+  // A segment with no probe rows joins nothing: it runs no plan.
+  std::vector<TablePtr> idle(static_cast<size_t>(ctx->num_segments()));
+  std::optional<Schema> out_schema;
+  for (int s = 0; s < ctx->num_segments(); ++s) {
+    if (left->segment(s)->NumRows() > 0) continue;
+    if (!out_schema) {
+      out_schema = JoinOutputSchema(spec.type, spec.output_cols,
+                                    left->schema());
+    }
+    idle[static_cast<size_t>(s)] = Table::Make(*out_schema);
+  }
   return PerSegment(
       ctx, left->PhysicalRows() + (probe_index ? 0 : right->PhysicalRows()),
       std::move(out_dist), spec.label, [&](int s, ExecContext* ec) {
@@ -249,7 +264,8 @@ Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                         spec.left_keys, spec.right_keys, spec.type,
                         spec.output_cols, spec.residual, index)
             ->Execute(ec);
-      });
+      },
+      std::move(idle));
 }
 
 Result<int64_t> MppDeleteMatching(MppContext* ctx, DistributedTable* dst,

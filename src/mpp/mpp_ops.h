@@ -35,13 +35,13 @@ struct MppJoinSpec {
   Distribution output_dist = Distribution::Random();
   MotionPolicy policy = MotionPolicy::kAuto;
   std::string label = "join";
-  /// Optional, one entry per segment of a partitioned right input: the
-  /// join sees right segment s cut to its first `right_index[s].rows`
-  /// rows. While the right input stays in place, segment s probes
-  /// `right_index[s].index` (on `right_keys`, chains in row order, covering
-  /// at least those rows) instead of building one. A right input that
-  /// moves, or lacks an index on some segment, is cut by copying first and
-  /// then joined exactly as without `right_index`.
+  /// Optional, one entry per segment of the right input: the join sees
+  /// right segment s cut to its first `right_index[s].rows` rows. While the
+  /// right input stays in place (a replicated one always does), segment s
+  /// probes `right_index[s].index` (on `right_keys`, chains in row order,
+  /// covering at least those rows) instead of building one. A right input
+  /// that moves, or lacks an index on some segment, is cut by copying first
+  /// and then joined exactly as without `right_index`.
   std::vector<PrebuiltIndex> right_index;
 };
 
@@ -71,12 +71,19 @@ using SegmentStatement =
 /// registry attached each segment's operators are recorded under `label`
 /// after the fan-out, in segment order, so the record stream is the same
 /// at any thread count.
+///
+/// A segment whose entry of `preset` (empty, or one entry per segment) is
+/// set takes that table as its output and runs no plan: it gets no
+/// ExecContext, records no operators and is charged no time.
 Result<DistributedTablePtr> PerSegment(MppContext* ctx, int64_t input_rows,
                                        Distribution out_dist,
                                        const std::string& label,
-                                       const SegmentStatement& statement);
+                                       const SegmentStatement& statement,
+                                       std::vector<TablePtr> preset = {});
 
-/// \brief Distributed hash equi-join with motion planning.
+/// \brief Distributed hash equi-join with motion planning. A segment whose
+/// probe (left) side has no rows runs no plan (see PerSegment's `preset`):
+/// its output is an empty table of the join's schema.
 Result<DistributedTablePtr> MppHashJoin(MppContext* ctx,
                                         DistributedTablePtr left,
                                         DistributedTablePtr right,

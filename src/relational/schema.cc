@@ -2,15 +2,23 @@
 
 namespace probkb {
 
-Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    index_.emplace(fields_[i].name, static_cast<int>(i));
+Schema::Schema() {
+  static const std::shared_ptr<const Rep> empty = std::make_shared<Rep>();
+  rep_ = empty;
+}
+
+Schema::Schema(std::vector<Field> fields) {
+  auto rep = std::make_shared<Rep>();
+  rep->fields = std::move(fields);
+  for (size_t i = 0; i < rep->fields.size(); ++i) {
+    rep->index.emplace(rep->fields[i].name, static_cast<int>(i));
   }
+  rep_ = std::move(rep);
 }
 
 int Schema::GetFieldIndex(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? -1 : it->second;
+  auto it = rep_->index.find(name);
+  return it == rep_->index.end() ? -1 : it->second;
 }
 
 Result<int> Schema::GetFieldIndexChecked(const std::string& name) const {
@@ -23,10 +31,12 @@ Result<int> Schema::GetFieldIndexChecked(const std::string& name) const {
 }
 
 bool Schema::Equals(const Schema& other) const {
-  if (fields_.size() != other.fields_.size()) return false;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].name != other.fields_[i].name ||
-        fields_[i].type != other.fields_[i].type) {
+  const std::vector<Field>& fields = rep_->fields;
+  const std::vector<Field>& others = other.rep_->fields;
+  if (fields.size() != others.size()) return false;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i].name != others[i].name ||
+        fields[i].type != others[i].type) {
       return false;
     }
   }
@@ -35,11 +45,11 @@ bool Schema::Equals(const Schema& other) const {
 
 std::string Schema::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < fields_.size(); ++i) {
+  for (size_t i = 0; i < rep_->fields.size(); ++i) {
     if (i > 0) out += ", ";
-    out += fields_[i].name;
+    out += rep_->fields[i].name;
     out += " ";
-    out += ColumnTypeToString(fields_[i].type);
+    out += ColumnTypeToString(rep_->fields[i].type);
   }
   out += ")";
   return out;

@@ -2,6 +2,7 @@
 #define PROBKB_RELATIONAL_SCHEMA_H_
 
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,17 +19,21 @@ struct Field {
   ColumnType type = ColumnType::kInt64;
 };
 
-/// \brief Ordered list of fields with name lookup. Immutable once built.
+/// \brief Ordered list of fields with name lookup. Immutable once built,
+/// so copies share one representation: copying a schema (every Table
+/// holds one) costs a reference count, not a rebuilt name index.
 class Schema {
  public:
-  Schema() = default;
+  Schema();
   explicit Schema(std::vector<Field> fields);
   Schema(std::initializer_list<Field> fields)
       : Schema(std::vector<Field>(fields)) {}
 
-  int num_fields() const { return static_cast<int>(fields_.size()); }
-  const Field& field(int i) const { return fields_[static_cast<size_t>(i)]; }
-  const std::vector<Field>& fields() const { return fields_; }
+  int num_fields() const { return static_cast<int>(rep_->fields.size()); }
+  const Field& field(int i) const {
+    return rep_->fields[static_cast<size_t>(i)];
+  }
+  const std::vector<Field>& fields() const { return rep_->fields; }
 
   /// \brief Index of the field named `name`, or -1 if absent.
   int GetFieldIndex(const std::string& name) const;
@@ -42,8 +47,11 @@ class Schema {
   std::string ToString() const;
 
  private:
-  std::vector<Field> fields_;
-  std::unordered_map<std::string, int> index_;
+  struct Rep {
+    std::vector<Field> fields;
+    std::unordered_map<std::string, int> index;
+  };
+  std::shared_ptr<const Rep> rep_;
 };
 
 }  // namespace probkb

@@ -18,6 +18,19 @@ std::string RowView::ToString() const {
   return out;
 }
 
+const Table::ColumnPtr& Table::EmptyColumn(ColumnType type) {
+  auto make = [](ColumnType t) {
+    auto col = std::make_shared<Column>();
+    col->type = t;
+    return col;
+  };
+  // Per thread, so tables made on different threads do not contend for
+  // one reference count.
+  thread_local const ColumnPtr int64_column = make(ColumnType::kInt64);
+  thread_local const ColumnPtr float64_column = make(ColumnType::kFloat64);
+  return type == ColumnType::kInt64 ? int64_column : float64_column;
+}
+
 void Table::ExtendNullWords(int64_t n) {
   const size_t words = static_cast<size_t>((num_rows_ + n + 63) >> 6);
   for (int ci = 0; ci < width(); ++ci) {
@@ -272,11 +285,7 @@ void Table::Clear() {
   // Fresh columns instead of clear-in-place: a shared (snapshotted) column
   // keeps its rows for the readers holding it, and an exclusive one is
   // released rather than detached-then-cleared.
-  for (ColumnPtr& p : cols_) {
-    auto fresh = std::make_shared<Column>();
-    fresh->type = p->type;
-    p = std::move(fresh);
-  }
+  for (ColumnPtr& p : cols_) p = EmptyColumn(p->type);
   num_rows_ = 0;
 }
 

@@ -71,12 +71,13 @@ class RowView {
 /// bulk deletes from constraint application).
 class Table {
  public:
+  /// \brief An empty table. Its columns start out shared with every other
+  /// fresh table (see EmptyColumn), so making one allocates no column
+  /// until a row is appended.
   explicit Table(Schema schema) : schema_(std::move(schema)) {
     cols_.reserve(static_cast<size_t>(schema_.num_fields()));
     for (int c = 0; c < schema_.num_fields(); ++c) {
-      auto col = std::make_shared<Column>();
-      col->type = schema_.field(c).type;
-      cols_.push_back(std::move(col));
+      cols_.push_back(EmptyColumn(schema_.field(c).type));
     }
   }
 
@@ -284,6 +285,11 @@ class Table {
   /// copy-on-write: a column referenced by more than one table is copied
   /// by the mutating side before the first write (see Mut()).
   using ColumnPtr = std::shared_ptr<Column>;
+
+  /// The calling thread's empty column of `type`. Tables share it like a
+  /// snapshotted column: Mut() detaches a private copy before the first
+  /// write, because this holder keeps use_count() above 1.
+  static const ColumnPtr& EmptyColumn(ColumnType type);
 
   ColumnType ColType(int col) const {
     PROBKB_DCHECK(col >= 0 && col < width());

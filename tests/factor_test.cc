@@ -216,8 +216,9 @@ TEST(FactorGraphTest, RejectsNullHead) {
 
 /// The graph as the row-at-a-time build laid it out: ids resolved through
 /// a sorted map, a greedy first-fit coloring in TPi row order, a stable
-/// counting sort by color, and each variable's records in factor order.
-/// Kept here to pin FromTables to it.
+/// counting sort by color, and each variable's records in factor order,
+/// one per factor however often the variable occurs in it. Kept here to
+/// pin FromTables to it.
 struct ReferenceGraph {
   std::vector<FactId> fact_ids;  // by variable
   std::vector<int32_t> color_ranges{0};
@@ -241,11 +242,11 @@ ReferenceGraph BuildReferenceGraph(const Table& t_pi, const Table& t_phi) {
     f.body1 = row_of(row[tphi::kI2]);
     f.body2 = row_of(row[tphi::kI3]);
     f.weight = row[tphi::kW].is_null() ? 0.0 : row[tphi::kW].f64();
+    const int32_t fi = static_cast<int32_t>(ref.factors.size());
     for (int32_t r : {f.head, f.body1, f.body2}) {
-      if (r >= 0) {
-        factors_of[static_cast<size_t>(r)].push_back(
-            static_cast<int32_t>(ref.factors.size()));
-      }
+      if (r < 0) continue;
+      std::vector<int32_t>& of = factors_of[static_cast<size_t>(r)];
+      if (of.empty() || of.back() != fi) of.push_back(fi);
     }
     ref.factors.push_back(f);
   }

@@ -760,6 +760,48 @@ TEST(MppGrounderTest, OutputsMatchPinnedDigest) {
   }
 }
 
+// The Δ-driven statements probe the rule tables where they were placed,
+// once, on every segment. Iteration 1 runs the full pass, whose join1
+// moves M_p; no later iteration ships an M<p> table.
+TEST(MppGrounderTest, DeltaIterationsMoveNoRuleTables) {
+  SyntheticKbConfig cfg;
+  cfg.scale = 0.01;
+  cfg.seed = 5;
+  auto skb = GenerateReverbSherlockKb(cfg);
+  ASSERT_TRUE(skb.ok());
+  auto moves_rules = [](const MppStep& step) {
+    return step.kind != MppStep::Kind::kCompute && step.label.size() == 2 &&
+           step.label[0] == 'M' && step.label[1] >= '1' &&
+           step.label[1] <= '6';
+  };
+  for (MppMode mode : {MppMode::kViews, MppMode::kNoViews}) {
+    for (int segments : {5, 32}) {
+      SCOPED_TRACE(StrFormat("%s, %d segments",
+                             mode == MppMode::kViews ? "views" : "no views",
+                             segments));
+      RelationalKB rkb = BuildRelationalModel(skb->kb);
+      MppGrounder grounder(rkb, segments, mode, GroundingOptions{});
+      ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
+      const size_t first = grounder.cost().steps().size();
+      EXPECT_TRUE(std::ranges::any_of(grounder.cost().steps(), moves_rules));
+      int delta_iterations = 0;
+      for (;;) {
+        Result<int64_t> added = grounder.GroundAtomsIteration();
+        ASSERT_TRUE(added.ok()) << added.status();
+        ++delta_iterations;
+        if (*added == 0) break;
+      }
+      EXPECT_GE(delta_iterations, 2);
+      const std::vector<MppStep>& steps = grounder.cost().steps();
+      int motions = 0;
+      for (size_t i = first; i < steps.size(); ++i) {
+        if (steps[i].kind != MppStep::Kind::kCompute) ++motions;
+        EXPECT_FALSE(moves_rules(steps[i])) << steps[i].label;
+      }
+      EXPECT_GT(motions, 0);
+    }
+  }
+}
 
 TEST(MppCostTest, TraceRendersFigure4Style) {
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
@@ -923,6 +965,72 @@ TEST(MppOpsTest, JoinOfReplicatedInputsStaysReplicated) {
   ASSERT_EQ(statement.ops.size(), 3u);
   EXPECT_EQ(statement.ops[2].num_children, 2);
   EXPECT_EQ(statement.ops[2].rows_out, 1);
+}
+
+// A segment whose probe side has no rows runs no plan: its output is an
+// empty table of the join's schema, and only the one segment with probe
+// rows records operators. The output equals running the join's plan on
+// every segment.
+TEST(MppOpsTest, EmptyProbeSegmentsRunNoPlan) {
+  constexpr int kSegments = 32;
+  auto left = Table::Make(AB());
+  for (int64_t i = 0; i < 10; ++i) {
+    left->AppendRow({Value::Int64(7), Value::Int64(i)});
+  }
+  Rng rng(17);
+  auto right = RandomTable(&rng, 400, 20);
+  right->AppendRow({Value::Int64(7), Value::Int64(-1)});
+  auto dl = DistributedTable::Distribute(*left, kSegments,
+                                         Distribution::Hash({0}), "L");
+  auto dr = DistributedTable::Distribute(*right, kSegments,
+                                         Distribution::Hash({0}), "R");
+  int probed = 0;
+  for (int s = 0; s < kSegments; ++s) {
+    if (dl->segment(s)->NumRows() > 0) ++probed;
+  }
+  ASSERT_EQ(probed, 1);
+
+  MppJoinSpec spec;
+  spec.left_keys = {0};
+  spec.right_keys = {0};
+  spec.output_cols = {JoinOutputCol::Left(1, "lb"),
+                      JoinOutputCol::Right(1, "rb")};
+  spec.output_dist = Distribution::Hash({0});
+  spec.label = "sparse join";
+  MppContext ctx(kSegments);
+  StatsRegistry registry;
+  ctx.set_stats_registry(&registry);
+  auto skipped = MppHashJoin(&ctx, dl, dr, spec);
+  ASSERT_TRUE(skipped.ok()) << skipped.status();
+  EXPECT_EQ(ctx.cost().tuples_shipped(), 0);
+  ASSERT_EQ((*skipped)->num_segments(), kSegments);
+  ASSERT_EQ(registry.statements().size(), 1u);
+  EXPECT_EQ(registry.statements()[0].ops.size(), 3u);  // 2 scans, 1 join
+
+  // The unskipped path: the join's plan on every segment.
+  MppContext full_ctx(kSegments);
+  StatsRegistry full_registry;
+  full_ctx.set_stats_registry(&full_registry);
+  auto full = PerSegment(
+      &full_ctx, dl->PhysicalRows() + dr->PhysicalRows(), spec.output_dist,
+      spec.label, [&](int s, ExecContext* ec) {
+        return HashJoin(Scan(dl->segment(s), "L"), Scan(dr->segment(s), "R"),
+                        spec.left_keys, spec.right_keys, spec.type,
+                        spec.output_cols)
+            ->Execute(ec);
+      });
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full_registry.statements().size(), 1u);
+  EXPECT_EQ(full_registry.statements()[0].ops.size(), 3u * kSegments);
+  EXPECT_GE((*skipped)->NumRows(), 10);  // every left row meets (7, -1)
+  for (int s = 0; s < kSegments; ++s) {
+    const Table& got = *(*skipped)->segment(s);
+    const Table& want = *(*full)->segment(s);
+    EXPECT_TRUE(got.schema().Equals(want.schema())) << "segment " << s;
+    EXPECT_EQ(got.NumRows(), want.NumRows()) << "segment " << s;
+    EXPECT_EQ(testutil::TableDigest(got), testutil::TableDigest(want))
+        << "segment " << s;
+  }
 }
 
 }  // namespace

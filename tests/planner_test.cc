@@ -410,8 +410,9 @@ TEST(GoldenExplainTest, Fig4MppMotionDecisions) {
 TEST(GoldenExplainTest, SemiNaiveMppDeltaPlans) {
   // The default semi-naive evaluation on the MPP grounder: the last
   // iteration (iteration 2) runs the delta-driven statements. Pins the
-  // est/obs lines and motion decisions of the (delta, full) and
-  // (old, delta) passes for both execution modes.
+  // est/obs lines of the (delta, full) and (old, delta) passes and the
+  // motion decisions of their second joins (the first joins probe the
+  // replicated rule tables in place) for both execution modes.
   KnowledgeBase kb = testutil::BuildPaperExampleKB();
   std::string text;
   for (MppMode mode : {MppMode::kViews, MppMode::kNoViews}) {
