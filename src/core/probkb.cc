@@ -38,9 +38,6 @@ Result<ExpansionResult> ExpandKnowledgeBase(const KnowledgeBase& kb,
   }
 
   ExpansionResult result;
-  FaultInjector injector(options.fault_injection);
-  FaultInjector* inj =
-      options.fault_injection.enabled ? &injector : nullptr;
   Tracer* tracer = Tracer::Global();
   TraceSpan root(tracer, "expand", "pipeline");
 
@@ -74,12 +71,9 @@ Result<ExpansionResult> ExpandKnowledgeBase(const KnowledgeBase& kb,
     TraceSpan span(tracer, "load", "pipeline");
     if (options.use_mpp) {
       grounder = std::make_unique<MppGrounder>(
-          rkb, options.mpp_segments, options.mpp_mode, options.grounding,
-          CostParams{}, inj, options.retry);
+          rkb, options.mpp_segments, options.mpp_mode, options.grounding);
     } else {
-      auto single = std::make_unique<Grounder>(&rkb, options.grounding);
-      single->set_fault_injector(inj);
-      grounder = std::move(single);
+      grounder = std::make_unique<Grounder>(&rkb, options.grounding);
     }
   }
   grounder->set_stats_registry(options.stats);
@@ -105,7 +99,6 @@ Result<ExpansionResult> ExpandKnowledgeBase(const KnowledgeBase& kb,
   result.grounding_stats = grounder->stats();
   result.explain_plans = grounder->ExplainPlans();
   result.t_pi = grounder->TPi();
-  result.fault_stats = injector.stats();
   // The engine's indexes and views are not needed past this point; free
   // them before the factor graph and the sampler allocate.
   grounder.reset();

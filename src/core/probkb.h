@@ -5,7 +5,6 @@
 #include <string>
 
 #include "factor/factor_graph.h"
-#include "fault/fault_injector.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "infer/gibbs.h"
@@ -35,12 +34,6 @@ struct ExpansionOptions {
   bool use_mpp = false;
   int mpp_segments = 32;
   MppMode mpp_mode = MppMode::kViews;
-  /// Deterministic fault injection threaded through the engines (chaos
-  /// testing; see DESIGN.md "Fault model and recovery"). Off by default.
-  FaultInjectionOptions fault_injection;
-  /// Retry/backoff budget for recovering injected segment failures on the
-  /// MPP simulator.
-  RetryPolicy retry;
   /// Resume grounding from grounding.checkpoint_dir when that directory
   /// holds a complete checkpoint from an earlier (interrupted) run.
   bool resume_from_checkpoint = false;
@@ -51,7 +44,7 @@ struct ExpansionOptions {
 };
 
 /// \brief How many statements each pipeline stage abandoned to a budget
-/// failure (deadline, simulated memory, cancellation). All zero unless
+/// failure (deadline, row cap, cancellation). All zero unless
 /// ExpansionResult::partial.
 struct StageFailureCounters {
   int grounding = 0;
@@ -87,9 +80,6 @@ struct ExpansionResult {
   bool partial = false;
   StageFailureCounters failures;
   Status stop_reason;
-  /// Injected-fault and recovery accounting (all zero unless
-  /// options.fault_injection.enabled).
-  FaultStats fault_stats;
 };
 
 /// \brief Runs the whole ProbKB pipeline over `kb` and returns the

@@ -38,11 +38,7 @@ Status ExecContext::Record(NodeStats stats) {
   return CheckRowBudget(label);
 }
 
-Status ExecContext::CheckBudget(const std::string& label) {
-  const int64_t op_index = (*op_counter_)++;
-  if (injector_ != nullptr) {
-    PROBKB_RETURN_NOT_OK(injector_->OperatorFault(op_index, label));
-  }
+Status ExecContext::CheckBudget(const std::string& label) const {
   if (budget_.deadline_seconds > 0 &&
       timer_.Seconds() > budget_.deadline_seconds) {
     return Status::DeadlineExceeded(

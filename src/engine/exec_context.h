@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_injector.h"
 #include "obs/stats_registry.h"
 #include "relational/spill.h"
 #include "util/status.h"
@@ -70,8 +69,8 @@ struct ExecBudget {
   int64_t max_produced_rows = 0;
 };
 
-/// \brief Execution context threaded through a plan; owns the stats sink,
-/// the resource budget, and the fault-injection hook.
+/// \brief Execution context threaded through a plan; owns the stats sink
+/// and the resource budget.
 class ExecContext {
  public:
   ExecContext() = default;
@@ -89,23 +88,11 @@ class ExecContext {
   }
   const ExecBudget& budget() const { return budget_; }
 
-  /// \brief Attaches a fault injector (not owned); operators consult it to
-  /// simulate memory/deadline trips at exact, seeded points.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
-
-  /// \brief Points operator numbering at a counter shared across statements
-  /// (not owned, must outlive this context). A grounding run threads one
-  /// counter into every statement's context, so a scheduled operator-budget
-  /// fault addresses a single global execution point instead of "operator k
-  /// of every statement".
-  void set_shared_op_counter(int64_t* counter) { op_counter_ = counter; }
-
   /// \brief Attaches a thread pool (not owned; may be nullptr). Operators
   /// with a data-parallel inner loop (the hash-join probe) fan morsels out
   /// over it; a null pool or a pool of one is the exact serial path. The
   /// pool never changes an operator's *output*: morsel results are merged
-  /// in morsel order, and budget/fault bookkeeping stays on the thread
+  /// in morsel order, and budget bookkeeping stays on the thread
   /// executing the plan.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
@@ -120,17 +107,17 @@ class ExecContext {
 
   /// \brief Mirrors every Record into `sink` under `scope` (not owned; may
   /// be nullptr to detach). Purely observational: recording happens after
-  /// the budget/fault gates and copies values out, so an attached sink
+  /// the budget gate and copies values out, so an attached sink
   /// never changes control flow, row order, or operator numbering.
   void set_stats_sink(StatsRegistry* sink, std::string scope) {
     stats_sink_ = sink;
     stats_scope_ = std::move(scope);
   }
 
-  /// \brief Budget and fault gate called by every operator before it runs:
+  /// \brief Budget gate called by every operator before it runs:
   /// kDeadlineExceeded past the deadline, kResourceExhausted past the row
-  /// cap, or whatever the injector decides for this operator index.
-  Status CheckBudget(const std::string& label);
+  /// cap.
+  Status CheckBudget(const std::string& label) const;
 
   int64_t produced_rows() const { return produced_rows_; }
 
@@ -145,12 +132,9 @@ class ExecContext {
   Timer timer_;
   StatsRegistry* stats_sink_ = nullptr;
   std::string stats_scope_;
-  FaultInjector* injector_ = nullptr;
   ThreadPool* pool_ = nullptr;
   SpillContext* spill_ = nullptr;
   int64_t produced_rows_ = 0;
-  int64_t local_op_counter_ = 0;
-  int64_t* op_counter_ = &local_op_counter_;
 };
 
 }  // namespace probkb

@@ -95,7 +95,7 @@ Status FixpointGrounder::CheckDeadline() const {
 Status FixpointGrounder::GroundAtoms() {
   // `stats_.iterations` starts above zero after ResumeFrom, so a resumed
   // run honours the same iteration cap as an uninterrupted one. A budget
-  // or fault error propagates out of the iteration with the last completed
+  // error propagates out of the iteration with the last completed
   // iteration's checkpoint intact on disk.
   while (stats_.iterations < options_.max_iterations) {
     PROBKB_RETURN_NOT_OK(CheckDeadline());
@@ -109,7 +109,7 @@ Status FixpointGrounder::GroundAtoms() {
 }
 
 Result<int64_t> FixpointGrounder::GroundAtomsIteration() {
-  const double start = ElapsedSeconds();
+  const double start = wall_timer_.Seconds();
   // Every statement and motion span of the iteration nests under this one.
   TraceSpan span(Tracer::Global(), "iteration", "grounding",
                  stats_.iterations + 1);
@@ -121,7 +121,7 @@ Result<int64_t> FixpointGrounder::GroundAtomsIteration() {
     PROBKB_ASSIGN_OR_RETURN(int64_t deleted, ApplyConstraints());
     stats_.constraint_deleted += deleted;
   }
-  const double secs = ElapsedSeconds() - start;
+  const double secs = wall_timer_.Seconds() - start;
   stats_.RecordIteration(secs, added);
   if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
   span.set_values(stats_.iterations, added, NumAtoms());
@@ -131,10 +131,10 @@ Result<int64_t> FixpointGrounder::GroundAtomsIteration() {
 }
 
 Result<TablePtr> FixpointGrounder::GroundFactors() {
-  const double start = ElapsedSeconds();
+  const double start = wall_timer_.Seconds();
   TraceSpan span(Tracer::Global(), "ground_factors", "grounding");
   PROBKB_ASSIGN_OR_RETURN(TablePtr t_phi, RunFactorStatements());
-  stats_.ground_factors_seconds += ElapsedSeconds() - start;
+  stats_.ground_factors_seconds += wall_timer_.Seconds() - start;
   stats_.factors = t_phi->NumRows();
   stats_.final_atoms = NumAtoms();
   SnapshotWorkerStats();
@@ -186,8 +186,6 @@ Grounder::Grounder(RelationalKB* rkb, GroundingOptions options)
     : FixpointGrounder(std::move(options), rkb->t_pi->NumRows()), rkb_(rkb) {}
 
 Status Grounder::ArmStatement(ExecContext* ec) {
-  ec->set_fault_injector(injector_);
-  ec->set_shared_op_counter(&op_counter_);
   ec->set_thread_pool(pool_.get());
   ec->set_spill(spill_session_->context());
   if (options_.deadline_seconds > 0 || options_.max_rows_per_statement > 0) {

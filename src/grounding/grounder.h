@@ -9,7 +9,6 @@
 
 #include "engine/planner.h"
 #include "fault/checkpoint.h"
-#include "fault/fault_injector.h"
 #include "grounding/partition_queries.h"
 #include "grounding/spill_session.h"
 #include "grounding/tpi_indexes.h"
@@ -85,6 +84,8 @@ struct GroundingStats {
   int64_t factors = 0;
   int64_t statements = 0;
   int64_t constraint_deleted = 0;
+  /// Wall-clock seconds on every engine (the MPP simulator's modelled
+  /// seconds are MppGrounder::cost()).
   std::vector<double> iteration_seconds;  // measured, per iteration
   std::vector<int64_t> iteration_new_atoms;
   double ground_atoms_seconds = 0.0;    // measured total, all iterations
@@ -234,6 +235,9 @@ class FixpointGrounder {
   /// Rendered plans / cardinality lines of the statements since the last
   /// iteration boundary (see ExplainPlans).
   std::vector<std::string> explain_lines_;
+  /// Wall-clock since construction: books GroundingStats' seconds on
+  /// every engine, and is Grounder's deadline clock.
+  Timer wall_timer_;
 
  private:
   /// Writes an iteration checkpoint when options call for one.
@@ -266,19 +270,13 @@ class Grounder : public FixpointGrounder {
   Result<int64_t> ApplyConstraints() override;
   TablePtr TPi() const override { return rkb_->t_pi; }
 
-  /// \brief Threads a fault injector into every statement's ExecContext
-  /// (simulated operator memory/deadline trips). Not owned.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-
   const RelationalKB& rkb() const { return *rkb_; }
 
  protected:
   Result<int64_t> RunIteration() override;
   Result<TablePtr> RunFactorStatements() override;
   int64_t NumAtoms() const override { return rkb_->t_pi->NumRows(); }
-  double ElapsedSeconds() const override {
-    return lifetime_timer_.Seconds();
-  }
+  double ElapsedSeconds() const override { return wall_timer_.Seconds(); }
   void SaveState(GroundingCheckpoint* cp) const override;
   Status RestoreState(GroundingCheckpoint* cp) override;
   const char* JournalSource() const override { return "grounder"; }
@@ -292,8 +290,8 @@ class Grounder : public FixpointGrounder {
   Result<TablePtr> NewDerivationsInNaiveOrder(const Table& derivations);
   /// Merges one statement's atoms into TPi, skipping banned entities.
   Status MergeInferred(const Table& atoms, int64_t* added);
-  /// Arms a statement's ExecContext with the remaining deadline, the row
-  /// budget, and the fault injector; kDeadlineExceeded if none remains.
+  /// Arms a statement's ExecContext with the remaining deadline and the
+  /// row budget; kDeadlineExceeded if no time remains.
   Status ArmStatement(ExecContext* ec);
 
   RelationalKB* rkb_;
@@ -306,13 +304,6 @@ class Grounder : public FixpointGrounder {
   /// The rule tables indexed for the delta-driven passes, built on first
   /// use.
   RuleIndexes rule_indexes_;
-  FaultInjector* injector_ = nullptr;
-  /// Operator numbering shared by every statement's ExecContext, so a
-  /// scheduled operator-budget fault addresses one global execution point
-  /// of the run instead of "operator k of every statement".
-  int64_t op_counter_ = 0;
-  /// Wall-clock since construction; the deadline budget counts from here.
-  Timer lifetime_timer_;
   /// Cardinality-observation history: statement label -> last observed
   /// output rows. Single-node runs have no motions to plan, so only the
   /// feedback half of the planner is used (estimates for --explain).

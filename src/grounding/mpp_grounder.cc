@@ -22,8 +22,7 @@ const std::vector<int> kAtomDistKeys = {atom::kR, atom::kC1, atom::kC2};
 
 MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
                          MppMode mode, GroundingOptions options,
-                         CostParams cost_params, FaultInjector* injector,
-                         RetryPolicy retry)
+                         CostParams cost_params)
     : FixpointGrounder(std::move(options), rkb.t_pi->NumRows()),
       ctx_(num_segments, cost_params),
       mode_(mode),
@@ -34,8 +33,6 @@ MppGrounder::MppGrounder(const RelationalKB& rkb, int num_segments,
       t_omega_(rkb.t_omega),
       next_fact_id_(rkb.next_fact_id) {
   ctx_.set_planner(&planner_);
-  ctx_.set_fault_injector(injector);
-  ctx_.set_retry_policy(retry);
   ctx_.set_deadline_seconds(options_.deadline_seconds);
   ctx_.set_max_rows_per_statement(options_.max_rows_per_statement);
   // Motions and per-segment operators run on the shared pool and spill
@@ -381,8 +378,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
 
   if (mode_ == MppMode::kViews && added > 0) {
     // Incremental view maintenance: each T0 segment ships only its new rows
-    // to each view, so an injected fault replays exactly the victim's
-    // contribution.
+    // to each view.
     std::vector<const Table*> senders;
     for (int s = 0; s < n; ++s) senders.push_back(t_pi_->segment(s).get());
     for (const DistributedTablePtr& view : {view_tx_, view_ty_, view_txy_}) {
@@ -399,18 +395,11 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
           received[static_cast<size_t>(t)] += route.Count(t);
         }
       }
-      auto resend = [&](const FaultEvent& f) -> int64_t {
-        const SegmentRouting& route = routes[static_cast<size_t>(f.segment)];
-        return f.kind == FaultKind::kSegmentFailure
-                   ? static_cast<int64_t>(route.rows.size())
-                   : route.Count(f.target);
-      };
-      // The refresh is a real motion: it consumes a motion index, can be
-      // struck by injected faults, and only mutates the view once the
-      // (possibly recovered) shipment succeeded.
+      // The refresh is a real motion: it consumes a motion index, checks
+      // the deadline, and only mutates the view once that check passed.
       PROBKB_RETURN_NOT_OK(ctx_.AccountMotion(
           MppStep::Kind::kRedistribute, "refresh " + view->name(), added,
-          t_pi_->schema().num_fields(), received, resend));
+          t_pi_->schema().num_fields(), received));
       std::vector<TablePtr> segments;
       for (int t = 0; t < n; ++t) segments.push_back(view->mutable_segment(t));
       DistributedTable::Scatter(senders, routes, segments, ctx_.thread_pool());

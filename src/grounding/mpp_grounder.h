@@ -42,16 +42,13 @@ enum class MppMode { kNoViews, kViews };
 /// them. Under a budget every iteration runs the full pass on transient,
 /// spillable builds, and the merge index lives for one iteration.
 ///
-/// With a FaultInjector the simulator's motions detect and recover
-/// injected segment failures (see MppContext); the grounder adds the
-/// layer above: iteration-level checkpoints (options.checkpoint_dir) and
-/// ResumeFrom(), so a run aborted by a deadline or an unrecoverable
-/// motion restarts from the last completed iteration instead of scratch.
+/// Iteration-level checkpoints (options.checkpoint_dir) and ResumeFrom()
+/// let a run aborted by the simulated-time deadline or a row cap restart
+/// from the last completed iteration instead of from scratch.
 class MppGrounder : public FixpointGrounder {
  public:
   MppGrounder(const RelationalKB& rkb, int num_segments, MppMode mode,
-              GroundingOptions options, CostParams cost_params = {},
-              FaultInjector* injector = nullptr, RetryPolicy retry = {});
+              GroundingOptions options, CostParams cost_params = {});
 
   /// \brief Query 3 on the simulator; keeps the views consistent.
   Result<int64_t> ApplyConstraints() override;

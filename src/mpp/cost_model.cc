@@ -15,8 +15,6 @@ const char* KindName(MppStep::Kind k) {
       return "Broadcast Motion";
     case MppStep::Kind::kGather:
       return "Gather Motion";
-    case MppStep::Kind::kRecovery:
-      return "Recovery";
   }
   return "?";
 }

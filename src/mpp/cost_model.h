@@ -31,9 +31,7 @@ struct CostParams {
 /// a per-segment compute phase. Feeds both the total simulated time and the
 /// Figure-4-style plan printouts.
 struct MppStep {
-  /// kRecovery accounts fault handling: retry backoff plus the re-shipping
-  /// of batches lost to an injected segment failure or drop.
-  enum class Kind { kCompute, kRedistribute, kBroadcast, kGather, kRecovery };
+  enum class Kind { kCompute, kRedistribute, kBroadcast, kGather };
   Kind kind = Kind::kCompute;
   std::string label;
   /// Tuples put on the interconnect by this step (0 for compute).

@@ -1,12 +1,10 @@
 #ifndef PROBKB_MPP_MPP_CONTEXT_H_
 #define PROBKB_MPP_MPP_CONTEXT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "engine/planner.h"
-#include "fault/fault_injector.h"
 #include "mpp/cost_model.h"
 #include "mpp/distributed_table.h"
 #include "relational/spill.h"
@@ -24,14 +22,10 @@ namespace probkb {
 /// free functions in mpp_ops.h that call back into this context to account
 /// for their per-segment work.
 ///
-/// With a FaultInjector attached, every motion becomes a detect-and-recover
-/// loop: a failed segment's contribution is recomputed from the surviving
-/// materialized inputs and re-shipped under capped exponential backoff,
-/// with the retry cost charged to MppCost as kRecovery steps. Recovery
-/// reassembles outputs in canonical segment order, so a recovered run is
-/// bit-identical to a fault-free one. A motion that stays failed past the
-/// retry budget returns kResourceExhausted; an injected deadline trip (or
-/// an exceeded simulated deadline) returns kDeadlineExceeded.
+/// Motions only move rows and charge the modelled interconnect cost: each
+/// takes the next motion index, checks the simulated-time deadline
+/// (kDeadlineExceeded once it has passed), and assembles its output in
+/// canonical segment order.
 class MppContext {
  public:
   explicit MppContext(int num_segments, CostParams params = {})
@@ -43,20 +37,12 @@ class MppContext {
   MppCost* mutable_cost() { return &cost_; }
   const MppCost& cost() const { return cost_; }
 
-  /// \brief Attaches the fault source (not owned; may be nullptr).
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
-
-  void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
   /// \brief Attaches a thread pool (not owned; may be nullptr) that runs
   /// per-segment operator work and motion preparation concurrently.
-  /// Determinism contract: motion indices are assigned and the fault
-  /// injector consulted on the orchestrating thread *before* any fan-out,
-  /// and parallel results are merged in canonical segment order — so cost
-  /// traces, fault schedules, and output tables are bit-identical to the
-  /// serial engine's.
+  /// Determinism contract: motion indices are assigned on the
+  /// orchestrating thread *before* any fan-out, and parallel results are
+  /// merged in canonical segment order — so cost traces and output tables
+  /// are bit-identical to the serial engine's.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
@@ -80,8 +66,8 @@ class MppContext {
   /// nullptr). Motions then report their shipped tuple/byte volume and
   /// post-motion per-segment row distribution, and compute phases their
   /// per-segment time skew. Recording happens on the orchestrating thread
-  /// after the fault-recovery loop settles, so an attached registry never
-  /// changes motion indices, fault schedules, or outputs.
+  /// after the motion's rows have moved, so an attached registry never
+  /// changes motion indices or outputs.
   void set_stats_registry(StatsRegistry* registry) { obs_ = registry; }
   StatsRegistry* stats_registry() const { return obs_; }
 
@@ -120,16 +106,13 @@ class MppContext {
   /// \brief Accounts a motion whose data movement the caller performed
   /// itself (e.g. the grounder's incremental view refresh, which appends
   /// delta rows straight into view segments). Consumes a motion index and
-  /// runs the same fault gate and recovery loop as the built-in motions,
-  /// then charges `tuples_shipped` as a step of `kind`. Like the built-in
-  /// motions it reports `tuples_shipped * num_fields * 8` bytes and the
-  /// rows each segment received (`per_segment_rows`) to an attached stats
-  /// registry. `resend_tuples` follows the RecoverMotion contract.
+  /// checks the deadline like the built-in motions, then charges
+  /// `tuples_shipped` as a step of `kind`. Like the built-in motions it
+  /// reports `tuples_shipped * num_fields * 8` bytes and the rows each
+  /// segment received (`per_segment_rows`) to an attached stats registry.
   Status AccountMotion(MppStep::Kind kind, const std::string& label,
                        int64_t tuples_shipped, int num_fields,
-                       const std::vector<int64_t>& per_segment_rows,
-                       const std::function<int64_t(const FaultEvent&)>&
-                           resend_tuples);
+                       const std::vector<int64_t>& per_segment_rows);
 
   /// \brief Accounts a per-segment compute phase: `seg_seconds[i]` is the
   /// measured wall-clock of segment i's plan. Simulated elapsed takes the
@@ -151,29 +134,17 @@ class MppContext {
   }
 
  private:
-  /// Deadline / injected-budget gate at the head of every motion; on OK,
-  /// returns the motion's index via `motion_index`.
+  /// Deadline gate at the head of every motion; on OK, returns the
+  /// motion's index via `motion_index`.
   Status BeginMotion(const std::string& label, int64_t* motion_index);
-
-  /// Runs the detect/retry loop for the segments named in `faults`.
-  /// `resend_tuples(segment)` is the interconnect traffic needed to replay
-  /// one victim's contribution. Accumulates backoff and re-ship cost into
-  /// a kRecovery step and the injector stats; kResourceExhausted when a
-  /// segment stays failed past the retry budget.
-  Status RecoverMotion(int64_t motion_index, const std::string& label,
-                       const std::vector<FaultEvent>& faults,
-                       const std::function<int64_t(const FaultEvent&)>&
-                           resend_tuples);
 
   int num_segments_;
   CostParams params_;
   MppCost cost_;
-  FaultInjector* injector_ = nullptr;
   StatsRegistry* obs_ = nullptr;
   AdaptivePlanner* planner_ = nullptr;
   ThreadPool* pool_ = nullptr;
   SpillContext* spill_ = nullptr;
-  RetryPolicy retry_;
   double deadline_seconds_ = 0.0;
   int64_t max_rows_per_statement_ = 0;
   int64_t next_motion_index_ = 0;

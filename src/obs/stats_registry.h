@@ -114,7 +114,7 @@ struct GibbsChainStats {
 /// so the registry itself needs no locks; the only concurrent counters
 /// (pool workers) are per-worker atomics merged at snapshot time by the
 /// caller. Recording never influences execution: it runs after every
-/// budget/fault gate and only copies values out. The registry keeps
+/// budget gate and only copies values out. The registry keeps
 /// aggregates and histograms only; the timeline of a run lives in the
 /// event journal (obs/trace.h).
 class StatsRegistry {

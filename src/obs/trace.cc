@@ -58,14 +58,6 @@ const char* EventKindName(EventKind kind) {
   switch (kind) {
     case EventKind::kMotionBegin:
       return "motion_begin";
-    case EventKind::kFaultInjected:
-      return "fault_injected";
-    case EventKind::kRetryAttempt:
-      return "retry_attempt";
-    case EventKind::kMotionRecovered:
-      return "motion_recovered";
-    case EventKind::kMotionFailed:
-      return "motion_failed";
     case EventKind::kCheckpointCommit:
       return "checkpoint_commit";
     case EventKind::kIterationBoundary:

@@ -18,11 +18,6 @@ namespace probkb {
 /// journal".
 enum class EventKind : uint8_t {
   kMotionBegin = 0,    // a=motion index                  detail=label
-  kFaultInjected,      // a=motion/op index b=attempt c=victim segment
-                       //                                 detail=fault kind
-  kRetryAttempt,       // a=motion index b=attempt c=pending victims
-  kMotionRecovered,    // a=motion index b=faults recovered c=reshipped
-  kMotionFailed,       // a=motion index b=attempts c=stuck segment
   kCheckpointCommit,   // a=iteration b=tables committed c=t_pi rows
   kIterationBoundary,  // a=iteration b=new atoms c=total atoms
                        //                                 detail=grounder
@@ -81,7 +76,7 @@ struct SpanRecord {
 /// trace and becomes the root.
 ///
 /// Events are always recorded; the process-global journal is fed by the
-/// MPP motions, the fault injector, checkpoint commits, fixpoint iteration
+/// MPP motions, checkpoint commits, fixpoint iteration
 /// boundaries and Gibbs milestones, and the post-mortem dumps read it.
 /// Spans are opt-in (`set_enabled`, via `--trace`/`--trace_chrome`); a
 /// disabled tracer costs one relaxed load per span site. Nothing reads the

@@ -7,7 +7,6 @@
 
 #include "datagen/synthetic_kb.h"
 #include "engine/ops.h"
-#include "fault/fault_injector.h"
 #include "grounding/partition_queries.h"
 #include "grounding/tpi_indexes.h"
 #include "tests/test_util.h"
@@ -463,6 +462,16 @@ TEST_P(SemiNaivePropertyTest, ClosuresMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaivePropertyTest, ::testing::Range(0, 20));
 
+// Exposes the row cap, which ArmStatement reads before every statement,
+// so a test can arm it for exactly one iteration.
+class RowCappedGrounder : public Grounder {
+ public:
+  using Grounder::Grounder;
+  void set_max_rows_per_statement(int64_t rows) {
+    options_.max_rows_per_statement = rows;
+  }
+};
+
 // A statement failing mid-iteration, after earlier statements of the same
 // iteration already merged their atoms, must leave TPi, the fact-id counter
 // and the TPi indexes exactly as the iteration found them: retrying the
@@ -479,47 +488,46 @@ void ExpectFailedStatementRollsBack(EvaluationMode mode) {
 
   RelationalKB clean_rkb = BuildRelationalModel(skb->kb);
   Grounder clean(&clean_rkb, options);
+  StatsRegistry registry;
+  clean.set_stats_registry(&registry);
   ASSERT_TRUE(clean.GroundAtomsIteration().ok());
   ASSERT_TRUE(clean.GroundAtomsIteration().ok());
+
+  // Rows each of iteration 2's statements produces (every operator's
+  // output counts against the cap). Capped at the first statement's count,
+  // the first statement that produces more trips, after every statement
+  // before it merged.
+  std::vector<int64_t> produced;
+  for (const StatementTrace& trace : registry.statements()) {
+    if (trace.scope.rfind("iter2/", 0) != 0) continue;
+    int64_t rows = 0;
+    for (const OpRecord& op : trace.ops) rows += op.rows_out;
+    produced.push_back(rows);
+  }
+  ASSERT_FALSE(produced.empty());
+  const int64_t cap = produced[0];
+  size_t trip = 1;
+  while (trip < produced.size() && produced[trip] <= cap) ++trip;
+  ASSERT_LT(trip, produced.size()) << "no statement of iteration 2 trips";
 
   RelationalKB rkb = BuildRelationalModel(skb->kb);
-  // Operators per statement (HashJoin plus its scans, CheckBudget order):
-  // 3 for a length-2 partition, 5 for a length-3 one. Iteration 2 of
-  // semi-naive runs the delta plans, whose length-3 statements append two
-  // 5-operator passes (11 operators). The fault strikes the first operator
-  // of iteration 2's second statement.
-  const bool delta_driven = mode == EvaluationMode::kSemiNaive;
-  std::vector<int64_t> statement_ops;
-  int64_t iteration_ops = 0;
-  for (int p = 1; p <= kNumRuleStructures; ++p) {
-    if (rkb.m[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
-    const bool len2 = GetPartitionSpec(p).body_length == 1;
-    iteration_ops += len2 ? 3 : 5;
-    statement_ops.push_back(len2 ? 3 : delta_driven ? 11 : 5);
-  }
-  ASSERT_GE(statement_ops.size(), 2u);
-  FaultInjectionOptions faults;
-  faults.enabled = true;
-  faults.schedule = {{FaultKind::kMemoryExhausted,
-                      /*motion=*/iteration_ops + statement_ops[0], 0, -1, -1}};
-  FaultInjector injector(faults);
-
-  Grounder grounder(&rkb, options);
-  grounder.set_fault_injector(&injector);
+  RowCappedGrounder grounder(&rkb, options);
   ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
   const TablePtr start = rkb.t_pi->Clone();
   const FactId start_id = rkb.next_fact_id;
   const int64_t statements = grounder.stats().statements;
 
+  grounder.set_max_rows_per_statement(cap);
   auto failed = grounder.GroundAtomsIteration();
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
-  // The first statement of the iteration did run (and merged).
-  EXPECT_EQ(grounder.stats().statements, statements + 1);
+  // The statements before the tripping one did run (and merged).
+  EXPECT_EQ(grounder.stats().statements,
+            statements + static_cast<int64_t>(trip));
   EXPECT_TRUE(TablesEqualExact(*rkb.t_pi, *start));
   EXPECT_EQ(rkb.next_fact_id, start_id);
 
-  grounder.set_fault_injector(nullptr);
+  grounder.set_max_rows_per_statement(0);
   ASSERT_TRUE(grounder.GroundAtomsIteration().ok());
   EXPECT_TRUE(TablesEqualExact(*rkb.t_pi, *clean_rkb.t_pi));
   EXPECT_EQ(rkb.next_fact_id, clean_rkb.next_fact_id);

@@ -13,6 +13,7 @@
 #include "tests/test_util.h"
 #include "util/random.h"
 #include "util/strings.h"
+#include "util/timer.h"
 
 namespace probkb {
 namespace {
@@ -835,6 +836,26 @@ TEST(MppGrounderStatsTest, StatementsCountedPerPartition) {
   EXPECT_EQ(grounder.stats().iterations, 2);
   std::string rendered = grounder.stats().ToString();
   EXPECT_NE(rendered.find("2 iterations"), std::string::npos);
+}
+
+// GroundingStats' seconds are measured on MPP too; the modelled seconds
+// stay in cost(). A 1 s motion latency makes the two impossible to confuse:
+// the simulated total dwarfs the wall-clock of the whole call.
+TEST(MppGrounderStatsTest, IterationSecondsAreWallClock) {
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  RelationalKB rkb = BuildRelationalModel(kb);
+  CostParams slow_motions;
+  slow_motions.motion_latency = 1.0;
+  MppGrounder grounder(rkb, 32, MppMode::kViews, GroundingOptions{},
+                       slow_motions);
+  Timer timer;
+  ASSERT_TRUE(grounder.GroundAtoms().ok());
+  const double wall = timer.Seconds();
+  double summed = 0.0;
+  for (double seconds : grounder.stats().iteration_seconds) summed += seconds;
+  EXPECT_LE(summed, wall);
+  EXPECT_DOUBLE_EQ(grounder.stats().ground_atoms_seconds, summed);
+  EXPECT_GT(grounder.cost().simulated_seconds(), wall);
 }
 
 TEST(MppGrounderStatsTest, EveryMotionReportsBytesAndSkew) {

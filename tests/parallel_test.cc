@@ -1,6 +1,6 @@
 // Parallel-vs-serial equivalence: the threaded engine must reproduce the
 // serial engine bit-for-bit — same rows in the same order, same fact ids,
-// same fault schedule — at every thread count. Plus unit coverage for the
+// same motions — at every thread count. Plus unit coverage for the
 // ThreadPool and FlatRowIndex primitives underneath.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "engine/flat_hash.h"
 #include "engine/ops.h"
 #include "engine/plan.h"
-#include "fault/fault_injector.h"
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "obs/stats_registry.h"
@@ -628,7 +627,7 @@ TEST(ParallelMppTest, MotionsBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(TablesEqualExact(**phi_serial, **phi))
         << threads << " threads: TPhi differs from serial";
     // Same motions in the same order ship the same tuple counts: the
-    // injector-facing schedule is thread-count independent.
+    // motion schedule is thread-count independent.
     ASSERT_EQ(serial.cost().steps().size(), grounder.cost().steps().size());
     for (size_t i = 0; i < serial.cost().steps().size(); ++i) {
       EXPECT_EQ(serial.cost().steps()[i].kind,
@@ -636,48 +635,6 @@ TEST(ParallelMppTest, MotionsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial.cost().steps()[i].tuples_shipped,
                 grounder.cost().steps()[i].tuples_shipped);
     }
-  }
-}
-
-TEST(ParallelMppTest, InjectedFaultsRecoverIdenticallyAcrossThreadCounts) {
-  KnowledgeBase kb = BiggishKB();
-  FaultInjectionOptions fault_options;
-  fault_options.enabled = true;
-  fault_options.seed = 104729;
-  fault_options.segment_failure_prob = 0.25;
-  fault_options.drop_batch_prob = 0.25;
-  fault_options.duplicate_batch_prob = 0.1;
-
-  GroundingOptions serial_options;
-  serial_options.max_iterations = 3;
-  serial_options.num_threads = 1;
-  RelationalKB rkb_serial = BuildRelationalModel(kb);
-  FaultInjector serial_injector(fault_options);
-  MppGrounder serial(rkb_serial, kSegments, MppMode::kViews, serial_options,
-                     CostParams{}, &serial_injector);
-  ASSERT_TRUE(serial.GroundAtoms().ok());
-  ASSERT_GT(serial_injector.stats().InjectedTotal(), 0)
-      << "fault schedule never fired; the test is vacuous";
-  TablePtr tpi_serial = serial.GatherTPi();
-
-  for (int threads : {2, 4}) {
-    GroundingOptions options = serial_options;
-    options.num_threads = threads;
-    RelationalKB rkb = BuildRelationalModel(kb);
-    FaultInjector injector(fault_options);
-    MppGrounder grounder(rkb, kSegments, MppMode::kViews, options,
-                         CostParams{}, &injector);
-    ASSERT_TRUE(grounder.GroundAtoms().ok());
-    EXPECT_TRUE(TablesEqualExact(*tpi_serial, *grounder.GatherTPi()))
-        << threads << " threads under faults: TPi differs from serial";
-    // The deterministic fault schedule is keyed on motion indices, which
-    // are assigned on the orchestrator thread before any fan-out — so the
-    // same faults fire and recover regardless of thread count.
-    EXPECT_EQ(serial_injector.stats().InjectedTotal(),
-              injector.stats().InjectedTotal());
-    EXPECT_EQ(serial_injector.stats().recovered_faults,
-              injector.stats().recovered_faults);
-    EXPECT_EQ(serial_injector.stats().retries, injector.stats().retries);
   }
 }
 
